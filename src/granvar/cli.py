@@ -32,12 +32,11 @@ from . import estimators as est
 from .errors import ConfigError, GranvarError
 from .fields import generate_field, save_field_csv
 from .intercept import (
-    adjacency_dependence_for_field,
+    adjacency_dependence,
     calibrate_against_oracle,
     cast_transects,
     markov_fit,
     size_corrected_frequencies,
-    transition_counts,
 )
 from .model import derive_expectation, derive_summary
 from .scenario import ScenarioConfig, build_design, load_scenario
@@ -271,7 +270,7 @@ def cmd_intercept(args) -> int:
         ["transect_id", "order", "particle_id", "class_id", "chord_length", "width"],
         rec_rows,
     )
-    counts = transition_counts(records, k)
+    adjacency, counts, corrected_freq = adjacency_dependence(records, k)
     writer.write(
         "counts.csv",
         ["class_id"] + [str(u) for u in range(k)],
@@ -287,14 +286,10 @@ def cmd_intercept(args) -> int:
         ],
     )
     raw_freq = size_corrected_frequencies(records, k, correct=False)
-    corrected_freq = size_corrected_frequencies(records, k, correct=True)
     writer.write(
         "frequencies.csv",
         ["class_id", "raw_frequency", "size_corrected_frequency"],
         [(u, raw_freq[u], corrected_freq[u]) for u in range(k)],
-    )
-    adjacency, _, _ = adjacency_dependence_for_field(
-        field, table, spec, _stage_seed(config.seed, _TRANSECT_STREAM)
     )
     writer.write(
         "adjacency.csv",
@@ -307,25 +302,18 @@ def cmd_intercept(args) -> int:
 
 
 def _write_calibration(writer: _Writer, config: ScenarioConfig, threads: int) -> None:
-    from .scenario import _number_list  # shared low-level parser
-
-    raw = config.calibration
-    radii = _number_list(
-        raw.get("cluster_radius", [0.10, 0.06, 0.03]), "calibration.cluster_radius"
-    )
-    n_seeds = int(raw.get("n_seeds", 10))
-    replicates = int(raw.get("replicates", 100))
-    window = raw.get("window", [0.05, 0.05])
+    settings = config.calibration
     if config.field.variant != "matern_cluster":
         raise ConfigError("calibration", "calibration sweeps need a matern_cluster field")
     processes = [
-        (f"cluster_radius={r:g}", replace(config.field, cluster_radius=r)) for r in radii
+        (f"cluster_radius={r:g}", replace(config.field, cluster_radius=r))
+        for r in settings["cluster_radius"]
     ]
     report = calibrate_against_oracle(
-        processes, config.table, (float(window[0]), float(window[1])),
-        replicates, config.transects,
+        processes, config.table, settings["window"], settings["replicates"],
+        config.transects,
         master_seed=_stage_seed(config.seed, _CALIBRATE_STREAM),
-        n_seeds=n_seeds, threads=threads,
+        n_seeds=settings["n_seeds"], threads=threads,
     )
     k = config.table.k
     rows = []
@@ -421,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run built-in consistency checks")
     common(p_ver)
-    p_ver.add_argument("--quick", action="store_true", help="fast subset of checks")
+    p_ver.add_argument("--quick", action="store_true", help="fewer draws per check")
     p_ver.set_defaults(fn=cmd_verify)
     return parser
 

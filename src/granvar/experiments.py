@@ -19,13 +19,13 @@ from .model import ClassTable
 from .selection import (
     ReplicateStats,
     SelectionDesign,
-    _variance_se,
     _window_membership,
     compare_estimators,
     empirical_dependence,
     enumerate_design,
     inclusion_from_fractions,
     run_replicates,
+    variance_se,
 )
 from .util import derived_rng, ordered_map
 
@@ -259,10 +259,12 @@ def gy_null_ensemble(
             s_field, s_anchor = (int(x) for x in ss.generate_state(2, dtype=np.uint64))
             fld = generate_field(params, table, s_field)
             rng = derived_rng(s_anchor)
-            anchor = np.array(
-                [[rng.uniform(0.0, fld.width), rng.uniform(0.0, fld.height)]]
+            anchor_x = rng.uniform(0.0, fld.width)
+            anchor_y = rng.uniform(0.0, fld.height)
+            # one window per field: a strip index could not repay its sort
+            member = _window_membership(
+                fld.x, fld.y, anchor_x, anchor_y, window, (fld.width, fld.height)
             )
-            member = _window_membership(fld, anchor, window[0], window[1])[0]
             pop = fld.class_counts(k)
             sel = np.bincount(fld.class_id[member], minlength=k)
             counts[rep] = sel
@@ -292,7 +294,7 @@ def gy_null_ensemble(
         stats = ReplicateStats(
             counts=counts, mass=mass, cs=cs,
             v_e=float(np.var(cs_ok, ddof=1)),
-            v_e_se=_variance_se(cs_ok),
+            v_e_se=variance_se(cs_ok),
             mean_cs=float(cs_ok.mean()),
             mass_cv=float(mass.std(ddof=1) / mass.mean()),
             n_empty=int(replicates - nonempty.sum()),

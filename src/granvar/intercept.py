@@ -301,8 +301,18 @@ def adjacency_dependence_for_field(
     Returns (dependence matrix, transition counts, class frequencies).
     """
     records = cast_transects(field, spec.count, spec.orientation, spec.length, seed)
-    counts = transition_counts(records, table.k)
-    freq = size_corrected_frequencies(records, table.k, correct=size_correct)
+    return adjacency_dependence(records, table.k, size_correct)
+
+
+def adjacency_dependence(
+    records: Sequence[TransectRecord], k: int, size_correct: bool = True
+) -> tuple[np.ndarray, TransitionCounts, np.ndarray]:
+    """Adjacency dependence matrix of transects already cast.
+
+    Returns (dependence matrix, transition counts, class frequencies).
+    """
+    counts = transition_counts(records, k)
+    freq = size_corrected_frequencies(records, k, correct=size_correct)
     return c_from_adjacency(counts, freq), counts, freq
 
 

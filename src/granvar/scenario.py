@@ -171,6 +171,36 @@ def _parse_transects(raw: Any) -> TransectSpec:
     return TransectSpec(count=count, length=length, orientation=orientation)
 
 
+def _parse_calibration(raw: Any, field: ProcessParams | None) -> dict:
+    """The calibration sweep settings, defaults filled in."""
+    if not isinstance(raw, dict):
+        raise ConfigError("calibration", "expected an object")
+    radii = _number_list(
+        raw.get("cluster_radius", [0.10, 0.06, 0.03]), "calibration.cluster_radius"
+    )
+    if any(r <= 0 for r in radii):
+        raise ConfigError("calibration.cluster_radius", "radii must be > 0")
+    n_seeds = _integer(raw.get("n_seeds", 10), "calibration.n_seeds")
+    if n_seeds < 1:
+        raise ConfigError("calibration.n_seeds", "must be >= 1")
+    replicates = _integer(raw.get("replicates", 100), "calibration.replicates")
+    if replicates < 2:
+        raise ConfigError("calibration.replicates", "must be >= 2")
+    window = _number_list(raw.get("window", [0.05, 0.05]), "calibration.window")
+    if len(window) != 2:
+        raise ConfigError("calibration.window", f"expected [width, height], got {window}")
+    if not all(v > 0 for v in window):
+        raise ConfigError("calibration.window", "window sides must be > 0")
+    if field is not None and (window[0] > field.width or window[1] > field.height):
+        raise ConfigError("calibration.window", "window must fit inside the domain")
+    return {
+        "cluster_radius": tuple(radii),
+        "n_seeds": n_seeds,
+        "replicates": replicates,
+        "window": (window[0], window[1]),
+    }
+
+
 def _parse_ckk_grid(raw: Any) -> tuple[tuple[float, ...], tuple[float, ...]]:
     if not isinstance(raw, dict):
         raise ConfigError("ckk_grid", "expected an object with 'n_k' and 'ratio'")
@@ -246,11 +276,9 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         if replicates < 2:
             raise ConfigError("replicates", "must be >= 2")
 
-    calibration = None
-    if "calibration" in raw:
-        if not isinstance(raw["calibration"], dict):
-            raise ConfigError("calibration", "expected an object")
-        calibration = raw["calibration"]
+    calibration = (
+        _parse_calibration(raw["calibration"], field) if "calibration" in raw else None
+    )
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

@@ -11,6 +11,14 @@ spatial field whose centers fall in a uniformly placed (toroidally
 wrapped) rectangle, which realizes spatial dependence between pair
 selections.
 
+Windows are counted through a strip index.  The particles are sorted by x
+once per design; for each window a binary search finds the particles
+whose x lies in the window's toroidally wrapped x-strip, and only those
+candidates go through the half-open membership test
+``mod(x - anchor_x, W) < width`` and ``mod(y - anchor_y, H) < height``.
+The strip is widened by a margin far above the rounding of that test, so
+the counts equal those of testing every particle against every window.
+
 Replicated runs report per-replicate sample summaries, the empirical
 variance of the sample concentration, and inclusion-probability estimates
 that invert to an empirical dependence matrix.
@@ -370,20 +378,93 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
 
 
 def _window_membership(
-    field: SpatialField, anchors: np.ndarray, width: float, height: float
+    x: np.ndarray,
+    y: np.ndarray,
+    anchor_x: np.ndarray | float,
+    anchor_y: np.ndarray | float,
+    window: tuple[float, float],
+    domain: tuple[float, float],
 ) -> np.ndarray:
-    """(R, n) boolean membership for toroidally wrapped windows."""
-    dx = np.mod(field.x[None, :] - anchors[:, 0][:, None], field.width)
-    dy = np.mod(field.y[None, :] - anchors[:, 1][:, None], field.height)
-    return (dx < width) & (dy < height)
+    """Whether each point (x, y) lies in the half-open window
+    [anchor, anchor + window) on a toroidal ``domain``; broadcasts."""
+    dx = np.mod(x - anchor_x, domain[0])
+    dy = np.mod(y - anchor_y, domain[1])
+    return (dx < window[0]) & (dy < window[1])
+
+
+#: Strips are widened by this fraction of the domain width on each side, far
+#: above the rounding of ``mod(x - anchor_x, W)``, so they hold every member.
+_STRIP_MARGIN = 2.0**-30
+#: Candidates tested per batch; small batches keep the arrays in cache.
+_STRIP_BATCH = 1 << 14
+
+
+def window_counts(
+    field: SpatialField, anchors: np.ndarray, width: float, height: float, k: int
+) -> np.ndarray:
+    """(R, K) class counts of the toroidal windows anchored at the rows of
+    ``anchors``; particles of classes outside [0, K) are not counted.
+
+    The particles are sorted by x once.  Each window's x-strip
+    [ax, ax + width), widened by the margin and shifted by -W, 0 and +W to
+    wrap across the domain edge, is found by binary search, and only the
+    particles in it go through :func:`_window_membership`.  The shifted
+    strips never overlap, so each candidate is tested once; a window (nearly)
+    as wide as the domain takes every particle as a candidate.
+    """
+    margin = _STRIP_MARGIN * field.width
+    counted = np.flatnonzero((field.class_id >= 0) & (field.class_id < k))
+    order = counted[np.argsort(field.x[counted], kind="stable")]
+    xs, ys, cls = field.x[order], field.y[order], field.class_id[order]
+    r = len(anchors)
+    if width + 4.0 * margin >= field.width:
+        starts = np.zeros((r, 1), dtype=np.int64)
+        stops = np.full((r, 1), len(order), dtype=np.int64)
+    else:
+        shifts = np.array([-field.width, 0.0, field.width])
+        starts = np.searchsorted(xs, anchors[:, :1] - margin + shifts, side="left")
+        stops = np.searchsorted(xs, anchors[:, :1] + (width + margin) + shifts, side="right")
+    lengths = stops - starts
+    ends = np.cumsum(lengths.sum(axis=1))
+
+    counts = np.empty((r, k), dtype=np.int64)
+    a0 = 0
+    while a0 < r:
+        # anchors [a0, a1) hold at most _STRIP_BATCH candidates (or one anchor)
+        before = ends[a0 - 1] if a0 else 0
+        a1 = max(int(np.searchsorted(ends, before + _STRIP_BATCH, side="right")), a0 + 1)
+        # flatten the candidate ranges: sorted-particle index and window row
+        span = lengths[a0:a1].ravel()
+        offset = starts[a0:a1].ravel() - (np.cumsum(span) - span)
+        cand = np.arange(span.sum()) + np.repeat(offset, span)
+        row = np.repeat(np.arange(a1 - a0).repeat(lengths.shape[1]), span)
+        member = _window_membership(
+            xs[cand], ys[cand], anchors[a0:a1, 0][row], anchors[a0:a1, 1][row],
+            (width, height), (field.width, field.height),
+        )
+        counts[a0:a1] = np.bincount(
+            row[member] * k + cls[cand[member]], minlength=(a1 - a0) * k
+        ).reshape(a1 - a0, k)
+        a0 = a1
+    return counts
 
 
 def _replicate_counts(
     design: SelectionDesign, table: ClassTable, r: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(R, K) per-replicate class counts, drawn in replicate order."""
-    class_of = np.array(design.class_of)
     k = table.k
+    if design.variant == "window":
+        anchors = np.column_stack(
+            [
+                rng.uniform(0.0, design.field.width, size=r),
+                rng.uniform(0.0, design.field.height, size=r),
+            ]
+        )
+        return window_counts(
+            design.field, anchors, design.window_width, design.window_height, k
+        )
+    class_of = np.array(design.class_of)
     class_masks = [class_of == u for u in range(k)]
     if design.variant == "bernoulli":
         q_p = np.asarray(design.q)[class_of]
@@ -395,42 +476,25 @@ def _replicate_counts(
             for u in range(k):
                 counts[start:stop, u] = sel[:, class_masks[u]].sum(axis=1)
         return counts
-    if design.variant == "pairwise_pmf":
-        n = design.n
-        total = 1 << n
-        idx = np.arange(total, dtype=np.int64)
-        bits = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-        w = _subset_weights(design, bits)
-        per_subset = np.empty((total, k), dtype=np.int64)
-        for u in range(k):
-            per_subset[:, u] = bits[:, class_masks[u]].sum(axis=1)
-        cdf = np.cumsum(w)
-        z = cdf[-1]
-        if z <= 0:
-            raise ValueError("selection pmf is not normalizable (all weights zero)")
-        draws = np.searchsorted(cdf, rng.random(r) * z, side="right")
-        draws = np.clip(draws, 0, total - 1)
-        return per_subset[draws]
-    # window
-    anchors = np.column_stack(
-        [
-            rng.uniform(0.0, design.field.width, size=r),
-            rng.uniform(0.0, design.field.height, size=r),
-        ]
-    )
-    counts = np.empty((r, k), dtype=np.int64)
-    step = max(_CHUNK // max(design.n, 1), 1)
-    for start in range(0, r, step):
-        stop = min(start + step, r)
-        member = _window_membership(
-            design.field, anchors[start:stop], design.window_width, design.window_height
-        )
-        for u in range(k):
-            counts[start:stop, u] = member[:, class_masks[u]].sum(axis=1)
-    return counts
+    # pairwise_pmf
+    n = design.n
+    total = 1 << n
+    idx = np.arange(total, dtype=np.int64)
+    bits = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
+    w = _subset_weights(design, bits)
+    per_subset = np.empty((total, k), dtype=np.int64)
+    for u in range(k):
+        per_subset[:, u] = bits[:, class_masks[u]].sum(axis=1)
+    cdf = np.cumsum(w)
+    z = cdf[-1]
+    if z <= 0:
+        raise ValueError("selection pmf is not normalizable (all weights zero)")
+    draws = np.searchsorted(cdf, rng.random(r) * z, side="right")
+    draws = np.clip(draws, 0, total - 1)
+    return per_subset[draws]
 
 
-def _variance_se(values: np.ndarray) -> float:
+def variance_se(values: np.ndarray) -> float:
     """Standard error of the sample variance (fourth-moment formula)."""
     n = len(values)
     if n < 4:
@@ -560,7 +624,7 @@ def run_replicates(
     cs_ok = cs[nonempty]
     if len(cs_ok) >= 2:
         v_e = float(np.var(cs_ok, ddof=1))
-        v_e_se = _variance_se(cs_ok)
+        v_e_se = variance_se(cs_ok)
         mean_cs = float(cs_ok.mean())
     else:
         v_e, v_e_se, mean_cs = np.nan, np.nan, np.nan

@@ -125,6 +125,29 @@ class TestConfigErrors:
         )
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "calibration,location",
+        [
+            ({"window": 5}, "calibration.window"),
+            ({"n_seeds": "abc"}, "calibration.n_seeds"),
+            ({"window": [0.05]}, "calibration.window"),
+            ({"replicates": 1}, "calibration.replicates"),
+            ({"cluster_radius": [0.05, -0.01]}, "calibration.cluster_radius"),
+        ],
+    )
+    def test_calibration_section_validated(self, tmp_path, capsys, calibration, location):
+        config = write_scenario(
+            tmp_path,
+            sample_counts=None,
+            dependence=None,
+            field={"variant": "matern_cluster", "mixing": [0.5, 0.5],
+                   "parent_intensity": 40, "offspring_mean": 10, "cluster_radius": 0.05},
+            transects={"count": 5, "length": 1.0},
+            calibration=calibration,
+        )
+        assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {location}:" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_take_everything(self, tmp_path):

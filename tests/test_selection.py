@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granvar.errors import EmptySampleError
-from granvar.fields import ProcessParams, generate_field
+from granvar.fields import ProcessParams, SpatialField, generate_field
 from granvar.model import ClassTable
 from granvar.selection import (
     SelectionDesign,
@@ -10,7 +12,9 @@ from granvar.selection import (
     empirical_dependence,
     enumerate_design,
     run_replicates,
+    window_counts,
 )
+from granvar.util import derived_rng
 
 
 @pytest.fixture
@@ -229,6 +233,118 @@ class TestRunReplicates:
         expected = np.exp(-intensity * area)
         se = fractions.std(ddof=1) / np.sqrt(len(fractions))
         assert abs(fractions.mean() - expected) < 4 * se
+
+
+def dense_window_counts(field, anchors, width, height, k):
+    """Reference: every particle tested against every window."""
+    dx = np.mod(field.x[None, :] - anchors[:, :1], field.width)
+    dy = np.mod(field.y[None, :] - anchors[:, 1:], field.height)
+    member = (dx < width) & (dy < height)
+    return np.stack([member[:, field.class_id == u].sum(axis=1) for u in range(k)], axis=1)
+
+
+def point_field(width, height, xs, ys, classes):
+    n = len(xs)
+    return SpatialField(
+        width, height, np.array(xs, dtype=float), np.array(ys, dtype=float),
+        np.zeros(n), np.array(classes, dtype=int),
+    )
+
+
+@st.composite
+def window_cases(draw):
+    """A small field, anchors and a window on a random domain.  Coordinates
+    are drawn from a few boundary values as well as the whole range."""
+    width = draw(st.sampled_from([1.0, 2.5, 0.7, 3.0e-3, 1.0e4]))
+    height = draw(st.sampled_from([1.0, 0.7, 2.5]))
+    below = float(np.nextafter(width, 0.0))
+
+    def coord(side):
+        edge = st.sampled_from([0.0, side, float(np.nextafter(side, 0.0)), 0.5 * side])
+        return st.one_of(edge, st.floats(0.0, side))
+
+    n = draw(st.integers(1, 40))
+    xs = draw(st.lists(coord(width), min_size=n, max_size=n))
+    ys = draw(st.lists(coord(height), min_size=n, max_size=n))
+    classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    anchor_x = st.one_of(st.sampled_from([0.0, below, *xs]), st.floats(0.0, below))
+    anchors = draw(st.lists(
+        st.tuples(anchor_x, st.floats(0.0, float(np.nextafter(height, 0.0)))),
+        min_size=1, max_size=20,
+    ))
+    w = draw(st.one_of(
+        st.sampled_from([width, below, 1e-12 * width, 0.5 * width]),
+        st.floats(0.0, width, exclude_min=True),
+    ))
+    h = draw(st.one_of(st.sampled_from([height, 1e-12 * height]),
+                       st.floats(0.0, height, exclude_min=True)))
+    return point_field(width, height, xs, ys, classes), np.array(anchors), w, h
+
+
+class TestWindowIndex:
+    """The strip index must reproduce the dense membership test exactly."""
+
+    @pytest.mark.parametrize("width,height", [(1.0, 1.0), (2.5, 0.7)])
+    @pytest.mark.parametrize("w_frac", [1.0, 1e-12, 0.3])
+    def test_domain_edges(self, width, height, w_frac):
+        below = float(np.nextafter(width, 0.0))
+        w = w_frac * width
+        anchors_x = [0.0, below, 0.5 * width, 1e-300]
+        xs = [0.0, width, below, 5e-324, 0.5 * width]
+        # particles one ulp either side of every strip edge
+        for a in anchors_x:
+            for edge in (a, np.mod(a + w, width)):
+                xs += [float(np.nextafter(edge, -np.inf)), edge,
+                       float(np.nextafter(edge, np.inf))]
+        xs = [x for x in xs if 0.0 <= x <= width]
+        ys = [0.1 * height] * len(xs)
+        ys[:2] = [0.0, height]
+        field = point_field(width, height, xs, ys, [i % 2 for i in range(len(xs))])
+        anchors = np.array([[a, 0.05 * height] for a in anchors_x]
+                           + [[a, float(np.nextafter(height, 0.0))] for a in anchors_x])
+        for h in (height, 0.5 * height):
+            got = window_counts(field, anchors, w, h, 2)
+            np.testing.assert_array_equal(got, dense_window_counts(field, anchors, w, h, 2))
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=window_cases())
+    def test_matches_dense_reference(self, case):
+        field, anchors, w, h = case
+        got = window_counts(field, anchors, w, h, 3)
+        np.testing.assert_array_equal(got, dense_window_counts(field, anchors, w, h, 3))
+
+    @pytest.mark.parametrize("side", [0.05, 0.6, 1.0])
+    def test_cluster_field_many_windows(self, two_particle_table, side):
+        """Clustered field, enough windows to span several candidate batches."""
+        field = generate_field(
+            ProcessParams(variant="matern_cluster", width=2.5, height=0.7,
+                          mixing=(0.5, 0.5), parent_intensity=200.0,
+                          offspring_mean=20.0, cluster_radius=0.02),
+            two_particle_table, seed=5,
+        )
+        rng = derived_rng(9)
+        anchors = np.column_stack([rng.uniform(0.0, 2.5, 300), rng.uniform(0.0, 0.7, 300)])
+        w, h = side * 2.5, side * 0.7
+        np.testing.assert_array_equal(
+            window_counts(field, anchors, w, h, 2),
+            dense_window_counts(field, anchors, w, h, 2),
+        )
+
+    def test_replicate_counts_use_the_same_anchors(self, two_particle_table):
+        """run_replicates draws every anchor x, then every anchor y, from the
+        replicate stream and counts exactly those windows."""
+        field = generate_field(
+            ProcessParams(variant="poisson", width=2.5, height=0.7, mixing=(0.5, 0.5),
+                          intensity=400.0),
+            two_particle_table, seed=3,
+        )
+        design = SelectionDesign.window(field, 0.2, 0.1)
+        stats, _ = run_replicates(design, two_particle_table, r=500, seed=4)
+        rng = derived_rng(4)
+        anchors = np.column_stack([rng.uniform(0.0, 2.5, 500), rng.uniform(0.0, 0.7, 500)])
+        np.testing.assert_array_equal(
+            stats.counts, dense_window_counts(field, anchors, 0.2, 0.1, 2)
+        )
 
 
 class TestEmpiricalDependence:
