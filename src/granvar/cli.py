@@ -41,7 +41,7 @@ from .intercept import (
 from .model import derive_expectation, derive_summary
 from .scenario import ScenarioConfig, build_design, load_scenario
 from .selection import compare_estimators, empirical_dependence, run_replicates
-from .util import format_sig, round_sig
+from .util import format_sig, round_sig, write_csv_columns
 from .verify import DEFAULT_VERIFY_SEED, run_checks
 
 #: Stream indices for deriving per-stage seeds from the scenario seed.
@@ -66,24 +66,14 @@ class _Writer:
     def provenance(self) -> str:
         return f"granvar={__version__} config={self.config_hash} seed={self.seed}"
 
-    def write(self, name: str, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
+    def write(self, name: str, header: Sequence[str], columns: Sequence[Sequence]) -> Path:
+        """Write one CSV file from its columns, which must be of equal length."""
         path = self.out_dir / name
         with path.open("w", encoding="utf-8", newline="\n") as f:
             f.write(f"# {self.provenance}\n")
             f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_cell(v) for v in row) + "\n")
+            write_csv_columns(f, columns)
         return path
-
-
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format_sig(float(v))
 
 
 def _resolve_out_dir(args, config: ScenarioConfig | None) -> Path:
@@ -154,7 +144,8 @@ def cmd_estimate(args) -> int:
         )
     if rows:
         writer.write(
-            "estimate.csv", ["estimator", "value", "gy_term", "correction_term"], rows
+            "estimate.csv", ["estimator", "value", "gy_term", "correction_term"],
+            list(zip(*rows)),
         )
     if config.ckk_grid is not None:
         n_k_values, ratios = config.ckk_grid
@@ -165,7 +156,9 @@ def cmd_estimate(args) -> int:
                     est.EmpiricalVarianceInput(v_e=r, n_k=n_k), v_gy=1.0
                 )
                 grid_rows.append((n_k, r, sol.value, sol.infeasible))
-        writer.write("ckk_grid.csv", ["n_k", "ratio", "c_kk", "infeasible"], grid_rows)
+        writer.write(
+            "ckk_grid.csv", ["n_k", "ratio", "c_kk", "infeasible"], list(zip(*grid_rows))
+        )
     return 0
 
 
@@ -186,53 +179,40 @@ def cmd_simulate(args) -> int:
     )
     dep = empirical_dependence(estimate)
 
-    rep_rows = []
-    for r in range(stats.replicates):
-        rep_rows.append(
-            (r, stats.mass[r], stats.cs[r], *[int(c) for c in stats.counts[r]])
-        )
     writer.write(
         "replicates.csv",
         ["replicate", "M_s", "c_s"] + [f"N_{u}" for u in range(k)],
-        rep_rows,
+        [np.arange(stats.replicates), stats.mass, stats.cs, *stats.counts.T],
     )
     writer.write(
-        "first_order.csv",
-        ["i", "pi_i", "se"],
-        [(u, estimate.pi1[u], estimate.pi1_se[u]) for u in range(k)],
+        "first_order.csv", ["i", "pi_i", "se"], [np.arange(k), estimate.pi1, estimate.pi1_se]
     )
-    pair_rows = []
-    for u in range(k):
-        for v in range(u, k):
-            pair_rows.append(
-                (
-                    u, v, estimate.pi2[u, v], estimate.pi2_se[u, v],
-                    dep.c_hat[u, v], dep.ci_lo[u, v], dep.ci_hi[u, v],
-                )
-            )
+    iu, ju = np.triu_indices(k)
     writer.write(
-        "estimates.csv", ["i", "j", "pi_ij", "se", "pc_hat", "ci_lo", "ci_hi"], pair_rows
+        "estimates.csv",
+        ["i", "j", "pi_ij", "se", "pc_hat", "ci_lo", "ci_hi"],
+        [
+            iu, ju, estimate.pi2[iu, ju], estimate.pi2_se[iu, ju],
+            dep.c_hat[iu, ju], dep.ci_lo[iu, ju], dep.ci_hi[iu, ju],
+        ],
     )
     report = compare_estimators(stats, estimate, table)
     writer.write(
         "comparison.csv",
         ["estimator", "dependence", "mode", "value", "v_e", "ratio", "z"],
-        [
+        list(zip(*[
             (r.estimator, r.dependence, r.mode, r.value, r.v_e, r.ratio, r.z)
             for r in report.rows
-        ],
+        ])),
     )
     writer.write(
         "summary.csv",
         ["key", "value"],
         [
-            ("replicates", stats.replicates),
-            ("v_e", stats.v_e),
-            ("v_e_se", stats.v_e_se),
-            ("mean_cs", stats.mean_cs),
-            ("mass_cv", stats.mass_cv),
-            ("n_empty", stats.n_empty),
-            ("empty_fraction", stats.n_empty / stats.replicates),
+            ["replicates", "v_e", "v_e_se", "mean_cs", "mass_cv", "n_empty",
+             "empty_fraction"],
+            [stats.replicates, stats.v_e, stats.v_e_se, stats.mean_cs, stats.mass_cv,
+             stats.n_empty, stats.n_empty / stats.replicates],
         ],
     )
     return 0
@@ -256,46 +236,40 @@ def cmd_intercept(args) -> int:
         field, spec.count, spec.orientation, spec.length,
         _stage_seed(config.seed, _TRANSECT_STREAM),
     )
-    rec_rows = []
-    for t, rec in enumerate(records):
-        for order in range(rec.n):
-            rec_rows.append(
-                (
-                    t, order, int(rec.particle_ids[order]), int(rec.class_ids[order]),
-                    rec.chords[order], rec.widths[order],
-                )
-            )
+    hits = [rec.n for rec in records]
     writer.write(
         "transects.csv",
         ["transect_id", "order", "particle_id", "class_id", "chord_length", "width"],
-        rec_rows,
+        [
+            np.repeat(np.arange(len(records)), hits),
+            np.concatenate([np.arange(n) for n in hits]),
+            *(
+                np.concatenate([getattr(rec, part) for rec in records])
+                for part in ("particle_ids", "class_ids", "chords", "widths")
+            ),
+        ],
     )
     adjacency, counts, corrected_freq = adjacency_dependence(records, k)
+    classes = np.arange(k)
     writer.write(
         "counts.csv",
         ["class_id"] + [str(u) for u in range(k)],
-        [(u, *[int(x) for x in counts.n[u]]) for u in range(k)],
+        [classes, *counts.n.T],
     )
     fit = markov_fit(counts)
     writer.write(
         "markov.csv",
         ["class_id"] + [f"p_{u}" for u in range(k)] + ["stationary", "known", "irreducible"],
-        [
-            (u, *fit.transition[u], fit.stationary[u], bool(fit.known[u]), fit.irreducible)
-            for u in range(k)
-        ],
+        [classes, *fit.transition.T, fit.stationary, fit.known, [fit.irreducible] * k],
     )
     raw_freq = size_corrected_frequencies(records, k, correct=False)
     writer.write(
         "frequencies.csv",
         ["class_id", "raw_frequency", "size_corrected_frequency"],
-        [(u, raw_freq[u], corrected_freq[u]) for u in range(k)],
+        [classes, raw_freq, corrected_freq],
     )
-    writer.write(
-        "adjacency.csv",
-        ["i", "j", "c_hat"],
-        [(u, v, adjacency[u, v]) for u in range(k) for v in range(u, k)],
-    )
+    iu, ju = np.triu_indices(k)
+    writer.write("adjacency.csv", ["i", "j", "c_hat"], [iu, ju, adjacency[iu, ju]])
     if config.calibration is not None:
         _write_calibration(writer, config, args.threads)
     return 0
@@ -324,17 +298,18 @@ def _write_calibration(writer: _Writer, config: ScenarioConfig, threads: int) ->
                     (case.label, u, v, case.oracle_c[u, v], case.adjacency_c[u, v])
                 )
     writer.write(
-        "calibration_cases.csv", ["case", "i", "j", "oracle_c", "adjacency_c"], rows
+        "calibration_cases.csv", ["case", "i", "j", "oracle_c", "adjacency_c"],
+        list(zip(*rows)),
     )
     writer.write(
         "calibration_summary.csv",
         ["key", "value"],
-        [
+        list(zip(
             ("spearman", report.spearman),
             ("sign_agreement", report.sign_agreement),
             ("null_regime", report.null_regime),
             *[(f"note_{i}", note) for i, note in enumerate(report.notes)],
-        ],
+        )),
     )
 
 
@@ -355,7 +330,7 @@ def cmd_table1(args) -> int:
             for a, n_k in enumerate(est.GRID_N_K)
             for b, r in enumerate(est.GRID_RATIO)
         ]
-        writer.write("table1.csv", ["n_k", "ratio", "c_kk"], rows)
+        writer.write("table1.csv", ["n_k", "ratio", "c_kk"], list(zip(*rows)))
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SaturationError
 from .model import ClassTable
-from .util import derived_rng
+from .util import derived_rng, write_csv_columns
 
 VARIANTS = ("poisson", "matern_cluster", "hardcore", "graded")
 
@@ -275,11 +275,7 @@ def save_field_csv(field_: SpatialField, path: str | Path, comment: str | None =
         if comment:
             f.write(f"# {comment}\n")
         f.write("x,y,radius,class_id\n")
-        for i in range(field_.n):
-            f.write(
-                f"{field_.x[i]:.17g},{field_.y[i]:.17g},"
-                f"{field_.radius[i]:.17g},{int(field_.class_id[i])}\n"
-            )
+        write_csv_columns(f, [field_.x, field_.y, field_.radius, field_.class_id])
     sidecar = {
         "width": field_.width,
         "height": field_.height,

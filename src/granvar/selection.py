@@ -5,11 +5,17 @@ independent per-class coin flip (the classical independence null).
 ``pairwise_pmf`` draws whole subsets from an explicit pairwise-interaction
 mass function, p(s) proportional to
 prod_i q_i^{s_i} (1-q_i)^{1-s_i} * prod_{i<j} phi_{ij}^{s_i s_j},
-whose inclusion probabilities are exactly enumerable for small n and thus
-serve as a ground-truth oracle.  ``window`` selects the particles of a
-spatial field whose centers fall in a uniformly placed (toroidally
-wrapped) rectangle, which realizes spatial dependence between pair
-selections.
+whose inclusion probabilities are exactly enumerable and thus serve as a
+ground-truth oracle.  ``window`` selects the particles of a spatial field
+whose centers fall in a uniformly placed (toroidally wrapped) rectangle,
+which realizes spatial dependence between pair selections.
+
+Both enumerable designs depend on the particles only through their
+classes, so a subset's weight is a function of its class counts s_u:
+w(s) = prod_u C(n_u, s_u) q_u^{s_u} (1-q_u)^{n_u-s_u} phi_uu^{s_u(s_u-1)/2}
+* prod_{u<v} phi_uv^{s_u s_v}.  Enumeration and pairwise sampling therefore
+walk the prod_u (n_u + 1) class-count states instead of the 2^n subsets,
+with the weights computed in log space.
 
 Windows are counted through a strip index.  The particles are sorted by x
 once per design; for each window a binary search finds the particles
@@ -25,19 +31,24 @@ that invert to an empirical dependence matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import stats as sstats
+from scipy.special import gammaln, xlogy
 
 from .errors import EmptySampleError
 from .fields import SpatialField
 from .model import ClassTable, derive_expectation
 from .util import derived_rng
 
-#: Exact enumeration is limited to populations of this size (2^n outcomes).
-MAX_ENUM_PARTICLES = 24
+#: Exact enumeration and pairwise sampling are limited to designs with at
+#: most this many class-count states, prod_u (n_u + 1).
+MAX_ENUM_STATES = 1 << 24
+#: Class-count states per batch; small batches keep the arrays in cache.
+_STATE_BATCH = 1 << 14
 
 _CHUNK = 1 << 18
 
@@ -47,7 +58,7 @@ class SelectionDesign:
     """One of the three selection designs; build via the classmethods."""
 
     variant: str
-    class_of: tuple[int, ...] | None = None
+    class_of: np.ndarray | None = None
     q: tuple[float, ...] | None = None
     phi: np.ndarray | None = None
     field: SpatialField | None = None
@@ -60,10 +71,7 @@ class SelectionDesign:
         for i, qi in enumerate(q):
             if not (0.0 < qi <= 1.0):
                 raise ValueError(f"q[{i}] must be in (0, 1], got {qi}")
-        class_of = tuple(int(c) for c in class_of)
-        if any(c < 0 or c >= len(q) for c in class_of):
-            raise ValueError("class ids must index into q")
-        return cls("bernoulli", class_of=class_of, q=q)
+        return cls("bernoulli", class_of=_class_ids(class_of, len(q)), q=q)
 
     @classmethod
     def pairwise_pmf(
@@ -82,14 +90,13 @@ class SelectionDesign:
         if not np.array_equal(phi, phi.T):
             raise ValueError("pair interaction weights must be symmetric")
         phi.setflags(write=False)
-        class_of = tuple(int(c) for c in class_of)
-        if len(class_of) > MAX_ENUM_PARTICLES:
+        class_of = _class_ids(class_of, k)
+        states = _state_count(np.bincount(class_of, minlength=k))
+        if states > MAX_ENUM_STATES:
             raise ValueError(
-                f"pairwise designs support at most {MAX_ENUM_PARTICLES} particles, "
-                f"got {len(class_of)}"
+                f"pairwise designs support at most {MAX_ENUM_STATES} class-count "
+                f"states prod(n_u + 1), got {states}"
             )
-        if any(c < 0 or c >= k for c in class_of):
-            raise ValueError("class ids must index into q")
         return cls("pairwise_pmf", class_of=class_of, q=q, phi=phi)
 
     @classmethod
@@ -100,7 +107,7 @@ class SelectionDesign:
             raise ValueError("window must be positive and fit inside the domain")
         return cls(
             "window",
-            class_of=tuple(int(c) for c in field.class_id),
+            class_of=_class_ids(field.class_id),
             field=field,
             window_width=float(width),
             window_height=float(height),
@@ -111,29 +118,43 @@ class SelectionDesign:
         return len(self.class_of)
 
 
+def _class_ids(class_of: Sequence[int], k: int | None = None) -> np.ndarray:
+    """A read-only int64 copy of ``class_of``, checked against ``k`` classes."""
+    ids = np.array(class_of, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError("class ids must form a flat sequence")
+    if k is not None and np.any((ids < 0) | (ids >= k)):
+        raise ValueError("class ids must index into q")
+    ids.setflags(write=False)
+    return ids
+
+
+def _state_count(pop: np.ndarray) -> int:
+    """prod_u (n_u + 1): the class-count states of class populations ``pop``."""
+    return math.prod(int(c) + 1 for c in pop)
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     """Exact inclusion probabilities and concentration moments of a design.
 
-    ``pi_particle``/``pi_pair`` are particle-level; ``pi1``/``pi2`` are
-    their class-level averages with the within-class spreads reported in
-    ``spread1``/``spread2`` (conditions on class homogeneity hold exactly
-    for class-exchangeable designs, and the spreads prove it).  ``c_exact``
-    inverts the class-level pair probabilities into dependence values.
-    Concentration moments are conditional on a non-empty selection, and
-    ``p_empty`` reports how much mass that conditioning removed.
+    The designs are class-exchangeable, so every particle of class u has the
+    inclusion probability ``pi1[u]`` and every distinct pair of classes
+    (u, v) the pair probability ``pi2[u, v]``; both come from moments of the
+    class counts s, as E[s_u]/n_u, E[s_u (s_u - 1)]/(n_u (n_u - 1)) and
+    E[s_u s_v]/(n_u n_v).  Absent classes, and the diagonal of single-member
+    classes, are NaN.  ``c_exact`` inverts the pair probabilities into
+    dependence values.  Concentration moments are conditional on a
+    non-empty selection, and ``p_empty`` reports how much mass that
+    conditioning removed.
     """
 
-    pi_particle: np.ndarray
-    pi_pair: np.ndarray
     pi1: np.ndarray
     pi2: np.ndarray
     c_exact: np.ndarray
     mean_cs: float
     var_cs: float
     p_empty: float
-    spread1: np.ndarray
-    spread2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -219,50 +240,60 @@ class ComparisonReport:
         raise KeyError((estimator, dependence, mode))
 
 
-def _pair_indices(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+class _ClassStates:
+    """The class-count states of a bernoulli or pairwise design.
 
-
-def _subset_weights(design: SelectionDesign, bits: np.ndarray) -> np.ndarray:
-    """Unnormalized pmf weight of each subset row of ``bits``."""
-    q_p = np.asarray(design.q)[list(design.class_of)]
-    w = np.ones(bits.shape[0])
-    for i in range(bits.shape[1]):
-        w *= np.where(bits[:, i], q_p[i], 1.0 - q_p[i])
-    if design.variant == "pairwise_pmf":
-        class_of = design.class_of
-        for i, j in _pair_indices(bits.shape[1]):
-            phi = design.phi[class_of[i], class_of[j]]
-            if phi != 1.0:
-                w = w * np.where(bits[:, i] & bits[:, j], phi, 1.0)
-    return w
-
-
-def _class_pair_average(
-    values: np.ndarray, class_of: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average a symmetric particle-pair matrix over class pairs.
-
-    Returns (K x K means, K x K spreads); cells without any particle pair
-    are NaN.  The diagonal uses distinct within-class pairs only.
+    State indices are mixed-radix numbers whose digit u is s_u in base
+    n_u + 1 (class 0 the most significant).  Counts are held class-major,
+    as (K, states) arrays.  Log weights follow the module formula with
+    0 log 0 = 0, so phi = 0 forbids a state only when its pair count is
+    positive, and q = 1 forbids only the states that leave a member of that
+    class out.
     """
-    means = np.full((k, k), np.nan)
-    spreads = np.full((k, k), np.nan)
-    n = len(class_of)
-    iu, ju = np.triu_indices(n, k=1)
-    pair_vals = values[iu, ju]
-    ci, cj = class_of[iu], class_of[ju]
-    lo = np.minimum(ci, cj)
-    hi = np.maximum(ci, cj)
-    for u in range(k):
-        for v in range(u, k):
-            sel = (lo == u) & (hi == v)
-            if not np.any(sel):
-                continue
-            vals = pair_vals[sel]
-            means[u, v] = means[v, u] = vals.mean()
-            spreads[u, v] = spreads[v, u] = float(vals.max() - vals.min())
-    return means, spreads
+
+    def __init__(self, design: SelectionDesign, k: int):
+        if len(design.q) != k:
+            raise ValueError(f"design has {len(design.q)} classes, the class table {k}")
+        self.pop = np.bincount(design.class_of, minlength=k)
+        self.size = _state_count(self.pop)
+        if self.size > MAX_ENUM_STATES:
+            raise ValueError(
+                f"enumeration supports at most {MAX_ENUM_STATES} class-count states, "
+                f"got {self.size}"
+            )
+        q = np.asarray(design.q)
+        phi = np.ones((k, k)) if design.phi is None else design.phi
+        #: log of the per-class factor of w(s), indexed [u][s_u]
+        self.class_terms = []
+        for u, n_u in enumerate(self.pop):
+            s = np.arange(n_u + 1.0)
+            self.class_terms.append(
+                gammaln(n_u + 1.0) - gammaln(s + 1.0) - gammaln(n_u - s + 1.0)
+                + xlogy(s, q[u]) + xlogy(n_u - s, 1.0 - q[u])
+                + xlogy(s * (s - 1.0) / 2.0, phi[u, u])
+            )
+        cross = ~np.eye(k, dtype=bool)
+        self.log_phi = np.where(cross & (phi > 0), np.log(np.where(phi > 0, phi, 1.0)), 0.0)
+        self.forbidden = (cross & (phi == 0)).astype(float)
+
+    def decode(self, index: np.ndarray) -> np.ndarray:
+        """(K, len(index)) class counts of the states ``index``."""
+        return np.array(np.unravel_index(index, tuple(self.pop + 1)))
+
+    def log_weights(self, s: np.ndarray) -> np.ndarray:
+        """Unnormalized log weight of each column of class counts ``s``."""
+        sf = s.astype(float)
+        lw = sum(terms[s_u] for terms, s_u in zip(self.class_terms, s))
+        lw += 0.5 * (np.einsum("uv,vr->ur", self.log_phi, sf) * sf).sum(axis=0)
+        present = (s > 0).astype(float)
+        lw[(np.einsum("uv,vr->ur", self.forbidden, present) * present).sum(axis=0) > 0] = -np.inf
+        return lw
+
+    def batches(self):
+        """(class counts, log weights) over every state, a batch at a time."""
+        for start in range(0, self.size, _STATE_BATCH):
+            s = self.decode(np.arange(start, min(start + _STATE_BATCH, self.size)))
+            yield s, self.log_weights(s)
 
 
 def _invert_dependence(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
@@ -275,106 +306,76 @@ def _invert_dependence(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
 
 def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationResult:
     """Exact inclusion probabilities and concentration moments by summing
-    over all 2^n selection outcomes.
+    over every class-count state of the design.
 
-    Only bernoulli and pairwise_pmf designs are enumerable.  For the
-    bernoulli design the inclusion probabilities are independent by
-    construction, so they are returned exactly (pi_i = q_i,
-    pi_ij = q_i q_j) while the concentration moments still come from the
-    full enumeration.
+    Only bernoulli and pairwise_pmf designs are enumerable.  The states are
+    walked in batches, three times: for the largest log weight (the scale of
+    every weight), for the normalizer and the moments, and for the
+    concentration variance about its mean.  For the bernoulli design the
+    inclusion probabilities are independent by construction, so they are
+    returned exactly (pi_i = q_i, pi_ij = q_i q_j) while the concentration
+    moments still come from the enumeration.
     """
     if design.variant not in ("bernoulli", "pairwise_pmf"):
         raise ValueError(f"cannot enumerate a {design.variant} design")
-    n = design.n
-    if n > MAX_ENUM_PARTICLES:
-        raise ValueError(f"enumeration supports at most {MAX_ENUM_PARTICLES} particles")
-    if n == 0:
+    if design.n == 0:
         raise ValueError("design has no particles")
-    class_of = np.array(design.class_of)
     k = table.k
-    m_p = table.masses[class_of]
-    a_p = m_p * table.concentrations[class_of]
+    states = _ClassStates(design, k)
+    m = table.masses
+    a = m * table.concentrations
 
-    z_total = 0.0
-    z_nonempty = 0.0
-    w_empty = 0.0
-    sum_cs = 0.0
-    sum_cs2 = 0.0
-    pi_particle = np.zeros(n)
-    pi_pair = np.zeros((n, n))
-    pairs = _pair_indices(n)
-
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-        w = _subset_weights(design, bits)
-        z_total += float(w.sum())
-        pi_particle += w @ bits
-        for i, j in pairs:
-            pi_pair[i, j] += float(w[bits[:, i] & bits[:, j]].sum())
-        mass = bits @ m_p
-        nonempty = mass > 0
-        w_empty += float(w[~nonempty].sum())
-        cs = (bits @ a_p)[nonempty] / mass[nonempty]
-        wn = w[nonempty]
-        z_nonempty += float(wn.sum())
-        sum_cs += float(wn @ cs)
-        sum_cs2 += float(wn @ (cs * cs))
-
-    if z_total <= 0:
+    top = max(float(lw.max()) for _, lw in states.batches())
+    if top == -np.inf:
         raise ValueError("selection pmf is not normalizable (all weights zero)")
+
+    def weighted_states():
+        """(weights, class counts, non-empty weights, c_s) per batch; c_s is
+        0 on the empty states, which carry no non-empty weight."""
+        for s, lw in states.batches():
+            w = np.exp(lw - top)
+            sf = s.astype(float)
+            mass = np.einsum("u,ur->r", m, sf)
+            nonempty = mass > 0
+            cs = np.einsum("u,ur->r", a, sf) / np.where(nonempty, mass, 1.0)
+            yield w, sf, np.where(nonempty, w, 0.0), cs
+
+    z = z_empty = z_nonempty = sum_cs = 0.0
+    first = np.zeros(k)
+    pairs = np.zeros((k, k))
+    within = np.zeros(k)
+    for w, sf, w_nonempty, cs in weighted_states():
+        z += float(w.sum())
+        first += np.einsum("ur,r->u", sf, w)
+        pairs += np.einsum("ur,vr->uv", sf * w, sf)
+        within += np.einsum("ur,r->u", sf * (sf - 1.0), w)
+        z_empty += float((w - w_nonempty).sum())
+        z_nonempty += float(w_nonempty.sum())
+        sum_cs += float((w_nonempty * cs).sum())
     if z_nonempty <= 0:
         raise EmptySampleError("every selection outcome with positive weight is empty")
-
-    pi_particle /= z_total
-    pi_pair /= z_total
-    pi_pair += pi_pair.T
-    np.fill_diagonal(pi_pair, pi_particle)
-
     mean_cs = sum_cs / z_nonempty
-    var_cs = max(sum_cs2 / z_nonempty - mean_cs * mean_cs, 0.0)
-    p_empty = w_empty / z_total
+    var_cs = sum(
+        float((w_nonempty * (cs - mean_cs) ** 2).sum())
+        for _, _, w_nonempty, cs in weighted_states()
+    ) / z_nonempty
+    p_empty = z_empty / z
 
+    pop = states.pop.astype(float)
+    pair_pop = np.outer(pop, pop)
+    np.fill_diagonal(pair_pop, pop * (pop - 1.0))
+    np.fill_diagonal(pairs, within)
     if design.variant == "bernoulli":
         # independent coin flips: inclusion probabilities are exact products
         q = np.asarray(design.q)
-        q_p = q[class_of]
-        pi_particle = q_p.copy()
-        pi_pair = q_p[:, None] * q_p[None, :]
-        np.fill_diagonal(pi_pair, q_p)
-        present = np.bincount(class_of, minlength=k) > 0
-        pair_present = np.bincount(class_of, minlength=k) > 1
-        pi1 = np.where(present, q, np.nan)
-        spread1 = np.where(present, 0.0, np.nan)
-        pi2 = q[:, None] * q[None, :]
-        spread2 = np.zeros((k, k))
-        for u in range(k):
-            for v in range(u, k):
-                defined = pair_present[u] if u == v else (present[u] and present[v])
-                if not defined:
-                    pi2[u, v] = pi2[v, u] = np.nan
-                    spread2[u, v] = spread2[v, u] = np.nan
+        pi1 = np.where(pop > 0, q, np.nan)
+        pi2 = np.where(pair_pop > 0, np.outer(q, q), np.nan)
         c_exact = np.where(np.isnan(pi2), np.nan, 0.0)
-        return EnumerationResult(
-            pi_particle, pi_pair, pi1, pi2, c_exact,
-            mean_cs, var_cs, p_empty, spread1, spread2,
-        )
-
-    pi1 = np.full(k, np.nan)
-    spread1 = np.full(k, np.nan)
-    for u in range(k):
-        sel = class_of == u
-        if np.any(sel):
-            vals = pi_particle[sel]
-            pi1[u] = vals.mean()
-            spread1[u] = float(vals.max() - vals.min())
-    pi2, spread2 = _class_pair_average(pi_pair, class_of, k)
-    c_exact = _invert_dependence(pi1, pi2)
-    return EnumerationResult(
-        pi_particle, pi_pair, pi1, pi2, c_exact,
-        mean_cs, var_cs, p_empty, spread1, spread2,
-    )
+    else:
+        pi1 = np.where(pop > 0, first / (z * np.maximum(pop, 1.0)), np.nan)
+        pi2 = np.where(pair_pop > 0, pairs / (z * np.maximum(pair_pop, 1.0)), np.nan)
+        c_exact = _invert_dependence(pi1, pi2)
+    return EnumerationResult(pi1, pi2, c_exact, mean_cs, var_cs, p_empty)
 
 
 def _window_membership(
@@ -464,10 +465,9 @@ def _replicate_counts(
         return window_counts(
             design.field, anchors, design.window_width, design.window_height, k
         )
-    class_of = np.array(design.class_of)
-    class_masks = [class_of == u for u in range(k)]
     if design.variant == "bernoulli":
-        q_p = np.asarray(design.q)[class_of]
+        q_p = np.asarray(design.q)[design.class_of]
+        class_masks = [design.class_of == u for u in range(k)]
         counts = np.empty((r, k), dtype=np.int64)
         step = max(_CHUNK // max(design.n, 1), 1)
         for start in range(0, r, step):
@@ -476,22 +476,17 @@ def _replicate_counts(
             for u in range(k):
                 counts[start:stop, u] = sel[:, class_masks[u]].sum(axis=1)
         return counts
-    # pairwise_pmf
-    n = design.n
-    total = 1 << n
-    idx = np.arange(total, dtype=np.int64)
-    bits = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-    w = _subset_weights(design, bits)
-    per_subset = np.empty((total, k), dtype=np.int64)
-    for u in range(k):
-        per_subset[:, u] = bits[:, class_masks[u]].sum(axis=1)
-    cdf = np.cumsum(w)
-    z = cdf[-1]
-    if z <= 0:
+    # pairwise_pmf: draw state indices from the state cdf, decode only those
+    states = _ClassStates(design, k)
+    lw = np.concatenate([batch_lw for _, batch_lw in states.batches()])
+    top = lw.max()
+    if top == -np.inf:
         raise ValueError("selection pmf is not normalizable (all weights zero)")
-    draws = np.searchsorted(cdf, rng.random(r) * z, side="right")
-    draws = np.clip(draws, 0, total - 1)
-    return per_subset[draws]
+    cdf = np.cumsum(np.exp(lw - top))
+    drawn = np.searchsorted(cdf, rng.random(r) * cdf[-1], side="right")
+    # u * Z may round up to Z; that draw belongs to the last state of positive weight
+    drawn = np.minimum(drawn, np.flatnonzero(lw > -np.inf)[-1])
+    return np.ascontiguousarray(states.decode(drawn).T)
 
 
 def variance_se(values: np.ndarray) -> float:
@@ -610,7 +605,7 @@ def run_replicates(
         raise ValueError("design has no particles")
     rng = derived_rng(seed)
     counts = _replicate_counts(design, table, r, rng)
-    pop = np.bincount(np.array(design.class_of), minlength=table.k)
+    pop = np.bincount(design.class_of, minlength=table.k)
 
     m = table.masses
     conc = table.concentrations

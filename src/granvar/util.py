@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -33,6 +33,43 @@ def format_sig(x: float, digits: int = 17) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{x:.{digits}g}"
+
+
+#: CSV rows formatted per block; bounds the strings held while writing.
+_CSV_BLOCK = 1 << 10
+
+
+def write_csv_columns(f: TextIO, columns: Sequence[Sequence]) -> None:
+    """Write equal-length columns to ``f`` as CSV rows, a block at a time.
+
+    Numpy float columns are written with 17 significant digits and integer
+    columns as integers; other columns go cell by cell through
+    :func:`_csv_cell`.  Output is identical to formatting row by row.
+    """
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError("CSV columns differ in length")
+    for start in range(0, max(lengths, default=0), _CSV_BLOCK):
+        cells = [_csv_column(c[start:start + _CSV_BLOCK]) for c in columns]
+        f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def _csv_column(values: Sequence) -> list[str]:
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return [f"{v:.17g}" for v in values.tolist()]
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return [_csv_cell(v) for v in values]
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format_sig(float(v))
 
 
 def round_sig(x: float, digits: int) -> float:

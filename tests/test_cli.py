@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import granvar
 from granvar import __version__
 from granvar.cli import main
 
@@ -355,7 +357,12 @@ class TestEnvironment:
         assert main(["estimate", "--config", str(config)]) == 0
         assert (tmp_path / "envout" / "estimate.csv").exists()
 
-    def test_console_script_installed(self):
+    def test_console_script_installed(self, monkeypatch):
+        # the child imports the same granvar as this process, installed or not
+        src = str(Path(granvar.__file__).resolve().parents[1])
+        monkeypatch.setenv(
+            "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "granvar.cli", "--version"],
             capture_output=True, text=True,

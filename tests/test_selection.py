@@ -1,6 +1,10 @@
+import itertools
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granvar.errors import EmptySampleError
@@ -23,6 +27,84 @@ def two_particle_table():
     return ClassTable.from_arrays([1.0, 1.0], [1.0, 0.0])
 
 
+def brute_force_enumeration(design, table):
+    """Reference oracle: the pairwise pmf summed over all 2^n subsets,
+    particle by particle (n <= 12).  Returns the class-level values and the
+    largest within-class spread of the particle and pair probabilities, or
+    None when no subset of positive weight is non-empty."""
+    cls = np.asarray(design.class_of)
+    n, k = len(cls), table.k
+    assert n <= 12
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    q = np.asarray(design.q)[cls]
+    w = np.prod(np.where(bits == 1, q, 1.0 - q), axis=1)
+    for i, j in itertools.combinations(range(n), 2):
+        w = w * np.where(bits[:, i] & bits[:, j], design.phi[cls[i], cls[j]], 1.0)
+    mass = bits @ table.masses[cls]
+    nonempty = mass > 0
+    if w[nonempty].sum() == 0:
+        return None
+    pi, pi_pair = w @ bits / w.sum(), (bits.T * w) @ bits / w.sum()
+    cs = bits[nonempty] @ (table.masses * table.concentrations)[cls] / mass[nonempty]
+    p = w[nonempty] / w[nonempty].sum()
+    mean = p @ cs
+    pi1, pi2, spread = np.full(k, np.nan), np.full((k, k), np.nan), 0.0
+    for u, v in itertools.combinations_with_replacement(range(k), 2):
+        mu, mv = np.flatnonzero(cls == u), np.flatnonzero(cls == v)
+        if u == v and len(mu):
+            pi1[u], spread = pi[mu].mean(), max(spread, np.ptp(pi[mu]))
+        vals = [pi_pair[i, j] for i in mu for j in mv if u != v or i < j]
+        if vals:
+            pi2[u, v] = pi2[v, u] = np.mean(vals)
+            spread = max(spread, np.ptp(vals))
+    outer = np.outer(pi1, pi1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(outer > 0, 1.0 - pi2 / outer, np.nan)
+    return SimpleNamespace(pi1=pi1, pi2=pi2, c_exact=c, mean_cs=mean,
+                           var_cs=p @ (cs - mean) ** 2, p_empty=w[~nonempty].sum() / w.sum(),
+                           spread=spread)
+
+
+@st.composite
+def pairwise_cases(draw):
+    """Small pairwise designs: forbidden (phi = 0) cells, q = 1, absent and
+    single-member classes all come up."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    class_of = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+
+    def values(strategy, size):
+        return draw(st.lists(strategy, min_size=size, max_size=size))
+
+    q = values(st.one_of(st.just(1.0), st.floats(0.05, 1.0)), k)
+    phi = np.zeros((k, k))
+    phi[np.triu_indices(k)] = values(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.1, 5.0)), k * (k + 1) // 2
+    )
+    phi = phi + np.triu(phi, 1).T
+    # concentrations are 0 or normal floats: subnormals carry no 1e-12 precision
+    table = ClassTable.from_arrays(
+        values(st.floats(0.5, 2.0), k),
+        values(st.one_of(st.just(0.0), st.floats(1e-3, 1.5)), k),
+    )
+    return SelectionDesign.pairwise_pmf(q, phi, class_of), table
+
+
+#: Class 0 forced in by q = 1 and kept apart from class 2 by phi = 0, so
+#: class 2 (one member) is never selected; class 1 is absent.
+FORBIDDEN_EDGE_CASE = (
+    SelectionDesign.pairwise_pmf(
+        [1.0, 0.5, 0.4], [[0.7, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 1.0]], [0, 2, 0, 0]
+    ),
+    ClassTable.from_arrays([1.0, 1.5, 0.8], [1.0, 0.5, 0.0]),
+)
+#: q = 1 forces both members in and phi = 0 forbids the pair: no subset weighs.
+UNNORMALIZABLE_CASE = (
+    SelectionDesign.pairwise_pmf([1.0], [[0.0]], [0, 0]),
+    ClassTable.from_arrays([1.0], [1.0]),
+)
+
+
 class TestDesignValidation:
     def test_bernoulli_q_range(self):
         with pytest.raises(ValueError):
@@ -38,9 +120,17 @@ class TestDesignValidation:
                 [0.5, 0.5], [[1.0, 2.0], [0.5, 1.0]], [0, 1]
             )
 
-    def test_pairwise_particle_limit(self):
-        with pytest.raises(ValueError):
-            SelectionDesign.pairwise_pmf([0.5], [[1.0]], [0] * 25)
+    def test_pairwise_state_limit(self):
+        """The bound is on the prod(n_u + 1) class-count states, not on n."""
+        with pytest.raises(ValueError, match="class-count states"):
+            SelectionDesign.pairwise_pmf([0.5] * 25, np.ones((25, 25)), range(25))
+        at_bound = SelectionDesign.pairwise_pmf([0.5] * 24, np.ones((24, 24)), range(24))
+        assert at_bound.n == 24
+        one_class = SelectionDesign.pairwise_pmf([0.5], [[1.0]], [0] * 5000)
+        assert one_class.n == 5000
+        over = SelectionDesign.bernoulli([0.5] * 25, range(25))
+        with pytest.raises(ValueError, match="class-count states"):
+            enumerate_design(over, ClassTable.from_arrays([1.0] * 25, [0.5] * 25))
 
     def test_window_must_fit(self, two_particle_table):
         field = generate_field(
@@ -60,12 +150,11 @@ class TestEnumeration:
             [0.5] * 3, np.ones((3, 3)), [0, 1, 2]
         )
         exact = enumerate_design(design, table)
-        np.testing.assert_allclose(exact.pi_particle, 0.5, rtol=1e-12)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert exact.pi_pair[i, j] == pytest.approx(0.25, rel=1e-12)
-        # single-particle classes have no distinct same-class pairs: NaN diagonal
+        np.testing.assert_allclose(exact.pi1, 0.5, rtol=1e-12)
         off_diag = ~np.eye(3, dtype=bool)
+        np.testing.assert_allclose(exact.pi2[off_diag], 0.25, rtol=1e-12)
+        # single-particle classes have no distinct same-class pairs: NaN diagonal
+        assert np.isnan(np.diag(exact.pi2)).all()
         np.testing.assert_allclose(exact.c_exact[off_diag], 0.0, atol=1e-12)
         assert np.isnan(np.diag(exact.c_exact)).all()
 
@@ -113,14 +202,51 @@ class TestEnumeration:
 
     def test_within_class_homogeneity(self):
         """Class-exchangeable pairwise designs give every particle of a class
-        the same inclusion probability."""
+        the same inclusion probability, and every pair of a class pair the
+        same pair probability: the premise of the class-count states."""
         table = ClassTable.from_arrays([1.0, 1.0], [1.0, 0.0])
         design = SelectionDesign.pairwise_pmf(
-            [0.4, 0.6], [[1.5, 0.7], [0.7, 1.2]], [0, 0, 0, 1, 1, 1, 1]
+            [0.4, 0.6], [[1.5, 0.7], [0.7, 1.2]], [0, 0, 1, 0, 1, 1, 1]
         )
+        ref = brute_force_enumeration(design, table)
+        assert ref.spread <= 1e-12
+        np.testing.assert_allclose(enumerate_design(design, table).pi2, ref.pi2, rtol=1e-12)
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=pairwise_cases())
+    @example(case=FORBIDDEN_EDGE_CASE)
+    @example(case=UNNORMALIZABLE_CASE)
+    def test_matches_subset_enumeration(self, case):
+        """The class-count states reproduce the 2^n subset sum to rounding."""
+        design, table = case
+        ref = brute_force_enumeration(design, table)
+        if ref is None:
+            with pytest.raises((ValueError, EmptySampleError)):
+                enumerate_design(design, table)
+            return
+        got = enumerate_design(design, table)
+        assert ref.spread <= 1e-12
+        for name in ("pi1", "pi2", "mean_cs", "p_empty"):
+            np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-12)
+        # c = 1 - pi2/(pi1 pi1) carries the rounding of that ratio
+        np.testing.assert_allclose(1.0 - got.c_exact, 1.0 - ref.c_exact, rtol=1e-12)
+        np.testing.assert_allclose(
+            got.var_cs, ref.var_cs, rtol=1e-12,
+            atol=1e-12 * (ref.var_cs + ref.mean_cs**2),
+        )
+
+    def test_large_two_class_design(self):
+        """3000 particles in two classes: 1201 x 1801 states enumerate in well
+        under a second, and Monte Carlo draws agree with them."""
+        table = ClassTable.from_arrays([1.0, 2.0], [1.0, 0.2])
+        phi = np.exp([[2e-4, -1e-4], [-1e-4, 1e-4]])
+        design = SelectionDesign.pairwise_pmf([0.3, 0.6], phi, [0] * 1200 + [1] * 1800)
+        start = time.perf_counter()
         exact = enumerate_design(design, table)
-        assert np.nanmax(exact.spread1) <= 1e-12
-        assert np.nanmax(exact.spread2) <= 1e-12
+        assert time.perf_counter() - start < 1.0
+        _, est = run_replicates(design, table, r=20_000, seed=41)
+        assert np.all(np.abs(est.pi1 - exact.pi1) <= 5 * est.pi1_se)
+        assert np.all(np.abs(est.pi2 - exact.pi2) <= 5 * est.pi2_se)
 
     def test_window_not_enumerable(self, two_particle_table):
         field = generate_field(
