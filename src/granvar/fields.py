@@ -10,7 +10,10 @@ mapping to a dependence value is deliberately left uncalibrated.
 
 Offspring falling outside the domain are wrapped toroidally so the
 intensity stays uniform; transect and window statistics rely on this
-stationarity.
+stationarity.  Hard-core exclusion is toroidal too: distances are measured
+across the domain's edges, through a periodic cell index.  Its darts are
+drawn and tested in blocks, from the same random stream a one-dart-at-a-
+time loop consumes, and the field equals that loop's.
 """
 from __future__ import annotations
 
@@ -28,6 +31,93 @@ VARIANTS = ("poisson", "matern_cluster", "hardcore", "graded")
 
 #: Dart-throwing budget per requested particle before giving up.
 HARDCORE_ATTEMPT_FACTOR = 100
+
+#: Darts drawn and tested together.  Survivors of a block are compared
+#: all against all, so its temporaries grow as _DART_BLOCK**2 floats.
+_DART_BLOCK = 64
+
+#: Points queried against the cell index at once by the gap checker.
+_QUERY_CHUNK = 4096
+
+
+def _too_close(x0, y0, r0, x1, y1, r1, gap: float, width: float, height: float) -> np.ndarray:
+    """Hard-core exclusion: toroidal centre distance below r0 + r1 + gap.
+
+    The one predicate of both the generator (point 0 placed earlier) and
+    ``SpatialField.gap_violations``.
+    """
+    dx = np.abs(x0 - x1)
+    dx = np.minimum(dx, width - dx)
+    dy = np.abs(y0 - y1)
+    dy = np.minimum(dy, height - dy)
+    return np.hypot(dx, dy) < r0 + r1 + gap
+
+
+class _CellIndex:
+    """Periodic grid of cells over a width x height torus.
+
+    Each axis has ``max(1, floor(length / reach))`` cells, and at most
+    about sqrt(n) of them (reach 0 puts no lower bound on the cell size),
+    so every cell is at least ``reach`` wide and any two points within
+    toroidal distance ``reach`` lie in the same or adjacent cells, wrapping
+    at the edges.  A cell keeps the indices of its points
+    in one row of ``slots`` (-1 marks an empty slot); the rows widen when
+    a cell fills, so no cell has a fixed capacity.  Point indices are
+    int32, so an index holds fewer than 2**31 points.
+    """
+
+    def __init__(self, width: float, height: float, reach: float, n: int):
+        most = int(np.sqrt(n)) + 1
+        # the relative margin keeps a cell at least reach wide after rounding
+        side = reach * (1.0 + 1e-9)
+
+        def cells(length: float) -> int:
+            return max(1, int(min(length // side, most)) if side > 0 else most)
+
+        self.nx, self.ny = cells(width), cells(height)
+        self.scale_x, self.scale_y = self.nx / width, self.ny / height
+        # 1 or 2 cells on an axis: -1, 0 and +1 must not name a cell twice
+        dx = np.unique(np.array([-1, 0, 1]) % self.nx)
+        dy = np.unique(np.array([-1, 0, 1]) % self.ny)
+        self.offsets_x = np.repeat(dx, len(dy))
+        self.offsets_y = np.tile(dy, len(dx))
+        self.slots = np.full((self.nx * self.ny, 4), -1, dtype=np.int32)
+        self.fill = np.zeros(self.nx * self.ny, dtype=np.intp)
+        self.size = 0
+
+    def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cx = np.minimum((x * self.scale_x).astype(np.intp), self.nx - 1)
+        cy = np.minimum((y * self.scale_y).astype(np.intp), self.ny - 1)
+        return cx, cy
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Index the next len(x) points as size, size + 1, ..."""
+        cx, cy = self._cells(x, y)
+        cell = cx * self.ny + cy
+        order = np.argsort(cell, kind="stable")
+        ranked = cell[order]
+        first = np.searchsorted(ranked, ranked, side="left")
+        slot = np.empty(len(cell), dtype=np.intp)
+        slot[order] = self.fill[ranked] + np.arange(len(cell)) - first
+        width = int(slot.max(initial=-1)) + 1
+        if width > self.slots.shape[1]:
+            wider = np.full((len(self.slots), max(width, 2 * self.slots.shape[1])), -1,
+                            dtype=np.int32)
+            wider[:, : self.slots.shape[1]] = self.slots
+            self.slots = wider
+        self.slots[cell, slot] = np.arange(self.size, self.size + len(cell))
+        np.add.at(self.fill, cell, 1)
+        self.size += len(cell)
+
+    def neighbours(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs (q, j): indexed point j lies in the 3 x 3 cells around query
+        point q, each such point once."""
+        cx, cy = self._cells(x, y)
+        cell = ((cx[:, None] + self.offsets_x) % self.nx) * self.ny + (
+            (cy[:, None] + self.offsets_y) % self.ny)
+        j = self.slots[cell].reshape(len(x), -1)
+        q, col = np.nonzero(j >= 0)
+        return q, j[q, col]
 
 
 @dataclass(frozen=True)
@@ -122,16 +212,27 @@ class SpatialField:
     def class_counts(self, k: int) -> np.ndarray:
         return np.bincount(self.class_id, minlength=k)
 
-    def min_pair_clearance(self) -> float:
-        """Minimum over pairs of (center distance - r_i - r_j); O(n^2)."""
+    def gap_violations(self, gap: float) -> int:
+        """Pairs whose toroidal centre distance is below r_i + r_j + gap.
+
+        Uses the hard-core generator's own predicate, so a hard-core field
+        generated with ``min_gap = gap`` has none; candidate pairs come from
+        the periodic cell index, O(n) for bounded cell occupancy.
+        """
         if self.n < 2:
-            return np.inf
-        dx = self.x[:, None] - self.x[None, :]
-        dy = self.y[:, None] - self.y[None, :]
-        dist = np.hypot(dx, dy)
-        clearance = dist - self.radius[:, None] - self.radius[None, :]
-        iu = np.triu_indices(self.n, k=1)
-        return float(clearance[iu].min())
+            return 0
+        grid = _CellIndex(self.width, self.height, 2.0 * float(self.radius.max()) + gap, self.n)
+        grid.add(self.x, self.y)
+        count = 0
+        for lo in range(0, self.n, _QUERY_CHUNK):
+            i, j = grid.neighbours(self.x[lo:lo + _QUERY_CHUNK], self.y[lo:lo + _QUERY_CHUNK])
+            i += lo
+            later = j > i  # each pair once, from its lower index
+            i, j = i[later], j[later]
+            count += int(np.count_nonzero(_too_close(
+                self.x[i], self.y[i], self.radius[i], self.x[j], self.y[j], self.radius[j],
+                gap, self.width, self.height)))
+        return count
 
 
 def assign_classes(
@@ -197,33 +298,60 @@ def _generate_matern(p: ProcessParams, table: ClassTable, rng) -> SpatialField:
 
 
 def _generate_hardcore(p: ProcessParams, table: ClassTable, rng) -> SpatialField:
+    """Random sequential adsorption with toroidal exclusion.
+
+    Each dart lands uniformly, draws its class from ``mixing`` and is kept
+    unless it lies closer than r_j + r + min_gap to an accepted particle
+    j, distances measured across the domain's edges.  Darts are drawn in
+    blocks of uniforms (x, y and, for K > 1, the class), the very stream a
+    one-dart-at-a-time loop of ``uniform``/``uniform``/``choice`` consumes;
+    uniforms past the dart that fills the target go unused, and the
+    generator is discarded with them.  A block is tested against the
+    particles accepted before it through the periodic cell index, then its
+    survivors are resolved against each other in dart order, so the field
+    equals the one-at-a-time loop's.
+    """
     target = int(rng.poisson(p.expected_count()))
     max_attempts = HARDCORE_ATTEMPT_FACTOR * max(target, 1)
     xs = np.empty(target)
     ys = np.empty(target)
     cls = np.empty(target, dtype=int)
     radii = np.empty(target)
-    mixing = np.asarray(p.mixing)
+    k = len(p.mixing)
+    cdf = np.asarray(p.mixing, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    gap, width, height = p.min_gap, p.width, p.height
+    grid = _CellIndex(width, height, 2.0 * float(table.radii.max()) + gap, target)
     placed = 0
     attempts = 0
     while placed < target:
         if attempts >= max_attempts:
             raise SaturationError(placed, target, attempts)
-        attempts += 1
-        cx = rng.uniform(0.0, p.width)
-        cy = rng.uniform(0.0, p.height)
-        c = int(rng.choice(len(mixing), p=mixing)) if len(mixing) > 1 else 0
+        block = min(_DART_BLOCK, max_attempts - attempts)
+        u = rng.random((block, 3 if k > 1 else 2))
+        x = 0.0 + width * u[:, 0]
+        y = 0.0 + height * u[:, 1]
+        c = cdf.searchsorted(u[:, 2], side="right") if k > 1 else np.zeros(block, dtype=int)
         r = table.radii[c]
-        if placed:
-            limit = radii[:placed] + r + p.min_gap
-            d = np.hypot(xs[:placed] - cx, ys[:placed] - cy)
-            if np.any(d < limit):
-                continue
-        xs[placed] = cx
-        ys[placed] = cy
-        cls[placed] = c
-        radii[placed] = r
-        placed += 1
+        q, j = grid.neighbours(x, y)
+        hit = np.zeros(block, dtype=bool)
+        hit[q[_too_close(xs[j], ys[j], radii[j], x[q], y[q], r[q], gap, width, height)]] = True
+        alive = np.flatnonzero(~hit)
+        # clash[s, t]: survivor s came before survivor t and is too close to it
+        clash = np.triu(_too_close(x[alive, None], y[alive, None], r[alive, None],
+                                   x[alive], y[alive], r[alive], gap, width, height), 1)
+        keep = np.ones(len(alive), dtype=bool)
+        for t in np.flatnonzero(clash.any(axis=0)):
+            keep[t] = not np.any(clash[:t, t] & keep[:t])
+        new = alive[keep][: target - placed]
+        end = placed + len(new)
+        xs[placed:end] = x[new]
+        ys[placed:end] = y[new]
+        cls[placed:end] = c[new]
+        radii[placed:end] = r[new]
+        grid.add(x[new], y[new])
+        placed = end
+        attempts += int(new[-1]) + 1 if placed == target else block
     return SpatialField(p.width, p.height, xs, ys, radii, cls, process_tag="hardcore")
 
 

@@ -22,13 +22,13 @@ import numpy as np
 from scipy import stats as sstats
 from scipy.sparse.csgraph import connected_components
 
+from .errors import GranvarError
 from .fields import ProcessParams, SpatialField, generate_field
 from .model import ClassTable
 from .selection import SelectionDesign, run_replicates
 from .util import derived_rng, ordered_map
 
 STATIONARY_RESIDUAL = 1e-12
-_MAX_POWER_ITERATIONS = 200000
 
 
 @dataclass(frozen=True)
@@ -201,11 +201,11 @@ def transition_counts(records: Sequence[TransectRecord], k: int) -> TransitionCo
 def markov_fit(counts: TransitionCounts) -> MarkovFit:
     """Row-normalize transition counts and find the stationary distribution.
 
-    The stationary distribution is obtained by power iteration (run on the
-    half-lazy chain so periodic chains converge) until the residual
-    ||pP - p|| drops below 1e-12 on the original matrix.  Zero-total rows
-    mark their class as unknown and are excluded; a reducible chain is
-    reported instead of fitted.
+    The stationary distribution solves pP = p, sum(p) = 1 directly on the
+    known classes; a solution whose residual max|pP - p| exceeds
+    ``STATIONARY_RESIDUAL`` raises GranvarError rather than being
+    returned.  Zero-total rows mark their class as unknown and are
+    excluded; a reducible chain is reported instead of fitted.
     """
     k = counts.k
     totals = counts.row_totals
@@ -225,13 +225,22 @@ def markov_fit(counts: TransitionCounts) -> MarkovFit:
     n_comp, _ = connected_components(sub > 0, directed=True, connection="strong")
     irreducible = n_comp == 1
     if irreducible:
-        pi = np.full(len(idx), 1.0 / len(idx))
-        for _ in range(_MAX_POWER_ITERATIONS):
-            nxt = 0.5 * (pi + pi @ sub)
-            nxt /= nxt.sum()
-            pi = nxt
-            if np.abs(pi @ sub - pi).max() <= STATIONARY_RESIDUAL:
-                break
+        # pi (P - I) = 0 with the last balance equation replaced by
+        # sum(pi) = 1; each diagonal entry of P - I is taken as minus its
+        # row's off-diagonal mass, which avoids the cancellation in
+        # p_ii - 1 when a class rarely leaves itself
+        a = sub.T.copy()
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, -a.sum(axis=0))
+        a[-1] = 1.0
+        rhs = np.zeros(len(idx))
+        rhs[-1] = 1.0
+        pi = np.linalg.solve(a, rhs)
+        residual = float(np.abs(pi @ sub - pi).max())
+        if not residual <= STATIONARY_RESIDUAL:
+            raise GranvarError(
+                f"stationary solve residual {residual:.3g} exceeds {STATIONARY_RESIDUAL:g}"
+            )
         stationary[idx] = pi
     return MarkovFit(p, stationary, known, irreducible=bool(irreducible))
 

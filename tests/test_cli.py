@@ -28,6 +28,21 @@ def write_scenario(path: Path, **overrides) -> Path:
     return file
 
 
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "scenarios").glob("*.json"))
+
+
+def supported_subcommands(scenario: dict) -> list[str]:
+    """The scenario subcommands whose required sections ``scenario`` has."""
+    commands = []
+    if any(key in scenario for key in ("sample_counts", "expected_counts", "ckk_grid")):
+        commands.append("estimate")
+    if "design" in scenario and "replicates" in scenario:
+        commands.append("simulate")
+    if "field" in scenario and "transects" in scenario:
+        commands.append("intercept")
+    return commands
+
+
 def read_rows(path: Path) -> list[dict]:
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# granvar=")
@@ -347,6 +362,18 @@ class TestDeterminism:
         first = (out / "estimate.csv").read_text().splitlines()[0]
         assert first.startswith(f"# granvar={__version__} config=")
         assert "seed=2020" in first
+
+
+class TestExampleScenarios:
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.stem)
+    def test_every_supported_subcommand_runs(self, path, tmp_path):
+        commands = supported_subcommands(json.loads(path.read_text()))
+        assert commands
+        for command in commands:
+            out = tmp_path / command
+            argv = [command, "--config", str(path), "--out", str(out), "--threads", "1"]
+            assert main(argv) == 0
+            assert any(out.glob("*.csv"))
 
 
 class TestEnvironment:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from granvar.errors import SaturationError
@@ -106,6 +108,81 @@ class TestPoisson:
         assert passes >= 95
 
 
+def scalar_hardcore(p, table, seed):
+    """Reference dart loop: one dart at a time, uniform/uniform/choice, each
+    tested against every accepted particle with the toroidal predicate."""
+    rng = derived_rng(seed)
+    target = int(rng.poisson(p.expected_count()))
+    max_attempts = 100 * max(target, 1)
+    xs, ys, radii = np.empty(target), np.empty(target), np.empty(target)
+    cls = np.empty(target, dtype=int)
+    mixing = np.asarray(p.mixing)
+    placed = attempts = 0
+    while placed < target:
+        if attempts >= max_attempts:
+            raise SaturationError(placed, target, attempts)
+        attempts += 1
+        cx = rng.uniform(0.0, p.width)
+        cy = rng.uniform(0.0, p.height)
+        c = int(rng.choice(len(mixing), p=mixing)) if len(mixing) > 1 else 0
+        r = table.radii[c]
+        dx = np.abs(xs[:placed] - cx)
+        dy = np.abs(ys[:placed] - cy)
+        dx = np.minimum(dx, p.width - dx)
+        dy = np.minimum(dy, p.height - dy)
+        if np.any(np.hypot(dx, dy) < radii[:placed] + r + p.min_gap):
+            continue
+        xs[placed], ys[placed], cls[placed], radii[placed] = cx, cy, c, r
+        placed += 1
+    return xs, ys, radii, cls
+
+
+def dense_gap_violations(field_, gap):
+    """All-pairs toroidal count of pairs closer than r_i + r_j + gap."""
+    i, j = np.triu_indices(field_.n, k=1)
+    dx = np.abs(field_.x[i] - field_.x[j])
+    dy = np.abs(field_.y[i] - field_.y[j])
+    dx = np.minimum(dx, field_.width - dx)
+    dy = np.minimum(dy, field_.height - dy)
+    return int(np.count_nonzero(np.hypot(dx, dy) < field_.radius[i] + field_.radius[j] + gap))
+
+
+def hardcore_case(k, domain, radii, gap, intensity, weights=None):
+    width, height = domain
+    weights = np.ones(k) if weights is None else np.asarray(weights)
+    params = ProcessParams(
+        variant="hardcore", width=width, height=height,
+        mixing=tuple((weights / weights.sum()).tolist()),
+        intensity=intensity / (width * height), min_gap=gap,
+    )
+    return params, ClassTable.from_arrays([1.0] * k, [0.5] * k, radii)
+
+
+@st.composite
+def hardcore_cases(draw):
+    k = draw(st.sampled_from([1, 3]))
+    domain = draw(st.sampled_from([(1.0, 1.0), (2.5, 0.7)]))
+    radius = st.one_of(st.just(0.0), st.floats(0.0, 0.04), st.floats(0.1, 0.2))
+    radii = draw(st.lists(radius, min_size=k, max_size=k))
+    gap = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1)))
+    # expected particle count over the whole domain
+    intensity = draw(st.floats(1.0, 150.0))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    case = hardcore_case(k, domain, radii, gap, intensity, weights)
+    return case + (draw(st.integers(0, 2**20)),)
+
+
+def outcome(make):
+    """("field", x, y, radius, class_id), or the counts of a saturation."""
+    try:
+        result = make()
+    except SaturationError as exc:
+        return ("saturated", exc.placed, exc.target, exc.attempts)
+    if isinstance(result, SpatialField):
+        result = (result.x, result.y, result.radius, result.class_id)
+    return ("field", *result)
+
+
 class TestHardcore:
     def params(self, intensity=100.0, gap=0.02):
         return ProcessParams(
@@ -116,17 +193,84 @@ class TestHardcore:
     def test_pairwise_clearance(self, table):
         f = generate_field(self.params(), table, seed=11)
         assert f.n > 50
-        assert f.min_pair_clearance() >= 0.02 - 1e-12
+        assert f.gap_violations(0.02) == 0
+
+    def test_no_close_pair_across_seams(self, table):
+        """Pairs that are close only across x = 0/W or y = 0/H keep the gap."""
+        seam_neighbours = 0
+        for seed in range(20):
+            f = generate_field(self.params(), table, seed=seed)
+            assert dense_gap_violations(f, 0.02) == 0
+            i, j = np.triu_indices(f.n, k=1)
+            dx = np.abs(f.x[i] - f.x[j])
+            dy = np.abs(f.y[i] - f.y[j])
+            across = (dx > 0.5) | (dy > 0.5)
+            near = np.hypot(np.minimum(dx, 1.0 - dx), np.minimum(dy, 1.0 - dy)) < 0.1
+            seam_neighbours += np.count_nonzero(across & near)
+        # the seams are populated, so the check above has pairs to test
+        assert seam_neighbours > 100
 
     def test_saturation_raises_with_counts(self, table):
         with pytest.raises(SaturationError) as exc:
             generate_field(self.params(intensity=2000.0, gap=0.05), table, seed=5)
         assert exc.value.attempts == 100 * exc.value.target
+        # the same counts as the scalar loop, at a size the loop runs quickly
+        params = self.params(intensity=150.0, gap=0.05)
+        got = outcome(lambda: generate_field(params, table, seed=5))
+        assert got[0] == "saturated"
+        assert got == outcome(lambda: scalar_hardcore(params, table, seed=5))
+        assert got[3] == 100 * got[2]
 
     def test_deterministic(self, table):
         a = generate_field(self.params(), table, seed=42)
         b = generate_field(self.params(), table, seed=42)
         np.testing.assert_array_equal(a.x, b.x)
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=hardcore_cases())
+    @example(case=hardcore_case(1, (1.0, 1.0), [0.0], 0.0, 150.0) + (3,))
+    @example(case=hardcore_case(3, (2.5, 0.7), [0.01, 0.0, 0.03], 0.01, 150.0) + (4,))
+    # reach 0.4: 2 cells per axis on the unit domain, 1 on the 0.7 axis
+    @example(case=hardcore_case(3, (1.0, 1.0), [0.1, 0.15, 0.2], 0.0, 6.0) + (5,))
+    @example(case=hardcore_case(3, (2.5, 0.7), [0.1, 0.15, 0.2], 0.0, 6.0) + (6,))
+    def test_matches_scalar_loop(self, case):
+        params, table, seed = case
+        got = outcome(lambda: generate_field(params, table, seed))
+        want = outcome(lambda: scalar_hardcore(params, table, seed))
+        assert got[0] == want[0]
+        if want[0] == "saturated":
+            assert got == want
+            return
+        for array, ref in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(array, ref)
+            assert array.dtype == ref.dtype
+
+
+class TestGapViolations:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        domain=st.sampled_from([(1.0, 1.0), (2.5, 0.7)]),
+        radius=st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.1, 0.3)),
+        gap=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+        seed=st.integers(0, 2**20),
+    )
+    def test_matches_dense_count(self, domain, radius, gap, seed):
+        table = ClassTable.from_arrays([1.0, 1.0], [1.0, 0.0], [radius, radius / 2])
+        params = ProcessParams(variant="poisson", width=domain[0], height=domain[1],
+                               mixing=(0.5, 0.5), intensity=200.0 / (domain[0] * domain[1]))
+        f = generate_field(params, table, seed=seed)
+        assert f.gap_violations(gap) == dense_gap_violations(f, gap)
+
+    def test_points_on_the_edges(self):
+        """x = 0 and x = W are one point on the torus; tiny fields count 0."""
+        f = SpatialField(1.0, 1.0, np.array([0.0, 1.0, 0.5]), np.array([0.3, 0.3, 0.5]),
+                         np.zeros(3), np.zeros(3, dtype=int))
+        assert f.gap_violations(0.0) == 0
+        assert f.gap_violations(1e-9) == 1
+        assert f.gap_violations(0.6) == dense_gap_violations(f, 0.6) == 3
+        one = SpatialField(1.0, 1.0, np.array([0.5]), np.array([0.5]), np.zeros(1),
+                           np.zeros(1, dtype=int))
+        assert one.gap_violations(1.0) == 0
 
 
 class TestClassAssignment:

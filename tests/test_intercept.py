@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from granvar.errors import GranvarError
 from granvar.fields import ProcessParams, SpatialField, generate_field
 from granvar.intercept import (
     TransectSpec,
@@ -139,6 +140,21 @@ class TestMarkovFit:
         fit = markov_fit(TransitionCounts(np.array([[2, 0], [0, 0]])))
         assert fit.known.tolist() == [True, False]
         assert np.isnan(fit.transition[1]).all()
+
+    def test_sticky_chain_solved_exactly(self):
+        """A chain that rarely changes class: 2e5 power iterations stopped at
+        0.7454 here, far from the answer."""
+        fit = markov_fit(TransitionCounts(np.array([[100000, 1], [3, 100000]])))
+        p01, p10 = 1 / 100001, 3 / 100003
+        want = [p10 / (p01 + p10), p01 / (p01 + p10)]
+        np.testing.assert_allclose(fit.stationary, want, rtol=1e-12)
+
+    def test_residual_above_bound_raises(self, monkeypatch):
+        import granvar.intercept as intercept
+
+        monkeypatch.setattr(intercept, "STATIONARY_RESIDUAL", -1.0)
+        with pytest.raises(GranvarError, match="residual"):
+            markov_fit(TransitionCounts(np.array([[1, 2], [3, 1]])))
 
     def test_random_chains_stationary_property(self):
         rng = derived_rng(123)
