@@ -66,7 +66,7 @@ def main():
         window_ensemble(hardcore_params(), table, window=(0.1, 0.1), **common),
     )
     show(
-        "independence null (fresh Poisson field per replicate)",
+        "independence null (window counts drawn from the exact Poisson law)",
         gy_null_ensemble(
             replicates=args.replicates, n_seeds=args.seeds,
             master_seed=args.master_seed, threads=args.threads,

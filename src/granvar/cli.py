@@ -41,16 +41,11 @@ from .intercept import (
 from .model import derive_expectation, derive_summary
 from .scenario import ScenarioConfig, build_design, load_scenario
 from .selection import compare_estimators, empirical_dependence, run_replicates
-from .util import format_sig, round_sig, write_csv_columns
+from .util import derived_seeds, format_sig, round_sig, write_csv_columns
 from .verify import DEFAULT_VERIFY_SEED, run_checks
 
 #: Stream indices for deriving per-stage seeds from the scenario seed.
 _FIELD_STREAM, _REPLICATE_STREAM, _TRANSECT_STREAM, _CALIBRATE_STREAM = range(4)
-
-
-def _stage_seed(master_seed: int, stream: int) -> int:
-    ss = np.random.SeedSequence((master_seed, stream))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 class _Writer:
@@ -171,11 +166,12 @@ def cmd_simulate(args) -> int:
         raise ConfigError("replicates", "simulate needs a replicate count")
     field = None
     if config.field is not None:
-        field = generate_field(config.field, table, _stage_seed(config.seed, _FIELD_STREAM))
+        field_seed = derived_seeds(config.seed, _FIELD_STREAM)[0]
+        field = generate_field(config.field, table, field_seed)
         save_field_csv(field, writer.out_dir / "field.csv", comment=writer.provenance)
     design = build_design(config, field)
     stats, estimate = run_replicates(
-        design, table, config.replicates, _stage_seed(config.seed, _REPLICATE_STREAM)
+        design, table, config.replicates, derived_seeds(config.seed, _REPLICATE_STREAM)[0]
     )
     dep = empirical_dependence(estimate)
 
@@ -227,14 +223,14 @@ def cmd_intercept(args) -> int:
         raise ConfigError("field", "intercept needs a 'field' section")
     if config.transects is None:
         raise ConfigError("transects", "intercept needs a 'transects' section")
-    field = generate_field(config.field, table, _stage_seed(config.seed, _FIELD_STREAM))
+    field = generate_field(config.field, table, derived_seeds(config.seed, _FIELD_STREAM)[0])
     if field.n == 0:
         raise ConfigError("field", "generated field is empty; raise the intensity")
     save_field_csv(field, writer.out_dir / "field.csv", comment=writer.provenance)
     spec = config.transects
     records = cast_transects(
         field, spec.count, spec.orientation, spec.length,
-        _stage_seed(config.seed, _TRANSECT_STREAM),
+        derived_seeds(config.seed, _TRANSECT_STREAM)[0],
     )
     hits = [rec.n for rec in records]
     writer.write(
@@ -286,7 +282,7 @@ def _write_calibration(writer: _Writer, config: ScenarioConfig, threads: int) ->
     report = calibrate_against_oracle(
         processes, config.table, settings["window"], settings["replicates"],
         config.transects,
-        master_seed=_stage_seed(config.seed, _CALIBRATE_STREAM),
+        master_seed=derived_seeds(config.seed, _CALIBRATE_STREAM)[0],
         n_seeds=settings["n_seeds"], threads=threads,
     )
     k = config.table.k

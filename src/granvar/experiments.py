@@ -17,17 +17,17 @@ from .fields import ProcessParams, generate_field
 from .intercept import TransectSpec, calibrate_against_oracle, cast_transects
 from .model import ClassTable
 from .selection import (
+    InclusionEstimate,
     ReplicateStats,
     SelectionDesign,
-    _window_membership,
     compare_estimators,
     empirical_dependence,
     enumerate_design,
     inclusion_from_fractions,
+    pair_fractions,
     run_replicates,
-    variance_se,
 )
-from .util import derived_rng, ordered_map
+from .util import derived_rng, derived_seeds, normal_half_width, ordered_map
 
 def binary_table(radius: float = 0.01, radius_ratio: float = 1.0) -> ClassTable:
     """Two classes of unit mass; class 0 carries the analyte."""
@@ -36,11 +36,6 @@ def binary_table(radius: float = 0.01, radius_ratio: float = 1.0) -> ClassTable:
         concentrations=[1.0, 0.0],
         radii=[radius, radius * radius_ratio],
     )
-
-
-def _subseeds(master_seed: int, index: int, count: int) -> list[int]:
-    ss = np.random.SeedSequence((master_seed, index))
-    return [int(x) for x in ss.generate_state(count, dtype=np.uint64)]
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +89,7 @@ def oracle_agreement_experiment(
         rng = derived_rng(master_seed, design_index, 0)
         design, table = random_pairwise_design(rng, max_particles=max_particles)
         exact = enumerate_design(design, table)
-        mc_seed = _subseeds(master_seed, design_index, 2)[1]
+        mc_seed = derived_seeds(master_seed, design_index, count=2)[1]
         stats, est = run_replicates(design, table, replicates, mc_seed)
         checked = passed = 0
         k = table.k
@@ -145,6 +140,20 @@ class SeedOutcome:
     v_e_se: float
     moment_zero: float
     moment_empirical: float
+
+
+def _seed_outcome(
+    stats: ReplicateStats, est: InclusionEstimate, table: ClassTable
+) -> SeedOutcome:
+    report = compare_estimators(stats, est, table)
+    return SeedOutcome(
+        c_hat=est.c_hat,
+        covers_zero=empirical_dependence(est).covers_zero(),
+        v_e=stats.v_e,
+        v_e_se=stats.v_e_se,
+        moment_zero=report.row("moment", "zero", "replicate_mean").value,
+        moment_empirical=report.row("moment", "empirical", "replicate_mean").value,
+    )
 
 
 @dataclass(frozen=True)
@@ -202,20 +211,11 @@ def window_ensemble(
     dependence estimates and estimator comparisons."""
 
     def one(seed_index: int) -> SeedOutcome:
-        field_seed, mc_seed = _subseeds(master_seed, seed_index, 2)
+        field_seed, mc_seed = derived_seeds(master_seed, seed_index, count=2)
         fld = generate_field(params, table, field_seed)
         design = SelectionDesign.window(fld, window[0], window[1])
         stats, est = run_replicates(design, table, replicates, mc_seed)
-        dep = empirical_dependence(est)
-        report = compare_estimators(stats, est, table)
-        return SeedOutcome(
-            c_hat=est.c_hat,
-            covers_zero=dep.covers_zero(),
-            v_e=stats.v_e,
-            v_e_se=stats.v_e_se,
-            moment_zero=report.row("moment", "zero", "replicate_mean").value,
-            moment_empirical=report.row("moment", "empirical", "replicate_mean").value,
-        )
+        return _seed_outcome(stats, est, table)
 
     return WindowEnsemble(tuple(ordered_map(one, list(range(n_seeds)), threads)))
 
@@ -224,6 +224,29 @@ def poisson_null_params(intensity: float = 500.0) -> ProcessParams:
     return ProcessParams(
         variant="poisson", width=1.0, height=1.0, mixing=(0.5, 0.5), intensity=intensity
     )
+
+
+def poisson_window_counts(
+    params: ProcessParams,
+    window: tuple[float, float],
+    replicates: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, K) class populations and window counts of ``replicates`` fresh
+    Poisson fields, each sampled by one uniformly anchored toroidal window.
+
+    Drawn from the exact law of that process rather than by generating the
+    fields: class u's population is Poisson(intensity * W * H * mixing_u),
+    and its window count is Binomial(population, w * h / (W * H)).
+    """
+    if params.variant != "poisson":
+        raise ValueError(f"the window-count law holds for poisson fields, not {params.variant}")
+    width, height = params.width, params.height
+    if not (0 < window[0] <= width and 0 < window[1] <= height):
+        raise ValueError(f"window {window} must be positive and fit inside the domain")
+    rates = params.expected_count() * np.asarray(params.mixing, dtype=float)
+    pops = rng.poisson(rates, size=(replicates, len(rates)))
+    return pops, rng.binomial(pops, window[0] * window[1] / (width * height))
 
 
 def gy_null_ensemble(
@@ -244,70 +267,28 @@ def gy_null_ensemble(
     over a single fixed field instead estimate that field's own realized
     dependence, which fluctuates around zero from field to field; that
     conditional estimand is what the clustered/hard-core experiments use.
+
+    The replicates are drawn from the exact law of that process (see
+    :func:`poisson_window_counts`), not by generating fields.  A homogeneous
+    Poisson field with i.i.d. labels is K independent Poisson processes, so
+    the class populations are independent Poisson counts.  Given them, each
+    particle is uniform on the domain and so lies in the half-open toroidal
+    window with probability w * h / (W * H) whatever the anchor,
+    independently of the others, which makes each window count binomial.
+    Fresh fields make the replicates independent.
     """
+    if replicates < 2:
+        raise ValueError("need at least 2 replicates")
     table = binary_table()
     params = poisson_null_params(intensity)
-    k = table.k
 
     def one(seed_index: int) -> SeedOutcome:
-        counts = np.empty((replicates, k), dtype=np.int64)
-        f1 = np.full((replicates, k), np.nan)
-        f2 = np.full((replicates, k, k), np.nan)
-        pops = np.empty((replicates, k), dtype=np.int64)
-        for rep in range(replicates):
-            ss = np.random.SeedSequence((master_seed, seed_index, rep))
-            s_field, s_anchor = (int(x) for x in ss.generate_state(2, dtype=np.uint64))
-            fld = generate_field(params, table, s_field)
-            rng = derived_rng(s_anchor)
-            anchor_x = rng.uniform(0.0, fld.width)
-            anchor_y = rng.uniform(0.0, fld.height)
-            # one window per field: a strip index could not repay its sort
-            member = _window_membership(
-                fld.x, fld.y, anchor_x, anchor_y, window, (fld.width, fld.height)
-            )
-            pop = fld.class_counts(k)
-            sel = np.bincount(fld.class_id[member], minlength=k)
-            counts[rep] = sel
-            pops[rep] = pop
-            for u in range(k):
-                if pop[u] > 0:
-                    f1[rep, u] = sel[u] / pop[u]
-            for u in range(k):
-                for v in range(u, k):
-                    if u == v:
-                        if pop[u] < 2:
-                            continue
-                        val = sel[u] * (sel[u] - 1) / (pop[u] * (pop[u] - 1))
-                    else:
-                        if pop[u] == 0 or pop[v] == 0:
-                            continue
-                        val = sel[u] * sel[v] / (pop[u] * pop[v])
-                    f2[rep, u, v] = f2[rep, v, u] = val
+        pops, counts = poisson_window_counts(
+            params, window, replicates, derived_rng(master_seed, seed_index)
+        )
+        f1, f2 = pair_fractions(counts, pops)
         est = inclusion_from_fractions(f1, f2, pops.mean(axis=0).round().astype(int))
-        dep = empirical_dependence(est)
-        mass = counts @ table.masses
-        analyte = counts @ (table.masses * table.concentrations)
-        cs = np.full(replicates, np.nan)
-        nonempty = mass > 0
-        cs[nonempty] = analyte[nonempty] / mass[nonempty]
-        cs_ok = cs[nonempty]
-        stats = ReplicateStats(
-            counts=counts, mass=mass, cs=cs,
-            v_e=float(np.var(cs_ok, ddof=1)),
-            v_e_se=variance_se(cs_ok),
-            mean_cs=float(cs_ok.mean()),
-            mass_cv=float(mass.std(ddof=1) / mass.mean()),
-            n_empty=int(replicates - nonempty.sum()),
-        )
-        report = compare_estimators(stats, est, table)
-        return SeedOutcome(
-            c_hat=est.c_hat,
-            covers_zero=dep.covers_zero(),
-            v_e=stats.v_e,
-            v_e_se=stats.v_e_se,
-            moment_zero=report.row("moment", "zero", "replicate_mean").value,
-            moment_empirical=report.row("moment", "empirical", "replicate_mean").value,
-        )
+        return _seed_outcome(ReplicateStats.from_counts(counts, table), est, table)
 
     return WindowEnsemble(tuple(ordered_map(one, list(range(n_seeds)), threads)))
 
@@ -362,7 +343,7 @@ def _ratio_ci(num: np.ndarray, den: np.ndarray, level: float = 0.95) -> tuple[fl
     cov = np.cov(np.vstack([num, den]), ddof=1) / n
     grad = np.array([1.0 / md, -mn / (md * md)])
     se = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
-    z = float(sstats.norm.ppf(0.5 + level / 2.0))
+    z = normal_half_width(level)
     return float(ratio), (float(ratio - z * se), float(ratio + z * se))
 
 
@@ -382,7 +363,7 @@ def size_bias_experiment(
     params = poisson_null_params(intensity=intensity)
 
     def one(seed_index: int) -> tuple[float, float, float, float]:
-        field_seed, transect_seed = _subseeds(master_seed, seed_index, 2)
+        field_seed, transect_seed = derived_seeds(master_seed, seed_index, count=2)
         fld = generate_field(params, table, field_seed)
         records = cast_transects(
             fld, transects.count, transects.orientation, transects.length, transect_seed

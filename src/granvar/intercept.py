@@ -26,7 +26,7 @@ from .errors import GranvarError
 from .fields import ProcessParams, SpatialField, generate_field
 from .model import ClassTable
 from .selection import SelectionDesign, run_replicates
-from .util import derived_rng, ordered_map
+from .util import derived_rng, derived_seeds, ordered_map
 
 STATIONARY_RESIDUAL = 1e-12
 
@@ -349,9 +349,8 @@ def calibrate_against_oracle(
         oracle_vals = []
         adjacency_vals = []
         for s in range(n_seeds):
-            ss = np.random.SeedSequence((master_seed, case_index, s))
-            field_seed, window_seed, transect_seed = (
-                int(x) for x in ss.generate_state(3, dtype=np.uint64)
+            field_seed, window_seed, transect_seed = derived_seeds(
+                master_seed, case_index, s, count=3
             )
             field = generate_field(params, table, field_seed)
             design = SelectionDesign.window(field, window[0], window[1])

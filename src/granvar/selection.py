@@ -36,13 +36,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
 from scipy.special import gammaln, xlogy
 
 from .errors import EmptySampleError
 from .fields import SpatialField
 from .model import ClassTable, derive_expectation
-from .util import derived_rng
+from .util import derived_rng, normal_half_width
 
 #: Exact enumeration and pairwise sampling are limited to designs with at
 #: most this many class-count states, prod_u (n_u + 1).
@@ -175,6 +174,33 @@ class ReplicateStats:
     mean_cs: float
     mass_cv: float
     n_empty: int
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray, table: ClassTable) -> "ReplicateStats":
+        """Summarize (R, K) per-replicate selected class counts.
+
+        The concentration moments are NaN when fewer than 2 replicates are
+        non-empty, and ``mass_cv`` is NaN when the mean mass is 0.
+        """
+        m = table.masses
+        mass = counts @ m
+        analyte = counts @ (m * table.concentrations)
+        nonempty = mass > 0
+        cs = np.full(len(mass), np.nan)
+        cs[nonempty] = analyte[nonempty] / mass[nonempty]
+        cs_ok = cs[nonempty]
+        if len(cs_ok) >= 2:
+            v_e = float(np.var(cs_ok, ddof=1))
+            v_e_se = variance_se(cs_ok)
+            mean_cs = float(cs_ok.mean())
+        else:
+            v_e, v_e_se, mean_cs = np.nan, np.nan, np.nan
+        mean_mass = mass.mean()
+        mass_cv = float(mass.std(ddof=1) / mean_mass) if mean_mass > 0 else np.nan
+        return cls(
+            counts=counts, mass=mass, cs=cs, v_e=v_e, v_e_se=v_e_se,
+            mean_cs=mean_cs, mass_cv=mass_cv, n_empty=int(len(mass) - nonempty.sum()),
+        )
 
     @property
     def replicates(self) -> int:
@@ -556,31 +582,30 @@ def inclusion_from_fractions(
 
 
 def pair_fractions(counts: np.ndarray, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate first/second-order selected fractions for a fixed
-    population; unestimable entries (absent or single-member classes) NaN.
+    """Per-replicate first/second-order selected fractions; unestimable
+    entries (absent or single-member classes) NaN.
 
-    ``counts`` is (R, K) selected counts, ``pop`` (K,) population totals.
-    Pair fractions use unordered distinct pairs; the diagonal counts
-    distinct same-class pairs.
+    ``counts`` is (R, K) selected counts.  ``pop`` is the population: (K,)
+    totals shared by every replicate, or (R, K) totals per replicate, in
+    which case an entry is NaN where that replicate's population is 0 (below
+    2 on the diagonal).  Pair fractions use unordered distinct pairs; the
+    diagonal counts distinct same-class pairs.
     """
     r, k = counts.shape
+    pop = np.broadcast_to(pop, (r, k))
     f1 = np.full((r, k), np.nan)
     f2 = np.full((r, k, k), np.nan)
-    for u in range(k):
-        if pop[u] > 0:
-            f1[:, u] = counts[:, u] / pop[u]
+    np.divide(counts, pop, out=f1, where=pop > 0)
     for u in range(k):
         for v in range(u, k):
             if u == v:
-                if pop[u] < 2:
-                    continue
-                tot = pop[u] * (pop[u] - 1) / 2
-                vals = counts[:, u] * (counts[:, u] - 1) / 2 / tot
+                pairs = counts[:, u] * (counts[:, u] - 1) / 2
+                total = pop[:, u] * (pop[:, u] - 1) / 2
             else:
-                if pop[u] == 0 or pop[v] == 0:
-                    continue
-                vals = counts[:, u] * counts[:, v] / (pop[u] * pop[v])
-            f2[:, u, v] = f2[:, v, u] = vals
+                pairs = counts[:, u] * counts[:, v]
+                total = pop[:, u] * pop[:, v]
+            np.divide(pairs, total, out=f2[:, u, v], where=total > 0)
+            f2[:, v, u] = f2[:, u, v]
     return f1, f2
 
 
@@ -606,31 +631,7 @@ def run_replicates(
     rng = derived_rng(seed)
     counts = _replicate_counts(design, table, r, rng)
     pop = np.bincount(design.class_of, minlength=table.k)
-
-    m = table.masses
-    conc = table.concentrations
-    mass = counts @ m
-    analyte = counts @ (m * conc)
-    nonempty = mass > 0
-    cs = np.full(r, np.nan)
-    cs[nonempty] = analyte[nonempty] / mass[nonempty]
-    n_empty = int(r - nonempty.sum())
-
-    cs_ok = cs[nonempty]
-    if len(cs_ok) >= 2:
-        v_e = float(np.var(cs_ok, ddof=1))
-        v_e_se = variance_se(cs_ok)
-        mean_cs = float(cs_ok.mean())
-    else:
-        v_e, v_e_se, mean_cs = np.nan, np.nan, np.nan
-    mean_mass = mass.mean()
-    mass_cv = float(mass.std(ddof=1) / mean_mass) if mean_mass > 0 else np.nan
-
-    stats = ReplicateStats(
-        counts=counts, mass=mass, cs=cs, v_e=v_e, v_e_se=v_e_se,
-        mean_cs=mean_cs, mass_cv=mass_cv, n_empty=n_empty,
-    )
-    return stats, _inclusion_from_counts(counts, pop)
+    return ReplicateStats.from_counts(counts, table), _inclusion_from_counts(counts, pop)
 
 
 def empirical_dependence(
@@ -638,7 +639,7 @@ def empirical_dependence(
 ) -> DependenceEstimate:
     """Dependence matrix implied by the inclusion estimates, with
     delta-method confidence intervals at the given level."""
-    z = float(sstats.norm.ppf(0.5 + level / 2.0))
+    z = normal_half_width(level)
     return DependenceEstimate(
         c_hat=est.c_hat.copy(),
         se=est.c_hat_se.copy(),

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 import numpy as np
+from scipy import stats as sstats
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -18,6 +20,23 @@ def derived_rng(master_seed: int, *indices: int) -> np.random.Generator:
     results do not depend on scheduling or worker count.
     """
     return np.random.default_rng(np.random.SeedSequence((master_seed, *indices)))
+
+
+def derived_seeds(master_seed: int, *indices: int, count: int = 1) -> list[int]:
+    """``count`` integer seeds for substream (master_seed, i0, i1, ...).
+
+    Like :func:`derived_rng`, the seeds depend only on the index tuple; a
+    stage that hands seeds on to other functions takes them from here.
+    """
+    ss = np.random.SeedSequence((master_seed, *indices))
+    return [int(x) for x in ss.generate_state(count, dtype=np.uint64)]
+
+
+@lru_cache(maxsize=8)
+def normal_half_width(level: float) -> float:
+    """Half-width, in standard errors, of a two-sided normal confidence
+    interval at ``level``: the standard normal quantile of 0.5 + level/2."""
+    return float(sstats.norm.ppf(0.5 + level / 2.0))
 
 
 def fsum(terms: Iterable[float]) -> float:

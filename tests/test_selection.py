@@ -11,10 +11,12 @@ from granvar.errors import EmptySampleError
 from granvar.fields import ProcessParams, SpatialField, generate_field
 from granvar.model import ClassTable
 from granvar.selection import (
+    ReplicateStats,
     SelectionDesign,
     compare_estimators,
     empirical_dependence,
     enumerate_design,
+    pair_fractions,
     run_replicates,
     window_counts,
 )
@@ -471,6 +473,39 @@ class TestWindowIndex:
         np.testing.assert_array_equal(
             stats.counts, dense_window_counts(field, anchors, 0.2, 0.1, 2)
         )
+
+
+class TestReplicateAggregation:
+    def test_per_replicate_population_rows_match_shared_population(self, rng):
+        pop = np.array([7, 1, 0, 1_000_003])
+        counts = rng.integers(0, pop + 1, size=(40, 4))
+        shared = pair_fractions(counts, pop)
+        per_row = pair_fractions(counts, np.tile(pop, (40, 1)))
+        for a, b in zip(shared, per_row):
+            assert a.tobytes() == b.tobytes()
+
+    def test_per_replicate_population_nan_pattern(self):
+        pops = np.array([[0, 5], [1, 5], [2, 5], [3, 1]])
+        counts = np.array([[0, 2], [1, 3], [2, 0], [1, 1]])
+        f1, f2 = pair_fractions(counts, pops)
+        np.testing.assert_array_equal(np.isnan(f1), pops == 0)
+        assert f1[1, 0] == 1.0 and f1[3, 1] == 1.0
+        nan_diag = np.isnan(np.diagonal(f2, axis1=1, axis2=2))
+        np.testing.assert_array_equal(nan_diag, pops < 2)
+        np.testing.assert_array_equal(np.isnan(f2[:, 0, 1]), [True, False, False, False])
+        np.testing.assert_array_equal(f2[:, 0, 1], f2[:, 1, 0])
+        assert f2[2, 0, 0] == 1.0 and f2[2, 0, 1] == 0.0 and f2[3, 0, 1] == 1.0 / 3.0
+
+    def test_summary_guards(self, two_particle_table):
+        one_nonempty = ReplicateStats.from_counts(np.array([[0, 0], [1, 0], [0, 0]]),
+                                                  two_particle_table)
+        assert one_nonempty.n_empty == 2
+        assert np.isnan([one_nonempty.v_e, one_nonempty.v_e_se,
+                         one_nonempty.mean_cs]).all()
+        assert np.isfinite(one_nonempty.mass_cv)
+        all_empty = ReplicateStats.from_counts(np.zeros((3, 2), dtype=np.int64),
+                                               two_particle_table)
+        assert all_empty.n_empty == 3 and np.isnan(all_empty.mass_cv)
 
 
 class TestEmpiricalDependence:
