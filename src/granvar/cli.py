@@ -61,13 +61,17 @@ class _Writer:
     def provenance(self) -> str:
         return f"granvar={__version__} config={self.config_hash} seed={self.seed}"
 
-    def write(self, name: str, header: Sequence[str], columns: Sequence[Sequence]) -> Path:
-        """Write one CSV file from its columns, which must be of equal length."""
+    def write(
+        self, name: str, header: Sequence[str], columns: Sequence[Sequence],
+        rows: np.ndarray | None = None,
+    ) -> Path:
+        """Write one CSV file from its columns, which must be of equal length;
+        ``rows`` as in :func:`write_csv_columns`."""
         path = self.out_dir / name
         with path.open("w", encoding="utf-8", newline="\n") as f:
             f.write(f"# {self.provenance}\n")
             f.write(",".join(header) + "\n")
-            write_csv_columns(f, columns)
+            write_csv_columns(f, columns, rows)
         return path
 
 
@@ -175,10 +179,13 @@ def cmd_simulate(args) -> int:
     )
     dep = empirical_dependence(estimate)
 
+    # a replicate row after its index is a function of the count row:
+    # format each distinct row once
     writer.write(
         "replicates.csv",
         ["replicate", "M_s", "c_s"] + [f"N_{u}" for u in range(k)],
-        [np.arange(stats.replicates), stats.mass, stats.cs, *stats.counts.T],
+        [stats.mass[stats.first], stats.cs[stats.first], *stats.distinct.T],
+        rows=stats.inverse,
     )
     writer.write(
         "first_order.csv", ["i", "pi_i", "se"], [np.arange(k), estimate.pi1, estimate.pi1_se]

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from .fields import ProcessParams, generate_field
 from .intercept import TransectSpec, calibrate_against_oracle, cast_transects
@@ -427,7 +426,9 @@ def monotonicity_sweep(
     for case in report.cases:
         oracle_series.append(float(np.nanmean(np.diag(case.oracle_c))))
         adjacency_series.append(float(np.nanmean(np.diag(case.adjacency_c))))
-    rho = float(sstats.spearmanr(oracle_series, adjacency_series).statistic)
+    from scipy.stats import spearmanr  # deferred: scipy.stats is slow to import
+
+    rho = float(spearmanr(oracle_series, adjacency_series).statistic)
     return MonotonicityResult(
         tuple(float(r) for r in cluster_radii),
         tuple(oracle_series),

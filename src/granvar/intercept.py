@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GranvarError
 from .fields import ProcessParams, SpatialField, generate_field
@@ -222,8 +220,7 @@ def markov_fit(counts: TransitionCounts) -> MarkovFit:
     if np.any(row_mass <= 0):
         return MarkovFit(p, stationary, known, irreducible=False)
     sub = sub / row_mass[:, None]
-    n_comp, _ = connected_components(sub > 0, directed=True, connection="strong")
-    irreducible = n_comp == 1
+    irreducible = _strongly_connected(sub > 0)
     if irreducible:
         # pi (P - I) = 0 with the last balance equation replaced by
         # sum(pi) = 1; each diagonal entry of P - I is taken as minus its
@@ -243,6 +240,18 @@ def markov_fit(counts: TransitionCounts) -> MarkovFit:
             )
         stationary[idx] = pi
     return MarkovFit(p, stationary, known, irreducible=bool(irreducible))
+
+
+def _strongly_connected(adjacency: np.ndarray) -> bool:
+    """Whether every node of the directed graph ``adjacency`` (a boolean
+    matrix) reaches every other: its reflexive-transitive closure, found by
+    repeated boolean squaring, is all true."""
+    reach = adjacency | np.eye(len(adjacency), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            return bool(reach.all())
+        reach = wider
 
 
 def size_corrected_frequencies(
@@ -389,7 +398,9 @@ def calibrate_against_oracle(
     oracle_se_series = np.array(oracle_se_series)
     adjacency_series = np.array(adjacency_series)
     if len(oracle_series) >= 2 and np.ptp(oracle_series) > 0 and np.ptp(adjacency_series) > 0:
-        rho = float(sstats.spearmanr(oracle_series, adjacency_series).statistic)
+        from scipy.stats import spearmanr  # deferred: scipy.stats is slow to import
+
+        rho = float(spearmanr(oracle_series, adjacency_series).statistic)
     else:
         rho = np.nan
     # a cell is informative when its oracle mean clears its own noise floor

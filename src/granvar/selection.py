@@ -164,6 +164,17 @@ class ReplicateStats:
     concentration moments (``mean_cs``, ``v_e``) and counted in
     ``n_empty``.  ``mass_cv`` is computed over all replicates and audits
     the constant-sample-mass assumption of the Horvitz-Thompson route.
+
+    Every per-replicate summary is a function of the replicate's class
+    counts, and a design's replicates repeat few count vectors (a pairwise
+    design has at most prod_u (n_u + 1)).  ``first`` indexes the first
+    replicate of each distinct count row (``distinct`` holds those rows)
+    and ``inverse`` maps every replicate to its distinct row, so
+    ``distinct[inverse]`` equals ``counts``; see :func:`distinct_rows`,
+    which makes every row its own distinct row when the counts are not
+    integers or the rows' mixed-radix codes would not fit in int64.  ``mass`` and ``cs`` are evaluated once
+    per distinct row and gathered back, which gives the same values as
+    evaluating every replicate because each row is computed on its own.
     """
 
     counts: np.ndarray
@@ -174,6 +185,8 @@ class ReplicateStats:
     mean_cs: float
     mass_cv: float
     n_empty: int
+    first: np.ndarray
+    inverse: np.ndarray
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, table: ClassTable) -> "ReplicateStats":
@@ -182,12 +195,18 @@ class ReplicateStats:
         The concentration moments are NaN when fewer than 2 replicates are
         non-empty, and ``mass_cv`` is NaN when the mean mass is 0.
         """
+        first, inverse = distinct_rows(counts)
+        distinct = counts[first]
         m = table.masses
-        mass = counts @ m
-        analyte = counts @ (m * table.concentrations)
+        mass_d = _row_sums(distinct[:, u] * m[u] for u in range(table.k))
+        analyte_d = _row_sums(
+            distinct[:, u] * (m[u] * table.concentrations[u]) for u in range(table.k)
+        )
+        nonempty_d = mass_d > 0
+        cs_d = np.full(len(mass_d), np.nan)
+        cs_d[nonempty_d] = analyte_d[nonempty_d] / mass_d[nonempty_d]
+        mass, cs = mass_d[inverse], cs_d[inverse]
         nonempty = mass > 0
-        cs = np.full(len(mass), np.nan)
-        cs[nonempty] = analyte[nonempty] / mass[nonempty]
         cs_ok = cs[nonempty]
         if len(cs_ok) >= 2:
             v_e = float(np.var(cs_ok, ddof=1))
@@ -200,11 +219,17 @@ class ReplicateStats:
         return cls(
             counts=counts, mass=mass, cs=cs, v_e=v_e, v_e_se=v_e_se,
             mean_cs=mean_cs, mass_cv=mass_cv, n_empty=int(len(mass) - nonempty.sum()),
+            first=first, inverse=inverse,
         )
 
     @property
     def replicates(self) -> int:
         return len(self.mass)
+
+    @property
+    def distinct(self) -> np.ndarray:
+        """(U, K) distinct count rows."""
+        return self.counts[self.first]
 
 
 @dataclass(frozen=True)
@@ -515,6 +540,50 @@ def _replicate_counts(
     return np.ascontiguousarray(states.decode(drawn).T)
 
 
+def distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the distinct rows of (R, K) non-negative integer
+    counts: ``counts[first]`` are the distinct rows, ``first`` indexes each
+    one's first occurrence, and ``counts[first][inverse]`` equals ``counts``.
+
+    Each row is coded as a mixed-radix number whose digit u is the count of
+    class u in base ``counts[:, u].max() + 1`` (class 0 the most
+    significant), and the codes go through ``np.unique``; the distinct rows
+    then come in increasing code order.  When the counts are not of an
+    integer dtype, or the product of the bases does not fit in int64, every
+    row is its own distinct row.
+    """
+    r, k = counts.shape
+    base = [int(b) + 1 for b in counts.max(axis=0, initial=0)]
+    if counts.dtype.kind not in "iu" or math.prod(base) > np.iinfo(np.int64).max:
+        every = np.arange(r)
+        return every, every
+    place = np.ones(k, dtype=np.int64)
+    for u in range(k - 2, -1, -1):
+        place[u] = place[u + 1] * base[u + 1]
+    _, first, inverse = np.unique(counts @ place, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _row_sums(terms) -> np.ndarray:
+    """Elementwise sum of per-replicate term arrays, added in order from 0.
+
+    A row's sum depends only on that row's terms.  A matrix product or an
+    einsum may round a row differently with the batch it sits in, which
+    would make a value evaluated once per distinct row differ from the
+    same value evaluated over all replicates.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _quadratic_form(a: list[np.ndarray], c: np.ndarray) -> np.ndarray:
+    """sum_ij a_i c_ij a_j per replicate, for per-class columns ``a``."""
+    k = len(a)
+    return _row_sums((a[i] * c[i, j]) * a[j] for i in range(k) for j in range(k))
+
+
 def variance_se(values: np.ndarray) -> float:
     """Standard error of the sample variance (fourth-moment formula)."""
     n = len(values)
@@ -609,11 +678,6 @@ def pair_fractions(counts: np.ndarray, pop: np.ndarray) -> tuple[np.ndarray, np.
     return f1, f2
 
 
-def _inclusion_from_counts(counts: np.ndarray, pop: np.ndarray) -> InclusionEstimate:
-    f1, f2 = pair_fractions(counts, pop)
-    return inclusion_from_fractions(f1, f2, pop)
-
-
 def run_replicates(
     design: SelectionDesign, table: ClassTable, r: int, seed: int
 ) -> tuple[ReplicateStats, InclusionEstimate]:
@@ -629,9 +693,11 @@ def run_replicates(
     if design.n == 0:
         raise ValueError("design has no particles")
     rng = derived_rng(seed)
-    counts = _replicate_counts(design, table, r, rng)
+    stats = ReplicateStats.from_counts(_replicate_counts(design, table, r, rng), table)
     pop = np.bincount(design.class_of, minlength=table.k)
-    return ReplicateStats.from_counts(counts, table), _inclusion_from_counts(counts, pop)
+    # the fractions are functions of the count row: one evaluation per distinct row
+    f1, f2 = pair_fractions(stats.distinct, pop)
+    return stats, inclusion_from_fractions(f1[stats.inverse], f2[stats.inverse], pop)
 
 
 def empirical_dependence(
@@ -653,11 +719,10 @@ def _moment_variance_batch(
     counts: np.ndarray, mass: np.ndarray, cs: np.ndarray, table: ClassTable, c: np.ndarray
 ) -> np.ndarray:
     m = table.masses
-    dev = table.concentrations[None, :] - cs[:, None]
-    gy = (counts * (m * m)[None, :] * dev * dev).sum(axis=1)
-    a = counts * m[None, :] * dev
-    corr = np.einsum("ri,ij,rj->r", a, c, a)
-    return (gy - corr) / (mass * mass)
+    dev = [table.concentrations[u] - cs for u in range(table.k)]
+    gy = _row_sums(counts[:, u] * (m[u] * m[u]) * dev[u] * dev[u] for u in range(table.k))
+    a = [counts[:, u] * m[u] * dev[u] for u in range(table.k)]
+    return (gy - _quadratic_form(a, c)) / (mass * mass)
 
 
 def _ht_variance_batch(
@@ -667,10 +732,10 @@ def _ht_variance_batch(
         return np.full(len(mass), np.nan)
     m = table.masses
     conc = table.concentrations
-    first = counts @ (m * m * conc * conc / (1.0 - np.diag(c)))
-    w = counts * (m * conc)[None, :]
-    second = np.einsum("ri,ij,rj->r", w, c / (1.0 - c), w)
-    return (first - second) / (mass * mass)
+    weight = m * m * conc * conc / (1.0 - np.diag(c))
+    first = _row_sums(counts[:, u] * weight[u] for u in range(table.k))
+    w = [counts[:, u] * (m[u] * conc[u]) for u in range(table.k)]
+    return (first - _quadratic_form(w, c / (1.0 - c))) / (mass * mass)
 
 
 def compare_estimators(
@@ -684,7 +749,10 @@ def compare_estimators(
     with the empirical dependence matrix and with the zero matrix (the
     independence baseline), both per replicate (then averaged over
     non-empty replicates) and on the mean sample summary.  NaN dependence
-    cells (unestimable pairs) enter as zero and are counted.
+    cells (unestimable pairs) enter as zero and are counted.  The
+    per-replicate values are functions of the count row, so they are
+    evaluated once per distinct non-empty row and gathered back before
+    averaging.
     """
     k = table.k
     c_emp = est.c_hat.copy()
@@ -695,37 +763,33 @@ def compare_estimators(
     ok = stats.mass > 0
     if ok.sum() < 2:
         raise EmptySampleError("too few non-empty replicates to compare estimators")
-    counts = stats.counts[ok].astype(float)
-    mass = stats.mass[ok]
-    cs = stats.cs[ok]
-    mean_counts = counts.mean(axis=0)
+    ok_distinct = stats.mass[stats.first] > 0
+    keep = stats.first[ok_distinct]
+    # position of each non-empty replicate's row among the non-empty distinct rows
+    gather = (np.cumsum(ok_distinct) - 1)[stats.inverse[ok]]
+    counts = stats.counts[keep].astype(float)
+    mass = stats.mass[keep]
+    cs = stats.cs[keep]
+    mean_counts = stats.counts[ok].astype(float).mean(axis=0)
+    exp = derive_expectation(mean_counts, table)
+
+    def evaluate(estimator, counts, mass, cs, c):
+        if estimator == "moment":
+            return _moment_variance_batch(counts, mass, cs, table, c)
+        return _ht_variance_batch(counts, mass, table, c)
 
     rows: list[ComparisonRow] = []
-
-    def add(estimator: str, dep_name: str, c: np.ndarray) -> None:
-        per_rep = {
-            "moment": _moment_variance_batch(counts, mass, cs, table, c),
-            "horvitz_thompson": _ht_variance_batch(counts, mass, table, c),
-        }[estimator]
-        value = float(np.mean(per_rep))
-        rows.append(_make_row(estimator, dep_name, "replicate_mean", value, stats))
-        exp = derive_expectation(mean_counts, table)
-        one = {
-            "moment": _moment_variance_batch(
-                mean_counts[None, :], np.array([exp.mass]), np.array([exp.concentration]),
-                table, c,
-            ),
-            "horvitz_thompson": _ht_variance_batch(
-                mean_counts[None, :], np.array([exp.mass]), table, c
-            ),
-        }[estimator]
-        rows.append(
-            _make_row(estimator, dep_name, "mean_summary", float(one[0]), stats)
-        )
-
     for estimator in ("moment", "horvitz_thompson"):
-        add(estimator, "zero", c_zero)
-        add(estimator, "empirical", c_emp)
+        for dep_name, c in (("zero", c_zero), ("empirical", c_emp)):
+            per_rep = evaluate(estimator, counts, mass, cs, c)[gather]
+            rows.append(_make_row(
+                estimator, dep_name, "replicate_mean", float(np.mean(per_rep)), stats
+            ))
+            one = evaluate(
+                estimator, mean_counts[None, :], np.array([exp.mass]),
+                np.array([exp.concentration]), c,
+            )
+            rows.append(_make_row(estimator, dep_name, "mean_summary", float(one[0]), stats))
 
     return ComparisonReport(tuple(rows), stats.v_e, stats.v_e_se, nan_cells)
 

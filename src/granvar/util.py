@@ -4,10 +4,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import ndtri
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -36,7 +37,7 @@ def derived_seeds(master_seed: int, *indices: int, count: int = 1) -> list[int]:
 def normal_half_width(level: float) -> float:
     """Half-width, in standard errors, of a two-sided normal confidence
     interval at ``level``: the standard normal quantile of 0.5 + level/2."""
-    return float(sstats.norm.ppf(0.5 + level / 2.0))
+    return float(ndtri(0.5 + level / 2.0))
 
 
 def fsum(terms: Iterable[float]) -> float:
@@ -58,27 +59,56 @@ def format_sig(x: float, digits: int = 17) -> str:
 _CSV_BLOCK = 1 << 10
 
 
-def write_csv_columns(f: TextIO, columns: Sequence[Sequence]) -> None:
+def write_csv_columns(
+    f: TextIO, columns: Sequence[Sequence], rows: np.ndarray | None = None
+) -> None:
     """Write equal-length columns to ``f`` as CSV rows, a block at a time.
 
     Numpy float columns are written with 17 significant digits and integer
-    columns as integers; other columns go cell by cell through
-    :func:`_csv_cell`.  Output is identical to formatting row by row.
+    columns as integers, through one ``%``-template per block; other
+    columns go cell by cell through :func:`_csv_cell`.  Output is identical
+    to formatting row by row.
+
+    With ``rows``, output row i is ``i`` followed by row ``rows[i]`` of
+    ``columns``, and each row of ``columns`` is formatted once however
+    often ``rows`` repeats it.
     """
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError("CSV columns differ in length")
-    for start in range(0, max(lengths, default=0), _CSV_BLOCK):
-        cells = [_csv_column(c[start:start + _CSV_BLOCK]) for c in columns]
-        f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+    n = max(lengths, default=0)
+    if rows is None:
+        for start in range(0, n, _CSV_BLOCK):
+            f.write(_csv_block(columns, start, min(start + _CSV_BLOCK, n)))
+        return
+    lines = np.array(
+        [line for start in range(0, n, _CSV_BLOCK)
+         for line in _csv_block(columns, start, min(start + _CSV_BLOCK, n)).split("\n")[:-1]],
+        dtype=object,
+    )
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = lines[rows[start:start + _CSV_BLOCK]].tolist()
+        f.write(("%d,%s\n" * len(block)) % tuple(chain.from_iterable(
+            zip(range(start, start + len(block)), block)
+        )))
 
 
-def _csv_column(values: Sequence) -> list[str]:
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return [f"{v:.17g}" for v in values.tolist()]
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
-    return [_csv_cell(v) for v in values]
+def _csv_block(columns: Sequence[Sequence], start: int, stop: int) -> str:
+    """Rows [start, stop) of ``columns`` as CSV text, one template per block."""
+    fields, values = [], []
+    for column in columns:
+        part = column[start:stop]
+        if isinstance(part, np.ndarray) and part.dtype.kind == "f":
+            fields.append("%.17g")
+            values.append(part.tolist())
+        elif isinstance(part, np.ndarray) and part.dtype.kind in "iu":
+            fields.append("%d")
+            values.append(part.tolist())
+        else:
+            fields.append("%s")
+            values.append([_csv_cell(v) for v in part])
+    template = ",".join(fields) + "\n"
+    return (template * (stop - start)) % tuple(chain.from_iterable(zip(*values)))
 
 
 def _csv_cell(v) -> str:

@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import granvar
 from granvar import __version__
@@ -28,19 +31,16 @@ def write_scenario(path: Path, **overrides) -> Path:
     return file
 
 
-SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "scenarios").glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("golden_digests", ROOT / "scripts" / "golden_digests.py")
+golden_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_digests)
+supported_subcommands = golden_digests.supported_subcommands
 
-
-def supported_subcommands(scenario: dict) -> list[str]:
-    """The scenario subcommands whose required sections ``scenario`` has."""
-    commands = []
-    if any(key in scenario for key in ("sample_counts", "expected_counts", "ckk_grid")):
-        commands.append("estimate")
-    if "design" in scenario and "replicates" in scenario:
-        commands.append("simulate")
-    if "field" in scenario and "transects" in scenario:
-        commands.append("intercept")
-    return commands
+SCENARIOS = sorted(golden_digests.SCENARIO_DIR.glob("*.json"))
+#: SHA-256 of every file the example runs write, recorded by
+#: ``scripts/golden_digests.py`` together with the numpy and scipy versions.
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "example_scenarios.json").read_text())
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -364,6 +364,19 @@ class TestDeterminism:
         assert "seed=2020" in first
 
 
+def assert_golden_digests(out: Path, prefix: str) -> None:
+    """Every file under ``out`` has the recorded digest, and no recorded
+    file under ``prefix`` is missing.  The digests hold for the numpy and
+    scipy versions they were recorded with; under others the check is
+    skipped."""
+    if (np.__version__, scipy.__version__) != (GOLDEN["numpy"], GOLDEN["scipy"]):
+        pytest.skip(f"golden digests were recorded with numpy {GOLDEN['numpy']}, "
+                    f"scipy {GOLDEN['scipy']}")
+    digests = golden_digests.tree_digests(out, prefix)
+    expected = {key: v for key, v in GOLDEN["digests"].items() if key.startswith(prefix + "/")}
+    assert digests == expected
+
+
 class TestExampleScenarios:
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.stem)
     def test_every_supported_subcommand_runs(self, path, tmp_path):
@@ -374,6 +387,12 @@ class TestExampleScenarios:
             argv = [command, "--config", str(path), "--out", str(out), "--threads", "1"]
             assert main(argv) == 0
             assert any(out.glob("*.csv"))
+        for command in commands:
+            assert_golden_digests(tmp_path / command, f"{path.stem}/{command}")
+
+    def test_table1_digest(self, tmp_path):
+        assert main(["table1", "--out", str(tmp_path)]) == 0
+        assert_golden_digests(tmp_path, "table1")
 
 
 class TestEnvironment:
@@ -383,6 +402,19 @@ class TestEnvironment:
         config = write_scenario(tmp_path)
         assert main(["estimate", "--config", str(config)]) == 0
         assert (tmp_path / "envout" / "estimate.csv").exists()
+
+    def test_cli_import_leaves_scipy_stats_out(self, monkeypatch):
+        src = str(Path(granvar.__file__).resolve().parents[1])
+        monkeypatch.setenv(
+            "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, granvar.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_script_installed(self, monkeypatch):
         # the child imports the same granvar as this process, installed or not

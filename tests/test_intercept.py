@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from granvar.errors import GranvarError
 from granvar.fields import ProcessParams, SpatialField, generate_field
@@ -169,6 +172,22 @@ class TestMarkovFit:
                     fit.stationary @ fit.transition, fit.stationary, atol=1e-10
                 )
                 assert fit.stationary.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 6).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([0, 0, 1, 3]), min_size=k, max_size=k), min_size=k, max_size=k
+    )))
+    def test_irreducible_matches_strong_components(self, counts):
+        counts = np.array(counts)
+        fit = markov_fit(TransitionCounts(counts))
+        idx = np.flatnonzero(counts.sum(axis=1) > 0)
+        sub = counts[np.ix_(idx, idx)]
+        expected = (
+            len(idx) > 0 and bool(np.all(sub.sum(axis=1) > 0))
+            and connected_components(sub > 0, directed=True, connection="strong")[0] == 1
+        )
+        assert fit.irreducible == expected
 
 
 class TestSizeCorrection:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 from types import SimpleNamespace
@@ -9,15 +10,19 @@ from hypothesis import strategies as st
 
 from granvar.errors import EmptySampleError
 from granvar.fields import ProcessParams, SpatialField, generate_field
-from granvar.model import ClassTable
+from granvar.model import ClassTable, derive_expectation
 from granvar.selection import (
+    ComparisonRow,
     ReplicateStats,
     SelectionDesign,
     compare_estimators,
+    distinct_rows,
     empirical_dependence,
     enumerate_design,
+    inclusion_from_fractions,
     pair_fractions,
     run_replicates,
+    variance_se,
     window_counts,
 )
 from granvar.util import derived_rng
@@ -506,6 +511,188 @@ class TestReplicateAggregation:
         all_empty = ReplicateStats.from_counts(np.zeros((3, 2), dtype=np.int64),
                                                two_particle_table)
         assert all_empty.n_empty == 3 and np.isnan(all_empty.mass_cv)
+
+
+def direct_summaries(counts, table):
+    """Reference: ``ReplicateStats.from_counts`` evaluated replicate by
+    replicate, in Python floats, with the module's operation order (sums
+    added left to right from 0); the aggregates as in the module."""
+    m, conc = table.masses.tolist(), table.concentrations.tolist()
+    mass, cs = [], []
+    for row in counts.tolist():
+        total = analyte = 0.0
+        for n_u, m_u, c_u in zip(row, m, conc):
+            total = total + n_u * m_u
+            analyte = analyte + n_u * (m_u * c_u)
+        mass.append(total)
+        cs.append(analyte / total if total > 0 else np.nan)
+    mass, cs = np.array(mass), np.array(cs)
+    cs_ok = cs[mass > 0]
+    if len(cs_ok) >= 2:
+        moments = (float(np.var(cs_ok, ddof=1)), variance_se(cs_ok), float(cs_ok.mean()))
+    else:
+        moments = (np.nan, np.nan, np.nan)
+    mass_cv = float(mass.std(ddof=1) / mass.mean()) if mass.mean() > 0 else np.nan
+    return mass, cs, moments, mass_cv, int((mass <= 0).sum())
+
+
+def direct_variance(estimator, row, mass, cs, table, c):
+    """Reference: one replicate's moment or Horvitz-Thompson variance."""
+    m, conc, k = table.masses.tolist(), table.concentrations.tolist(), table.k
+    if estimator == "moment":
+        dev = [c_u - cs for c_u in conc]
+        gy = 0.0
+        for u in range(k):
+            gy = gy + row[u] * (m[u] * m[u]) * dev[u] * dev[u]
+        a = [row[u] * m[u] * dev[u] for u in range(k)]
+        corr = 0.0
+        for i in range(k):
+            for j in range(k):
+                corr = corr + (a[i] * c[i, j]) * a[j]
+        return (gy - corr) / (mass * mass)
+    if np.any(c >= 1.0):
+        return np.nan
+    first = 0.0
+    for u in range(k):
+        first = first + row[u] * (m[u] * m[u] * conc[u] * conc[u] / (1.0 - c[u, u]))
+    w = [row[u] * (m[u] * conc[u]) for u in range(k)]
+    ratio = c / (1.0 - c)
+    second = 0.0
+    for i in range(k):
+        for j in range(k):
+            second = second + (w[i] * ratio[i, j]) * w[j]
+    return (first - second) / (mass * mass)
+
+
+def direct_comparison(counts, est, table):
+    """Reference: ``compare_estimators`` evaluated replicate by replicate;
+    the R-length means as in the module.  None when it must raise."""
+    mass, cs, (v_e, v_e_se, _), _, _ = direct_summaries(counts, table)
+    ok = mass > 0
+    if ok.sum() < 2:
+        return None
+    c_emp = np.where(np.isnan(est.c_hat), 0.0, est.c_hat)
+    mean_counts = counts[ok].astype(float).mean(axis=0)
+    exp = derive_expectation(mean_counts, table)
+    rows = []
+    for estimator in ("moment", "horvitz_thompson"):
+        for dep, c in (("zero", np.zeros((table.k, table.k))), ("empirical", c_emp)):
+            per_rep = [
+                direct_variance(estimator, row, m_s, c_s, table, c)
+                for row, m_s, c_s in zip(counts[ok].astype(float).tolist(), mass[ok], cs[ok])
+            ]
+            one = direct_variance(estimator, mean_counts.tolist(), exp.mass,
+                                  exp.concentration, table, c)
+            for mode, value in (("replicate_mean", float(np.mean(per_rep))),
+                                ("mean_summary", float(one))):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.float64(value) / v_e if v_e else np.nan
+                    z = (np.float64(value) - v_e) / v_e_se if v_e_se else np.nan
+                rows.append(ComparisonRow(estimator, dep, mode, value, v_e,
+                                          float(ratio), float(z)))
+    return rows
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@st.composite
+def count_cases(draw):
+    """(R, K) replicate counts with repeated rows and a class table: empty
+    replicates, all-equal rows, all-distinct rows, K = 1 and counts whose
+    mixed-radix codes overflow int64 all come up."""
+    k = draw(st.integers(1, 4))
+    r = draw(st.integers(2, 40))
+    shape = draw(st.sampled_from(["pool", "equal", "distinct", "huge"]))
+    if shape == "huge":
+        pool = np.array(draw(st.lists(
+            st.lists(st.integers(0, 2**62), min_size=k, max_size=k), min_size=1, max_size=5
+        )), dtype=np.int64)
+    else:
+        pool = np.array(draw(st.lists(
+            st.lists(st.integers(0, 6), min_size=k, max_size=k), min_size=1, max_size=8
+        )), dtype=np.int64)
+    if shape == "equal":
+        counts = np.repeat(pool[:1], r, axis=0)
+    elif shape == "distinct":
+        counts = np.array([[i] + [int(v) for v in pool[i % len(pool), 1:]]
+                           for i in range(r)], dtype=np.int64)
+    else:
+        counts = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=r, max_size=r))]
+    table = ClassTable.from_arrays(
+        draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k)),
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.5)), min_size=k, max_size=k)),
+    )
+    return counts, table
+
+
+class TestDistinctRows:
+    def test_codes_and_inverse(self):
+        counts = np.array([[2, 0], [0, 1], [2, 0], [0, 0], [0, 1]])
+        first, inverse = distinct_rows(counts)
+        np.testing.assert_array_equal(counts[first], [[0, 0], [0, 1], [2, 0]])
+        np.testing.assert_array_equal(first, [3, 1, 0])
+        np.testing.assert_array_equal(counts[first][inverse], counts)
+
+    def test_overflowing_radix_or_float_counts_make_every_row_distinct(self):
+        for counts in (np.array([[2**40, 2**40], [2**40, 2**40]]),
+                       np.array([[2.0**60, 1.0], [2.0**60, 0.0]])):
+            first, inverse = distinct_rows(counts)
+            np.testing.assert_array_equal(first, [0, 1])
+            np.testing.assert_array_equal(inverse, [0, 1])
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=count_cases())
+    def test_distinct_row_path_matches_direct_evaluation(self, case):
+        counts, table = case
+        first, inverse = distinct_rows(counts)
+        np.testing.assert_array_equal(counts[first][inverse], counts)
+        assert len({tuple(row) for row in counts[first].tolist()}) == len(first) or (
+            np.array_equal(first, np.arange(len(counts)))
+        )
+
+        stats = ReplicateStats.from_counts(counts, table)
+        mass, cs, moments, mass_cv, n_empty = direct_summaries(counts, table)
+        assert same_bits(stats.mass, mass) and same_bits(stats.cs, cs)
+        assert same_bits([stats.v_e, stats.v_e_se, stats.mean_cs], moments)
+        assert same_bits(stats.mass_cv, mass_cv) and stats.n_empty == n_empty
+
+        pop = counts.max(axis=0) + 1
+        est = inclusion_from_fractions(*pair_fractions(counts, pop), pop)
+        expected = direct_comparison(counts, est, table)
+        if expected is None:
+            with pytest.raises(EmptySampleError):
+                compare_estimators(stats, est, table)
+            return
+        # the empty replicates stay out: nothing divides by a zero mass
+        with np.errstate(divide="raise", invalid="raise"):
+            report = compare_estimators(stats, est, table)
+        for got, want in zip(report.rows, expected, strict=True):
+            got, want = dataclasses.astuple(got), dataclasses.astuple(want)
+            assert got[:3] == want[:3]
+            assert same_bits(got[3:], want[3:]), (got, want)
+
+
+class TestRunReplicatesDistinctRows:
+    @settings(deadline=None, max_examples=60)
+    @given(case=pairwise_cases(), seed=st.integers(0, 2**31), r=st.integers(2, 300))
+    def test_matches_direct_evaluation(self, case, seed, r):
+        design, table = case
+        try:
+            stats, est = run_replicates(design, table, r=r, seed=seed)
+        except ValueError:  # unnormalizable designs
+            return
+        pop = np.bincount(design.class_of, minlength=table.k)
+        direct = inclusion_from_fractions(*pair_fractions(stats.counts, pop), pop)
+        for name in ("pi1", "pi1_se", "pi2", "pi2_se", "c_hat", "c_hat_se"):
+            assert same_bits(getattr(est, name), getattr(direct, name)), name
+        mass, cs, *_ = direct_summaries(stats.counts, table)
+        assert same_bits(stats.mass, mass) and same_bits(stats.cs, cs)
 
 
 class TestEmpiricalDependence:
