@@ -9,8 +9,13 @@ inclusion probabilities and is exact under constant sample mass and
 correct sampling; it admits a general form (explicit first/second-order
 inclusion probabilities), a finite-batch form, and an infinite-batch form.
 
-All accumulations use compensated summation, so the algebraic identities
-between the forms hold to near machine precision.
+Each formula has one kernel over (R, K) class-count rows
+(:func:`sample_totals`, :func:`moment_terms`, :func:`ht_terms`); the scalar
+estimators call them with R = 1.  The kernels are row-local: a row's
+per-class terms are added left to right from 0.  A matrix product or an
+einsum may round a row differently with the batch it sits in, so a value
+evaluated once per distinct row, or as a scalar, would differ from the
+same row evaluated in another batch.
 """
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ import numpy as np
 
 from .errors import DegenerateDependenceError, FeasibilityError, NonIdentifiableError
 from .model import BatchSpec, ClassTable, DependenceMatrix, ExpectationSummary, SampleSummary
-from .util import fsum
 
 #: Canonical grid over which the single-class dependence solution is tabulated.
 GRID_N_K = (10, 100, 1000, 10000)
@@ -85,7 +89,7 @@ def second_order_inclusion(q_i: float, q_j: float, c_ij: float) -> float:
     """
     if not (0.0 < q_i <= 1.0 and 0.0 < q_j <= 1.0):
         raise ValueError(f"first-order probabilities must be in (0, 1], got {q_i}, {q_j}")
-    if not c_ij < 1.0:
+    if degenerate_dependence(c_ij):
         raise DegenerateDependenceError(f"dependence value must be < 1, got {c_ij}")
     pi_ij = q_i * q_j * (1.0 - c_ij)
     if pi_ij < 0.0 or pi_ij > min(q_i, q_j):
@@ -106,17 +110,96 @@ def _as_dependence(c, k: int) -> np.ndarray:
     return arr
 
 
-def _moment_variance(
-    counts: np.ndarray, mass: float, conc: float, table: ClassTable, c: np.ndarray
-) -> VarianceResult:
+def degenerate_dependence(c) -> bool:
+    """Whether any dependence value is not below 1 (NaN included), where
+    the weights 1 / (1 - C) are undefined."""
+    return not np.all(np.asarray(c) < 1.0)
+
+
+def _ht_dependence(c, k: int) -> np.ndarray:
+    cm = _as_dependence(c, k)
+    if degenerate_dependence(cm):
+        raise DegenerateDependenceError("all dependence values must be < 1")
+    return cm
+
+
+def _row_sums(terms) -> np.ndarray:
+    """Elementwise sum of per-row term arrays, added in order from 0."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _class_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_u N_u weights_u per row of (R, K) counts."""
+    return _row_sums(counts[:, u] * weights[u] for u in range(len(weights)))
+
+
+def _quadratic_form(a: list[np.ndarray], p: np.ndarray) -> np.ndarray:
+    """sum_ij a_i p_ij a_j per row, for per-class columns ``a``."""
+    k = len(a)
+    return _row_sums((a[i] * p[i, j]) * a[j] for i in range(k) for j in range(k))
+
+
+def sample_totals(counts: np.ndarray, table: ClassTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sample mass sum_u N_u m_u and analyte mass
+    sum_u N_u (m_u c_u) of (R, K) class counts."""
     m = table.masses
-    dev = table.concentrations - conc
-    inv_m2 = 1.0 / (mass * mass)
-    gy = fsum(counts * m * m * dev * dev) * inv_m2
-    a = counts * m * dev  # per-class deviation weight
-    k = len(counts)
-    corr = fsum(c[i, j] * a[i] * a[j] for i in range(k) for j in range(k)) * inv_m2
-    return VarianceResult(gy - corr, gy, corr)
+    return _class_sums(counts, m), _class_sums(counts, m * table.concentrations)
+
+
+def moment_terms(
+    counts: np.ndarray, cs: np.ndarray, table: ClassTable, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row numerators (Gy, correction) of the moment form for (R, K)
+    class counts with sample concentrations ``cs``:
+
+    Gy = sum_u N_u m_u^2 (c_u - c_s)^2,  correction = sum_ij a_i C_ij a_j
+
+    with a_u = N_u m_u (c_u - c_s); the variance is (Gy - correction) / M_s^2.
+    """
+    m = table.masses
+    dev = [table.concentrations[u] - cs for u in range(table.k)]
+    gy = _row_sums(counts[:, u] * (m[u] * m[u]) * dev[u] * dev[u] for u in range(table.k))
+    a = [counts[:, u] * m[u] * dev[u] for u in range(table.k)]
+    return gy, _quadratic_form(a, c)
+
+
+def ht_terms(
+    counts: np.ndarray, table: ClassTable, d: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sums (sum_u N_u d_u, sum_ij w_i P_ij w_j), w_u = N_u m_u c_u,
+    of (R, K) class counts.
+
+    The Horvitz-Thompson forms differ only in the per-class diagonal
+    weights ``d``, the pair weights ``p`` and the mass they divide by.
+    """
+    m, conc = table.masses, table.concentrations
+    w = [counts[:, u] * (m[u] * conc[u]) for u in range(table.k)]
+    return _class_sums(counts, d), _quadratic_form(w, p)
+
+
+def infinite_batch_weights(table: ClassTable, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, P) of the infinite-batch Horvitz-Thompson form:
+    d_u = m_u^2 c_u^2 / (1 - C_uu) and P = C / (1 - C)."""
+    m, conc = table.masses, table.concentrations
+    return m * m * conc * conc / (1.0 - np.diag(c)), c / (1.0 - c)
+
+
+def _variance_result(first: np.ndarray, second: np.ndarray, mass: float) -> VarianceResult:
+    """The VarianceResult of one row's numerators: value (first - second) / M^2."""
+    m2 = mass * mass
+    return VarianceResult(
+        float((first - second)[0] / m2), float(first[0] / m2), float(second[0] / m2)
+    )
+
+
+def _moment_variance(summary, table: ClassTable, c) -> VarianceResult:
+    cm = _as_dependence(c, table.k)
+    counts = summary.counts_array[None, :]
+    terms = moment_terms(counts, np.array([summary.concentration]), table, cm)
+    return _variance_result(*terms, summary.mass)
 
 
 def variance_expected(
@@ -130,8 +213,7 @@ def variance_expected(
     The first term alone is the classical Gy prediction; the double sum is
     the dependent-selection correction, reported separately.
     """
-    cm = _as_dependence(c, table.k)
-    return _moment_variance(exp.counts_array, exp.mass, exp.concentration, table, cm)
+    return _moment_variance(exp, table, c)
 
 
 def variance_sample(
@@ -139,8 +221,7 @@ def variance_sample(
 ) -> VarianceResult:
     """Plug-in estimator: same form as variance_expected with observed
     sample quantities in place of expectations."""
-    cm = _as_dependence(c, table.k)
-    return _moment_variance(s.counts_array, s.mass, s.concentration, table, cm)
+    return _moment_variance(s, table, c)
 
 
 def variance_gy(s: SampleSummary, table: ClassTable) -> float:
@@ -177,22 +258,9 @@ def variance_ht(
     Assumes constant sample mass and correct sampling.  Any C_ij >= 1
     raises DegenerateDependenceError.
     """
-    cm = _as_dependence(c, table.k)
-    if np.any(cm >= 1.0):
-        raise DegenerateDependenceError("all dependence values must be < 1")
-    counts = s.counts_array
-    m = table.masses
-    conc = table.concentrations
-    inv_m2 = 1.0 / (s.mass * s.mass)
-    k = table.k
-    first = fsum(
-        counts[i] * m[i] ** 2 * conc[i] ** 2 / (1.0 - cm[i, i]) for i in range(k)
-    ) * inv_m2
-    w = counts * m * conc
-    second = fsum(
-        cm[i, j] * w[i] * w[j] / (1.0 - cm[i, j]) for i in range(k) for j in range(k)
-    ) * inv_m2
-    return VarianceResult(first - second, first, second)
+    cm = _ht_dependence(c, table.k)
+    terms = ht_terms(s.counts_array[None, :], table, *infinite_batch_weights(table, cm))
+    return _variance_result(*terms, s.mass)
 
 
 def ht_single_class(
@@ -203,7 +271,7 @@ def ht_single_class(
     Equals (1/M_s) * c_s * (1 - N_k C_kk) * c_k * m_k / (1 - C_kk); the
     masses of the analyte-free classes drop out entirely.
     """
-    if not c_kk < 1.0:
+    if degenerate_dependence(c_kk):
         raise DegenerateDependenceError(f"dependence value must be < 1, got {c_kk}")
     if not sample_mass > 0:
         raise ValueError(f"sample mass must be > 0, got {sample_mass}")
@@ -266,10 +334,8 @@ def pi_expanded_concentration(
     q = batch.q
     if np.any(q <= 0):
         raise ValueError("all first-order probabilities must be > 0")
-    counts = s.counts_array
-    return fsum(
-        counts * table.masses * table.concentrations / (batch.batch_mass * q)
-    )
+    weights = table.masses * table.concentrations / (batch.batch_mass * q)
+    return float(_class_sums(s.counts_array[None, :], weights)[0])
 
 
 def variance_ht_general(
@@ -297,29 +363,21 @@ def variance_ht_general(
         raise FeasibilityError("all first-order probabilities must be > 0")
     counts = s.counts_array
     w = counts * table.masses * table.concentrations
-    inv_mb2 = 1.0 / (batch.batch_mass * batch.batch_mass)
-    terms = []
-    for i in range(k):
-        for j in range(k):
-            coeff = w[i] * w[j]
-            if coeff == 0.0:
-                continue
-            if pi_pair[i, j] <= 0:
-                raise FeasibilityError(
-                    f"pair probability pi[{i},{j}] must be > 0 for occupied classes"
-                )
-            terms.append(coeff * (1.0 / (pi[i] * pi[j]) - 1.0 / pi_pair[i, j]))
-    pair_sum = fsum(terms) * inv_mb2
-    terms = []
-    for i in range(k):
-        coeff = counts[i] * table.masses[i] ** 2 * table.concentrations[i] ** 2
-        if coeff == 0.0:
-            continue
-        if pi_pair[i, i] <= 0:
-            raise FeasibilityError(f"pair probability pi[{i},{i}] must be > 0")
-        terms.append(coeff * (1.0 / pi_pair[i, i] - 1.0 / pi[i]))
-    diag_sum = fsum(terms) * inv_mb2
-    return pair_sum + diag_sum
+    # terms whose coefficient is 0 may have zero pair probabilities; their
+    # weights are masked to 0 before any reciprocal is taken
+    unused = np.outer(w, w) == 0.0
+    needed = ~unused & (pi_pair <= 0)
+    if needed.any():
+        i, j = np.argwhere(needed)[0]
+        raise FeasibilityError(
+            f"pair probability pi[{i},{j}] must be > 0 for occupied classes"
+        )
+    inv_pair = 1.0 / np.where(unused, 1.0, pi_pair)
+    p = np.where(unused, 0.0, 1.0 / np.outer(pi, pi) - inv_pair)
+    m2c2 = table.masses**2 * table.concentrations**2
+    d = np.where(np.diag(unused), 0.0, m2c2 * (np.diag(inv_pair) - 1.0 / pi))
+    diag_sum, pair_sum = ht_terms(counts[None, :], table, d, p)
+    return float((pair_sum + diag_sum)[0] / (batch.batch_mass * batch.batch_mass))
 
 
 def variance_ht_finite_batch(
@@ -336,23 +394,10 @@ def variance_ht_finite_batch(
     Converges to variance_ht as M_s / M_batch -> 0; the difference is
     exactly (M_s/M_batch) * sum_i N_i m_i^2 c_i^2 / M_s^2.
     """
-    cm = _as_dependence(c, table.k)
-    if np.any(cm >= 1.0):
-        raise DegenerateDependenceError("all dependence values must be < 1")
+    cm = _ht_dependence(c, table.k)
     if batch.batch_mass < s.mass:
         raise ValueError("batch mass must be at least the sample mass")
-    counts = s.counts_array
-    m = table.masses
-    conc = table.concentrations
-    inv_ms2 = 1.0 / (s.mass * s.mass)
-    k = table.k
-    w = counts * m * conc
-    pair_sum = fsum(
-        w[i] * w[j] * (1.0 - 1.0 / (1.0 - cm[i, j])) for i in range(k) for j in range(k)
-    ) * inv_ms2
-    ratio = s.mass / batch.batch_mass
-    diag_sum = fsum(
-        (1.0 / (1.0 - cm[i, i]) - ratio) * counts[i] * m[i] ** 2 * conc[i] ** 2
-        for i in range(k)
-    ) * inv_ms2
-    return pair_sum + diag_sum
+    m, conc = table.masses, table.concentrations
+    d = (1.0 / (1.0 - np.diag(cm)) - s.mass / batch.batch_mass) * (m * m * conc * conc)
+    diag_sum, pair_sum = ht_terms(s.counts_array[None, :], table, d, 1.0 - 1.0 / (1.0 - cm))
+    return float((pair_sum + diag_sum)[0] / (s.mass * s.mass))

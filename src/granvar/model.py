@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySampleError
-from .util import fsum
 
 #: Relative tolerance for the summary consistency identities.
 CONSISTENCY_RTOL = 1e-12
@@ -189,23 +188,20 @@ class DependenceMatrix:
 
 
 def _summary_identities(counts: np.ndarray, table: ClassTable) -> tuple[float, float]:
-    m = table.masses
-    c = table.concentrations
-    mass = fsum(counts * m)
-    analyte = fsum(counts * m * c)
+    # imported here: the estimators module imports this one
+    from .estimators import sample_totals
+
+    mass, analyte = (float(v[0]) for v in sample_totals(counts[None, :], table))
     if mass <= 0:
         raise EmptySampleError("sample has zero total mass")
     return mass, analyte / mass
 
 
-@dataclass(frozen=True)
-class SampleSummary:
-    """Observed per-class particle counts with the derived mass and
-    concentration of the sample."""
+class _Summary:
+    """What the sample and expectation summaries share: per-class counts with
+    the mass and concentration derived from them."""
 
-    counts: tuple[int, ...]
-    mass: float
-    concentration: float
+    _label = ""
 
     @property
     def k(self) -> int:
@@ -220,45 +216,35 @@ class SampleSummary:
         mass, conc = _summary_identities(self.counts_array, table)
         if abs(self.mass - mass) > CONSISTENCY_RTOL * mass:
             raise ValueError(
-                f"sample mass {self.mass!r} inconsistent with counts (expected {mass!r})"
+                f"{self._label} mass {self.mass!r} inconsistent with counts (expected {mass!r})"
             )
-        scale = max(abs(conc), 1.0)
-        if abs(self.concentration - conc) > CONSISTENCY_RTOL * scale:
+        if abs(self.concentration - conc) > CONSISTENCY_RTOL * max(abs(conc), 1.0):
             raise ValueError(
-                f"sample concentration {self.concentration!r} inconsistent "
+                f"{self._label} concentration {self.concentration!r} inconsistent "
                 f"with counts (expected {conc!r})"
             )
 
 
 @dataclass(frozen=True)
-class ExpectationSummary:
+class SampleSummary(_Summary):
+    """Observed per-class particle counts with the derived mass and
+    concentration of the sample."""
+
+    counts: tuple[int, ...]
+    mass: float
+    concentration: float
+    _label = "sample"
+
+
+@dataclass(frozen=True)
+class ExpectationSummary(_Summary):
     """Expected per-class counts (real-valued) with derived expected mass
     and concentration."""
 
     counts: tuple[float, ...]
     mass: float
     concentration: float
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-    @property
-    def counts_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=float)
-
-    def check_consistent(self, table: ClassTable) -> None:
-        mass, conc = _summary_identities(self.counts_array, table)
-        if abs(self.mass - mass) > CONSISTENCY_RTOL * mass:
-            raise ValueError(
-                f"expected mass {self.mass!r} inconsistent with counts (expected {mass!r})"
-            )
-        scale = max(abs(conc), 1.0)
-        if abs(self.concentration - conc) > CONSISTENCY_RTOL * scale:
-            raise ValueError(
-                f"expected concentration {self.concentration!r} inconsistent "
-                f"with counts (expected {conc!r})"
-            )
+    _label = "expected"
 
 
 def derive_summary(counts: Sequence[int], table: ClassTable) -> SampleSummary:

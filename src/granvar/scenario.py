@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
+from .estimators import sample_totals
 from .fields import ProcessParams, SpatialField
 from .intercept import TransectSpec
 from .model import BatchSpec, ClassTable, DependenceMatrix, ParticleClass
@@ -75,7 +76,7 @@ def _parse_classes(raw: Any) -> ClassTable:
         try:
             classes.append(
                 ParticleClass(
-                    id=item.get("id", i),
+                    id=_integer(item.get("id", i), f"{where}.id"),
                     mass=_number(_require(item, "mass", where), f"{where}.mass"),
                     concentration=_number(
                         _require(item, "concentration", where), f"{where}.concentration"
@@ -206,7 +207,25 @@ def _parse_ckk_grid(raw: Any) -> tuple[tuple[float, ...], tuple[float, ...]]:
         raise ConfigError("ckk_grid", "expected an object with 'n_k' and 'ratio'")
     n_k = _number_list(_require(raw, "n_k", "ckk_grid"), "ckk_grid.n_k")
     ratio = _number_list(_require(raw, "ratio", "ckk_grid"), "ckk_grid.ratio")
+    for key, values, low in (("n_k", n_k, 1.0), ("ratio", ratio, 0.0)):
+        for i, v in enumerate(values):
+            if not v >= low:
+                raise ConfigError(f"ckk_grid.{key}[{i}]", f"must be >= {low:g}, got {v!r}")
     return tuple(n_k), tuple(ratio)
+
+
+def _parse_counts(raw: Any, key: str, k: int, integer: bool) -> tuple:
+    """Per-class counts: non-negative (integers when ``integer``), not all 0."""
+    values = _number_list(raw, key)
+    if len(values) != k:
+        raise ConfigError(key, f"expected {k} entries, got {len(values)}")
+    for i, v in enumerate(values):
+        if not v >= 0 or (integer and not v.is_integer()):
+            kind = "non-negative integers" if integer else "non-negative"
+            raise ConfigError(f"{key}[{i}]", f"counts must be {kind}, got {v!r}")
+    if not any(values):
+        raise ConfigError(key, "at least one count must be positive")
+    return tuple(int(v) for v in values) if integer else tuple(values)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -237,24 +256,21 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
 
     dependence = _parse_dependence(raw["dependence"], k) if "dependence" in raw else None
 
-    sample_counts = None
+    sample_counts = expected_counts = None
     if "sample_counts" in raw:
-        values = _number_list(raw["sample_counts"], "sample_counts")
-        if len(values) != k:
-            raise ConfigError("sample_counts", f"expected {k} entries, got {len(values)}")
-        for i, v in enumerate(values):
-            if v != int(v) or v < 0:
-                raise ConfigError(f"sample_counts[{i}]", "counts must be non-negative integers")
-        sample_counts = tuple(int(v) for v in values)
-
-    expected_counts = None
+        sample_counts = _parse_counts(raw["sample_counts"], "sample_counts", k, integer=True)
     if "expected_counts" in raw:
-        values = _number_list(raw["expected_counts"], "expected_counts")
-        if len(values) != k:
-            raise ConfigError("expected_counts", f"expected {k} entries, got {len(values)}")
-        expected_counts = tuple(values)
+        expected_counts = _parse_counts(
+            raw["expected_counts"], "expected_counts", k, integer=False
+        )
 
     batch = _parse_batch(raw["batch"], k) if "batch" in raw else None
+    if batch is not None and sample_counts is not None:
+        sample_mass = float(sample_totals(np.array([sample_counts], dtype=float), table)[0][0])
+        if batch.batch_mass < sample_mass:
+            raise ConfigError(
+                "batch.mass", f"{batch.batch_mass!r} is below the sample mass {sample_mass!r}"
+            )
     ckk_grid = _parse_ckk_grid(raw["ckk_grid"]) if "ckk_grid" in raw else None
     field = _parse_field(raw["field"], k) if "field" in raw else None
     transects = _parse_transects(raw["transects"]) if "transects" in raw else None
@@ -313,26 +329,22 @@ def build_design(config: ScenarioConfig, field: SpatialField | None) -> Selectio
     k = config.table.k
     variant = raw["variant"]
     try:
-        if variant == "bernoulli":
-            q = _number_list(_require(raw, "q", "design"), "design.q")
-            class_of = [
-                _integer(v, f"design.class_of[{i}]")
-                for i, v in enumerate(_require(raw, "class_of", "design"))
-            ]
-            if len(q) != k:
-                raise ConfigError("design.q", f"expected {k} entries, got {len(q)}")
-            return SelectionDesign.bernoulli(q, class_of)
-        if variant == "pairwise_pmf":
+        if variant in ("bernoulli", "pairwise_pmf"):
             q = _number_list(_require(raw, "q", "design"), "design.q")
             if len(q) != k:
                 raise ConfigError("design.q", f"expected {k} entries, got {len(q)}")
-            phi = np.array(_require(raw, "phi", "design"), dtype=float)
+            class_of = _require(raw, "class_of", "design")
+            if not isinstance(class_of, list):
+                raise ConfigError("design.class_of", "expected a list of class indices")
+            class_of = [_integer(v, f"design.class_of[{i}]") for i, v in enumerate(class_of)]
+            if variant == "bernoulli":
+                return SelectionDesign.bernoulli(q, class_of)
+            try:
+                phi = np.array(_require(raw, "phi", "design"), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("design.phi", f"not numeric: {exc}") from exc
             if phi.shape != (k, k):
                 raise ConfigError("design.phi", f"expected shape ({k}, {k}), got {phi.shape}")
-            class_of = [
-                _integer(v, f"design.class_of[{i}]")
-                for i, v in enumerate(_require(raw, "class_of", "design"))
-            ]
             return SelectionDesign.pairwise_pmf(q, phi, class_of)
         # window
         if field is None:

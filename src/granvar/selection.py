@@ -39,6 +39,9 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import EmptySampleError
+from .estimators import (
+    degenerate_dependence, ht_terms, infinite_batch_weights, moment_terms, sample_totals,
+)
 from .fields import SpatialField
 from .model import ClassTable, derive_expectation
 from .util import derived_rng, normal_half_width
@@ -196,12 +199,7 @@ class ReplicateStats:
         non-empty, and ``mass_cv`` is NaN when the mean mass is 0.
         """
         first, inverse = distinct_rows(counts)
-        distinct = counts[first]
-        m = table.masses
-        mass_d = _row_sums(distinct[:, u] * m[u] for u in range(table.k))
-        analyte_d = _row_sums(
-            distinct[:, u] * (m[u] * table.concentrations[u]) for u in range(table.k)
-        )
+        mass_d, analyte_d = sample_totals(counts[first], table)
         nonempty_d = mass_d > 0
         cs_d = np.full(len(mass_d), np.nan)
         cs_d[nonempty_d] = analyte_d[nonempty_d] / mass_d[nonempty_d]
@@ -373,8 +371,6 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
         raise ValueError("design has no particles")
     k = table.k
     states = _ClassStates(design, k)
-    m = table.masses
-    a = m * table.concentrations
 
     top = max(float(lw.max()) for _, lw in states.batches())
     if top == -np.inf:
@@ -386,9 +382,9 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
         for s, lw in states.batches():
             w = np.exp(lw - top)
             sf = s.astype(float)
-            mass = np.einsum("u,ur->r", m, sf)
+            mass, analyte = sample_totals(sf.T, table)
             nonempty = mass > 0
-            cs = np.einsum("u,ur->r", a, sf) / np.where(nonempty, mass, 1.0)
+            cs = analyte / np.where(nonempty, mass, 1.0)
             yield w, sf, np.where(nonempty, w, 0.0), cs
 
     z = z_empty = z_nonempty = sum_cs = 0.0
@@ -564,26 +560,6 @@ def distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def _row_sums(terms) -> np.ndarray:
-    """Elementwise sum of per-replicate term arrays, added in order from 0.
-
-    A row's sum depends only on that row's terms.  A matrix product or an
-    einsum may round a row differently with the batch it sits in, which
-    would make a value evaluated once per distinct row differ from the
-    same value evaluated over all replicates.
-    """
-    total = 0.0
-    for term in terms:
-        total = total + term
-    return total
-
-
-def _quadratic_form(a: list[np.ndarray], c: np.ndarray) -> np.ndarray:
-    """sum_ij a_i c_ij a_j per replicate, for per-class columns ``a``."""
-    k = len(a)
-    return _row_sums((a[i] * c[i, j]) * a[j] for i in range(k) for j in range(k))
-
-
 def variance_se(values: np.ndarray) -> float:
     """Standard error of the sample variance (fourth-moment formula)."""
     n = len(values)
@@ -715,29 +691,6 @@ def empirical_dependence(
     )
 
 
-def _moment_variance_batch(
-    counts: np.ndarray, mass: np.ndarray, cs: np.ndarray, table: ClassTable, c: np.ndarray
-) -> np.ndarray:
-    m = table.masses
-    dev = [table.concentrations[u] - cs for u in range(table.k)]
-    gy = _row_sums(counts[:, u] * (m[u] * m[u]) * dev[u] * dev[u] for u in range(table.k))
-    a = [counts[:, u] * m[u] * dev[u] for u in range(table.k)]
-    return (gy - _quadratic_form(a, c)) / (mass * mass)
-
-
-def _ht_variance_batch(
-    counts: np.ndarray, mass: np.ndarray, table: ClassTable, c: np.ndarray
-) -> np.ndarray:
-    if np.any(c >= 1.0):
-        return np.full(len(mass), np.nan)
-    m = table.masses
-    conc = table.concentrations
-    weight = m * m * conc * conc / (1.0 - np.diag(c))
-    first = _row_sums(counts[:, u] * weight[u] for u in range(table.k))
-    w = [counts[:, u] * (m[u] * conc[u]) for u in range(table.k)]
-    return (first - _quadratic_form(w, c / (1.0 - c))) / (mass * mass)
-
-
 def compare_estimators(
     stats: ReplicateStats,
     est: InclusionEstimate,
@@ -775,8 +728,12 @@ def compare_estimators(
 
     def evaluate(estimator, counts, mass, cs, c):
         if estimator == "moment":
-            return _moment_variance_batch(counts, mass, cs, table, c)
-        return _ht_variance_batch(counts, mass, table, c)
+            first, second = moment_terms(counts, cs, table, c)
+        elif degenerate_dependence(c):
+            return np.full(len(mass), np.nan)
+        else:
+            first, second = ht_terms(counts, table, *infinite_batch_weights(table, c))
+        return (first - second) / (mass * mass)
 
     rows: list[ComparisonRow] = []
     for estimator in ("moment", "horvitz_thompson"):

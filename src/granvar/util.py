@@ -5,7 +5,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Sequence, TextIO, TypeVar
+from typing import Callable, Sequence, TextIO, TypeVar
 
 import numpy as np
 from scipy.special import ndtri
@@ -38,11 +38,6 @@ def normal_half_width(level: float) -> float:
     """Half-width, in standard errors, of a two-sided normal confidence
     interval at ``level``: the standard normal quantile of 0.5 + level/2."""
     return float(ndtri(0.5 + level / 2.0))
-
-
-def fsum(terms: Iterable[float]) -> float:
-    """Compensated (exactly rounded) sum."""
-    return math.fsum(terms)
 
 
 def format_sig(x: float, digits: int = 17) -> str:

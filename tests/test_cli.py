@@ -166,6 +166,41 @@ class TestConfigErrors:
         assert f"configuration error: {location}:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command,overrides,location",
+        [
+            ("simulate", {"replicates": 10, "design": {
+                "variant": "bernoulli", "q": [0.5, 0.5], "class_of": 5}}, "design.class_of"),
+            ("simulate", {"replicates": 10, "design": {
+                "variant": "pairwise_pmf", "q": [0.5, 0.5], "phi": [[1, 1], [1, 1]],
+                "class_of": 5}}, "design.class_of"),
+            ("simulate", {"replicates": 10, "design": {
+                "variant": "pairwise_pmf", "q": [0.5, 0.5], "phi": {"a": 1},
+                "class_of": [0, 1]}}, "design.phi"),
+            ("estimate", {"classes": [{"id": "a", "mass": 1, "concentration": 1},
+                                      {"mass": 1, "concentration": 0}]}, "classes[0].id"),
+            ("estimate", {"expected_counts": [-1, 2]}, "expected_counts[0]"),
+            ("estimate", {"expected_counts": [0, 0]}, "expected_counts"),
+            ("estimate", {"sample_counts": [0, 0]}, "sample_counts"),
+            ("estimate", {"sample_counts": [1e400, 2]}, "sample_counts[0]"),
+            ("estimate", {"ckk_grid": {"n_k": [0], "ratio": [1]}}, "ckk_grid.n_k[0]"),
+            ("estimate", {"ckk_grid": {"n_k": [10], "ratio": [-1]}}, "ckk_grid.ratio[0]"),
+            ("estimate", {"batch": {"mass": 5, "sample_mass": 5}}, "batch.mass"),
+            ("estimate", {"batch": {"mass": 9.5, "q": [0.5, 0.5]}}, "batch.mass"),
+        ],
+    )
+    def test_malformed_values_name_their_location(
+        self, tmp_path, capsys, command, overrides, location
+    ):
+        config = write_scenario(tmp_path, **overrides)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {location}:" in capsys.readouterr().err
+
+    def test_non_identifiable_grid_cell_is_a_model_outcome(self, tmp_path):
+        config = write_scenario(tmp_path, ckk_grid={"n_k": [1], "ratio": [1]})
+        assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+
+
 class TestSimulate:
     def test_take_everything(self, tmp_path):
         config = write_scenario(

@@ -1,15 +1,30 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from granvar import estimators as est
 from granvar.errors import (
     DegenerateDependenceError,
+    EmptySampleError,
     FeasibilityError,
     NonIdentifiableError,
 )
-from granvar.model import BatchSpec, ClassTable, derive_expectation, derive_summary
+from granvar.model import (
+    BatchSpec,
+    ClassTable,
+    DependenceMatrix,
+    derive_expectation,
+    derive_summary,
+)
+from granvar.selection import (
+    ReplicateStats,
+    compare_estimators,
+    inclusion_from_fractions,
+    pair_fractions,
+)
 from granvar.verify import (
     REFERENCE_GRID,
     grid_matches_reference,
@@ -127,10 +142,15 @@ class TestHorvitzThompson:
 
     def test_degenerate_dependence_rejected(self, canonical):
         table, s = canonical
-        c = np.zeros((2, 2))
-        c[1, 1] = 1.0
-        with pytest.raises(DegenerateDependenceError):
-            est.variance_ht(s, table, c)
+        for value in (1.0, np.nan):
+            c = np.zeros((2, 2))
+            c[1, 1] = value
+            with pytest.raises(DegenerateDependenceError):
+                est.variance_ht(s, table, c)
+            with pytest.raises(DegenerateDependenceError):
+                est.variance_ht_finite_batch(s, table, c, BatchSpec.correct(100.0, s.mass, 2))
+            with pytest.raises(DegenerateDependenceError):
+                est.ht_single_class(0.5, 1.0, 1.0, 10.0, 5, value)
 
     def test_single_class_formula_matches(self):
         assert est.ht_single_class(0.5, 1.0, 1.0, 10.0, 5, -0.5) == pytest.approx(
@@ -407,3 +427,156 @@ class TestVarianceResult:
         c = np.full((2, 2), -0.25)
         r = est.variance_sample(s, table, c)
         assert r.value == pytest.approx(r.gy_term - r.correction_term, rel=1e-12)
+
+
+def fsum_scaled(terms) -> tuple[float, float]:
+    """(compensated sum, compensated sum of magnitudes) of ``terms``."""
+    terms = [float(t) for t in terms]
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+def reference_totals(counts, table):
+    """Sample mass and analyte mass as compensated sums."""
+    m, conc = table.masses, table.concentrations
+    return fsum_scaled(counts * m), fsum_scaled(counts * m * conc)
+
+
+def reference_moment(counts, mass, conc, table, c):
+    """The moment form as compensated sums: (Gy term, correction term),
+    each a (value, scale) pair divided by M^2."""
+    m, dev, k = table.masses, table.concentrations - conc, table.k
+    a = counts * m * dev
+    gy = fsum_scaled(counts * m * m * dev * dev)
+    corr = fsum_scaled(c[i, j] * a[i] * a[j] for i in range(k) for j in range(k))
+    return [(v / (mass * mass), sc / (mass * mass)) for v, sc in (gy, corr)]
+
+
+def reference_ht(s, table, c):
+    """Infinite-batch Horvitz-Thompson (first, second) terms, as above."""
+    counts, m, conc, k = s.counts_array, table.masses, table.concentrations, table.k
+    w = counts * m * conc
+    first = fsum_scaled(counts[i] * m[i] ** 2 * conc[i] ** 2 / (1.0 - c[i, i])
+                        for i in range(k))
+    second = fsum_scaled(c[i, j] * w[i] * w[j] / (1.0 - c[i, j])
+                         for i in range(k) for j in range(k))
+    return [(v / s.mass**2, sc / s.mass**2) for v, sc in (first, second)]
+
+
+def reference_finite_batch(s, table, c, batch):
+    """Finite-batch Horvitz-Thompson (value, scale)."""
+    counts, m, conc, k = s.counts_array, table.masses, table.concentrations, table.k
+    w = counts * m * conc
+    ratio = s.mass / batch.batch_mass
+    terms = [w[i] * w[j] * (1.0 - 1.0 / (1.0 - c[i, j])) for i in range(k) for j in range(k)]
+    terms += [(1.0 / (1.0 - c[i, i]) - ratio) * counts[i] * m[i] ** 2 * conc[i] ** 2
+              for i in range(k)]
+    value, scale = fsum_scaled(terms)
+    return value / s.mass**2, scale / s.mass**2
+
+
+def reference_general(s, table, pi, pi_pair, batch):
+    """General Horvitz-Thompson (value, scale); terms with a zero
+    coefficient are skipped."""
+    counts, m, conc, k = s.counts_array, table.masses, table.concentrations, table.k
+    w = counts * m * conc
+    terms = [w[i] * w[j] * (1.0 / (pi[i] * pi[j]) - 1.0 / pi_pair[i, j])
+             for i in range(k) for j in range(k) if w[i] * w[j] != 0.0]
+    terms += [counts[i] * m[i] ** 2 * conc[i] ** 2 * (1.0 / pi_pair[i, i] - 1.0 / pi[i])
+              for i in range(k) if counts[i] * m[i] ** 2 * conc[i] ** 2 != 0.0]
+    value, scale = fsum_scaled(terms)
+    return value / batch.batch_mass**2, scale / batch.batch_mass**2
+
+
+@st.composite
+def summary_scenarios(draw):
+    """(table, sample, batch, dependence, q) drawn as
+    ``verify.random_summary_scenario`` draws them, plus zero counts and zero
+    concentrations; other concentrations stay at 1e-3 or above, where no
+    product of the formulas is subnormal."""
+    k = draw(st.integers(1, 4))
+
+    def per_class(strategy, size=k):
+        return draw(st.lists(strategy, min_size=size, max_size=size))
+
+    table = ClassTable.from_arrays(
+        per_class(st.floats(0.5, 3.0)),
+        per_class(st.one_of(st.just(0.0), st.floats(1e-3, 2.0))),
+    )
+    counts = per_class(st.integers(0, 59))
+    assume(any(counts))
+    sample = derive_summary(counts, table)
+    q = draw(st.floats(0.01, 0.5))
+    batch = BatchSpec.correct(sample.mass / q, sample.mass, k)
+    c = np.array(per_class(st.floats(max(1.0 - 1.0 / q, -3.0), 0.9), k * k)).reshape(k, k)
+    return table, sample, batch, DependenceMatrix((c + c.T) / 2.0, q=[q] * k), q
+
+
+def close(got, reference, rtol=1e-12, floor=0.0) -> bool:
+    """Within ``rtol`` of the reference's scale (its sum of magnitudes)."""
+    value, scale = reference
+    return abs(got - value) <= rtol * scale + floor
+
+
+class TestKernelsAgainstCompensatedSums:
+    """The row-local kernels against the compensated-sum formulas they
+    replaced, through every scalar form."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=summary_scenarios())
+    def test_scalar_forms_match_reference(self, case):
+        table, s, batch, dep, q = case
+        counts, c = s.counts_array, dep.values
+        mass, analyte = est.sample_totals(counts[None, :], table)
+        mass_ref, analyte_ref = reference_totals(counts, table)
+        assert close(mass[0], mass_ref) and close(analyte[0], analyte_ref)
+        assert s.mass == mass[0] and s.concentration == analyte[0] / mass[0]
+
+        dev = table.concentrations - s.concentration
+        abs_dev = float(np.sum(counts * table.masses * np.abs(dev))) / s.mass
+        # the constant_dependence_null bound on a correction that cancels
+        null_floor = np.abs(c).max() * (1e-20 + 1e-12 * abs_dev * abs_dev)
+        gy, corr = reference_moment(counts, s.mass, s.concentration, table, c)
+        for got in (est.variance_sample(s, table, dep),
+                    est.variance_expected(derive_expectation(counts, table), table, dep)):
+            assert close(got.gy_term, gy)
+            assert close(got.correction_term, corr, floor=null_floor)
+        assert close(est.variance_gy(s, table), gy)
+
+        first, second = reference_ht(s, table, c)
+        ht = est.variance_ht(s, table, dep)
+        assert close(ht.gy_term, first) and close(ht.correction_term, second)
+        assert close(est.variance_ht_finite_batch(s, table, dep, batch),
+                     reference_finite_batch(s, table, c, batch))
+        pi, pij = np.full(table.k, q), q * q * (1.0 - c)
+        assert close(est.variance_ht_general(s, table, pi, pij, batch),
+                     reference_general(s, table, pi, pij, batch))
+        weights = table.masses * table.concentrations / (batch.batch_mass * batch.q)
+        assert close(est.pi_expanded_concentration(s, table, batch),
+                     fsum_scaled(counts * weights))
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), k=st.integers(1, 4), r=st.integers(2, 30))
+    def test_expected_form_equals_mean_summary_row(self, data, k, r):
+        """``variance_expected`` on the mean counts is the comparison's
+        moment mean-summary row, bit for bit."""
+        counts = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 6), min_size=k, max_size=k), min_size=r, max_size=r
+        )), dtype=np.int64)
+        table = ClassTable.from_arrays(
+            data.draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k)),
+            data.draw(st.lists(st.floats(0.0, 1.5), min_size=k, max_size=k)),
+        )
+        stats = ReplicateStats.from_counts(counts, table)
+        pop = counts.max(axis=0) + 1
+        inclusion = inclusion_from_fractions(*pair_fractions(counts, pop), pop)
+        try:
+            report = compare_estimators(stats, inclusion, table)
+        except EmptySampleError:
+            assume(False)
+        mean_counts = counts[stats.mass > 0].astype(float).mean(axis=0)
+        exp = derive_expectation(mean_counts, table)
+        c_emp = np.where(np.isnan(inclusion.c_hat), 0.0, inclusion.c_hat)
+        for dep, c in (("zero", np.zeros((k, k))), ("empirical", c_emp)):
+            want = report.row("moment", dep, "mean_summary").value
+            got = est.variance_expected(exp, table, c).value
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (dep, got, want)
