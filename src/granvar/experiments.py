@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import ProcessParams, generate_field
-from .intercept import TransectSpec, calibrate_against_oracle, cast_transects
+from .intercept import TransectSpec, calibrate_against_oracle, cast_transects, class_weights
 from .model import ClassTable
 from .selection import (
     InclusionEstimate,
@@ -367,13 +367,8 @@ def size_bias_experiment(
         records = cast_transects(
             fld, transects.count, transects.orientation, transects.length, transect_seed
         )
-        raw = np.zeros(2)
-        corrected = np.zeros(2)
-        for rec in records:
-            if rec.n == 0:
-                continue
-            np.add.at(raw, rec.class_ids, 1.0)
-            np.add.at(corrected, rec.class_ids, 1.0 / rec.widths)
+        raw = class_weights(records, 2, correct=False)
+        corrected = class_weights(records, 2)
         return raw[0], raw[1], corrected[0], corrected[1]
 
     rows = np.array(ordered_map(one, list(range(n_seeds)), threads))

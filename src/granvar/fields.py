@@ -53,28 +53,34 @@ def _too_close(x0, y0, r0, x1, y1, r1, gap: float, width: float, height: float) 
     return np.hypot(dx, dy) < r0 + r1 + gap
 
 
+def grid_shape(width: float, height: float, reach: float, n: int) -> tuple[int, int]:
+    """Cells per axis of a grid over ``n`` points whose cells are at least
+    ``reach`` wide: ``max(1, floor(length / reach))`` per axis, capped at
+    about sqrt(n), so reach 0 puts no lower bound on the cell size."""
+    most = int(np.sqrt(n)) + 1
+    # the relative margin keeps a cell at least reach wide after rounding
+    side = reach * (1.0 + 1e-9)
+
+    def cells(length: float) -> int:
+        return max(1, int(min(length // side, most)) if side > 0 else most)
+
+    return cells(width), cells(height)
+
+
 class _CellIndex:
     """Periodic grid of cells over a width x height torus.
 
-    Each axis has ``max(1, floor(length / reach))`` cells, and at most
-    about sqrt(n) of them (reach 0 puts no lower bound on the cell size),
-    so every cell is at least ``reach`` wide and any two points within
-    toroidal distance ``reach`` lie in the same or adjacent cells, wrapping
-    at the edges.  A cell keeps the indices of its points
-    in one row of ``slots`` (-1 marks an empty slot); the rows widen when
-    a cell fills, so no cell has a fixed capacity.  Point indices are
-    int32, so an index holds fewer than 2**31 points.
+    The axes are sized by :func:`grid_shape`, so every cell is at least
+    ``reach`` wide and any two points within toroidal distance ``reach``
+    lie in the same or adjacent cells, wrapping at the edges.  A cell keeps
+    the indices of its points in one row of ``slots`` (-1 marks an empty
+    slot); the rows widen when a cell fills, so no cell has a fixed
+    capacity.  Point indices are int32, so an index holds fewer than 2**31
+    points.
     """
 
     def __init__(self, width: float, height: float, reach: float, n: int):
-        most = int(np.sqrt(n)) + 1
-        # the relative margin keeps a cell at least reach wide after rounding
-        side = reach * (1.0 + 1e-9)
-
-        def cells(length: float) -> int:
-            return max(1, int(min(length // side, most)) if side > 0 else most)
-
-        self.nx, self.ny = cells(width), cells(height)
+        self.nx, self.ny = grid_shape(width, height, reach, n)
         self.scale_x, self.scale_y = self.nx / width, self.ny / height
         # 1 or 2 cells on an axis: -1, 0 and +1 must not name a cell twice
         dx = np.unique(np.array([-1, 0, 1]) % self.nx)

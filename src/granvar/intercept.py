@@ -8,6 +8,19 @@ chain is biased towards larger particles (hit probability grows with
 projected width), so class frequencies can be corrected by inverse-width
 weighting.
 
+Casting does not test every particle against every transect.  The
+particles are sorted by cell on a grid whose cells are at least twice the
+largest radius wide (at most about sqrt(n) per axis), once column by
+column and once row by row.  A transect walks the axis it moves along
+more; for each column (or row) it crosses, the candidates are one
+contiguous slice of the sorted particles, padded by a cell on every side,
+so every particle it can hit is among them.  The candidates then go
+through the exact chord arithmetic, in blocks of transects, and the
+records equal those of testing all n particles per transect bit for bit.
+Transects are planar: a segment ends where it leaves the domain and does
+not wrap around it, unlike windows and hard-core exclusion (toroidal
+wrapping of transects is pending).
+
 The mapping from transition counts to a dependence matrix implemented in
 :func:`c_from_adjacency` is a design choice of this package, validated
 only by sign and rank agreement against the window-sampling oracle; see
@@ -21,12 +34,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GranvarError
-from .fields import ProcessParams, SpatialField, generate_field
+from .fields import ProcessParams, SpatialField, generate_field, grid_shape
 from .model import ClassTable
 from .selection import SelectionDesign, run_replicates
 from .util import derived_rng, derived_seeds, ordered_map
 
 STATIONARY_RESIDUAL = 1e-12
+
+#: Transects intersected together.  A block's candidate arrays hold at most
+#: _TRANSECT_BLOCK * n entries, so the block size bounds the cast's memory.
+_TRANSECT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -144,41 +161,135 @@ def cast_transects(
         angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
     else:
         angles = np.full(count, float(orientation))
+    return intersect_segments(field, starts, angles, length)
+
+
+def intersect_segments(
+    field: SpatialField, starts: np.ndarray, angles: np.ndarray, length: float
+) -> list[TransectRecord]:
+    """Particles hit by each segment of ``length`` from ``starts[t]`` (an
+    (T, 2) array) at ``angles[t]``, one record per segment.
+
+    Candidates come from the strip index: they hold every particle whose
+    centre lies within half a cell side of the segment, and a hit's centre
+    lies within the largest radius, at most half a cell side.  Each
+    candidate is tested with the exact chord arithmetic, and records are
+    ordered by entry point along the segment, ties broken by particle id.  Segments are planar: they end at
+    ``length`` and do not wrap around the domain.
+    """
+    starts = np.asarray(starts, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    x0, y0 = starts[:, 0], starts[:, 1]
+    ux, uy = np.cos(angles), np.sin(angles)
+    along_x = np.abs(ux) >= np.abs(uy)
+    nx, ny = grid_shape(
+        field.width, field.height, 2.0 * float(field.radius.max(initial=0.0)), field.n
+    )
+    sx, sy = nx / field.width, ny / field.height
+    columns = _Strips(field.x, field.y, nx, ny, sx, sy)
+    rows = _Strips(field.y, field.x, ny, nx, sy, sx)
+    starts_x, starts_y, angle_list = x0.tolist(), y0.tolist(), angles.tolist()
     records = []
-    for t in range(count):
-        records.append(
-            _intersect_segment(field, starts[t], float(angles[t]), length)
-        )
+    for first in range(0, len(angles), _TRANSECT_BLOCK):
+        block = np.arange(first, min(first + _TRANSECT_BLOCK, len(angles)))
+        pairs = []
+        for strips, major, a0, b0, ua, ub in (
+            (columns, along_x, x0, y0, ux, uy), (rows, ~along_x, y0, x0, uy, ux)
+        ):
+            sel = block[major[block]]
+            t, p = strips.candidates(a0[sel], b0[sel], ua[sel], ub[sel], length)
+            pairs.append((sel[t], p))
+        t = np.concatenate([t for t, _ in pairs])
+        p = np.concatenate([p for _, p in pairs])
+        # the dense loop's arithmetic, element for element
+        dx = field.x[p] - x0[t]
+        dy = field.y[p] - y0[t]
+        along = dx * ux[t] + dy * uy[t]
+        d2 = dx * dx + dy * dy
+        disc = along * along - d2 + field.radius[p] * field.radius[p]
+        hit = disc >= 0.0
+        t, p, along, disc = t[hit], p[hit], along[hit], disc[hit]
+        root = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.maximum(along - root, 0.0)
+        hi = np.minimum(along + root, length)
+        ok = hi > lo
+        t, p, lo, hi = t[ok], p[ok], lo[ok], hi[ok]
+        order = np.lexsort((p, lo, t))
+        p, chords = p[order], (hi - lo)[order]
+        classes, widths = field.class_id[p], 2.0 * field.radius[p]
+        ends = np.cumsum(np.bincount(t - first, minlength=len(block))).tolist()
+        for i, begin, end in zip(block.tolist(), [0] + ends, ends):
+            records.append(TransectRecord(
+                start=(starts_x[i], starts_y[i]),
+                angle=angle_list[i],
+                length=length,
+                particle_ids=p[begin:end],
+                class_ids=classes[begin:end],
+                chords=chords[begin:end],
+                widths=widths[begin:end],
+            ))
     return records
 
 
-def _intersect_segment(
-    field: SpatialField, start: np.ndarray, angle: float, length: float
-) -> TransectRecord:
-    ux, uy = np.cos(angle), np.sin(angle)
-    dx = field.x - start[0]
-    dy = field.y - start[1]
-    along = dx * ux + dy * uy
-    d2 = dx * dx + dy * dy
-    disc = along * along - d2 + field.radius * field.radius
-    hit = disc >= 0.0
-    t1 = np.where(hit, along - np.sqrt(np.maximum(disc, 0.0)), np.nan)
-    t2 = np.where(hit, along + np.sqrt(np.maximum(disc, 0.0)), np.nan)
-    lo = np.maximum(t1, 0.0)
-    hi = np.minimum(t2, length)
-    ok = hit & (hi > lo)
-    ids = np.nonzero(ok)[0]
-    order = np.lexsort((ids, lo[ids]))
-    ids = ids[order]
-    return TransectRecord(
-        start=(float(start[0]), float(start[1])),
-        angle=angle,
-        length=length,
-        particle_ids=ids,
-        class_ids=field.class_id[ids],
-        chords=(hi - lo)[ids],
-        widths=2.0 * field.radius[ids],
-    )
+class _Strips:
+    """Particles sorted by cell, strip by strip along one axis ``a``.
+
+    Cell (i, j), column i along ``a`` and row j along the other axis
+    ``b``, is slot ``i * nb + j``.  Its particles are
+    ``order[offsets[slot]:offsets[slot + 1]]``, so rows j0..j1 of one
+    column are a single contiguous slice of ``order``.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, na: int, nb: int,
+                 scale_a: float, scale_b: float):
+        ca = np.minimum((a * scale_a).astype(np.intp), na - 1)
+        cb = np.minimum((b * scale_b).astype(np.intp), nb - 1)
+        slot = ca * nb + cb
+        self.order = np.argsort(slot, kind="stable")
+        self.offsets = np.zeros(na * nb + 1, dtype=np.intp)
+        np.cumsum(np.bincount(slot, minlength=na * nb), out=self.offsets[1:])
+        self.na, self.nb = na, nb
+        self.scale_a, self.scale_b = scale_a, scale_b
+
+    def candidates(self, a0, b0, ua, ub, length: float) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs (t, particle) covering every particle within half a cell
+        of segment t, which starts at (a0[t], b0[t]) in direction (ua[t],
+        ub[t]) with |ua| >= |ub|; each particle at most once per segment.
+
+        The segment's columns are walked, padded by one on each side.  A
+        centre within half a cell of the segment is near a segment point
+        over its own or an adjacent column, so each column's rows are the
+        ones the segment spans over that column and its two neighbours,
+        padded by one row on each side.  The slope |ub / ua| is at most 1.
+        """
+        a1 = a0 + length * ua
+        a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
+        col_first, col_last = _span(a_lo, a_hi, self.scale_a, self.na)
+        n_cols = col_last - col_first + 1
+        t = np.repeat(np.arange(len(a0)), n_cols)
+        col = _ranges(col_first, n_cols)
+        edges = np.clip(np.stack([col - 1, col + 2]) / self.scale_a, a_lo[t], a_hi[t])
+        b = b0[t] + (edges - a0[t]) * (ub / ua)[t]
+        row_first, row_last = _span(b.min(axis=0), b.max(axis=0), self.scale_b, self.nb)
+        slot = col * self.nb
+        begin = self.offsets[slot + row_first]
+        count = self.offsets[slot + row_last + 1] - begin
+        return np.repeat(t, count), self.order[_ranges(begin, count)]
+
+
+def _span(lo: np.ndarray, hi: np.ndarray, scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last of the n cells (width 1 / scale, from 0) that cover
+    [lo, hi], padded by one cell on each side; last = first - 1 when no
+    cell is left after clipping to 0..n-1."""
+    first = np.clip(np.floor(lo * scale) - 1.0, 0, n).astype(np.intp)
+    last = np.clip(np.floor(hi * scale) + 1.0, -1, n - 1).astype(np.intp)
+    return first, last
+
+
+def _ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """arange(begin[i], begin[i] + count[i]), concatenated over i."""
+    skip = np.repeat(begin - (np.cumsum(count) - count), count)
+    return skip + np.arange(len(skip))
 
 
 def transition_counts(records: Sequence[TransectRecord], k: int) -> TransitionCounts:
@@ -187,13 +298,15 @@ def transition_counts(records: Sequence[TransectRecord], k: int) -> TransitionCo
     Records shorter than two intersections contribute nothing; chains
     never continue across transects.
     """
-    n = np.zeros((k, k), dtype=np.int64)
-    for rec in records:
-        c = rec.class_ids
-        if len(c) < 2:
-            continue
-        np.add.at(n, (c[:-1], c[1:]), 1)
-    return TransitionCounts(n)
+    chains = [rec.class_ids for rec in records if len(rec.class_ids) >= 2]
+    if not chains:
+        return TransitionCounts(np.zeros((k, k), dtype=np.int64))
+    classes = np.concatenate(chains).astype(np.int64, copy=False)
+    # a record's last hit is no source: it does not lead into the next record
+    source = np.ones(len(classes) - 1, dtype=bool)
+    source[np.cumsum([len(c) for c in chains[:-1]], dtype=np.intp) - 1] = False
+    pairs = classes[:-1][source] * k + classes[1:][source]
+    return TransitionCounts(np.bincount(pairs, minlength=k * k).reshape(k, k))
 
 
 def markov_fit(counts: TransitionCounts) -> MarkovFit:
@@ -254,6 +367,26 @@ def _strongly_connected(adjacency: np.ndarray) -> bool:
         reach = wider
 
 
+def class_weights(
+    records: Sequence[TransectRecord], k: int, correct: bool = True
+) -> np.ndarray:
+    """Per-class tally of intersections, unnormalised.
+
+    With ``correct`` each intersection weighs the inverse of its projected
+    width, otherwise 1.  Weights are added in record order, so the sums do
+    not depend on how the records are grouped.
+    """
+    hit = [rec for rec in records if rec.n]
+    if not hit:
+        return np.zeros(k)
+    widths = np.concatenate([rec.widths for rec in hit])
+    if np.any(widths <= 0):
+        raise ValueError("all intercepted particles need positive width")
+    weights = 1.0 / widths if correct else np.ones(len(widths))
+    return np.bincount(np.concatenate([rec.class_ids for rec in hit]), weights=weights,
+                       minlength=k)
+
+
 def size_corrected_frequencies(
     records: Sequence[TransectRecord], k: int, correct: bool = True
 ) -> np.ndarray:
@@ -265,14 +398,7 @@ def size_corrected_frequencies(
     difference measures the size bias).  All records contribute, including
     single-hit ones.
     """
-    weights = np.zeros(k)
-    for rec in records:
-        if rec.n == 0:
-            continue
-        if np.any(rec.widths <= 0):
-            raise ValueError("all intercepted particles need positive width")
-        w = 1.0 / rec.widths if correct else np.ones(rec.n)
-        np.add.at(weights, rec.class_ids, w)
+    weights = class_weights(records, k, correct)
     total = weights.sum()
     if total <= 0:
         raise ValueError("no intersections: frequencies undefined")

@@ -8,6 +8,7 @@ instead of being trusted from the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -87,23 +88,31 @@ class ClassTable:
     def k(self) -> int:
         return len(self.classes)
 
-    @property
+    # the class tuple is immutable, so each array is built once and shared
+    # read-only: a caller that writes into one fails instead of aliasing
+    @cached_property
     def masses(self) -> np.ndarray:
-        return np.array([c.mass for c in self.classes])
+        return _read_only([c.mass for c in self.classes])
 
-    @property
+    @cached_property
     def concentrations(self) -> np.ndarray:
-        return np.array([c.concentration for c in self.classes])
+        return _read_only([c.concentration for c in self.classes])
 
-    @property
+    @cached_property
     def radii(self) -> np.ndarray:
-        return np.array([c.radius for c in self.classes])
+        return _read_only([c.radius for c in self.classes])
 
     def __len__(self) -> int:
         return self.k
 
     def __getitem__(self, i: int) -> ParticleClass:
         return self.classes[i]
+
+
+def _read_only(values: Sequence[float]) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
 
 
 def _check_square(c: np.ndarray) -> np.ndarray:

@@ -271,6 +271,13 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             raise ConfigError(
                 "batch.mass", f"{batch.batch_mass!r} is below the sample mass {sample_mass!r}"
             )
+        if "sample_mass" in raw["batch"]:
+            stated = _number(raw["batch"]["sample_mass"], "batch.sample_mass")
+            if abs(stated - sample_mass) > 1e-9 * sample_mass:
+                raise ConfigError(
+                    "batch.sample_mass",
+                    f"{stated!r} differs from the mass {sample_mass!r} of sample_counts",
+                )
     ckk_grid = _parse_ckk_grid(raw["ckk_grid"]) if "ckk_grid" in raw else None
     field = _parse_field(raw["field"], k) if "field" in raw else None
     transects = _parse_transects(raw["transects"]) if "transects" in raw else None

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import EmptySampleError
 from .estimators import (
@@ -301,6 +300,8 @@ class _ClassStates:
     """
 
     def __init__(self, design: SelectionDesign, k: int):
+        from scipy.special import gammaln, xlogy  # deferred: keeps scipy.special out of start-up
+
         if len(design.q) != k:
             raise ValueError(f"design has {len(design.q)} classes, the class table {k}")
         self.pop = np.bincount(design.class_of, minlength=k)

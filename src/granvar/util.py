@@ -8,7 +8,6 @@ from itertools import chain
 from typing import Callable, Sequence, TextIO, TypeVar
 
 import numpy as np
-from scipy.special import ndtri
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -37,6 +36,8 @@ def derived_seeds(master_seed: int, *indices: int, count: int = 1) -> list[int]:
 def normal_half_width(level: float) -> float:
     """Half-width, in standard errors, of a two-sided normal confidence
     interval at ``level``: the standard normal quantile of 0.5 + level/2."""
+    from scipy.special import ndtri  # deferred: keeps scipy.special out of start-up
+
     return float(ndtri(0.5 + level / 2.0))
 
 

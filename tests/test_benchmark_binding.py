@@ -40,3 +40,24 @@ def test_workloads_match_the_benchmark_declaration(perfbench):
     _, workloads = perfbench
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert sorted(workloads.WORKLOADS) == sorted(w["name"] for w in declared)
+
+
+def test_cast_counter_reads_real_records(perfbench):
+    """The traced run's transect counter reads the records of a real cast."""
+    from granvar.fields import ProcessParams, generate_field
+    from granvar.intercept import cast_transects
+    from granvar.model import ClassTable
+
+    tracing, _ = perfbench
+    table = ClassTable.from_arrays([1.0, 1.0], [1.0, 0.0], [0.002, 0.004])
+    params = ProcessParams(variant="hardcore", width=1.0, height=1.0, mixing=(0.5, 0.5),
+                           intensity=600.0, min_gap=0.002)
+    field = generate_field(params, table, seed=3)
+    args = (field, 40, "random", 1.0, 5)
+    records = cast_transects(*args)
+    counts = tracing._cast_counts(args, {}, records)
+    assert counts["intercept.cast_calls"] == 1
+    assert counts["intercept.transects"] == 40
+    assert counts["intercept.hits"] == sum(len(rec.particle_ids) for rec in records) > 0
+    assert counts["intercept.length"] == pytest.approx(40.0)
+    assert 0.0 < counts["intercept.in_domain_length"] <= counts["intercept.length"]

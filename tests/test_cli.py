@@ -186,6 +186,7 @@ class TestConfigErrors:
             ("estimate", {"ckk_grid": {"n_k": [0], "ratio": [1]}}, "ckk_grid.n_k[0]"),
             ("estimate", {"ckk_grid": {"n_k": [10], "ratio": [-1]}}, "ckk_grid.ratio[0]"),
             ("estimate", {"batch": {"mass": 5, "sample_mass": 5}}, "batch.mass"),
+            ("estimate", {"batch": {"mass": 100, "sample_mass": 5}}, "batch.sample_mass"),
             ("estimate", {"batch": {"mass": 9.5, "q": [0.5, 0.5]}}, "batch.mass"),
         ],
     )
@@ -195,6 +196,11 @@ class TestConfigErrors:
         config = write_scenario(tmp_path, **overrides)
         assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {location}:" in capsys.readouterr().err
+
+    def test_batch_sample_mass_matching_the_counts_is_accepted(self, tmp_path):
+        # sample_counts [5, 5] on unit masses weigh 10
+        config = write_scenario(tmp_path, batch={"mass": 100, "sample_mass": 10.0})
+        assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
     def test_non_identifiable_grid_cell_is_a_model_outcome(self, tmp_path):
         config = write_scenario(tmp_path, ckk_grid={"n_k": [1], "ratio": [1]})
@@ -439,17 +445,19 @@ class TestEnvironment:
         assert (tmp_path / "envout" / "estimate.csv").exists()
 
     def test_cli_import_leaves_scipy_stats_out(self, monkeypatch):
+        """Neither scipy.stats nor scipy.special loads with the CLI."""
         src = str(Path(granvar.__file__).resolve().parents[1])
         monkeypatch.setenv(
             "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         )
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, granvar.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, granvar.cli; "
+             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_console_script_installed(self, monkeypatch):
         # the child imports the same granvar as this process, installed or not

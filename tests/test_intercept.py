@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from granvar.errors import GranvarError
-from granvar.fields import ProcessParams, SpatialField, generate_field
+from granvar.fields import ProcessParams, SpatialField, generate_field, grid_shape
 from granvar.intercept import (
+    TransectRecord,
     TransectSpec,
     TransitionCounts,
     adjacency_dependence_for_field,
     c_from_adjacency,
     calibrate_against_oracle,
     cast_transects,
+    intersect_segments,
     markov_fit,
     size_corrected_frequencies,
     transition_counts,
@@ -28,11 +30,52 @@ def make_field(xs, ys, radii, classes, width=10.0, height=10.0):
     )
 
 
+def dense_record(field, start, angle, length):
+    """Reference intersection: every particle tested against one segment."""
+    ux, uy = np.cos(angle), np.sin(angle)
+    dx = field.x - start[0]
+    dy = field.y - start[1]
+    along = dx * ux + dy * uy
+    d2 = dx * dx + dy * dy
+    disc = along * along - d2 + field.radius * field.radius
+    hit = disc >= 0.0
+    t1 = np.where(hit, along - np.sqrt(np.maximum(disc, 0.0)), np.nan)
+    t2 = np.where(hit, along + np.sqrt(np.maximum(disc, 0.0)), np.nan)
+    lo = np.maximum(t1, 0.0)
+    hi = np.minimum(t2, length)
+    ok = hit & (hi > lo)
+    ids = np.nonzero(ok)[0]
+    order = np.lexsort((ids, lo[ids]))
+    ids = ids[order]
+    return TransectRecord(
+        start=(float(start[0]), float(start[1])),
+        angle=angle,
+        length=length,
+        particle_ids=ids,
+        class_ids=field.class_id[ids],
+        chords=(hi - lo)[ids],
+        widths=2.0 * field.radius[ids],
+    )
+
+
+def one_segment(field, start, angle, length):
+    return intersect_segments(field, np.array([start], dtype=float), np.array([angle]), length)[0]
+
+
 def horizontal_record(field, y, length=10.0):
     """One transect along y from x=0, pointing right."""
-    from granvar.intercept import _intersect_segment
+    return one_segment(field, [0.0, y], 0.0, length)
 
-    return _intersect_segment(field, np.array([0.0, y]), 0.0, length)
+
+def assert_same_records(got, want):
+    """Bit-for-bit equality of two record lists, dtypes included."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.start, g.angle, g.length) == (w.start, w.angle, w.length)
+        for part in ("particle_ids", "class_ids", "chords", "widths"):
+            a, b = getattr(g, part), getattr(w, part)
+            assert a.dtype == b.dtype, part
+            assert a.tobytes() == b.tobytes(), (part, a, b)
 
 
 class TestGeometry:
@@ -68,9 +111,7 @@ class TestGeometry:
 
     def test_angled_transect(self):
         field = make_field([5.0], [5.0], [0.5], [0])
-        from granvar.intercept import _intersect_segment
-
-        rec = _intersect_segment(field, np.array([4.0, 4.0]), np.pi / 4, 5.0)
+        rec = one_segment(field, [4.0, 4.0], np.pi / 4, 5.0)
         assert rec.n == 1
         assert rec.chords[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -86,6 +127,96 @@ class TestGeometry:
         field = make_field([], [], [], [])
         with pytest.raises(ValueError):
             cast_transects(field, 5, "random", 1.0, seed=1)
+
+
+#: Axis-aligned angles, where one direction component is 0 or about 1e-16,
+#: and the diagonal, where |cos| and |sin| tie.
+AXIS_ANGLES = (0.0, np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2)
+
+
+class TestStripIndex:
+    """``intersect_segments`` walks a cell index; the dense loop above tests
+    every particle.  Their records must agree bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        domain=st.sampled_from([(1.0, 1.0), (2.5, 0.7)]),
+        n=st.integers(1, 400),
+        rmax=st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.3]),
+        on_edges=st.sampled_from([0.0, 0.5, 1.0]),
+        length=st.sampled_from([0.01, 0.2, 1.0, 2.5, 4.0]),
+    )
+    def test_matches_dense_loop(self, seed, domain, n, rmax, on_edges, length):
+        width, height = domain
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, width, n)
+        y = rng.uniform(0.0, height, n)
+        # snap a share of the centres onto cell edges of the grid the cast builds
+        nx, ny = grid_shape(width, height, 2.0 * rmax, n)
+        snap = rng.random(n) < on_edges
+        x[snap] = np.minimum(np.round(x[snap] * nx / width), nx) * (width / nx)
+        y[snap] = np.minimum(np.round(y[snap] * ny / height), ny) * (height / ny)
+        radius = rng.uniform(0.0, rmax, n)
+        field = SpatialField(width, height, x, y, radius, rng.integers(0, 3, n))
+
+        count = 150  # more than one block of transects
+        starts = np.column_stack(
+            [rng.uniform(0.0, width, count), rng.uniform(0.0, height, count)]
+        )
+        edge = rng.integers(0, 3, size=(count, 2))
+        for axis, side in enumerate((width, height)):
+            starts[edge[:, axis] == 1, axis] = 0.0
+            starts[edge[:, axis] == 2, axis] = np.nextafter(side, 0.0)
+        angles = rng.uniform(0.0, 2.0 * np.pi, count)
+        fixed = rng.random(count) < 0.3
+        angles[fixed] = rng.choice(AXIS_ANGLES, int(fixed.sum()))
+
+        got = intersect_segments(field, starts, angles, length)
+        want = [dense_record(field, starts[t], float(angles[t]), length) for t in range(count)]
+        assert_same_records(got, want)
+
+    def test_cast_matches_dense_loop_on_generated_fields(self):
+        table = ClassTable.from_arrays([1, 1], [1, 0], [0.002, 0.004])
+        processes = [
+            ProcessParams(variant="hardcore", width=1, height=1, mixing=(0.5, 0.5),
+                          intensity=3000.0, min_gap=0.002),
+            ProcessParams(variant="matern_cluster", width=2.5, height=0.7, mixing=(0.5, 0.5),
+                          parent_intensity=100.0, offspring_mean=10.0, cluster_radius=0.02),
+        ]
+        for seed, params in enumerate(processes):
+            field = generate_field(params, table, seed)
+            records = cast_transects(field, 200, "random", 1.0, seed)
+            want = [dense_record(field, np.array(rec.start), rec.angle, 1.0) for rec in records]
+            assert_same_records(records, want)
+            assert sum(rec.n for rec in records) > 0
+
+    def test_near_vertical_segment_keeps_far_hits(self):
+        """cos(pi/2) is 6e-17, and 1.5 + 6e-17 rounds to 1.5: walking columns
+        would see a segment of zero x-extent; the walk goes along rows."""
+        xs = np.full(9, 1.5)
+        ys = np.linspace(0.05, 0.95, 9)
+        field = make_field(xs, ys, [0.01] * 9, [0] * 9, width=2.5, height=1.0)
+        rec = one_segment(field, [1.5, 0.0], np.pi / 2, 1.0)
+        assert rec.particle_ids.tolist() == list(range(9))
+
+    def test_entry_ties_ordered_by_particle_id(self):
+        """Both disks cover the start, so both enter at 0.  On the 5 x 5 grid
+        particle 0 sits one column after particle 1 and must still come
+        first."""
+        filler = 14  # 16 particles allow 5 cells per axis
+        field = make_field([0.65, 0.55] + [0.05] * filler, [0.5, 0.5] + [0.9] * filler,
+                           [0.09, 0.09] + [0.01] * filler, [0, 1] + [0] * filler,
+                           width=1.0, height=1.0)
+        assert grid_shape(1.0, 1.0, 0.18, field.n) == (5, 5)
+        rec = one_segment(field, [0.6, 0.5], 0.0, 0.2)
+        assert rec.particle_ids.tolist() == [0, 1]
+        np.testing.assert_allclose(rec.chords, [0.14, 0.04], rtol=1e-12)
+
+    def test_empty_field_gives_empty_records(self):
+        field = make_field([], [], [], [])
+        records = intersect_segments(field, np.array([[1.0, 2.0]]), np.array([0.5]), 3.0)
+        assert [rec.n for rec in records] == [0]
 
 
 class TestTransitionCounts:

@@ -46,6 +46,16 @@ class TestClassTable:
         assert table.k == 2
         assert table[1].mass == 2.0
 
+    def test_class_arrays_built_once_and_read_only(self):
+        table = ClassTable.from_arrays([1.0, 2.0], [0.1, 0.0], [0.5, 0.25])
+        for name, want in (("masses", [1.0, 2.0]), ("concentrations", [0.1, 0.0]),
+                           ("radii", [0.5, 0.25])):
+            array = getattr(table, name)
+            assert array is getattr(table, name)
+            assert array.tolist() == want
+            with pytest.raises(ValueError):
+                array[0] = 3.0
+
 
 class TestDeriveSummary:
     def test_basic(self):
