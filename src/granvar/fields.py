@@ -14,11 +14,19 @@ stationarity.  Hard-core exclusion is toroidal too: distances are measured
 across the domain's edges, through a periodic cell index.  Its darts are
 drawn and tested in blocks, from the same random stream a one-dart-at-a-
 time loop consumes, and the field equals that loop's.
+
+A field also carries one cell index per axis for the samplers, built the
+first time it is asked for and kept: the particles sorted by cell, column
+by column (``SpatialField.column_strips``) and row by row
+(``SpatialField.row_strips``), on a grid whose cells are at least twice the
+largest radius wide.  Window counting and transect casting both take their
+candidates from it, so a field measured both ways is sorted once per axis.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +75,12 @@ def grid_shape(width: float, height: float, reach: float, n: int) -> tuple[int, 
     return cells(width), cells(height)
 
 
+def _cell(values: np.ndarray, scale: float, n: int) -> np.ndarray:
+    """Cell of each value in [0, n / scale] on an axis of n cells of width
+    1 / scale; a value on the far edge lies in the last cell."""
+    return np.minimum((values * scale).astype(np.intp), n - 1)
+
+
 class _CellIndex:
     """Periodic grid of cells over a width x height torus.
 
@@ -92,9 +106,7 @@ class _CellIndex:
         self.size = 0
 
     def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cx = np.minimum((x * self.scale_x).astype(np.intp), self.nx - 1)
-        cy = np.minimum((y * self.scale_y).astype(np.intp), self.ny - 1)
-        return cx, cy
+        return _cell(x, self.scale_x, self.nx), _cell(y, self.scale_y, self.ny)
 
     def add(self, x: np.ndarray, y: np.ndarray) -> None:
         """Index the next len(x) points as size, size + 1, ..."""
@@ -124,6 +136,43 @@ class _CellIndex:
         j = self.slots[cell].reshape(len(x), -1)
         q, col = np.nonzero(j >= 0)
         return q, j[q, col]
+
+
+class CellStrips:
+    """Particles sorted by cell, strip by strip along one axis ``a``.
+
+    Cell (i, j), strip i along ``a`` and row j along the other axis ``b``,
+    is slot ``i * nb + j`` (see :func:`_cell`).  Its particles are
+    ``order[offsets[slot]:offsets[slot + 1]]``, so rows j0..j1 of one strip
+    are a single contiguous slice of ``order``.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, na: int, nb: int,
+                 scale_a: float, scale_b: float):
+        slot = _cell(a, scale_a, na) * nb + _cell(b, scale_b, nb)
+        self.order = np.argsort(slot, kind="stable")
+        self.offsets = np.zeros(na * nb + 1, dtype=np.intp)
+        np.cumsum(np.bincount(slot, minlength=na * nb), out=self.offsets[1:])
+        self.na, self.nb = na, nb
+        self.scale_a, self.scale_b = scale_a, scale_b
+
+    def slices(self, strip: np.ndarray, first: np.ndarray,
+               last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start in ``order`` and length of rows first..last of each strip;
+        the length is 0 when last = first - 1."""
+        slot = strip * self.nb
+        begin = self.offsets[slot + first]
+        return begin, self.offsets[slot + last + 1] - begin
+
+    def take(self, begin: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """Particle indices of the slices ``(begin, count)``, concatenated."""
+        return self.order[concat_ranges(begin, count)]
+
+
+def concat_ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """arange(begin[i], begin[i] + count[i]), concatenated over i."""
+    skip = np.repeat(begin - (np.cumsum(count) - count), count)
+    return skip + np.arange(len(skip))
 
 
 @dataclass(frozen=True)
@@ -190,7 +239,12 @@ class ProcessParams:
 
 @dataclass(frozen=True)
 class SpatialField:
-    """Disk-shaped particles in a rectangular domain."""
+    """Disk-shaped particles in a rectangular domain.
+
+    Centres lie in [0, W] x [0, H]; centres and radii are finite.  The cell
+    indices are built from the particle arrays on first use and kept, so
+    the arrays must not change afterwards.
+    """
 
     width: float
     height: float
@@ -205,6 +259,9 @@ class SpatialField:
         for name in ("y", "radius", "class_id"):
             if len(getattr(self, name)) != n:
                 raise ValueError("particle arrays must have equal length")
+        for name in ("x", "y", "radius"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"particle {name} values must be finite")
         if n and (
             np.any(self.x < 0) or np.any(self.x > self.width)
             or np.any(self.y < 0) or np.any(self.y > self.height)
@@ -214,6 +271,25 @@ class SpatialField:
     @property
     def n(self) -> int:
         return len(self.x)
+
+    @property
+    def cell_grid(self) -> tuple[int, int]:
+        """Cells per axis of the samplers' index: :func:`grid_shape` with
+        cells at least twice the largest radius wide."""
+        return grid_shape(self.width, self.height,
+                          2.0 * float(self.radius.max(initial=0.0)), self.n)
+
+    @cached_property
+    def column_strips(self) -> CellStrips:
+        """The particles sorted by cell, column by column (strips along x)."""
+        nx, ny = self.cell_grid
+        return CellStrips(self.x, self.y, nx, ny, nx / self.width, ny / self.height)
+
+    @cached_property
+    def row_strips(self) -> CellStrips:
+        """The particles sorted by cell, row by row (strips along y)."""
+        nx, ny = self.cell_grid
+        return CellStrips(self.y, self.x, ny, nx, ny / self.height, nx / self.width)
 
     def class_counts(self, k: int) -> np.ndarray:
         return np.bincount(self.class_id, minlength=k)

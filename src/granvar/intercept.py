@@ -8,15 +8,18 @@ chain is biased towards larger particles (hit probability grows with
 projected width), so class frequencies can be corrected by inverse-width
 weighting.
 
-Casting does not test every particle against every transect.  The
-particles are sorted by cell on a grid whose cells are at least twice the
-largest radius wide (at most about sqrt(n) per axis), once column by
-column and once row by row.  A transect walks the axis it moves along
-more; for each column (or row) it crosses, the candidates are one
-contiguous slice of the sorted particles, padded by a cell on every side,
-so every particle it can hit is among them.  The candidates then go
-through the exact chord arithmetic, in blocks of transects, and the
-records equal those of testing all n particles per transect bit for bit.
+Casting does not test every particle against every transect.  It takes
+its candidates from the field's cell index (see
+:attr:`SpatialField.column_strips`): the particles sorted by cell on a grid
+whose cells are at least twice the largest radius wide (at most about
+sqrt(n) per axis), once column by column and once row by row.  Window
+counting shares that index, so a field that is both windowed and cast is
+sorted once per axis.  A transect walks the axis it moves along more; for
+each column (or row) it crosses, the candidates are one contiguous slice of
+the sorted particles, padded by a cell on every side, so every particle it
+can hit is among them.  The candidates then go through the exact chord
+arithmetic, in blocks of transects, and the records equal those of testing
+all n particles per transect bit for bit.
 Transects are planar: a segment ends where it leaves the domain and does
 not wrap around it, unlike windows and hard-core exclusion (toroidal
 wrapping of transects is pending).
@@ -34,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GranvarError
-from .fields import ProcessParams, SpatialField, generate_field, grid_shape
+from .fields import CellStrips, ProcessParams, SpatialField, concat_ranges, generate_field
 from .model import ClassTable
 from .selection import SelectionDesign, run_replicates
 from .util import derived_rng, derived_seeds, ordered_map
@@ -170,24 +173,21 @@ def intersect_segments(
     """Particles hit by each segment of ``length`` from ``starts[t]`` (an
     (T, 2) array) at ``angles[t]``, one record per segment.
 
-    Candidates come from the strip index: they hold every particle whose
+    Candidates come from the field's cached column and row strips (see
+    :attr:`SpatialField.column_strips`): they hold every particle whose
     centre lies within half a cell side of the segment, and a hit's centre
     lies within the largest radius, at most half a cell side.  Each
     candidate is tested with the exact chord arithmetic, and records are
-    ordered by entry point along the segment, ties broken by particle id.  Segments are planar: they end at
-    ``length`` and do not wrap around the domain.
+    ordered by entry point along the segment, ties broken by particle id.
+    Segments are planar: they end at ``length`` and do not wrap around the
+    domain.
     """
     starts = np.asarray(starts, dtype=float)
     angles = np.asarray(angles, dtype=float)
     x0, y0 = starts[:, 0], starts[:, 1]
     ux, uy = np.cos(angles), np.sin(angles)
     along_x = np.abs(ux) >= np.abs(uy)
-    nx, ny = grid_shape(
-        field.width, field.height, 2.0 * float(field.radius.max(initial=0.0)), field.n
-    )
-    sx, sy = nx / field.width, ny / field.height
-    columns = _Strips(field.x, field.y, nx, ny, sx, sy)
-    rows = _Strips(field.y, field.x, ny, nx, sy, sx)
+    columns, rows = field.column_strips, field.row_strips
     starts_x, starts_y, angle_list = x0.tolist(), y0.tolist(), angles.tolist()
     records = []
     for first in range(0, len(angles), _TRANSECT_BLOCK):
@@ -197,7 +197,7 @@ def intersect_segments(
             (columns, along_x, x0, y0, ux, uy), (rows, ~along_x, y0, x0, uy, ux)
         ):
             sel = block[major[block]]
-            t, p = strips.candidates(a0[sel], b0[sel], ua[sel], ub[sel], length)
+            t, p = _segment_candidates(strips, a0[sel], b0[sel], ua[sel], ub[sel], length)
             pairs.append((sel[t], p))
         t = np.concatenate([t for t, _ in pairs])
         p = np.concatenate([p for _, p in pairs])
@@ -231,50 +231,30 @@ def intersect_segments(
     return records
 
 
-class _Strips:
-    """Particles sorted by cell, strip by strip along one axis ``a``.
+def _segment_candidates(strips: CellStrips, a0, b0, ua, ub,
+                        length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (t, particle) covering every particle within half a cell of
+    segment t, which starts at (a0[t], b0[t]) in direction (ua[t], ub[t])
+    with |ua| >= |ub|, walking ``strips`` (strips along axis a); each
+    particle at most once per segment.
 
-    Cell (i, j), column i along ``a`` and row j along the other axis
-    ``b``, is slot ``i * nb + j``.  Its particles are
-    ``order[offsets[slot]:offsets[slot + 1]]``, so rows j0..j1 of one
-    column are a single contiguous slice of ``order``.
+    The segment's strips are walked, padded by one on each side.  A centre
+    within half a cell of the segment is near a segment point over its own
+    or an adjacent strip, so each strip's rows are the ones the segment
+    spans over that strip and its two neighbours, padded by one row on each
+    side.  The slope |ub / ua| is at most 1.
     """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, na: int, nb: int,
-                 scale_a: float, scale_b: float):
-        ca = np.minimum((a * scale_a).astype(np.intp), na - 1)
-        cb = np.minimum((b * scale_b).astype(np.intp), nb - 1)
-        slot = ca * nb + cb
-        self.order = np.argsort(slot, kind="stable")
-        self.offsets = np.zeros(na * nb + 1, dtype=np.intp)
-        np.cumsum(np.bincount(slot, minlength=na * nb), out=self.offsets[1:])
-        self.na, self.nb = na, nb
-        self.scale_a, self.scale_b = scale_a, scale_b
-
-    def candidates(self, a0, b0, ua, ub, length: float) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs (t, particle) covering every particle within half a cell
-        of segment t, which starts at (a0[t], b0[t]) in direction (ua[t],
-        ub[t]) with |ua| >= |ub|; each particle at most once per segment.
-
-        The segment's columns are walked, padded by one on each side.  A
-        centre within half a cell of the segment is near a segment point
-        over its own or an adjacent column, so each column's rows are the
-        ones the segment spans over that column and its two neighbours,
-        padded by one row on each side.  The slope |ub / ua| is at most 1.
-        """
-        a1 = a0 + length * ua
-        a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
-        col_first, col_last = _span(a_lo, a_hi, self.scale_a, self.na)
-        n_cols = col_last - col_first + 1
-        t = np.repeat(np.arange(len(a0)), n_cols)
-        col = _ranges(col_first, n_cols)
-        edges = np.clip(np.stack([col - 1, col + 2]) / self.scale_a, a_lo[t], a_hi[t])
-        b = b0[t] + (edges - a0[t]) * (ub / ua)[t]
-        row_first, row_last = _span(b.min(axis=0), b.max(axis=0), self.scale_b, self.nb)
-        slot = col * self.nb
-        begin = self.offsets[slot + row_first]
-        count = self.offsets[slot + row_last + 1] - begin
-        return np.repeat(t, count), self.order[_ranges(begin, count)]
+    a1 = a0 + length * ua
+    a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
+    col_first, col_last = _span(a_lo, a_hi, strips.scale_a, strips.na)
+    n_cols = col_last - col_first + 1
+    t = np.repeat(np.arange(len(a0)), n_cols)
+    col = concat_ranges(col_first, n_cols)
+    edges = np.clip(np.stack([col - 1, col + 2]) / strips.scale_a, a_lo[t], a_hi[t])
+    b = b0[t] + (edges - a0[t]) * (ub / ua)[t]
+    row_first, row_last = _span(b.min(axis=0), b.max(axis=0), strips.scale_b, strips.nb)
+    begin, count = strips.slices(col, row_first, row_last)
+    return np.repeat(t, count), strips.take(begin, count)
 
 
 def _span(lo: np.ndarray, hi: np.ndarray, scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,12 +264,6 @@ def _span(lo: np.ndarray, hi: np.ndarray, scale: float, n: int) -> tuple[np.ndar
     first = np.clip(np.floor(lo * scale) - 1.0, 0, n).astype(np.intp)
     last = np.clip(np.floor(hi * scale) + 1.0, -1, n - 1).astype(np.intp)
     return first, last
-
-
-def _ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """arange(begin[i], begin[i] + count[i]), concatenated over i."""
-    skip = np.repeat(begin - (np.cumsum(count) - count), count)
-    return skip + np.arange(len(skip))
 
 
 def transition_counts(records: Sequence[TransectRecord], k: int) -> TransitionCounts:
@@ -474,7 +448,8 @@ def calibrate_against_oracle(
     an ensemble of field processes.
 
     For every process and seed a field is generated and measured both
-    ways; per-process means are compared by Spearman rank correlation and
+    ways, from the field's one cell index, which is sorted once per axis;
+    per-process means are compared by Spearman rank correlation and
     sign agreement.  When the oracle means are all within two standard
     errors of zero the ensemble is flagged as a null regime where sign
     agreement is not meaningful.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -48,9 +49,17 @@ def _require(raw: dict, key: str, where: str) -> Any:
 
 
 def _number(value: Any, where: str) -> float:
+    """A finite JSON number as a float; NaN, +-Infinity and integers too
+    large for a float are refused."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, where: str) -> int:
@@ -240,6 +249,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     return parse_scenario(raw)
 
 

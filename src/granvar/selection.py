@@ -17,13 +17,13 @@ w(s) = prod_u C(n_u, s_u) q_u^{s_u} (1-q_u)^{n_u-s_u} phi_uu^{s_u(s_u-1)/2}
 walk the prod_u (n_u + 1) class-count states instead of the 2^n subsets,
 with the weights computed in log space.
 
-Windows are counted through a strip index.  The particles are sorted by x
-once per design; for each window a binary search finds the particles
-whose x lies in the window's toroidally wrapped x-strip, and only those
-candidates go through the half-open membership test
-``mod(x - anchor_x, W) < width`` and ``mod(y - anchor_y, H) < height``.
-The strip is widened by a margin far above the rounding of that test, so
-the counts equal those of testing every particle against every window.
+Windows are counted through the field's periodic cell index, which
+transect casting shares (see :attr:`SpatialField.column_strips`).  Each
+window, widened by a margin far above the rounding of the half-open
+membership test ``mod(x - anchor_x, W) < width`` and
+``mod(y - anchor_y, H) < height``, covers a wrapping block of cells; only
+the particles in those cells go through the test, so the counts equal those
+of testing every particle against every window.
 
 Replicated runs report per-replicate sample summaries, the empirical
 variance of the sample concentration, and inclusion-probability estimates
@@ -41,7 +41,7 @@ from .errors import EmptySampleError
 from .estimators import (
     degenerate_dependence, ht_terms, infinite_batch_weights, moment_terms, sample_totals,
 )
-from .fields import SpatialField
+from .fields import SpatialField, concat_ranges
 from .model import ClassTable, derive_expectation
 from .util import derived_rng, normal_half_width
 
@@ -86,6 +86,8 @@ class SelectionDesign:
         k = len(q)
         if phi.shape != (k, k):
             raise ValueError(f"phi must be {k}x{k}, got {phi.shape}")
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("pair interaction weights must be finite")
         if np.any(phi < 0):
             raise ValueError("pair interaction weights must be >= 0")
         if not np.array_equal(phi, phi.T):
@@ -441,8 +443,10 @@ def _window_membership(
     return (dx < window[0]) & (dy < window[1])
 
 
-#: Strips are widened by this fraction of the domain width on each side, far
-#: above the rounding of ``mod(x - anchor_x, W)``, so they hold every member.
+#: A window is widened by this fraction of the domain side, on each side and
+#: on each axis, before its cells are looked up.  That is far above the
+#: rounding of ``mod(x - anchor_x, W)`` and ``mod(y - anchor_y, H)``, so the
+#: widened window's cells hold every member.
 _STRIP_MARGIN = 2.0**-30
 #: Candidates tested per batch; small batches keep the arrays in cache.
 _STRIP_BATCH = 1 << 14
@@ -454,48 +458,66 @@ def window_counts(
     """(R, K) class counts of the toroidal windows anchored at the rows of
     ``anchors``; particles of classes outside [0, K) are not counted.
 
-    The particles are sorted by x once.  Each window's x-strip
-    [ax, ax + width), widened by the margin and shifted by -W, 0 and +W to
-    wrap across the domain edge, is found by binary search, and only the
-    particles in it go through :func:`_window_membership`.  The shifted
-    strips never overlap, so each candidate is tested once; a window (nearly)
-    as wide as the domain takes every particle as a candidate.
+    Candidates come from the field's cached column strips (see
+    :attr:`SpatialField.column_strips`), which transect casting shares.  A
+    window [ax, ax + width) x [ay, ay + height), widened by the margin on
+    each axis, covers a run of columns that wraps across the domain edge
+    and holds at most all of them.  In each column it covers a run of rows,
+    again wrapping, which is one or two contiguous slices of the sorted
+    particles.  Each candidate is tested once, with
+    :func:`_window_membership`, in batches of about ``_STRIP_BATCH``, and
+    the classes outside [0, K) are dropped after the test.
     """
-    margin = _STRIP_MARGIN * field.width
-    counted = np.flatnonzero((field.class_id >= 0) & (field.class_id < k))
-    order = counted[np.argsort(field.x[counted], kind="stable")]
-    xs, ys, cls = field.x[order], field.y[order], field.class_id[order]
+    strips = field.column_strips
+    col_first, n_cols = _wrapped_cells(
+        anchors[:, 0], width, _STRIP_MARGIN * field.width, strips.scale_a, strips.na)
+    row_first, n_rows = _wrapped_cells(
+        anchors[:, 1], height, _STRIP_MARGIN * field.height, strips.scale_b, strips.nb)
     r = len(anchors)
-    if width + 4.0 * margin >= field.width:
-        starts = np.zeros((r, 1), dtype=np.int64)
-        stops = np.full((r, 1), len(order), dtype=np.int64)
-    else:
-        shifts = np.array([-field.width, 0.0, field.width])
-        starts = np.searchsorted(xs, anchors[:, :1] - margin + shifts, side="left")
-        stops = np.searchsorted(xs, anchors[:, :1] + (width + margin) + shifts, side="right")
-    lengths = stops - starts
-    ends = np.cumsum(lengths.sum(axis=1))
+    # one (window, column) pair per covered column, in window order
+    window = np.repeat(np.arange(r), n_cols)
+    column = concat_ranges(col_first, n_cols) % strips.na
+    # its rows: first..min(first + count, nb) - 1, then 0..first + count - nb - 1
+    first, wrap_end = row_first[window], row_first[window] + n_rows[window]
+    slices = [strips.slices(column, first, np.minimum(wrap_end, strips.nb) - 1),
+              strips.slices(column, 0 * first, np.maximum(wrap_end - strips.nb, 0) - 1)]
+    begin = np.column_stack([b for b, _ in slices])
+    count = np.column_stack([c for _, c in slices])
+    pairs_end = np.cumsum(n_cols)  # every window covers at least one column
+    ends = np.cumsum(count.sum(axis=1))[pairs_end - 1]
 
     counts = np.empty((r, k), dtype=np.int64)
     a0 = 0
     while a0 < r:
-        # anchors [a0, a1) hold at most _STRIP_BATCH candidates (or one anchor)
+        # windows [a0, a1) hold at most _STRIP_BATCH candidates (or one window)
         before = ends[a0 - 1] if a0 else 0
         a1 = max(int(np.searchsorted(ends, before + _STRIP_BATCH, side="right")), a0 + 1)
-        # flatten the candidate ranges: sorted-particle index and window row
-        span = lengths[a0:a1].ravel()
-        offset = starts[a0:a1].ravel() - (np.cumsum(span) - span)
-        cand = np.arange(span.sum()) + np.repeat(offset, span)
-        row = np.repeat(np.arange(a1 - a0).repeat(lengths.shape[1]), span)
+        p0, p1 = (pairs_end[a0 - 1] if a0 else 0), pairs_end[a1 - 1]
+        span = count[p0:p1].ravel()
+        cand = strips.take(begin[p0:p1].ravel(), span)
+        row = np.repeat(window[p0:p1].repeat(2) - a0, span)
         member = _window_membership(
-            xs[cand], ys[cand], anchors[a0:a1, 0][row], anchors[a0:a1, 1][row],
+            field.x[cand], field.y[cand], anchors[a0:a1, 0][row], anchors[a0:a1, 1][row],
             (width, height), (field.width, field.height),
         )
+        row, cls = row[member], field.class_id[cand[member]]
+        kept = (cls >= 0) & (cls < k)
         counts[a0:a1] = np.bincount(
-            row[member] * k + cls[cand[member]], minlength=(a1 - a0) * k
+            row[kept] * k + cls[kept], minlength=(a1 - a0) * k
         ).reshape(a1 - a0, k)
         a0 = a1
     return counts
+
+
+def _wrapped_cells(
+    anchor: np.ndarray, side: float, margin: float, scale: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First cell (in 0..n-1) and number of cells, at most n, of the n
+    cells (width 1 / scale, from 0, wrapping) that cover
+    [anchor - margin, anchor + side + margin)."""
+    first = np.floor((anchor - margin) * scale)
+    last = np.floor((anchor + (side + margin)) * scale)
+    return (first % n).astype(np.intp), np.minimum(last - first + 1, n).astype(np.intp)
 
 
 def _replicate_counts(

@@ -188,6 +188,9 @@ class TestConfigErrors:
             ("estimate", {"batch": {"mass": 5, "sample_mass": 5}}, "batch.mass"),
             ("estimate", {"batch": {"mass": 100, "sample_mass": 5}}, "batch.sample_mass"),
             ("estimate", {"batch": {"mass": 9.5, "q": [0.5, 0.5]}}, "batch.mass"),
+            ("simulate", {"replicates": 10, "design": {
+                "variant": "pairwise_pmf", "q": [0.5, 0.5],
+                "phi": [[1, float("inf")], [float("inf"), 1]], "class_of": [0, 1]}}, "design"),
         ],
     )
     def test_malformed_values_name_their_location(
@@ -196,6 +199,51 @@ class TestConfigErrors:
         config = write_scenario(tmp_path, **overrides)
         assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {location}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value,location",
+        [
+            ("classes", "radius", float("nan"), "classes[0].radius"),
+            ("classes", "radius", float("inf"), "classes[0].radius"),
+            ("classes", "concentration", float("nan"), "classes[0].concentration"),
+            ("classes", "mass", float("inf"), "classes[0].mass"),
+            ("transects", "length", float("nan"), "transects.length"),
+            ("transects", "orientation", float("nan"), "transects.orientation"),
+            ("transects", "orientation", float("inf"), "transects.orientation"),
+            ("transects", "orientation", float("-inf"), "transects.orientation"),
+            ("field", "parent_intensity", float("inf"), "field.parent_intensity"),
+            ("field", "width", float("inf"), "field.width"),
+            ("field", "cluster_radius", float("inf"), "field.cluster_radius"),
+            ("calibration", "cluster_radius", [float("nan")], "calibration.cluster_radius[0]"),
+            pytest.param("field", "width", 10**400, "field.width", id="field-width-int-1e400"),
+        ],
+    )
+    def test_non_finite_numbers_name_their_location(
+        self, tmp_path, capsys, section, key, value, location
+    ):
+        """JSON's NaN and Infinity literals, and integers beyond a float,
+        are refused where they are parsed."""
+        sections = {
+            "classes": [{"mass": 1.0, "concentration": 1.0, "radius": 0.01},
+                        {"mass": 1.0, "concentration": 0.0, "radius": 0.01}],
+            "field": {"variant": "matern_cluster", "mixing": [0.5, 0.5],
+                      "parent_intensity": 40, "offspring_mean": 10, "cluster_radius": 0.05},
+            "transects": {"count": 5, "length": 1.0, "orientation": 0.5},
+            "calibration": {"n_seeds": 1, "replicates": 2},
+        }
+        if section == "classes":
+            sections["classes"][0][key] = value
+        else:
+            sections[section][key] = value
+        config = write_scenario(tmp_path, sample_counts=None, dependence=None, **sections)
+        assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {location}:" in capsys.readouterr().err
+
+    def test_integer_literal_beyond_the_digit_limit(self, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert main(["estimate", "--config", str(bad)]) == 2
+        assert f"configuration error: {bad}:" in capsys.readouterr().err
 
     def test_batch_sample_mass_matching_the_counts_is_accepted(self, tmp_path):
         # sample_counts [5, 5] on unit masses weigh 10

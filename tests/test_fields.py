@@ -355,6 +355,16 @@ class TestFieldCsv:
         back = load_field_csv(path)
         assert back.n == f.n
 
+    @pytest.mark.parametrize("row", ["nan,0.5,0.01,0", "0.5,0.5,nan,1", "0.5,inf,0.01,0"])
+    def test_non_finite_row_is_refused(self, table, tmp_path, row):
+        f = generate_field(poisson_params(intensity=50.0), table, seed=4)
+        path = tmp_path / "field.csv"
+        save_field_csv(f, path)
+        with path.open("a", encoding="utf-8") as out:
+            out.write(row + "\n")
+        with pytest.raises(ValueError, match="must be finite"):
+            load_field_csv(path)
+
 
 class TestSpatialField:
     def test_rejects_outside_centers(self):
@@ -363,6 +373,18 @@ class TestSpatialField:
                 1.0, 1.0, np.array([1.5]), np.array([0.5]),
                 np.array([0.01]), np.array([0]),
             )
+
+    @pytest.mark.parametrize("name", ["x", "y", "radius"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_particle_data(self, name, bad):
+        """NaN passes the domain checks (every comparison with it is false),
+        so non-finite centres and radii are refused on their own."""
+        values = {"x": np.array([0.5, 0.2]), "y": np.array([0.5, 0.2]),
+                  "radius": np.array([0.01, 0.01])}
+        values[name][1] = bad
+        with pytest.raises(ValueError, match=f"particle {name} values must be finite"):
+            SpatialField(1.0, 1.0, values["x"], values["y"], values["radius"],
+                         np.array([0, 1]))
 
     def test_class_counts(self, table):
         f = generate_field(poisson_params(intensity=200.0), table, seed=9)

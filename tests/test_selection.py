@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from granvar import fields
 from granvar.errors import EmptySampleError
 from granvar.fields import ProcessParams, SpatialField, generate_field
+from granvar.intercept import TransectSpec, calibrate_against_oracle, intersect_segments
 from granvar.model import ClassTable, derive_expectation
 from granvar.selection import (
     ComparisonRow,
@@ -120,6 +122,11 @@ class TestDesignValidation:
     def test_pairwise_phi_nonnegative(self):
         with pytest.raises(ValueError):
             SelectionDesign.pairwise_pmf([0.5], [[-1.0]], [0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pairwise_phi_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SelectionDesign.pairwise_pmf([0.5, 0.5], [[1.0, bad], [bad, 1.0]], [0, 1])
 
     def test_pairwise_phi_symmetric(self):
         with pytest.raises(ValueError):
@@ -376,12 +383,19 @@ def dense_window_counts(field, anchors, width, height, k):
     return np.stack([member[:, field.class_id == u].sum(axis=1) for u in range(k)], axis=1)
 
 
-def point_field(width, height, xs, ys, classes):
+def point_field(width, height, xs, ys, classes, radius=0.0):
     n = len(xs)
     return SpatialField(
         width, height, np.array(xs, dtype=float), np.array(ys, dtype=float),
-        np.zeros(n), np.array(classes, dtype=int),
+        np.full(n, radius), np.array(classes, dtype=int),
     )
+
+
+def ulp_around(values):
+    """Each value and the floats just below and above it."""
+    return [v for value in values
+            for v in (float(np.nextafter(value, -np.inf)), value,
+                      float(np.nextafter(value, np.inf)))]
 
 
 @st.composite
@@ -415,7 +429,8 @@ def window_cases(draw):
 
 
 class TestWindowIndex:
-    """The strip index must reproduce the dense membership test exactly."""
+    """Counting through the field's cell index must reproduce the dense
+    membership test exactly."""
 
     @pytest.mark.parametrize("width,height", [(1.0, 1.0), (2.5, 0.7)])
     @pytest.mark.parametrize("w_frac", [1.0, 1e-12, 0.3])
@@ -438,6 +453,96 @@ class TestWindowIndex:
         for h in (height, 0.5 * height):
             got = window_counts(field, anchors, w, h, 2)
             np.testing.assert_array_equal(got, dense_window_counts(field, anchors, w, h, 2))
+
+    @pytest.mark.parametrize("width,height", [(1.0, 1.0), (0.7, 2.5)])
+    @pytest.mark.parametrize("h_frac", [1.0, 1e-12, 0.3])
+    def test_row_edges(self, width, height, h_frac):
+        """test_domain_edges on the rows: centres one ulp either side of every
+        window edge and every row edge of the index, and exactly at H."""
+        below = float(np.nextafter(height, 0.0))
+        h = h_frac * height
+        anchors_y = [0.0, below, 0.5 * height, 1e-300]
+        # radius 0.12 fixes the grid at floor(side / 0.24) cells per axis
+        radius = 0.12
+        ny = int(height // (2.0 * radius))
+        edges = anchors_y + [float(np.mod(a + h, height)) for a in anchors_y]
+        ys = [0.0, height, below, 5e-324, 0.5 * height]
+        ys += ulp_around(edges + [j * (height / ny) for j in range(ny + 1)])
+        ys = [y for y in ys if 0.0 <= y <= height]
+        ys += [height * (i + 0.5) / 100 for i in range(100)]  # n >= 100: up to 11 cells
+        xs = [(0.37 * i) % width for i in range(len(ys))]
+        field = point_field(width, height, xs, ys, [i % 2 for i in range(len(ys))], radius)
+        assert field.cell_grid[1] == ny
+        anchors = np.array([[0.05 * width, a] for a in anchors_y]
+                           + [[float(np.nextafter(width, 0.0)), a] for a in anchors_y])
+        for w in (width, 0.5 * width):
+            got = window_counts(field, anchors, w, h, 2)
+            np.testing.assert_array_equal(got, dense_window_counts(field, anchors, w, h, 2))
+
+    @pytest.mark.parametrize("radius,cells", [(0.3, 1), (0.2, 2)])
+    @pytest.mark.parametrize("side", [1e-12, 0.3, 0.55, 0.999, 1.0])
+    def test_coarse_grid(self, radius, cells, side):
+        """1 or 2 cells per axis: a widened window's column and row runs
+        wrap onto cells they already hold, and must take each once."""
+        rng = derived_rng(12)
+        n = 300
+        xs = np.concatenate([rng.uniform(0.0, 1.0, n), [0.0, 0.5, 1.0]])
+        ys = np.concatenate([rng.uniform(0.0, 1.0, n), [1.0, 0.5, 0.0]])
+        field = point_field(1.0, 1.0, xs, ys, rng.integers(0, 3, n + 3), radius)
+        assert field.cell_grid == (cells, cells)
+        anchors = np.column_stack([rng.uniform(0.0, 1.0, 60), rng.uniform(0.0, 1.0, 60)])
+        anchors[:4] = [[0.0, 0.0], [0.5, 0.5], [np.nextafter(1.0, 0.0)] * 2, [0.25, 0.75]]
+        got = window_counts(field, anchors, side, side, 3)
+        np.testing.assert_array_equal(got, dense_window_counts(field, anchors, side, side, 3))
+
+    def test_classes_outside_k_are_not_counted(self):
+        rng = derived_rng(13)
+        xs, ys = rng.uniform(0.0, 2.5, 400), rng.uniform(0.0, 0.7, 400)
+        classes = rng.choice([-3, -1, 0, 1, 2, 7], 400)
+        field = point_field(2.5, 0.7, xs, ys, classes)
+        anchors = np.column_stack([rng.uniform(0.0, 2.5, 50), rng.uniform(0.0, 0.7, 50)])
+        for k in (1, 2):
+            got = window_counts(field, anchors, 0.8, 0.3, k)
+            np.testing.assert_array_equal(got, dense_window_counts(field, anchors, 0.8, 0.3, k))
+        assert window_counts(field, anchors, 2.5, 0.7, 2).sum(axis=1).tolist() == [
+            int(np.isin(classes, [0, 1]).sum())] * 50
+
+    def test_windows_and_transects_share_one_index(self, two_particle_table, monkeypatch):
+        """One field is sorted once per axis, whichever sampler asks first."""
+        built = []
+        init = fields.CellStrips.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(fields.CellStrips, "__init__", counting_init)
+        table = ClassTable.from_arrays([1.0, 1.0], [1.0, 0.0], [0.01, 0.01])
+        field = generate_field(
+            ProcessParams(variant="poisson", width=2.5, height=0.7, mixing=(0.5, 0.5),
+                          intensity=400.0), table, seed=3)
+        anchors = np.array([[0.1, 0.2], [2.4, 0.6]])
+        starts, angles = np.array([[0.5, 0.1], [1.0, 0.6]]), np.array([0.3, 1.4])
+        window_counts(field, anchors, 0.2, 0.1, 2)
+        assert len(built) == 1
+        intersect_segments(field, starts, angles, 0.5)
+        assert len(built) == 2
+        window_counts(field, anchors, 0.3, 0.2, 2)
+        intersect_segments(field, starts, angles, 1.0)
+        assert len(built) == 2
+        assert built[0][0] is field.x and built[1][0] is field.y
+        assert field.column_strips is field.column_strips
+        assert field.row_strips is field.row_strips
+
+        built.clear()
+        calibrate_against_oracle(
+            [("cluster", ProcessParams(variant="matern_cluster", width=1.0, height=1.0,
+                                       mixing=(0.5, 0.5), parent_intensity=40.0,
+                                       offspring_mean=10.0, cluster_radius=0.05))],
+            table, window=(0.1, 0.1), replicates=20,
+            transects=TransectSpec(count=10, length=0.5), master_seed=1, n_seeds=3,
+        )
+        assert len(built) == 2 * 3  # one field per seed, one sort per axis
 
     @settings(deadline=None, max_examples=200)
     @given(case=window_cases())
