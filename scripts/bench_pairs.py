@@ -1,0 +1,128 @@
+"""Paired benchmark runs of two source checkouts, written as BENCH_<pr>.json.
+
+Runs ``perfbench/run.py --trace 0`` in a parent checkout and in a change
+checkout, alternately: pair i of a workload runs both sides at seed 10 + i,
+and the side that runs first alternates from pair to pair.  Each checkout
+needs ``src/``, ``perfbench/`` and ``BENCHMARK.json``; make the parent one
+with ``git archive``, for example
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --pairs 5 --pairs window_cluster=10 --out BENCH_<pr>.json
+
+``--pairs N`` sets the pairs of every workload and ``--pairs W=N`` those of
+one workload.  For each end-to-end metric of ``BENCHMARK.json`` the output
+holds, per side, the runs, their median and the quartiles (numpy's linear
+interpolation), and the pairs the change won, that is where it reads better.
+A run that prints no result counts as one failed operation on its side.
+Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+FIRST_SEED = 10
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The result line of one ``run.py --trace 0`` run, or None when it
+    printed none."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=root, stdout=subprocess.PIPE, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
+
+
+def summary(runs: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 \
+        else (runs[0],) * 3
+    return {"median": round(statistics.median(runs), 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "runs": [round(v, 4) for v in runs]}
+
+
+def compare(results: dict, metrics: list[dict]) -> dict:
+    """The workload entry of BENCH_<pr>.json from each side's run results."""
+    entry = {"pairs": len(results["parent"]), "metrics": {}}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in zip(results["parent"], results["change"]) if p and c]
+        if not pairs:
+            continue
+        parent, change = ([v[s] for v in pairs] for s in (0, 1))
+        wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+        entry["metrics"][name] = {
+            "parent": summary(parent), "change": summary(change), "change_wins": wins,
+            "median_change_frac": round(statistics.median(change) / statistics.median(parent)
+                                        - 1.0, 4),
+        }
+    entry["failed_operations"] = {
+        side: sum(r["failed"] if r else 1 for r in results[side]) for side in SIDES}
+    entry["attempted_operations"] = {
+        side: sum(r["attempted"] if r else 0 for r in results[side]) for side in SIDES}
+    return entry
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--pairs", action="append", default=[],
+                   help="N for every workload, or W=N for workload W (repeatable)")
+    args = p.parse_args()
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    pairs = {w["name"]: 0 for w in spec["workloads"]}
+    for item in args.pairs:
+        name, _, count = item.rpartition("=")
+        for workload in ([name] if name else pairs):
+            if workload not in pairs:
+                p.error(f"unknown workload {workload!r}")
+            pairs[workload] = int(count)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    out = {
+        "description": (
+            f"Paired benchmark runs, parent against change: `python3 perfbench/run.py "
+            f"--workload W --seed S --seconds {seconds:g} --trace 0`, pair i at seed "
+            f"{FIRST_SEED} + i, the side that runs first alternating. run_s and setup_s "
+            "are seconds at the host's reference speed (perfbench/hostref.py). Quartiles "
+            "are linear-interpolation percentiles 25 and 75. A pair is won when the change "
+            "reads better."),
+        "machine": f"{os.cpu_count()} cores, {platform.system()}, "
+                   f"python {platform.python_version()}",
+        "workloads": {},
+    }
+    for workload, count in pairs.items():
+        if not count:
+            continue
+        results = {side: [] for side in SIDES}
+        for i in range(count):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result = run_once(roots[side], workload, FIRST_SEED + i, seconds)
+                results[side].append(result)
+                print(f"{workload} pair {i} {side}: "
+                      f"{result['metrics'] if result else 'no result'}", file=sys.stderr)
+        out["workloads"][workload] = compare(results, spec["end_to_end"])
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

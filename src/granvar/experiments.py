@@ -56,9 +56,9 @@ class OracleAgreement:
 
 
 def random_pairwise_design(
-    rng: np.random.Generator, max_particles: int = 16, max_classes: int = 4
+    rng: np.random.Generator, max_particles: int = 16
 ) -> tuple[SelectionDesign, ClassTable]:
-    k = int(rng.integers(1, max_classes + 1))
+    k = int(rng.integers(1, 5))  # 1 to 4 classes
     n = int(rng.integers(6, max_particles + 1))
     class_of = rng.integers(0, k, size=n)
     q = rng.uniform(0.2, 0.8, size=k)

@@ -11,16 +11,16 @@ mapping to a dependence value is deliberately left uncalibrated.
 Offspring falling outside the domain are wrapped toroidally so the
 intensity stays uniform; transect and window statistics rely on this
 stationarity.  Hard-core exclusion is toroidal too: distances are measured
-across the domain's edges, through a periodic cell index.  Its darts are
-drawn and tested in blocks, from the same random stream a one-dart-at-a-
-time loop consumes, and the field equals that loop's.
+across the domain's edges.  Its darts are drawn and resolved in chunks,
+from the same random stream a one-dart-at-a-time loop consumes, and the
+field equals that loop's.
 
-A field also carries one cell index per axis for the samplers, built the
-first time it is asked for and kept: the particles sorted by cell, column
-by column (``SpatialField.column_strips``) and row by row
-(``SpatialField.row_strips``), on a grid whose cells are at least twice the
-largest radius wide.  Window counting and transect casting both take their
-candidates from it, so a field measured both ways is sorted once per axis.
+One cell index, :class:`CellStrips`, serves windows, transects, darts and
+gap checks; its one query, :meth:`CellStrips.rectangles`, finds the
+particles of wrapping rectangles.  A field builds one per axis the first
+time it is asked for and keeps it (``SpatialField.column_strips`` and
+``row_strips``), on cells at least twice the largest radius wide; the dart
+thrower indexes each chunk in a fresh one.
 """
 from __future__ import annotations
 
@@ -40,19 +40,31 @@ VARIANTS = ("poisson", "matern_cluster", "hardcore", "graded")
 #: Dart-throwing budget per requested particle before giving up.
 HARDCORE_ATTEMPT_FACTOR = 100
 
-#: Darts drawn and tested together.  Survivors of a block are compared
-#: all against all, so its temporaries grow as _DART_BLOCK**2 floats.
+#: Fewest darts drawn and resolved together.  A chunk also holds at least
+#: a quarter of the particles placed, so rebuilding the index for it costs
+#: O(1) per dart, and at least the darts still missing, up to one per two
+#: cells of the index grid, which bounds the dart-dart pairs on coarse grids.
 _DART_BLOCK = 64
+
+#: A dart's state while its chunk is resolved.
+_UNDECIDED, _ACCEPTED, _REJECTED = 0, 1, 2
 
 #: Points queried against the cell index at once by the gap checker.
 _QUERY_CHUNK = 4096
+
+#: A rectangle query is widened by this fraction of the domain side on each
+#: edge before its cells are looked up.  That is far above the rounding of a
+#: test against its edges, such as a window's ``mod(x - anchor_x, W) <
+#: width``, so the widened rectangle's cells hold every particle it accepts.
+_STRIP_MARGIN = 2.0**-30
 
 
 def _too_close(x0, y0, r0, x1, y1, r1, gap: float, width: float, height: float) -> np.ndarray:
     """Hard-core exclusion: toroidal centre distance below r0 + r1 + gap.
 
-    The one predicate of both the generator (point 0 placed earlier) and
-    ``SpatialField.gap_violations``.
+    The one predicate of both the generator and
+    ``SpatialField.gap_violations``; symmetric bit for bit (abs, min, hypot
+    and r0 + r1 are), so the order of a pair does not matter.
     """
     dx = np.abs(x0 - x1)
     dx = np.minimum(dx, width - dx)
@@ -81,65 +93,9 @@ def _cell(values: np.ndarray, scale: float, n: int) -> np.ndarray:
     return np.minimum((values * scale).astype(np.intp), n - 1)
 
 
-class _CellIndex:
-    """Periodic grid of cells over a width x height torus.
-
-    The axes are sized by :func:`grid_shape`, so every cell is at least
-    ``reach`` wide and any two points within toroidal distance ``reach``
-    lie in the same or adjacent cells, wrapping at the edges.  A cell keeps
-    the indices of its points in one row of ``slots`` (-1 marks an empty
-    slot); the rows widen when a cell fills, so no cell has a fixed
-    capacity.  Point indices are int32, so an index holds fewer than 2**31
-    points.
-    """
-
-    def __init__(self, width: float, height: float, reach: float, n: int):
-        self.nx, self.ny = grid_shape(width, height, reach, n)
-        self.scale_x, self.scale_y = self.nx / width, self.ny / height
-        # 1 or 2 cells on an axis: -1, 0 and +1 must not name a cell twice
-        dx = np.unique(np.array([-1, 0, 1]) % self.nx)
-        dy = np.unique(np.array([-1, 0, 1]) % self.ny)
-        self.offsets_x = np.repeat(dx, len(dy))
-        self.offsets_y = np.tile(dy, len(dx))
-        self.slots = np.full((self.nx * self.ny, 4), -1, dtype=np.int32)
-        self.fill = np.zeros(self.nx * self.ny, dtype=np.intp)
-        self.size = 0
-
-    def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _cell(x, self.scale_x, self.nx), _cell(y, self.scale_y, self.ny)
-
-    def add(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Index the next len(x) points as size, size + 1, ..."""
-        cx, cy = self._cells(x, y)
-        cell = cx * self.ny + cy
-        order = np.argsort(cell, kind="stable")
-        ranked = cell[order]
-        first = np.searchsorted(ranked, ranked, side="left")
-        slot = np.empty(len(cell), dtype=np.intp)
-        slot[order] = self.fill[ranked] + np.arange(len(cell)) - first
-        width = int(slot.max(initial=-1)) + 1
-        if width > self.slots.shape[1]:
-            wider = np.full((len(self.slots), max(width, 2 * self.slots.shape[1])), -1,
-                            dtype=np.int32)
-            wider[:, : self.slots.shape[1]] = self.slots
-            self.slots = wider
-        self.slots[cell, slot] = np.arange(self.size, self.size + len(cell))
-        np.add.at(self.fill, cell, 1)
-        self.size += len(cell)
-
-    def neighbours(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs (q, j): indexed point j lies in the 3 x 3 cells around query
-        point q, each such point once."""
-        cx, cy = self._cells(x, y)
-        cell = ((cx[:, None] + self.offsets_x) % self.nx) * self.ny + (
-            (cy[:, None] + self.offsets_y) % self.ny)
-        j = self.slots[cell].reshape(len(x), -1)
-        q, col = np.nonzero(j >= 0)
-        return q, j[q, col]
-
-
 class CellStrips:
-    """Particles sorted by cell, strip by strip along one axis ``a``.
+    """Particles sorted by cell, strip by strip along one axis ``a``, over a
+    ``length_a`` x ``length_b`` torus.
 
     Cell (i, j), strip i along ``a`` and row j along the other axis ``b``,
     is slot ``i * nb + j`` (see :func:`_cell`).  Its particles are
@@ -148,13 +104,40 @@ class CellStrips:
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, na: int, nb: int,
-                 scale_a: float, scale_b: float):
-        slot = _cell(a, scale_a, na) * nb + _cell(b, scale_b, nb)
+                 length_a: float, length_b: float):
+        self.na, self.nb = na, nb
+        self.length_a, self.length_b = length_a, length_b
+        self.scale_a, self.scale_b = na / length_a, nb / length_b
+        slot = _cell(a, self.scale_a, na) * nb + _cell(b, self.scale_b, nb)
         self.order = np.argsort(slot, kind="stable")
         self.offsets = np.zeros(na * nb + 1, dtype=np.intp)
         np.cumsum(np.bincount(slot, minlength=na * nb), out=self.offsets[1:])
-        self.na, self.nb = na, nb
-        self.scale_a, self.scale_b = scale_a, scale_b
+
+    def rectangles(self, a0: np.ndarray, a_side: float, b0: np.ndarray,
+                   b_side: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slices of ``order`` holding every particle of the wrapping
+        rectangles [a0[q], a0[q] + a_side) x [b0[q], b0[q] + b_side), each
+        widened by ``_STRIP_MARGIN`` of the domain side on every edge.
+
+        Returns ``(query, begin, count)`` in query order, two slices per
+        (query, strip) pair: its rows before the wrap and after it.  A query
+        covers at most ``na`` strips and ``nb`` rows, so it holds no particle twice.
+        """
+        strip_first, n_strips = _wrapped_cells(
+            a0, a_side, _STRIP_MARGIN * self.length_a, self.scale_a, self.na)
+        row_first, n_rows = _wrapped_cells(
+            b0, b_side, _STRIP_MARGIN * self.length_b, self.scale_b, self.nb)
+        # rows first..min(first + count, nb) - 1, then 0..first + count - nb - 1
+        wrap_end = row_first + n_rows
+        last_before = np.minimum(wrap_end, self.nb) - 1
+        last_after = np.maximum(wrap_end - self.nb, 0) - 1
+        query = np.repeat(np.arange(len(a0)), n_strips)
+        strip = concat_ranges(strip_first, n_strips) % self.na
+        before = self.slices(strip, row_first[query], last_before[query])
+        after = self.slices(strip, 0, last_after[query])
+        # interleaved: strip 0 before, strip 0 after, strip 1 before, ...
+        begin, count = (np.stack(pair, axis=1).ravel() for pair in zip(before, after))
+        return query.repeat(2), begin, count
 
     def slices(self, strip: np.ndarray, first: np.ndarray,
                last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,6 +156,38 @@ def concat_ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
     """arange(begin[i], begin[i] + count[i]), concatenated over i."""
     skip = np.repeat(begin - (np.cumsum(count) - count), count)
     return skip + np.arange(len(skip))
+
+
+def _wrapped_cells(
+    anchor: np.ndarray, side: float, margin: float, scale: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First cell (in 0..n-1) and number of cells, at most n, of the n
+    cells (width 1 / scale, from 0, wrapping) that cover
+    [anchor - margin, anchor + side + margin)."""
+    first = np.floor((anchor - margin) * scale)
+    last = np.floor((anchor + (side + margin)) * scale)
+    return (first % n).astype(np.intp), np.minimum(last - first + 1, n).astype(np.intp)
+
+
+def _close_pairs(strips: CellStrips, x: np.ndarray, y: np.ndarray, radius: np.ndarray,
+                 gap: float, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), first <= i < stop and j < i, that :func:`_too_close`
+    flags, i ascending; ``strips`` indexes the points (x, y) along x.
+
+    Each i queries the square [x_i - reach, x_i + reach] x [y_i - reach,
+    y_i + reach] with reach = 2 max(radius) + gap, which in floating point
+    is at least r_i + r_j + gap, so the square holds every j too close to i.
+    """
+    reach = 2.0 * float(radius.max()) + gap
+    query, begin, count = strips.rectangles(
+        x[first:stop] - reach, 2.0 * reach, y[first:stop] - reach, 2.0 * reach)
+    j = strips.take(begin, count)
+    i = first + np.repeat(query, count)
+    earlier = j < i
+    i, j = i[earlier], j[earlier]
+    close = _too_close(x[i], y[i], radius[i], x[j], y[j], radius[j], gap,
+                       strips.length_a, strips.length_b)
+    return i[close], j[close]
 
 
 @dataclass(frozen=True)
@@ -283,13 +298,13 @@ class SpatialField:
     def column_strips(self) -> CellStrips:
         """The particles sorted by cell, column by column (strips along x)."""
         nx, ny = self.cell_grid
-        return CellStrips(self.x, self.y, nx, ny, nx / self.width, ny / self.height)
+        return CellStrips(self.x, self.y, nx, ny, self.width, self.height)
 
     @cached_property
     def row_strips(self) -> CellStrips:
         """The particles sorted by cell, row by row (strips along y)."""
         nx, ny = self.cell_grid
-        return CellStrips(self.y, self.x, ny, nx, ny / self.height, nx / self.width)
+        return CellStrips(self.y, self.x, ny, nx, self.height, self.width)
 
     def class_counts(self, k: int) -> np.ndarray:
         return np.bincount(self.class_id, minlength=k)
@@ -298,23 +313,16 @@ class SpatialField:
         """Pairs whose toroidal centre distance is below r_i + r_j + gap.
 
         Uses the hard-core generator's own predicate, so a hard-core field
-        generated with ``min_gap = gap`` has none; candidate pairs come from
-        the periodic cell index, O(n) for bounded cell occupancy.
+        generated with ``min_gap = gap`` has none.  Candidates come from
+        square queries on the cached column strips, ``_QUERY_CHUNK``
+        particles at a time; a rectangle query is complete on any cell size.
         """
         if self.n < 2:
             return 0
-        grid = _CellIndex(self.width, self.height, 2.0 * float(self.radius.max()) + gap, self.n)
-        grid.add(self.x, self.y)
-        count = 0
-        for lo in range(0, self.n, _QUERY_CHUNK):
-            i, j = grid.neighbours(self.x[lo:lo + _QUERY_CHUNK], self.y[lo:lo + _QUERY_CHUNK])
-            i += lo
-            later = j > i  # each pair once, from its lower index
-            i, j = i[later], j[later]
-            count += int(np.count_nonzero(_too_close(
-                self.x[i], self.y[i], self.radius[i], self.x[j], self.y[j], self.radius[j],
-                gap, self.width, self.height)))
-        return count
+        return sum(
+            len(_close_pairs(self.column_strips, self.x, self.y, self.radius, gap,
+                             lo, min(lo + _QUERY_CHUNK, self.n))[0])
+            for lo in range(0, self.n, _QUERY_CHUNK))
 
 
 def assign_classes(
@@ -385,13 +393,17 @@ def _generate_hardcore(p: ProcessParams, table: ClassTable, rng) -> SpatialField
     Each dart lands uniformly, draws its class from ``mixing`` and is kept
     unless it lies closer than r_j + r + min_gap to an accepted particle
     j, distances measured across the domain's edges.  Darts are drawn in
-    blocks of uniforms (x, y and, for K > 1, the class), the very stream a
+    chunks of uniforms (x, y and, for K > 1, the class), the very stream a
     one-dart-at-a-time loop of ``uniform``/``uniform``/``choice`` consumes;
     uniforms past the dart that fills the target go unused, and the
-    generator is discarded with them.  A block is tested against the
-    particles accepted before it through the periodic cell index, then its
-    survivors are resolved against each other in dart order, so the field
-    equals the one-at-a-time loop's.
+    generator is discarded with them.  A chunk and the particles accepted
+    before it are indexed in a fresh :class:`CellStrips`, which lists the
+    (dart, earlier point) pairs that are too close.  The chunk is resolved
+    in rounds (greedy sequential independent sets, round form): reject each
+    undecided dart with an accepted earlier neighbour, then accept each one
+    with no undecided earlier neighbour.  A round decides at least the
+    earliest undecided dart, as the one-at-a-time loop would, so the field
+    equals that loop's.
     """
     target = int(rng.poisson(p.expected_count()))
     max_attempts = HARDCORE_ATTEMPT_FACTOR * max(target, 1)
@@ -403,37 +415,44 @@ def _generate_hardcore(p: ProcessParams, table: ClassTable, rng) -> SpatialField
     cdf = np.asarray(p.mixing, dtype=float).cumsum()
     cdf /= cdf[-1]
     gap, width, height = p.min_gap, p.width, p.height
-    grid = _CellIndex(width, height, 2.0 * float(table.radii.max()) + gap, target)
+    reach = 2.0 * float(table.radii.max()) + gap
+    # cells at least reach / 2 wide: a dart's query square spans at most 5 a side
+    nx, ny = grid_shape(width, height, reach / 2, target)
     placed = 0
     attempts = 0
     while placed < target:
         if attempts >= max_attempts:
             raise SaturationError(placed, target, attempts)
-        block = min(_DART_BLOCK, max_attempts - attempts)
-        u = rng.random((block, 3 if k > 1 else 2))
-        x = 0.0 + width * u[:, 0]
-        y = 0.0 + height * u[:, 1]
-        c = cdf.searchsorted(u[:, 2], side="right") if k > 1 else np.zeros(block, dtype=int)
-        r = table.radii[c]
-        q, j = grid.neighbours(x, y)
-        hit = np.zeros(block, dtype=bool)
-        hit[q[_too_close(xs[j], ys[j], radii[j], x[q], y[q], r[q], gap, width, height)]] = True
-        alive = np.flatnonzero(~hit)
-        # clash[s, t]: survivor s came before survivor t and is too close to it
-        clash = np.triu(_too_close(x[alive, None], y[alive, None], r[alive, None],
-                                   x[alive], y[alive], r[alive], gap, width, height), 1)
-        keep = np.ones(len(alive), dtype=bool)
-        for t in np.flatnonzero(clash.any(axis=0)):
-            keep[t] = not np.any(clash[:t, t] & keep[:t])
-        new = alive[keep][: target - placed]
+        chunk = min(max(_DART_BLOCK, placed // 4, min(target - placed, nx * ny // 2)),
+                    max_attempts - attempts)
+        u = rng.random((chunk, 3 if k > 1 else 2))
+        c = cdf.searchsorted(u[:, 2], side="right") if k > 1 else np.zeros(chunk, dtype=int)
+        # the accepted particles, then the chunk's darts
+        x = np.concatenate([xs[:placed], 0.0 + width * u[:, 0]])
+        y = np.concatenate([ys[:placed], 0.0 + height * u[:, 1]])
+        r = np.concatenate([radii[:placed], table.radii[c]])
+        strips = CellStrips(x, y, nx, ny, width, height)
+        i, j = _close_pairs(strips, x, y, r, gap, placed, len(x))
+        # the darts' states, by dart; a dart next to an accepted particle is out
+        state = np.full(chunk, _UNDECIDED, dtype=np.int8)
+        near = j < placed
+        state[i[near] - placed] = _REJECTED
+        i, j = i[~near] - placed, j[~near] - placed
+        while (state == _UNDECIDED).any():
+            live = (state[i] == _UNDECIDED) & (state[j] != _REJECTED)
+            i, j = i[live], j[live]
+            state[i[state[j] == _ACCEPTED]] = _REJECTED
+            blocked = np.zeros(chunk, dtype=bool)
+            blocked[i[(state[i] == _UNDECIDED) & (state[j] == _UNDECIDED)]] = True
+            state[(state == _UNDECIDED) & ~blocked] = _ACCEPTED
+        new = placed + np.flatnonzero(state == _ACCEPTED)[: target - placed]
         end = placed + len(new)
         xs[placed:end] = x[new]
         ys[placed:end] = y[new]
-        cls[placed:end] = c[new]
+        cls[placed:end] = c[new - placed]
         radii[placed:end] = r[new]
-        grid.add(x[new], y[new])
+        attempts += int(new[-1]) + 1 - placed if end == target else chunk
         placed = end
-        attempts += int(new[-1]) + 1 if placed == target else block
     return SpatialField(p.width, p.height, xs, ys, radii, cls, process_tag="hardcore")
 
 
@@ -453,9 +472,7 @@ def _generate_graded(p: ProcessParams, table: ClassTable, rng) -> SpatialField:
                         classes, process_tag="graded")
 
 
-def generate_field(
-    p: ProcessParams, table: ClassTable, seed: int | np.random.SeedSequence
-) -> SpatialField:
+def generate_field(p: ProcessParams, table: ClassTable, seed: int) -> SpatialField:
     """Generate a field; deterministic for a given (params, seed).
 
     Multiple fields should derive their seeds from a master seed and a
@@ -464,10 +481,7 @@ def generate_field(
     """
     if len(p.mixing) != table.k:
         raise ValueError(f"mixing has {len(p.mixing)} entries for {table.k} classes")
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = derived_rng(int(seed))
+    rng = derived_rng(int(seed))
     if p.variant == "poisson":
         return _generate_poisson(p, table, rng)
     if p.variant == "matern_cluster":

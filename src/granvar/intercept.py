@@ -411,26 +411,25 @@ class TransectSpec:
 
 
 def adjacency_dependence_for_field(
-    field: SpatialField, table: ClassTable, spec: TransectSpec, seed: int,
-    size_correct: bool = True,
+    field: SpatialField, table: ClassTable, spec: TransectSpec, seed: int
 ) -> tuple[np.ndarray, TransitionCounts, np.ndarray]:
     """Cast transects and derive the adjacency dependence matrix.
 
     Returns (dependence matrix, transition counts, class frequencies).
     """
     records = cast_transects(field, spec.count, spec.orientation, spec.length, seed)
-    return adjacency_dependence(records, table.k, size_correct)
+    return adjacency_dependence(records, table.k)
 
 
 def adjacency_dependence(
-    records: Sequence[TransectRecord], k: int, size_correct: bool = True
+    records: Sequence[TransectRecord], k: int
 ) -> tuple[np.ndarray, TransitionCounts, np.ndarray]:
     """Adjacency dependence matrix of transects already cast.
 
     Returns (dependence matrix, transition counts, class frequencies).
     """
     counts = transition_counts(records, k)
-    freq = size_corrected_frequencies(records, k, correct=size_correct)
+    freq = size_corrected_frequencies(records, k)
     return c_from_adjacency(counts, freq), counts, freq
 
 

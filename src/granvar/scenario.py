@@ -354,6 +354,8 @@ def build_design(config: ScenarioConfig, field: SpatialField | None) -> Selectio
             class_of = _require(raw, "class_of", "design")
             if not isinstance(class_of, list):
                 raise ConfigError("design.class_of", "expected a list of class indices")
+            if not class_of:
+                raise ConfigError("design.class_of", "the design has no particles")
             class_of = [_integer(v, f"design.class_of[{i}]") for i, v in enumerate(class_of)]
             if variant == "bernoulli":
                 return SelectionDesign.bernoulli(q, class_of)
@@ -367,6 +369,8 @@ def build_design(config: ScenarioConfig, field: SpatialField | None) -> Selectio
         # window
         if field is None:
             raise ConfigError("design", "window designs need a generated field")
+        if field.n == 0:
+            raise ConfigError("field", "generated field is empty; raise the intensity")
         width = _number(_require(raw, "width", "design"), "design.width")
         height = _number(_require(raw, "height", "design"), "design.height")
         return SelectionDesign.window(field, width, height)

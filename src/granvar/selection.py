@@ -18,12 +18,12 @@ walk the prod_u (n_u + 1) class-count states instead of the 2^n subsets,
 with the weights computed in log space.
 
 Windows are counted through the field's periodic cell index, which
-transect casting shares (see :attr:`SpatialField.column_strips`).  Each
-window, widened by a margin far above the rounding of the half-open
-membership test ``mod(x - anchor_x, W) < width`` and
-``mod(y - anchor_y, H) < height``, covers a wrapping block of cells; only
-the particles in those cells go through the test, so the counts equal those
-of testing every particle against every window.
+transect casting and the gap check share (see
+:attr:`SpatialField.column_strips`).  Each window is one rectangle query,
+widened by a margin far above the rounding of the half-open membership test
+``mod(x - anchor_x, W) < width`` and ``mod(y - anchor_y, H) < height``; only
+the particles of its cells go through the test, so the counts equal those of
+testing every particle against every window.
 
 Replicated runs report per-replicate sample summaries, the empirical
 variance of the sample concentration, and inclusion-probability estimates
@@ -41,7 +41,7 @@ from .errors import EmptySampleError
 from .estimators import (
     degenerate_dependence, ht_terms, infinite_batch_weights, moment_terms, sample_totals,
 )
-from .fields import SpatialField, concat_ranges
+from .fields import SpatialField
 from .model import ClassTable, derive_expectation
 from .util import derived_rng, normal_half_width
 
@@ -443,11 +443,6 @@ def _window_membership(
     return (dx < window[0]) & (dy < window[1])
 
 
-#: A window is widened by this fraction of the domain side, on each side and
-#: on each axis, before its cells are looked up.  That is far above the
-#: rounding of ``mod(x - anchor_x, W)`` and ``mod(y - anchor_y, H)``, so the
-#: widened window's cells hold every member.
-_STRIP_MARGIN = 2.0**-30
 #: Candidates tested per batch; small batches keep the arrays in cache.
 _STRIP_BATCH = 1 << 14
 
@@ -458,33 +453,20 @@ def window_counts(
     """(R, K) class counts of the toroidal windows anchored at the rows of
     ``anchors``; particles of classes outside [0, K) are not counted.
 
-    Candidates come from the field's cached column strips (see
-    :attr:`SpatialField.column_strips`), which transect casting shares.  A
-    window [ax, ax + width) x [ay, ay + height), widened by the margin on
-    each axis, covers a run of columns that wraps across the domain edge
-    and holds at most all of them.  In each column it covers a run of rows,
-    again wrapping, which is one or two contiguous slices of the sorted
-    particles.  Each candidate is tested once, with
+    Candidates come from one :meth:`CellStrips.rectangles` query per window
+    on the field's cached column strips (see
+    :attr:`SpatialField.column_strips`), which transect casting and the gap
+    check share.  The query's slices hold every particle of the window,
+    each once.  Each candidate is tested once, with
     :func:`_window_membership`, in batches of about ``_STRIP_BATCH``, and
     the classes outside [0, K) are dropped after the test.
     """
     strips = field.column_strips
-    col_first, n_cols = _wrapped_cells(
-        anchors[:, 0], width, _STRIP_MARGIN * field.width, strips.scale_a, strips.na)
-    row_first, n_rows = _wrapped_cells(
-        anchors[:, 1], height, _STRIP_MARGIN * field.height, strips.scale_b, strips.nb)
+    window, begin, count = strips.rectangles(anchors[:, 0], width, anchors[:, 1], height)
     r = len(anchors)
-    # one (window, column) pair per covered column, in window order
-    window = np.repeat(np.arange(r), n_cols)
-    column = concat_ranges(col_first, n_cols) % strips.na
-    # its rows: first..min(first + count, nb) - 1, then 0..first + count - nb - 1
-    first, wrap_end = row_first[window], row_first[window] + n_rows[window]
-    slices = [strips.slices(column, first, np.minimum(wrap_end, strips.nb) - 1),
-              strips.slices(column, 0 * first, np.maximum(wrap_end - strips.nb, 0) - 1)]
-    begin = np.column_stack([b for b, _ in slices])
-    count = np.column_stack([c for _, c in slices])
-    pairs_end = np.cumsum(n_cols)  # every window covers at least one column
-    ends = np.cumsum(count.sum(axis=1))[pairs_end - 1]
+    # every window has at least one slice
+    slices_end = np.searchsorted(window, np.arange(r), side="right")
+    ends = np.cumsum(count)[slices_end - 1]
 
     counts = np.empty((r, k), dtype=np.int64)
     a0 = 0
@@ -492,10 +474,10 @@ def window_counts(
         # windows [a0, a1) hold at most _STRIP_BATCH candidates (or one window)
         before = ends[a0 - 1] if a0 else 0
         a1 = max(int(np.searchsorted(ends, before + _STRIP_BATCH, side="right")), a0 + 1)
-        p0, p1 = (pairs_end[a0 - 1] if a0 else 0), pairs_end[a1 - 1]
-        span = count[p0:p1].ravel()
-        cand = strips.take(begin[p0:p1].ravel(), span)
-        row = np.repeat(window[p0:p1].repeat(2) - a0, span)
+        p0, p1 = (slices_end[a0 - 1] if a0 else 0), slices_end[a1 - 1]
+        span = count[p0:p1]
+        cand = strips.take(begin[p0:p1], span)
+        row = np.repeat(window[p0:p1] - a0, span)
         member = _window_membership(
             field.x[cand], field.y[cand], anchors[a0:a1, 0][row], anchors[a0:a1, 1][row],
             (width, height), (field.width, field.height),
@@ -507,17 +489,6 @@ def window_counts(
         ).reshape(a1 - a0, k)
         a0 = a1
     return counts
-
-
-def _wrapped_cells(
-    anchor: np.ndarray, side: float, margin: float, scale: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """First cell (in 0..n-1) and number of cells, at most n, of the n
-    cells (width 1 / scale, from 0, wrapping) that cover
-    [anchor - margin, anchor + side + margin)."""
-    first = np.floor((anchor - margin) * scale)
-    last = np.floor((anchor + (side + margin)) * scale)
-    return (first % n).astype(np.intp), np.minimum(last - first + 1, n).astype(np.intp)
 
 
 def _replicate_counts(

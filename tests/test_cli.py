@@ -250,6 +250,23 @@ class TestConfigErrors:
         config = write_scenario(tmp_path, batch={"mass": 100, "sample_mass": 10.0})
         assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize(
+        "overrides,location",
+        [
+            ({"field": {"variant": "poisson", "intensity": 0.01, "mixing": [0.5, 0.5]},
+              "design": {"variant": "window", "width": 0.1, "height": 0.1}}, "field"),
+            ({"design": {"variant": "bernoulli", "q": [0.5, 0.5], "class_of": []}},
+             "design.class_of"),
+            ({"design": {"variant": "pairwise_pmf", "q": [0.5, 0.5],
+                         "phi": [[1, 1], [1, 1]], "class_of": []}}, "design.class_of"),
+        ],
+    )
+    def test_empty_design_names_its_key(self, tmp_path, capsys, overrides, location):
+        config = write_scenario(tmp_path, sample_counts=None, dependence=None, replicates=10,
+                                **overrides)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {location}:" in capsys.readouterr().err
+
     def test_non_identifiable_grid_cell_is_a_model_outcome(self, tmp_path):
         config = write_scenario(tmp_path, ckk_grid={"n_k": [1], "ratio": [1]})
         assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 3

@@ -6,6 +6,7 @@ from scipy import stats as sstats
 
 from granvar.errors import SaturationError
 from granvar.fields import (
+    CellStrips,
     ProcessParams,
     SpatialField,
     assign_classes,
@@ -233,6 +234,11 @@ class TestHardcore:
     # reach 0.4: 2 cells per axis on the unit domain, 1 on the 0.7 axis
     @example(case=hardcore_case(3, (1.0, 1.0), [0.1, 0.15, 0.2], 0.0, 6.0) + (5,))
     @example(case=hardcore_case(3, (2.5, 0.7), [0.1, 0.15, 0.2], 0.0, 6.0) + (6,))
+    # benchmark size: about 6000 particles, resolved over several chunks
+    @example(case=hardcore_case(2, (1.0, 1.0), [0.002, 0.004], 0.002, 6000.0) + (7,))
+    # reach 0.6, one reach-wide cell per axis: at most two particles fit,
+    # so about 27 chunks of darts run before the attempt budget is spent
+    @example(case=hardcore_case(1, (1.0, 1.0), [0.3], 0.0, 20.0) + (8,))
     def test_matches_scalar_loop(self, case):
         params, table, seed = case
         got = outcome(lambda: generate_field(params, table, seed))
@@ -244,6 +250,54 @@ class TestHardcore:
         for array, ref in zip(got[1:], want[1:]):
             np.testing.assert_array_equal(array, ref)
             assert array.dtype == ref.dtype
+
+
+def on_grid(length, cells):
+    """A coordinate in [0, length]: an edge of the domain or of one of its
+    ``cells`` cells, or anywhere."""
+    return st.one_of(st.just(0.0), st.just(length),
+                     st.integers(0, cells).map(lambda c: c * length / cells),
+                     st.floats(0.0, length))
+
+
+@st.composite
+def rectangle_cases(draw):
+    width, height = draw(st.sampled_from([(1.0, 1.0), (2.5, 0.7)]))
+    na, nb = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = draw(st.integers(0, 30))
+    a = draw(st.lists(on_grid(width, na), min_size=n, max_size=n))
+    b = draw(st.lists(on_grid(height, nb), min_size=n, max_size=n))
+    m = draw(st.integers(1, 6))
+    # anchors reach below 0, as a square query around a point does
+    a0 = draw(st.lists(st.one_of(on_grid(width, na), st.floats(-width, 0.0)),
+                       min_size=m, max_size=m))
+    b0 = draw(st.lists(st.one_of(on_grid(height, nb), st.floats(-height, 0.0)),
+                       min_size=m, max_size=m))
+    # sides up to wider than the domain
+    a_side = draw(st.one_of(st.just(width), on_grid(width, na), st.floats(0.0, 2 * width)))
+    b_side = draw(st.one_of(st.just(height), on_grid(height, nb), st.floats(0.0, 2 * height)))
+    return (width, height, na, nb, np.array(a), np.array(b), np.array(a0), np.array(b0),
+            a_side, b_side)
+
+
+class TestCellStrips:
+    @settings(deadline=None, max_examples=100)
+    @given(case=rectangle_cases())
+    def test_rectangle_holds_each_member_once(self, case):
+        """Every particle in a wrapping rectangle is among that query's
+        candidates, and no candidate appears twice in one query."""
+        width, height, na, nb, a, b, a0, b0, a_side, b_side = case
+        strips = CellStrips(a, b, na, nb, width, height)
+        query, begin, count = strips.rectangles(a0, a_side, b0, b_side)
+        assert np.all(np.diff(query) >= 0)
+        candidates = strips.take(begin, count)
+        owner = np.repeat(query, count)
+        for q in range(len(a0)):
+            mine = candidates[owner == q]
+            assert len(np.unique(mine)) == len(mine)
+            inside = np.flatnonzero((np.mod(a - a0[q], width) < a_side)
+                                    & (np.mod(b - b0[q], height) < b_side))
+            assert set(inside.tolist()) <= set(mine.tolist())
 
 
 class TestGapViolations:
