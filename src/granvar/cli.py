@@ -213,9 +213,9 @@ def cmd_simulate(args) -> int:
         ["key", "value"],
         [
             ["replicates", "v_e", "v_e_se", "mean_cs", "mass_cv", "n_empty",
-             "empty_fraction"],
+             "empty_fraction", "nan_dependence_cells"],
             [stats.replicates, stats.v_e, stats.v_e_se, stats.mean_cs, stats.mass_cv,
-             stats.n_empty, stats.n_empty / stats.replicates],
+             stats.n_empty, stats.n_empty / stats.replicates, report.nan_dependence_cells],
         ],
     )
     return 0

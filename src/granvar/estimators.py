@@ -15,7 +15,10 @@ estimators call them with R = 1.  The kernels are row-local: a row's
 per-class terms are added left to right from 0.  A matrix product or an
 einsum may round a row differently with the batch it sits in, so a value
 evaluated once per distinct row, or as a scalar, would differ from the
-same row evaluated in another batch.
+same row evaluated in another batch.  Because the arithmetic is
+elementwise, the dependence and pair weights may also be per-row stacks,
+(K, K, R) with each entry an (R,) column, and a row then gets the same
+value as with its own (K, K) matrix.
 """
 from __future__ import annotations
 
@@ -182,9 +185,13 @@ def ht_terms(
 
 def infinite_batch_weights(table: ClassTable, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, P) of the infinite-batch Horvitz-Thompson form:
-    d_u = m_u^2 c_u^2 / (1 - C_uu) and P = C / (1 - C)."""
+    d_u = m_u^2 c_u^2 / (1 - C_uu) and P = C / (1 - C), for a (K, K) ``c``
+    or a per-row (K, K, N) stack (then d is (K, N))."""
     m, conc = table.masses, table.concentrations
-    return m * m * conc * conc / (1.0 - np.diag(c)), c / (1.0 - c)
+    d = m * m * conc * conc
+    if c.ndim == 3:
+        d = d[:, None]
+    return d / (1.0 - np.diagonal(c).T), c / (1.0 - c)
 
 
 def _variance_result(first: np.ndarray, second: np.ndarray, mass: float) -> VarianceResult:

@@ -16,7 +16,6 @@ from .fields import ProcessParams, generate_field
 from .intercept import TransectSpec, calibrate_against_oracle, cast_transects, class_weights
 from .model import ClassTable
 from .selection import (
-    InclusionEstimate,
     ReplicateStats,
     SelectionDesign,
     compare_estimators,
@@ -24,6 +23,7 @@ from .selection import (
     enumerate_design,
     inclusion_from_fractions,
     pair_fractions,
+    replicate_counts,
     run_replicates,
 )
 from .util import derived_rng, derived_seeds, normal_half_width, ordered_map
@@ -141,20 +141,6 @@ class SeedOutcome:
     moment_empirical: float
 
 
-def _seed_outcome(
-    stats: ReplicateStats, est: InclusionEstimate, table: ClassTable
-) -> SeedOutcome:
-    report = compare_estimators(stats, est, table)
-    return SeedOutcome(
-        c_hat=est.c_hat,
-        covers_zero=empirical_dependence(est).covers_zero(),
-        v_e=stats.v_e,
-        v_e_se=stats.v_e_se,
-        moment_zero=report.row("moment", "zero", "replicate_mean").value,
-        moment_empirical=report.row("moment", "empirical", "replicate_mean").value,
-    )
-
-
 @dataclass(frozen=True)
 class WindowEnsemble:
     outcomes: tuple[SeedOutcome, ...]
@@ -197,6 +183,25 @@ class WindowEnsemble:
         return float(np.mean(wins)) if wins else np.nan
 
 
+def _aggregate_seeds(
+    draws: Sequence[tuple[np.ndarray, np.ndarray]], table: ClassTable
+) -> WindowEnsemble:
+    """The ensemble of every seed's (R, K) (populations, window counts),
+    stacked and summarized in one pass with each seed a group."""
+    pops, counts = (np.concatenate(parts) for parts in zip(*draws))
+    seeds = len(draws)
+    stats = ReplicateStats.from_counts(counts, table, groups=seeds)
+    mean_pop = pops.reshape(seeds, -1, table.k).mean(axis=1).round().astype(int)
+    est = inclusion_from_fractions(*pair_fractions(counts, pops), mean_pop, groups=seeds)
+    report = compare_estimators(stats, est, table)
+    return WindowEnsemble(tuple(map(
+        SeedOutcome, est.c_hat, empirical_dependence(est).covers_zero(),
+        stats.v_e.tolist(), stats.v_e_se.tolist(),
+        *(report.row("moment", dep, "replicate_mean").value.tolist()
+          for dep in ("zero", "empirical")),
+    )))
+
+
 def window_ensemble(
     params: ProcessParams,
     table: ClassTable,
@@ -206,17 +211,19 @@ def window_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> WindowEnsemble:
-    """Window-sample ``n_seeds`` independent fields and collect per-seed
-    dependence estimates and estimator comparisons."""
+    """Window-sample ``n_seeds`` independent fields, each from its own
+    derived streams, and collect per-seed dependence estimates and
+    estimator comparisons."""
 
-    def one(seed_index: int) -> SeedOutcome:
+    def one(seed_index: int) -> tuple[np.ndarray, np.ndarray]:
         field_seed, mc_seed = derived_seeds(master_seed, seed_index, count=2)
         fld = generate_field(params, table, field_seed)
         design = SelectionDesign.window(fld, window[0], window[1])
-        stats, est = run_replicates(design, table, replicates, mc_seed)
-        return _seed_outcome(stats, est, table)
+        counts = replicate_counts(design, table, replicates, mc_seed)
+        pop = np.bincount(design.class_of, minlength=table.k)
+        return np.broadcast_to(pop, counts.shape), counts
 
-    return WindowEnsemble(tuple(ordered_map(one, list(range(n_seeds)), threads)))
+    return _aggregate_seeds(ordered_map(one, list(range(n_seeds)), threads), table)
 
 
 def poisson_null_params(intensity: float = 500.0) -> ProcessParams:
@@ -274,22 +281,18 @@ def gy_null_ensemble(
     particle is uniform on the domain and so lies in the half-open toroidal
     window with probability w * h / (W * H) whatever the anchor,
     independently of the others, which makes each window count binomial.
-    Fresh fields make the replicates independent.
+    Fresh fields make the replicates independent.  Each seed draws from
+    its own derived stream, and the seeds are summarized together.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    table = binary_table()
     params = poisson_null_params(intensity)
 
-    def one(seed_index: int) -> SeedOutcome:
-        pops, counts = poisson_window_counts(
-            params, window, replicates, derived_rng(master_seed, seed_index)
-        )
-        f1, f2 = pair_fractions(counts, pops)
-        est = inclusion_from_fractions(f1, f2, pops.mean(axis=0).round().astype(int))
-        return _seed_outcome(ReplicateStats.from_counts(counts, table), est, table)
+    def one(seed_index: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = derived_rng(master_seed, seed_index)
+        return poisson_window_counts(params, window, replicates, rng)
 
-    return WindowEnsemble(tuple(ordered_map(one, list(range(n_seeds)), threads)))
+    return _aggregate_seeds(ordered_map(one, list(range(n_seeds)), threads), binary_table())
 
 
 def clustered_params(

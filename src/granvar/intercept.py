@@ -39,7 +39,9 @@ import numpy as np
 from .errors import GranvarError
 from .fields import CellStrips, ProcessParams, SpatialField, concat_ranges, generate_field
 from .model import ClassTable
-from .selection import SelectionDesign, run_replicates
+from .selection import (
+    SelectionDesign, inclusion_from_fractions, pair_fractions, replicate_counts,
+)
 from .util import derived_rng, derived_seeds, ordered_map
 
 STATIONARY_RESIDUAL = 1e-12
@@ -455,21 +457,25 @@ def calibrate_against_oracle(
     """
     def one_case(item: tuple[int, tuple[str, ProcessParams]]) -> CalibrationCase:
         case_index, (label, params) = item
-        oracle_vals = []
-        adjacency_vals = []
+        pops, counts, adjacency_vals = [], [], []
         for s in range(n_seeds):
             field_seed, window_seed, transect_seed = derived_seeds(
                 master_seed, case_index, s, count=3
             )
             field = generate_field(params, table, field_seed)
             design = SelectionDesign.window(field, window[0], window[1])
-            _, est = run_replicates(design, table, replicates, window_seed)
-            oracle_vals.append(est.c_hat)
+            counts.append(replicate_counts(design, table, replicates, window_seed))
+            pops.append(np.broadcast_to(np.bincount(design.class_of, minlength=table.k),
+                                        counts[-1].shape))
             adj, _, _ = adjacency_dependence_for_field(
                 field, table, transects, transect_seed
             )
             adjacency_vals.append(adj)
-        oracle = np.stack(oracle_vals)
+        # every seed's windows in one grouped pass, each seed a group
+        pops, counts = np.concatenate(pops), np.concatenate(counts)
+        oracle = inclusion_from_fractions(
+            *pair_fractions(counts, pops), pops[::replicates], groups=n_seeds
+        ).c_hat
         adjacency = np.stack(adjacency_vals)
         with np.errstate(invalid="ignore"):
             oracle_mean = np.nanmean(oracle, axis=0)

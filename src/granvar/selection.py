@@ -38,11 +38,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySampleError
-from .estimators import (
-    degenerate_dependence, ht_terms, infinite_batch_weights, moment_terms, sample_totals,
-)
+from .estimators import ht_terms, infinite_batch_weights, moment_terms, sample_totals
 from .fields import SpatialField
-from .model import ClassTable, derive_expectation
+from .model import ClassTable
 from .util import derived_rng, normal_half_width
 
 #: Exact enumeration and pairwise sampling are limited to designs with at
@@ -169,56 +167,69 @@ class ReplicateStats:
     ``n_empty``.  ``mass_cv`` is computed over all replicates and audits
     the constant-sample-mass assumption of the Horvitz-Thompson route.
 
+    With ``groups`` set, the rows are that many equal runs, one after
+    another (an ensemble's seeds): ``v_e``, ``v_e_se``, ``mean_cs`` and
+    ``mass_cv`` are then (G,) arrays, ``n_empty`` counts all runs, and
+    every row is its own distinct row.
+
     Every per-replicate summary is a function of the replicate's class
     counts, and a design's replicates repeat few count vectors (a pairwise
     design has at most prod_u (n_u + 1)).  ``first`` indexes the first
-    replicate of each distinct count row (``distinct`` holds those rows)
-    and ``inverse`` maps every replicate to its distinct row, so
+    replicate of each distinct count row of a run (``distinct`` holds those
+    rows) and ``inverse`` maps every replicate to its distinct row, so
     ``distinct[inverse]`` equals ``counts``; see :func:`distinct_rows`,
     which makes every row its own distinct row when the counts are not
-    integers or the rows' mixed-radix codes would not fit in int64.  ``mass`` and ``cs`` are evaluated once
-    per distinct row and gathered back, which gives the same values as
-    evaluating every replicate because each row is computed on its own.
+    integers or the rows' mixed-radix codes would not fit in int64.
+    ``mass`` and ``cs`` are evaluated once per distinct row and gathered
+    back, which gives the same values as evaluating every replicate because
+    each row is computed on its own.
     """
 
     counts: np.ndarray
     mass: np.ndarray
     cs: np.ndarray
-    v_e: float
-    v_e_se: float
-    mean_cs: float
-    mass_cv: float
+    v_e: float | np.ndarray
+    v_e_se: float | np.ndarray
+    mean_cs: float | np.ndarray
+    mass_cv: float | np.ndarray
     n_empty: int
     first: np.ndarray
     inverse: np.ndarray
+    groups: int | None = None
 
     @classmethod
-    def from_counts(cls, counts: np.ndarray, table: ClassTable) -> "ReplicateStats":
-        """Summarize (R, K) per-replicate selected class counts.
+    def from_counts(
+        cls, counts: np.ndarray, table: ClassTable, groups: int | None = None
+    ) -> "ReplicateStats":
+        """Summarize (R, K) per-replicate selected class counts, or the
+        (G R, K) counts of ``groups`` runs of R, each as if alone.
 
         The concentration moments are NaN when fewer than 2 replicates are
         non-empty, and ``mass_cv`` is NaN when the mean mass is 0.
         """
-        first, inverse = distinct_rows(counts)
+        g = groups or 1
+        size = len(counts) // g
+        every = np.arange(len(counts))
+        first, inverse = distinct_rows(counts) if groups is None else (every, every)
         mass_d, analyte_d = sample_totals(counts[first], table)
         nonempty_d = mass_d > 0
         cs_d = np.full(len(mass_d), np.nan)
         cs_d[nonempty_d] = analyte_d[nonempty_d] / mass_d[nonempty_d]
         mass, cs = mass_d[inverse], cs_d[inverse]
         nonempty = mass > 0
-        cs_ok = cs[nonempty]
-        if len(cs_ok) >= 2:
-            v_e = float(np.var(cs_ok, ddof=1))
-            v_e_se = variance_se(cs_ok)
-            mean_cs = float(cs_ok.mean())
-        else:
-            v_e, v_e_se, mean_cs = np.nan, np.nan, np.nan
-        mean_mass = mass.mean()
-        mass_cv = float(mass.std(ddof=1) / mean_mass) if mean_mass > 0 else np.nan
+        cs_ok, sizes = cs[nonempty], nonempty.reshape(g, size).sum(axis=1)
+        v_e = _group_reduce(lambda x: x.var(axis=1, ddof=1), cs_ok, sizes, least=2)
+        v_e_se = _group_reduce(variance_se, cs_ok, sizes, least=2)
+        mean_cs = _group_reduce(lambda x: x.mean(axis=1), cs_ok, sizes, least=2)
+        mean_mass = mass.reshape(g, size).mean(axis=1)
+        mass_cv = np.divide(mass.reshape(g, size).std(axis=1, ddof=1), mean_mass,
+                            out=np.full(g, np.nan), where=mean_mass > 0)
+        if groups is None:
+            v_e, v_e_se, mean_cs, mass_cv = (float(a[0]) for a in (v_e, v_e_se, mean_cs, mass_cv))
         return cls(
-            counts=counts, mass=mass, cs=cs, v_e=v_e, v_e_se=v_e_se,
-            mean_cs=mean_cs, mass_cv=mass_cv, n_empty=int(len(mass) - nonempty.sum()),
-            first=first, inverse=inverse,
+            counts=counts, mass=mass, cs=cs, v_e=v_e, v_e_se=v_e_se, mean_cs=mean_cs,
+            mass_cv=mass_cv, n_empty=int(len(mass) - len(cs_ok)),
+            first=first, inverse=inverse, groups=groups,
         )
 
     @property
@@ -231,6 +242,24 @@ class ReplicateStats:
         return self.counts[self.first]
 
 
+def _group_reduce(reduce, x: np.ndarray, sizes: np.ndarray, least: int = 1) -> np.ndarray:
+    """``reduce`` over axis 1 of each group of the (N, ...) rows ``x``,
+    whose consecutive groups have ``sizes`` rows; NaN for a group of fewer
+    than ``least``.  Numpy reduces a group in a stack as it reduces it
+    alone, so equal groups go through in one call; unequal ones (some with
+    empty replicates dropped) are reduced one by one."""
+    out = np.full((len(sizes),) + x.shape[1:], np.nan)
+    enough = sizes >= least
+    if np.all(sizes == sizes[0]):
+        if enough[0]:
+            out[:] = reduce(x.reshape((len(sizes), sizes[0]) + x.shape[1:]))
+        return out
+    for g, part in enumerate(np.split(x, np.cumsum(sizes)[:-1])):
+        if enough[g]:
+            out[g] = reduce(part[None])[0]
+    return out
+
+
 @dataclass(frozen=True)
 class InclusionEstimate:
     """Empirical first/second-order inclusion probabilities by class.
@@ -238,7 +267,7 @@ class InclusionEstimate:
     ``c_hat`` inverts pi2 through c = 1 - pi2/(pi1_i pi1_j); its standard
     errors come from the delta method on the replicate-level covariance.
     Unestimable entries (absent classes, single-member classes on the
-    diagonal) are NaN.
+    diagonal) are NaN.  Grouped estimates have a leading group axis.
     """
 
     pi1: np.ndarray
@@ -247,7 +276,7 @@ class InclusionEstimate:
     pi2_se: np.ndarray
     c_hat: np.ndarray
     c_hat_se: np.ndarray
-    replicates: int
+    replicates: int | np.ndarray
     population_counts: np.ndarray
 
 
@@ -349,7 +378,7 @@ class _ClassStates:
 
 
 def _invert_dependence(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
-    outer = pi1[:, None] * pi1[None, :]
+    outer = pi1[..., :, None] * pi1[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         c = 1.0 - pi2 / outer
     c[~np.isfinite(outer) | (outer == 0)] = np.nan
@@ -491,10 +520,16 @@ def window_counts(
     return counts
 
 
-def _replicate_counts(
-    design: SelectionDesign, table: ClassTable, r: int, rng: np.random.Generator
+def replicate_counts(
+    design: SelectionDesign, table: ClassTable, r: int, seed: int
 ) -> np.ndarray:
-    """(R, K) per-replicate class counts, drawn in replicate order."""
+    """(R, K) class counts of ``r`` independent selections, drawn in
+    replicate order from a stream derived from ``seed``."""
+    if r < 2:
+        raise ValueError("need at least 2 replicates")
+    if design.n == 0:
+        raise ValueError("design has no particles")
+    rng = derived_rng(seed)
     k = table.k
     if design.variant == "window":
         anchors = np.column_stack(
@@ -554,70 +589,82 @@ def distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def variance_se(values: np.ndarray) -> float:
-    """Standard error of the sample variance (fourth-moment formula)."""
-    n = len(values)
+def variance_se(values: np.ndarray) -> float | np.ndarray:
+    """Standard error of the sample variance (fourth-moment formula) along
+    the last axis; a float for 1-D ``values``."""
+    n = values.shape[-1]
     if n < 4:
-        return np.nan
-    centered = values - values.mean()
-    s2 = centered @ centered / (n - 1)
-    m4 = (centered**4).mean()
-    var_of_var = (m4 - s2 * s2 * (n - 3) / (n - 1)) / n
-    return float(np.sqrt(max(var_of_var, 0.0)))
+        return np.nan if values.ndim == 1 else np.full(values.shape[:-1], np.nan)
+    sq = values - values.mean(axis=-1, keepdims=True)
+    sq = sq * sq
+    s2 = sq.sum(axis=-1) / (n - 1)
+    se = np.sqrt(np.maximum(((sq * sq).mean(axis=-1) - s2 * s2 * (n - 3) / (n - 1)) / n, 0.0))
+    return float(se) if values.ndim == 1 else se
+
+
+def _weighted_mean(x: np.ndarray, w: np.ndarray, valid: np.ndarray):
+    """(weight, mean, deviations, standard error of the mean) per group of
+    C-ordered (..., G, R) ``x``, over the rows ``valid`` marks, with (G, R)
+    row weights ``w``; deviations off those rows carry no weight.  Unit
+    weights and every row valid give numpy's mean and std(ddof=1) /
+    sqrt(R) of each group's rows, bit for bit."""
+    if not valid.all():
+        w, x = np.where(valid, w, 0.0), np.where(valid, x, 0.0)
+    total = w.sum(axis=-1)
+    mean = (w * x).sum(axis=-1) / total
+    dev = x - mean[..., None]
+    se = np.sqrt((w * (dev * dev)).sum(axis=-1) / (total - 1.0)) / np.sqrt(total)
+    return total, mean, dev, se
 
 
 def inclusion_from_fractions(
-    f1: np.ndarray, f2: np.ndarray, population_counts: np.ndarray
+    f1: np.ndarray,
+    f2: np.ndarray,
+    population_counts: np.ndarray,
+    weights: np.ndarray | None = None,
+    groups: int | None = None,
 ) -> InclusionEstimate:
-    """Aggregate per-replicate inclusion fractions into an estimate.
+    """Aggregate per-row inclusion fractions into an estimate.
 
-    ``f1`` is (R, K) per-replicate selected fractions; ``f2`` is (R, K, K)
-    per-replicate selected pair fractions (symmetric, NaN where a replicate
-    had too few population members).  Also the entry point for designs
-    whose population changes per replicate.
+    ``f1`` is (N, K) selected fractions and ``f2`` (N, K, K) selected pair
+    fractions, NaN where a row had too few population members.  Row i
+    stands for ``weights[i]`` replicates (1 by default), so distinct rows
+    with their multiplicities estimate what all replicates do.  ``groups``
+    splits the rows into that many equal runs, each estimated alone.  Also
+    the entry point for populations that change per replicate.
+
+    All K(K+1)/2 cells take one pass of weighted sums (see
+    :func:`_weighted_mean`) over the rows where their fractions are
+    finite, and need a weight of 2 there.  ``c_hat_se`` is the standard
+    error of the mean of c_hat's linearization in (pi2, pi1_u, pi1_v).
     """
-    r, k = f1.shape
-    pi1 = np.full(k, np.nan)
-    pi1_se = np.full(k, np.nan)
-    pi2 = np.full((k, k), np.nan)
-    pi2_se = np.full((k, k), np.nan)
-    c_hat = np.full((k, k), np.nan)
-    c_se = np.full((k, k), np.nan)
-
-    for u in range(k):
-        vals = f1[:, u]
-        if np.isnan(vals).all():
-            continue
-        vals = vals[np.isfinite(vals)]
-        pi1[u] = vals.mean()
-        pi1_se[u] = vals.std(ddof=1) / np.sqrt(len(vals))
-
-    for u in range(k):
-        for v in range(u, k):
-            pair = f2[:, u, v]
-            mask = np.isfinite(pair) & np.isfinite(f1[:, u]) & np.isfinite(f1[:, v])
-            if mask.sum() < 2:
-                continue
-            pair = pair[mask]
-            n_used = len(pair)
-            pi2[u, v] = pi2[v, u] = pair.mean()
-            se = pair.std(ddof=1) / np.sqrt(n_used)
-            pi2_se[u, v] = pi2_se[v, u] = se
-            if np.isnan(pi1[u]) or np.isnan(pi1[v]) or pi1[u] == 0 or pi1[v] == 0:
-                continue
-            a, b, c = pi2[u, v], pi1[u], pi1[v]
-            c_hat[u, v] = c_hat[v, u] = 1.0 - a / (b * c)
-            if u == v:
-                grad = np.array([-1.0 / (b * b), 2.0 * a / b**3])
-                cov = np.cov(np.vstack([pair, f1[mask, u]]), ddof=1) / n_used
-            else:
-                grad = np.array([-1.0 / (b * c), a / (b * b * c), a / (b * c * c)])
-                cov = np.cov(
-                    np.vstack([pair, f1[mask, u], f1[mask, v]]), ddof=1
-                ) / n_used
-            var = float(grad @ cov @ grad)
-            c_se[u, v] = c_se[v, u] = np.sqrt(max(var, 0.0))
-    return InclusionEstimate(pi1, pi1_se, pi2, pi2_se, c_hat, c_se, r, population_counts)
+    n, k = f1.shape
+    g = groups or 1
+    size = n // g
+    w = (np.ones(n) if weights is None else np.asarray(weights, dtype=float)).reshape(g, size)
+    iu, iv = np.triu_indices(k)
+    # C order: numpy then sums each run's R values as it sums them alone
+    x1 = np.ascontiguousarray(f1.T).reshape(k, g, size)
+    x2 = np.ascontiguousarray(f2[:, iu, iv].T).reshape(len(iu), g, size)
+    valid2 = np.isfinite(x2) & np.isfinite(x1[iu]) & np.isfinite(x1[iv])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1, pi1, _, pi1_se = _weighted_mean(x1, w, np.isfinite(x1))
+        n2, pi2, dev2, pi2_se = _weighted_mean(x2, w, valid2)
+        a, b = pi1[iu], pi1[iv]
+        linear = ((-1.0 / (a * b))[..., None] * dev2
+                  + (pi2 / (a * a * b))[..., None] * _weighted_mean(x1[iu], w, valid2)[2]
+                  + (pi2 / (a * b * b))[..., None] * _weighted_mean(x1[iv], w, valid2)[2])
+        c_se = _weighted_mean(linear, w, valid2)[3]
+    pi1, pi1_se = np.where(n1 > 0, pi1, np.nan).T, np.where(n1 >= 2, pi1_se, np.nan).T
+    square = np.empty((3, g, k, k))
+    square[:, :, iu, iv] = square[:, :, iv, iu] = np.where(
+        n2 >= 2, [pi2, pi2_se, c_se], np.nan).transpose(0, 2, 1)
+    c_hat = _invert_dependence(pi1, square[0])
+    fields = [pi1, pi1_se, *square[:2], c_hat, np.where(np.isnan(c_hat), np.nan, square[2])]
+    replicates = w.sum(axis=1).astype(np.int64)
+    if groups is None:
+        fields, replicates = [f[0] for f in fields], int(replicates[0])
+    return InclusionEstimate(*fields, replicates, population_counts)
 
 
 def pair_fractions(counts: np.ndarray, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -656,18 +703,16 @@ def run_replicates(
     Deterministic for a fixed seed: all randomness comes from a stream
     derived from the seed and is consumed in replicate order, so results
     do not depend on scheduling.  Empty replicates are recorded (not
-    errors) and excluded from the concentration moments.
+    errors) and excluded from the concentration moments.  The inclusion
+    fractions are functions of the count row, so the estimate weighs each
+    distinct row by its multiplicity.
     """
-    if r < 2:
-        raise ValueError("need at least 2 replicates")
-    if design.n == 0:
-        raise ValueError("design has no particles")
-    rng = derived_rng(seed)
-    stats = ReplicateStats.from_counts(_replicate_counts(design, table, r, rng), table)
+    stats = ReplicateStats.from_counts(replicate_counts(design, table, r, seed), table)
     pop = np.bincount(design.class_of, minlength=table.k)
-    # the fractions are functions of the count row: one evaluation per distinct row
-    f1, f2 = pair_fractions(stats.distinct, pop)
-    return stats, inclusion_from_fractions(f1[stats.inverse], f2[stats.inverse], pop)
+    multiplicity = np.bincount(stats.inverse, minlength=len(stats.first))
+    return stats, inclusion_from_fractions(
+        *pair_fractions(stats.distinct, pop), pop, weights=multiplicity
+    )
 
 
 def empirical_dependence(
@@ -699,56 +744,59 @@ def compare_estimators(
     cells (unestimable pairs) enter as zero and are counted.  The
     per-replicate values are functions of the count row, so they are
     evaluated once per distinct non-empty row and gathered back before
-    averaging.
+    averaging.  Grouped ``stats`` and ``est`` compare each run under its
+    own matrix, which enters the kernels as per-row columns, and every
+    value of the report is then a (G,) array.
     """
     k = table.k
-    c_emp = est.c_hat.copy()
-    nan_cells = int(np.isnan(c_emp[np.triu_indices(k)]).sum())
-    c_emp[np.isnan(c_emp)] = 0.0
-    c_zero = np.zeros((k, k))
-
+    g = stats.groups or 1
+    size = stats.replicates // g
+    c_hat = est.c_hat.reshape(g, k, k)
+    iu, iv = np.triu_indices(k)
+    nan_cells = np.isnan(c_hat[:, iu, iv]).sum(axis=1)
     ok = stats.mass > 0
-    if ok.sum() < 2:
+    sizes = ok.reshape(g, size).sum(axis=1)
+    if np.any(sizes < 2):
         raise EmptySampleError("too few non-empty replicates to compare estimators")
     ok_distinct = stats.mass[stats.first] > 0
     keep = stats.first[ok_distinct]
     # position of each non-empty replicate's row among the non-empty distinct rows
     gather = (np.cumsum(ok_distinct) - 1)[stats.inverse[ok]]
-    counts = stats.counts[keep].astype(float)
-    mass = stats.mass[keep]
-    cs = stats.cs[keep]
-    mean_counts = stats.counts[ok].astype(float).mean(axis=0)
-    exp = derive_expectation(mean_counts, table)
+    mean_counts = _group_reduce(lambda x: x.mean(axis=1), stats.counts[ok].astype(float), sizes)
+    mean_mass, mean_analyte = sample_totals(mean_counts, table)
+    rows = (stats.counts[keep].astype(float), stats.mass[keep], stats.cs[keep], keep // size)
+    summaries = (mean_counts, mean_mass, mean_analyte / mean_mass, np.arange(g))
 
-    def evaluate(estimator, counts, mass, cs, c):
+    def evaluate(estimator, c, counts, mass, cs, group):
+        """Per-row values, each row under its run's matrix of the (G, K, K)
+        stack ``c``, or under ``c`` itself when it is one (K, K) matrix."""
+        undefined = ~np.all(c < 1.0, axis=(-2, -1))  # the weights 1 / (1 - C)
+        if c.ndim == 3:
+            if estimator != "moment":
+                c = np.where(undefined[:, None, None], 0.0, c)
+            c, undefined = np.moveaxis(c, 0, -1)[..., group], undefined[group]
         if estimator == "moment":
             first, second = moment_terms(counts, cs, table, c)
-        elif degenerate_dependence(c):
-            return np.full(len(mass), np.nan)
-        else:
-            first, second = ht_terms(counts, table, *infinite_batch_weights(table, c))
-        return (first - second) / (mass * mass)
+            return (first - second) / (mass * mass)
+        first, second = ht_terms(counts, table, *infinite_batch_weights(table, c))
+        return np.where(undefined, np.nan, (first - second) / (mass * mass))
 
-    rows: list[ComparisonRow] = []
+    v_e, v_e_se = np.reshape(stats.v_e, g), np.reshape(stats.v_e_se, g)
+    unbox = (lambda a: float(a[0])) if stats.groups is None else (lambda a: a)
+    report = []
     for estimator in ("moment", "horvitz_thompson"):
-        for dep_name, c in (("zero", c_zero), ("empirical", c_emp)):
-            per_rep = evaluate(estimator, counts, mass, cs, c)[gather]
-            rows.append(_make_row(
-                estimator, dep_name, "replicate_mean", float(np.mean(per_rep)), stats
-            ))
-            one = evaluate(
-                estimator, mean_counts[None, :], np.array([exp.mass]),
-                np.array([exp.concentration]), c,
-            )
-            rows.append(_make_row(estimator, dep_name, "mean_summary", float(one[0]), stats))
-
-    return ComparisonReport(tuple(rows), stats.v_e, stats.v_e_se, nan_cells)
-
-
-def _make_row(
-    estimator: str, dep: str, mode: str, value: float, stats: ReplicateStats
-) -> ComparisonRow:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = value / stats.v_e if stats.v_e else np.nan
-        z = (value - stats.v_e) / stats.v_e_se if stats.v_e_se else np.nan
-    return ComparisonRow(estimator, dep, mode, value, stats.v_e, float(ratio), float(z))
+        for dep, c in (("zero", np.zeros((k, k))),
+                       ("empirical", np.where(np.isnan(c_hat), 0.0, c_hat))):
+            for mode, value in (
+                ("replicate_mean", _group_reduce(lambda x: x.mean(axis=1),
+                                                 evaluate(estimator, c, *rows)[gather], sizes)),
+                ("mean_summary", evaluate(estimator, c, *summaries)),
+            ):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(v_e != 0, value / v_e, np.nan)
+                    z = np.where(v_e_se != 0, (value - v_e) / v_e_se, np.nan)
+                report.append(
+                    ComparisonRow(estimator, dep, mode, *map(unbox, (value, v_e, ratio, z)))
+                )
+    nan_cells = int(nan_cells[0]) if stats.groups is None else nan_cells
+    return ComparisonReport(tuple(report), stats.v_e, stats.v_e_se, nan_cells)

@@ -303,6 +303,21 @@ class TestSimulate:
         assert float(cross["pi_ij"]) == 0.0
         assert float(cross["pc_hat"]) == pytest.approx(1.0)
 
+    def test_summary_counts_unestimable_dependence_cells(self, tmp_path):
+        """Class 0 has one member, so its diagonal cell has no pairs."""
+        config = write_scenario(
+            tmp_path,
+            replicates=200,
+            design={"variant": "bernoulli", "q": [0.5, 0.5], "class_of": [0, 1, 1]},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        summary = {r["key"]: r["value"] for r in read_rows(out / "summary.csv")}
+        assert summary["nan_dependence_cells"] == "1"
+        estimates = {(r["i"], r["j"]): r for r in read_rows(out / "estimates.csv")}
+        assert estimates[("0", "0")]["pc_hat"] == "nan"
+        assert estimates[("1", "1")]["pc_hat"] != "nan"
+
     def test_estimates_header_contract(self, tmp_path):
         config = write_scenario(
             tmp_path,

@@ -3,10 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from granvar.experiments import binary_table, gy_null_ensemble, poisson_window_counts
+from granvar.experiments import (
+    binary_table,
+    clustered_params,
+    gy_null_ensemble,
+    poisson_null_params,
+    poisson_window_counts,
+    window_ensemble,
+)
 from granvar.fields import ProcessParams, generate_field
-from granvar.selection import window_counts
+from granvar.selection import (
+    ReplicateStats,
+    compare_estimators,
+    empirical_dependence,
+    pair_fractions,
+    window_counts,
+)
 from granvar.util import derived_rng, derived_seeds
+from test_selection import reference_inclusion, same_bits
 
 DOMAIN = (2.5, 0.7)
 PARAMS = ProcessParams(variant="poisson", width=DOMAIN[0], height=DOMAIN[1],
@@ -64,14 +78,69 @@ def test_null_sampler_matches_closed_form_moments(sampler, window):
         np.testing.assert_array_equal(counts, pops)
 
 
+OUTCOMES = ("c_hat", "covers_zero", "v_e", "v_e_se", "moment_zero", "moment_empirical")
+
+
+def stacked(ensemble):
+    """An ensemble's per-seed readouts, each stacked over the seeds."""
+    return {name: np.array([getattr(o, name) for o in ensemble.outcomes]) for name in OUTCOMES}
+
+
+def assert_same_outcomes(a, b):
+    """Two ensembles' per-seed readouts are byte-identical."""
+    a, b = stacked(a), stacked(b)
+    for name in OUTCOMES:
+        assert a[name].shape == b[name].shape and a[name].tobytes() == b[name].tobytes(), name
+
+
 def test_null_ensemble_thread_invariant():
     kwargs = dict(replicates=50, n_seeds=4, master_seed=12)
     serial = gy_null_ensemble(threads=1, **kwargs)
     threaded = gy_null_ensemble(threads=2, **kwargs)
-    for a, b in zip(serial.outcomes, threaded.outcomes, strict=True):
-        for name in ("c_hat", "covers_zero", "v_e", "v_e_se", "moment_zero",
-                     "moment_empirical"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert_same_outcomes(serial, threaded)
+
+
+def test_window_ensemble_thread_invariant():
+    """Seeds drawn on 1 or 2 threads stack into the same rows."""
+    kwargs = dict(
+        params=clustered_params(cluster_radius=0.05, parent_intensity=30.0, offspring_mean=6.0),
+        table=binary_table(), window=(0.1, 0.1), replicates=60, n_seeds=5, master_seed=31,
+    )
+    serial, threaded = (window_ensemble(threads=t, **kwargs) for t in (1, 2))
+    assert_same_outcomes(serial, threaded)
+
+
+def per_seed_loop(master_seed, replicates=200, n_seeds=50, window=(0.3, 0.3)):
+    """Reference: the null ensemble aggregated seed by seed, as before the
+    seeds were stacked, with the per-replicate inclusion reference."""
+    table = binary_table()
+    rows = {name: [] for name in OUTCOMES}
+    for s in range(n_seeds):
+        pops, counts = poisson_window_counts(
+            poisson_null_params(), window, replicates, derived_rng(master_seed, s)
+        )
+        est = reference_inclusion(*pair_fractions(counts, pops),
+                                  pops.mean(axis=0).round().astype(int))
+        stats = ReplicateStats.from_counts(counts, table)
+        report = compare_estimators(stats, est, table)
+        for name, value in (
+            ("c_hat", est.c_hat), ("covers_zero", empirical_dependence(est).covers_zero()),
+            ("v_e", stats.v_e), ("v_e_se", stats.v_e_se),
+            ("moment_zero", report.row("moment", "zero", "replicate_mean").value),
+            ("moment_empirical", report.row("moment", "empirical", "replicate_mean").value),
+        ):
+            rows[name].append(value)
+    return {name: np.array(values) for name, values in rows.items()}
+
+
+@pytest.mark.parametrize("master_seed", [505, 1, 2, 3])
+def test_null_ensemble_matches_the_per_seed_loop(master_seed):
+    """The stacked pass reads out every seed as the per-seed loop does, bit
+    for bit (both take v_e_se from ``variance_se``)."""
+    ensemble = stacked(gy_null_ensemble(master_seed=master_seed))
+    reference = per_seed_loop(master_seed)
+    for name in OUTCOMES:
+        assert same_bits(ensemble[name], reference[name]), name
 
 
 @pytest.mark.parametrize("window", [(0.0, 0.3), (0.3, -0.1), (1.01, 0.3), (0.3, 1.5)])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from granvar.intercept import TransectSpec, calibrate_against_oracle, intersect_
 from granvar.model import ClassTable, derive_expectation
 from granvar.selection import (
     ComparisonRow,
+    InclusionEstimate,
     ReplicateStats,
     SelectionDesign,
     compare_estimators,
@@ -783,21 +785,212 @@ class TestDistinctRows:
             assert same_bits(got[3:], want[3:]), (got, want)
 
 
+def reference_inclusion(f1, f2, population_counts):
+    """Reference: the per-replicate aggregation that ``inclusion_from_fractions``
+    replaced, cell by cell, with finiteness masks and ``np.cov``."""
+    r, k = f1.shape
+    pi1, pi1_se = np.full(k, np.nan), np.full(k, np.nan)
+    pi2, pi2_se = np.full((k, k), np.nan), np.full((k, k), np.nan)
+    c_hat, c_se = np.full((k, k), np.nan), np.full((k, k), np.nan)
+    with warnings.catch_warnings():
+        # std(ddof=1) of a single value gives NaN, with a warning
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for u in range(k):
+            vals = f1[:, u]
+            if np.isnan(vals).all():
+                continue
+            vals = vals[np.isfinite(vals)]
+            pi1[u] = vals.mean()
+            pi1_se[u] = vals.std(ddof=1) / np.sqrt(len(vals))
+    for u in range(k):
+        for v in range(u, k):
+            pair = f2[:, u, v]
+            mask = np.isfinite(pair) & np.isfinite(f1[:, u]) & np.isfinite(f1[:, v])
+            if mask.sum() < 2:
+                continue
+            pair = pair[mask]
+            n_used = len(pair)
+            pi2[u, v] = pi2[v, u] = pair.mean()
+            pi2_se[u, v] = pi2_se[v, u] = pair.std(ddof=1) / np.sqrt(n_used)
+            if np.isnan(pi1[u]) or np.isnan(pi1[v]) or pi1[u] == 0 or pi1[v] == 0:
+                continue
+            a, b, c = pi2[u, v], pi1[u], pi1[v]
+            c_hat[u, v] = c_hat[v, u] = 1.0 - a / (b * c)
+            if u == v:
+                grad = np.array([-1.0 / (b * b), 2.0 * a / b**3])
+                cov = np.cov(np.vstack([pair, f1[mask, u]]), ddof=1) / n_used
+            else:
+                grad = np.array([-1.0 / (b * c), a / (b * b * c), a / (b * c * c)])
+                cov = np.cov(np.vstack([pair, f1[mask, u], f1[mask, v]]), ddof=1) / n_used
+            c_se[u, v] = c_se[v, u] = np.sqrt(max(float(grad @ cov @ grad), 0.0))
+    return InclusionEstimate(pi1, pi1_se, pi2, pi2_se, c_hat, c_se, r, population_counts)
+
+
+#: Relative tolerance of the weighted inclusion pass against the
+#: per-replicate reference.  Both sum the same terms in different orders
+#: (distinct rows times multiplicities, and influence values instead of a
+#: covariance matrix), so they agree to rounding.
+INCLUSION_RTOL = 1e-9
+#: Absolute floors, in units of each value's input scale: 1 for fractions,
+#: and the delta-method gradient's size for c_hat and its standard error.
+#: The reference forms c_hat_se^2 as grad' cov grad, which cancels to about
+#: 1e-16 of the squared scale, so its SE is only good to the square root of
+#: that (seen: 8.4e-9 where the exact value is 0).
+INCLUSION_FLOORS = {"pi1": 1e-12, "pi1_se": 1e-12, "pi2": 1e-12, "pi2_se": 1e-12,
+                    "c_hat": 1e-12, "c_hat_se": 1e-7}
+
+
+def assert_inclusion_close(got, want):
+    """``got`` has ``want``'s NaN cells and agrees elsewhere to INCLUSION_RTOL."""
+    b = want.pi1[:, None] * want.pi1[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gradient = np.abs(1.0 / b) * (1.0 + 2.0 * np.abs(want.pi2) / np.minimum.outer(
+            want.pi1, want.pi1))
+    for name, floor in INCLUSION_FLOORS.items():
+        a, w = getattr(got, name), getattr(want, name)
+        assert np.array_equal(np.isnan(a), np.isnan(w)), name
+        scale = np.broadcast_to(gradient if name.startswith("c_") else 1.0, w.shape)
+        ok = ~np.isnan(w)
+        assert np.all(np.abs(a - w)[ok] <= (INCLUSION_RTOL * np.abs(w) + floor * scale)[ok]), \
+            (name, a, w)
+
+
 class TestRunReplicatesDistinctRows:
     @settings(deadline=None, max_examples=60)
     @given(case=pairwise_cases(), seed=st.integers(0, 2**31), r=st.integers(2, 300))
     def test_matches_direct_evaluation(self, case, seed, r):
+        """The estimate over distinct rows, weighted by multiplicity, is the
+        per-replicate reference's to INCLUSION_RTOL; the summaries are the
+        direct evaluation's bit for bit."""
         design, table = case
         try:
             stats, est = run_replicates(design, table, r=r, seed=seed)
         except ValueError:  # unnormalizable designs
             return
         pop = np.bincount(design.class_of, minlength=table.k)
-        direct = inclusion_from_fractions(*pair_fractions(stats.counts, pop), pop)
-        for name in ("pi1", "pi1_se", "pi2", "pi2_se", "c_hat", "c_hat_se"):
-            assert same_bits(getattr(est, name), getattr(direct, name)), name
+        assert_inclusion_close(est, reference_inclusion(*pair_fractions(stats.counts, pop), pop))
+        assert est.replicates == r
         mass, cs, *_ = direct_summaries(stats.counts, table)
         assert same_bits(stats.mass, mass) and same_bits(stats.cs, cs)
+
+
+@st.composite
+def grouped_runs(draw):
+    """(runs, class table): 1-3 runs of per-replicate (populations, counts),
+    with populations shared by a run or drawn per replicate, absent (0) and
+    single-member (1) classes, empty replicates, and pair-free runs (counts
+    capped at 1), whose diagonal cells estimate c = 1."""
+    k = draw(st.integers(1, 3))
+    runs, r = draw(st.integers(1, 3)), draw(st.integers(2, 20))
+    shared = draw(st.booleans())
+    cap = draw(st.sampled_from([1, 4]))
+    out = []
+    for _ in range(runs):
+        pop_rows = st.lists(st.integers(0, 4), min_size=k, max_size=k)
+        if shared:
+            pops = np.tile(draw(pop_rows), (r, 1))
+        else:
+            pops = np.array(draw(st.lists(pop_rows, min_size=r, max_size=r)))
+        counts = np.array([[draw(st.integers(0, min(p, cap))) for p in row] for row in pops])
+        counts[draw(st.lists(st.integers(0, r - 1), max_size=2))] = 0
+        out.append((pops.astype(np.int64), counts.astype(np.int64)))
+    table = ClassTable.from_arrays(
+        draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k)),
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.5)), min_size=k, max_size=k)),
+    )
+    return out, table
+
+
+class TestGroupedAggregation:
+    @settings(deadline=None, max_examples=200)
+    @given(case=grouped_runs(), grouped=st.booleans())
+    def test_weighted_inclusion_matches_per_replicate_reference(self, case, grouped):
+        """Each run's distinct (population, count) rows with their
+        multiplicities, padded with weight-0 rows to a common length and
+        estimated together, give each run's per-replicate reference."""
+        runs, _ = case
+        rows, weights = [], []
+        for pops, counts in runs:
+            distinct, multiplicity = np.unique(np.hstack([pops, counts]), axis=0,
+                                               return_counts=True)
+            rows.append(distinct)
+            weights.append(multiplicity)
+        size = max(len(d) for d in rows)
+        rows = np.concatenate([np.vstack([d, np.repeat(d[:1], size - len(d), axis=0)])
+                               for d in rows])
+        weights = np.concatenate([np.pad(m, (0, size - len(m))) for m in weights])
+        k = runs[0][0].shape[1]
+        groups = len(runs) if grouped or len(runs) > 1 else None
+        est = inclusion_from_fractions(*pair_fractions(rows[:, k:], rows[:, :k]),
+                                       np.zeros((len(runs), k), int), weights, groups)
+        for g, (pops, counts) in enumerate(runs):
+            got = est if groups is None else InclusionEstimate(
+                *(getattr(est, f.name)[g] for f in dataclasses.fields(est)))
+            assert_inclusion_close(got, reference_inclusion(*pair_fractions(counts, pops), None))
+            assert got.replicates == len(counts)
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=grouped_runs())
+    def test_grouped_pass_equals_each_run_alone(self, case):
+        """Summaries, estimates and comparisons of stacked runs equal those of
+        each run aggregated alone, bit for bit, empty replicates included."""
+        runs, table = case
+        pops, counts = (np.concatenate(parts) for parts in zip(*runs))
+        g = len(runs)
+        stats = ReplicateStats.from_counts(counts, table, groups=g)
+        first_pops = np.array([run_pops[0] for run_pops, _ in runs])
+        est = inclusion_from_fractions(*pair_fractions(counts, pops), first_pops, groups=g)
+        alone = []
+        for run_pops, run_counts in runs:
+            run_stats = ReplicateStats.from_counts(run_counts, table)
+            alone.append((run_stats, inclusion_from_fractions(
+                *pair_fractions(run_counts, run_pops), run_pops[0])))
+        for name in ("v_e", "v_e_se", "mean_cs", "mass_cv"):
+            assert same_bits(getattr(stats, name), [getattr(s, name) for s, _ in alone]), name
+        assert stats.n_empty == sum(s.n_empty for s, _ in alone)
+        for f in dataclasses.fields(est):
+            assert same_bits(getattr(est, f.name), [getattr(e, f.name) for _, e in alone]), f
+        try:
+            expected = [compare_estimators(s, e, table) for s, e in alone]
+        except EmptySampleError:
+            with pytest.raises(EmptySampleError):
+                compare_estimators(stats, est, table)
+            return
+        report = compare_estimators(stats, est, table)
+        assert same_bits(report.nan_dependence_cells, [r.nan_dependence_cells for r in expected])
+        for i, row in enumerate(report.rows):
+            assert (row.estimator, row.dependence, row.mode) == dataclasses.astuple(
+                expected[0].rows[i])[:3]
+            for name in ("value", "v_e", "ratio", "z"):
+                assert same_bits(getattr(row, name),
+                                 [getattr(r.rows[i], name) for r in expected]), (row, name)
+
+
+def old_variance_se(values):
+    """Reference: ``variance_se`` before the fourth moment became (c c)(c c)."""
+    n = len(values)
+    if n < 4:
+        return np.nan
+    centered = values - values.mean()
+    s2 = centered @ centered / (n - 1)
+    m4 = (centered**4).mean()
+    return float(np.sqrt(max((m4 - s2 * s2 * (n - 3) / (n - 1)) / n, 0.0)))
+
+
+class TestVarianceSe:
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=300))
+    def test_matches_the_power_formula(self, values):
+        """Within 1e-12 of the former formula, relative to the variance's
+        scale, along the last axis of a stack too."""
+        values = np.array(values)
+        got, want = variance_se(values), old_variance_se(values)
+        if np.isnan(want):
+            assert np.isnan(got)
+            return
+        scale = float(np.mean((values - values.mean()) ** 2)) / np.sqrt(len(values))
+        assert abs(got - want) <= 1e-12 * max(want, scale)
+        np.testing.assert_array_equal(variance_se(np.vstack([values, values])), [got, got])
 
 
 class TestEmpiricalDependence:
