@@ -239,13 +239,14 @@ def cmd_intercept(args) -> int:
         field, spec.count, spec.orientation, spec.length,
         derived_seeds(config.seed, _TRANSECT_STREAM)[0],
     )
-    hits = [rec.n for rec in records]
+    hits = np.array([rec.n for rec in records], dtype=np.intp)
+    firsts = np.cumsum(hits) - hits
     writer.write(
         "transects.csv",
         ["transect_id", "order", "particle_id", "class_id", "chord_length", "width"],
         [
             np.repeat(np.arange(len(records)), hits),
-            np.concatenate([np.arange(n) for n in hits]),
+            np.arange(hits.sum()) - np.repeat(firsts, hits),
             *(
                 np.concatenate([getattr(rec, part) for rec in records])
                 for part in ("particle_ids", "class_ids", "chords", "widths")

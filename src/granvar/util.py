@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Sequence, TextIO, TypeVar
 
 import numpy as np
@@ -51,8 +50,8 @@ def format_sig(x: float, digits: int = 17) -> str:
     return f"{x:.{digits}g}"
 
 
-#: CSV rows formatted per block; bounds the strings held while writing.
-_CSV_BLOCK = 1 << 10
+#: CSV rows formatted per block; bounds the word matrix held while writing.
+_CSV_BLOCK = 1 << 13
 
 
 def write_csv_columns(
@@ -60,61 +59,281 @@ def write_csv_columns(
 ) -> None:
     """Write equal-length columns to ``f`` as CSV rows, a block at a time.
 
-    Numpy float columns are written with 17 significant digits and integer
-    columns as integers, through one ``%``-template per block; other
-    columns go cell by cell through :func:`_csv_cell`.  Output is identical
-    to formatting row by row.
+    Every float cell is written as ``'%.17g' % v`` and every integer cell
+    as ``'%d' % v``, byte for byte, by one vectorised formatter; strings
+    are written as they are and bools as ``true``/``false``.  A column
+    that is not a numeric or bool numpy array may mix these types.  For
+    1e-4 <= |v| < 1e16 and for 0 the digits are computed exactly in numpy
+    (:func:`_float_words`); every other float (nan, inf, tiny, huge) is
+    formatted on its own by ``%.17g``.  Each cell is laid out as 4-byte
+    words padded with NUL bytes, and the padding is deleted as a block is
+    written, so a string holding a NUL character is refused with a
+    ``ValueError`` that names its column.
 
     With ``rows``, output row i is ``i`` followed by row ``rows[i]`` of
     ``columns``, and each row of ``columns`` is formatted once however
-    often ``rows`` repeats it.
+    often ``rows`` repeats it; a string may then not hold a newline.
     """
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError("CSV columns differ in length")
     n = max(lengths, default=0)
+    blocks = (_text(_row_words([c[start:start + _CSV_BLOCK] for c in columns]))
+              for start in range(0, n, _CSV_BLOCK))
     if rows is None:
-        for start in range(0, n, _CSV_BLOCK):
-            f.write(_csv_block(columns, start, min(start + _CSV_BLOCK, n)))
+        for text in blocks:
+            f.write(text)
         return
-    lines = np.array(
-        [line for start in range(0, n, _CSV_BLOCK)
-         for line in _csv_block(columns, start, min(start + _CSV_BLOCK, n)).split("\n")[:-1]],
-        dtype=object,
-    )
+    # the distinct rows' text, left-aligned in NUL-padded words
+    lines = "".join(blocks).encode().split(b"\n")[:-1]
+    if len(lines) != n:
+        raise ValueError("CSV text cells written with rows= may not hold a newline")
+    table = _text_words(np.array(lines, dtype=np.bytes_)).T
     for start in range(0, len(rows), _CSV_BLOCK):
-        block = lines[rows[start:start + _CSV_BLOCK]].tolist()
-        f.write(("%d,%s\n" * len(block)) % tuple(chain.from_iterable(
-            zip(range(start, start + len(block)), block)
-        )))
+        block = rows[start:start + _CSV_BLOCK]
+        index = _int_words(np.arange(start, start + len(block)))
+        f.write(_text(np.hstack([
+            index[index.any(axis=1)].T, np.full((len(block), 1), _COMMA),
+            table[block], np.full((len(block), 1), _NEWLINE),
+        ])))
 
 
-def _csv_block(columns: Sequence[Sequence], start: int, stop: int) -> str:
-    """Rows [start, stop) of ``columns`` as CSV text, one template per block."""
-    fields, values = [], []
-    for column in columns:
-        part = column[start:stop]
-        if isinstance(part, np.ndarray) and part.dtype.kind == "f":
-            fields.append("%.17g")
-            values.append(part.tolist())
-        elif isinstance(part, np.ndarray) and part.dtype.kind in "iu":
-            fields.append("%d")
-            values.append(part.tolist())
+def _text(words: np.ndarray) -> str:
+    return words.tobytes().translate(None, b"\0").decode()
+
+
+def _row_words(columns: Sequence[Sequence]) -> np.ndarray:
+    """(n, w) words of the CSV rows of ``columns``, newline included.
+
+    The cells of all columns are formatted one type at a time, in one call
+    per type, so a block of many short columns costs few numpy calls.
+    """
+    n = len(columns[0]) if columns else 0
+    by_kind: dict[str, list] = {}
+    for index, column in enumerate(columns):
+        for positions, values in _typed_cells(column, index):
+            by_kind.setdefault(values.dtype.kind, []).append((index, positions, values))
+    parts: list[list] = [[] for _ in columns]
+    for kind, cells in by_kind.items():
+        words = _FORMATTERS[kind](np.concatenate([values for _, _, values in cells]))
+        at = 0
+        for index, positions, values in cells:
+            parts[index].append((positions, words[:, at:at + len(values)]))
+            at += len(values)
+    columns_words = []
+    for cells in parts:
+        if len(cells) == 1:
+            words = cells[0][1]
         else:
-            fields.append("%s")
-            values.append([_csv_cell(v) for v in part])
-    template = ",".join(fields) + "\n"
-    return (template * (stop - start)) % tuple(chain.from_iterable(zip(*values)))
+            words = np.zeros((max(len(w) for _, w in cells), n), np.uint32)
+            for positions, w in cells:
+                words[:len(w), positions] = w
+        # word rows that are NUL in every cell (a sign where no value is
+        # negative, unused integer chunks) are dropped before the copy
+        columns_words.append(words[words.any(axis=1)])
+    out = np.empty((n, sum(len(w) + 1 for w in columns_words)), np.uint32)
+    at = 0
+    for words in columns_words:
+        out[:, at:at + len(words)] = words.T
+        out[:, at + len(words)] = _COMMA
+        at += len(words) + 1
+    out[:, -1:] = _NEWLINE
+    return out
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format_sig(float(v))
+def _typed_cells(column: Sequence, index: int) -> list[tuple[slice | list[int], np.ndarray]]:
+    """Column ``index`` as (positions, values) groups of one type each:
+    float64, int64 or uint64 numbers, or the bytes of text.  A numpy
+    column is one group; a column of mixed cells is split by type, so that
+    every float goes through :func:`_float_words`."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+        if column.dtype.kind == "f":
+            return [(slice(None), column.astype(np.float64, copy=False))]
+        if column.dtype.kind == "b":
+            return [(slice(None), np.where(column, b"true", b"false"))]
+        if column.dtype != np.uint64:
+            column = column.astype(np.int64, copy=False)
+        return [(slice(None), column)]
+    groups: dict[type, tuple[list[int], list]] = {}
+    for i, v in enumerate(column):
+        if isinstance(v, str):
+            if "\0" in v:
+                raise ValueError(f"CSV column {index} holds a NUL character: {v!r}")
+            key, v = bytes, v.encode()
+        elif isinstance(v, (bool, np.bool_)):
+            key, v = bytes, b"true" if v else b"false"
+        elif isinstance(v, (int, np.integer)):
+            v = int(v)
+            key, v = (int, v) if -(2**63) <= v < 2**63 else (bytes, b"%d" % v)
+        else:
+            key, v = float, float(v)
+        positions, values = groups.setdefault(key, ([], []))
+        positions.append(i)
+        values.append(v)
+    dtypes = {float: np.float64, int: np.int64, bytes: np.bytes_}
+    return [(positions, np.array(values, dtype=dtypes[key]))
+            for key, (positions, values) in groups.items()]
+
+
+def _text_words(data: np.ndarray) -> np.ndarray:
+    """(w, n) words of a bytes (``S``) array, NUL-padded."""
+    w = max(1, -(-data.dtype.itemsize // 4))
+    return np.ascontiguousarray(data, dtype=f"S{4 * w}").view(np.uint32).reshape(len(data), w).T
+
+
+def _digit_words() -> np.ndarray:
+    """The word table: three 10**4-entry tables of 4-byte ASCII words, one
+    after another, then the words ``-`` and ``.``.  The tables hold the
+    four digits of 0..9999 in full, with leading zeros as NUL (0 keeps its
+    last digit), and with trailing zeros as NUL (0 is all NUL)."""
+    v = np.arange(10_000, dtype=np.int32)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int32)
+    digits = (v // place % 10 + ord("0")).astype(np.uint8)
+    leading = digits * ((v >= place) | (place == 1))
+    trailing = digits * (v % (10 * place) != 0)
+    signs = np.array([[ord("-"), 0, 0, 0], [ord("."), 0, 0, 0]], np.uint8)
+    return np.concatenate([digits, leading, trailing, signs]).view(np.uint32).ravel()
+
+
+_WORDS = _digit_words()
+#: Offsets of the three digit tables in ``_WORDS``, and the indices of
+#: its NUL (the trailing table's 0), ``-`` and ``.`` words.
+_FULL, _LEADING, _TRAILING = 0, 10_000, 20_000
+_NUL, _MINUS, _POINT = _TRAILING, 30_000, 30_001
+_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
+_POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
+#: 10**k as doubles; exact for k <= 22.
+_POW10F = np.array([float(10**k) for k in range(23)])
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into 26-bit halves, ``a = hi + lo``."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10F_HI, _POW10F_LO = _split(_POW10F)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**k`` as the exact sum ``hi + lo`` (Dekker's two-product,
+    which needs no fused multiply-add)."""
+    hi = a * _POW10F.take(k)
+    ah, al = _split(a)
+    bh, bl = _POW10F_HI.take(k), _POW10F_LO.take(k)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """(w, n) words of doubles as ``'%.17g' % v`` text.
+
+    For 1e-4 <= |v| < 1e16 and for 0, ``%.17g`` prints the 17-digit
+    significand D of v in fixed notation with trailing zeros stripped.
+    D is |v| * 10**(16 - X) rounded half to even, X = floor(log10|v|),
+    and is computed exactly from a two-product; ``log10`` can be one off
+    next to a power of ten, and such values are scaled again.  D is cut
+    into an integer part and a 20-digit fraction, whose base-10**4
+    chunks index the word table.  Every other value (nan, inf, tiny,
+    huge) is formatted on its own by ``%.17g``.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    exact = ((a >= 1e-4) & (a < 1e16)) | zero
+    a = np.where(exact & ~zero, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, 16 - e)
+    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
+    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    again = np.flatnonzero(shift)
+    if len(again):
+        e[again] += shift[again]
+        hi[again], lo[again] = _scaled(a[again], 16 - e[again])
+    floor = np.floor(lo)
+    d = hi.astype(np.int64) + floor.astype(np.int64)
+    half = lo - floor
+    # d never rounds up to 10**17: the largest double below a power of ten
+    # lies 2**-53 of it or more below, over ten units of the 17th digit
+    d += (half > 0.5) | ((half == 0.5) & (d & 1 == 1))
+    d[zero] = 0
+    decimals = 16 - e
+    decimals[zero] = 0
+    whole = _POW10.take(np.minimum(decimals, 17))
+    integer = d // whole
+    rest = d - integer * whole
+    # the 20-digit fraction rest * 10**(20 - decimals) is
+    # head * 10**16 + tail, so that every step fits in int64
+    up = _POW10.take(np.maximum(decimals - 4, 0))
+    head = rest // up
+    tail = (rest - head * up) * _POW10.take(np.minimum(20 - decimals, 16))
+    head *= _POW10.take(np.maximum(4 - decimals, 0))
+
+    # sign, integer chunks, point and five fraction chunks
+    index = np.empty((_chunk_count(integer) + 7, len(x)), np.intp)
+    index[0] = np.where(np.signbit(x), _MINUS, _NUL)
+    _magnitude_index(integer, index[1:-6])
+    fraction = index[-5:]
+    fraction[0] = head
+    _chunks(tail, fraction[1:])
+    # a fraction chunk is written in full while a later one is nonzero,
+    # else from the trailing table, which strips %g's trailing zeros
+    later = fraction[1:] != 0
+    for i in (2, 1, 0):
+        later[i] |= later[i + 1]
+    fraction[:-1] += ~later * (_TRAILING - _FULL)
+    fraction[-1] += _TRAILING
+    index[-6] = np.where(later[0] | (head != 0), _POINT, _NUL)
+    words = _WORDS.take(index)
+    other = np.flatnonzero(~exact)
+    if len(other):
+        # at least 8 words, which hold any %.17g text (24 bytes at most)
+        words[:, other] = _text_words(np.array(
+            [b"%.17g" % v for v in x[other].tolist()], dtype=f"S{4 * len(words)}"))
+    return words
+
+
+def _int_words(v: np.ndarray) -> np.ndarray:
+    """(w, n) words of int64 or uint64 integers as ``'%d' % v`` text."""
+    sign = np.where(v < 0, _MINUS, _NUL)
+    if v.dtype == np.int64:
+        bits = v.view(np.uint64)
+        v = np.where(v < 0, ~bits + np.uint64(1), bits)  # |v|, int64's minimum too
+    index = np.empty((_chunk_count(v) + 1, len(v)), np.intp)
+    index[0] = sign
+    _magnitude_index(v, index[1:])
+    return _WORDS.take(index)
+
+
+def _chunk_count(m: np.ndarray) -> int:
+    """Base-10**4 digits of the largest of the non-negative integers ``m``."""
+    return (len(str(m.max(initial=0))) + 3) // 4
+
+
+def _chunks(m: np.ndarray, out: np.ndarray) -> None:
+    """Fill the c rows of ``out`` with the base-10**4 digits of the
+    non-negative integers ``m`` < 10**(4c), most significant first."""
+    for j in range(len(out) - 1, 0, -1):
+        q = m // 10_000
+        out[j] = m - q * 10_000
+        m = q
+    out[0] = m
+
+
+def _magnitude_index(m: np.ndarray, out: np.ndarray) -> None:
+    """Fill the c rows of ``out`` with the word indices of non-negative
+    integers ``m`` < 10**(4c), without leading zeros; 0 is ``0``."""
+    c = len(out)
+    _chunks(m, out)
+    leading = np.full(len(m), c - 1)  # chunks before the first digit
+    for j in range(1, c):
+        leading -= m >= 10 ** (4 * j)
+    lead, j = np.arange(c), np.arange(c)[:, None]
+    kinds = np.where(j < lead, _TRAILING, np.where(j == lead, _LEADING, _FULL))
+    out += kinds.take(leading, axis=1)
+
+
+#: The formatter of each kind of cell values.
+_FORMATTERS = {"f": _float_words, "i": _int_words, "u": _int_words, "S": _text_words}
 
 
 def round_sig(x: float, digits: int) -> float:

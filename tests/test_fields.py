@@ -390,6 +390,17 @@ class TestGraded:
         assert down == pytest.approx(0.5 - 0.8 / 6, abs=0.02)
 
 
+def round_trip(field_, directory):
+    save_field_csv(field_, directory / "field.csv")
+    return load_field_csv(directory / "field.csv")
+
+
+def assert_same_particles(back, field_):
+    for name in ("x", "y", "radius", "class_id"):
+        got, want = getattr(back, name), getattr(field_, name)
+        assert got.dtype.kind == want.dtype.kind and got.tobytes() == want.tobytes(), name
+
+
 class TestFieldCsv:
     def test_round_trip(self, table, tmp_path):
         f = generate_field(poisson_params(intensity=50.0), table, seed=4)
@@ -401,6 +412,33 @@ class TestFieldCsv:
         np.testing.assert_array_equal(back.class_id, f.class_id)
         assert back.width == f.width
         assert back.process_tag == f.process_tag
+
+    @pytest.mark.parametrize("params", [
+        poisson_params(intensity=300.0),
+        cluster_params(),
+        ProcessParams(variant="hardcore", width=2.5, height=0.7, mixing=(0.5, 0.5),
+                      intensity=100.0, min_gap=0.01),
+        ProcessParams(variant="graded", width=1.0, height=3.0, mixing=(0.5, 0.5),
+                      intensity=100.0, gradient=(0.5, -0.5)),
+    ], ids=lambda p: p.variant)
+    def test_round_trip_is_bit_identical(self, params, table, tmp_path):
+        f = generate_field(params, table, seed=8)
+        assert_same_particles(round_trip(f, tmp_path), f)
+
+    @settings(deadline=None, max_examples=30)
+    @given(width=st.sampled_from([1.0, 2.5, 1e-3, 7e5]), data=st.data())
+    def test_round_trip_of_drawn_coordinates(self, width, data, tmp_path_factory):
+        """Exact zeros, values below 1e-4 (subnormals too) and the rest of
+        [0, W) come back with every bit."""
+        coordinate = st.one_of(st.just(0.0), st.floats(0.0, 1e-4),
+                               st.floats(0.0, width, exclude_max=True))
+        n = data.draw(st.integers(1, 40))
+        x, y = (np.array(data.draw(st.lists(coordinate, min_size=n, max_size=n)))
+                for _ in range(2))
+        radius = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        classes = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)))
+        f = SpatialField(width, width, x, y, radius, classes)
+        assert_same_particles(round_trip(f, tmp_path_factory.mktemp("csv")), f)
 
     def test_round_trip_with_comment(self, table, tmp_path):
         f = generate_field(poisson_params(intensity=50.0), table, seed=4)

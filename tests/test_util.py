@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from granvar import util
+from granvar.fields import SpatialField, save_field_csv
 from granvar.util import format_sig, normal_half_width, write_csv_columns
 
 
@@ -56,6 +58,84 @@ class TestWriteCsvColumns:
         big = np.arange(3000) % 3
         gathered = [np.arange(3000)] + [c[big] for c in columns]
         assert written(columns, big) == row_by_row(gathered)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=300),
+           st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300),
+           st.lists(st.integers(0, 2**64 - 1), max_size=300))
+    def test_random_bit_patterns_match_cell_formatting(self, bits, signed, unsigned):
+        """Floats of every exponent and sign (nan and inf included), and
+        integers of the whole int64 and uint64 ranges."""
+        floats = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert written([floats]) == row_by_row([floats])
+        ints = [np.array(signed, dtype=np.int64), np.array(unsigned, dtype=np.uint64)]
+        for column in ints:
+            assert written([column]) == row_by_row([column])
+
+    def test_edge_values_match_cell_formatting(self):
+        powers = [10.0**k for k in range(-6, 18)]
+        near = [np.nextafter(p, toward) for p in powers + [1e-4] for toward in (0, np.inf)]
+        near += [np.nextafter(v, toward) for v, toward in zip(near, [0, np.inf] * len(near))]
+        ties = [m / 2**18 for m in (1, 3, 26215, 26217, 2**18 - 1)]
+        floats = np.array(SPECIAL + powers + near + ties + [1e-4, 1e16 - 2, -(1e16 - 2)])
+        floats = np.concatenate([floats, -floats])
+        assert written([floats]) == row_by_row([floats])
+        ints = np.array([-(2**63), 2**63 - 1, -1, 0, 9999, 10**4, 10**16, -(10**16)])
+        assert written([ints]) == row_by_row([ints])
+        top = np.array([2**64 - 1, 2**63, 10**19, 0], dtype=np.uint64)
+        assert written([top]) == row_by_row([top])
+
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193])
+    def test_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        columns = [rng.normal(size=n) * 10.0 ** rng.integers(-6, 18, n),
+                   rng.integers(-(10**12), 10**12, n), np.arange(n) % 3 == 0]
+        assert written(columns) == row_by_row(columns)
+        rows = rng.integers(0, max(n, 1), n) if n else np.zeros(0, dtype=int)
+        gathered = [np.arange(n)] + [c[rows] for c in columns]
+        assert written(columns, rows) == row_by_row(gathered)
+
+    def test_mixed_list_column(self):
+        """A list column is split by cell type; big integers stay exact."""
+        cells = ["replicates", 7, 0.1, np.float64(-2.5e-7), np.int64(-3), True,
+                 np.bool_(False), np.float32(0.1), 2**64 + 1, -(2**70), float("nan"), "é,x", ""]
+        columns = [cells, np.arange(len(cells))]
+        assert written(columns) == row_by_row(columns)
+
+    def test_rows_with_repeated_and_unused_rows(self):
+        columns = [np.array([0.5, 1e-5, 3.0, 12345.678]), ["a", "bb", "ccc", "dddd"],
+                   np.array([1, -2, 3, 4])]
+        rows = np.array([3, 3, 0, 3, 0])  # rows 1 and 2 unused
+        gathered = [np.arange(len(rows))] + [[c[i] for i in rows] for c in columns]
+        assert written(columns, rows) == row_by_row(gathered)
+
+    def test_text_with_nul_is_refused(self):
+        with pytest.raises(ValueError, match="CSV column 1 holds a NUL"):
+            written([np.zeros(2), ["ok", "a\0b"]])
+
+    def test_rows_text_with_newline_is_refused(self):
+        """A newline inside a text cell would shift every gathered row."""
+        with pytest.raises(ValueError, match="newline"):
+            written([["a\nb", "c"]], np.array([1, 0]))
+
+    def test_zero_radius_field_takes_the_vector_path(self, tmp_path, monkeypatch):
+        """1e5 rows of radius 0: zeros are in the formatter's exact range,
+        so only the coordinates below 1e-4 fall back to per-value
+        formatting."""
+        rng = np.random.default_rng(3)
+        n = 100_000
+        field = SpatialField(1.0, 1.0, rng.random(n), rng.random(n), np.zeros(n),
+                             rng.integers(0, 3, n))
+        fallback = []
+        text_words = util._text_words
+        monkeypatch.setattr(util, "_text_words", lambda data: fallback.append(data) or
+                            text_words(data))
+        save_field_csv(field, tmp_path / "field.csv")
+        tiny = sum(np.count_nonzero((c > 0) & (c < 1e-4)) for c in (field.x, field.y))
+        assert 0 < tiny == sum(len(data) for data in fallback)
+        lines = (tmp_path / "field.csv").read_text().splitlines()
+        columns = [field.x, field.y, field.radius, field.class_id]
+        assert "\n".join(lines[1:]) + "\n" == row_by_row(columns)
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
