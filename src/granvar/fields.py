@@ -515,20 +515,31 @@ def load_field_csv(path: str | Path) -> SpatialField:
     sidecar = json.loads(path.with_suffix(".json").read_text())
     xs, ys, radii, classes = [], [], [], []
     with path.open("r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        while header.startswith("#"):
-            header = f.readline().strip()
+        lines = enumerate(f, start=1)
+        for _, header in lines:
+            header = header.strip()
+            if not header.startswith("#"):
+                break
+        else:
+            header = ""
         if header != "x,y,radius,class_id":
             raise ValueError(f"unexpected field CSV header: {header!r}")
-        for line in f:
+        for number, line in lines:
             line = line.strip()
             if not line:
                 continue
-            sx, sy, sr, sc = line.split(",")
-            xs.append(float(sx))
-            ys.append(float(sy))
-            radii.append(float(sr))
-            classes.append(int(sc))
+            cells = line.split(",")
+            try:
+                if len(cells) != 4:
+                    raise ValueError(f"expected 4 values, got {len(cells)}")
+                sx, sy, sr, sc = cells
+                x, y, radius, class_id = float(sx), float(sy), float(sr), int(sc)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
+            xs.append(x)
+            ys.append(y)
+            radii.append(radius)
+            classes.append(class_id)
     return SpatialField(
         float(sidecar["width"]),
         float(sidecar["height"]),

@@ -174,18 +174,20 @@ class ReplicateStats:
 
     Every per-replicate summary is a function of the replicate's class
     counts, and a design's replicates repeat few count vectors (a pairwise
-    design has at most prod_u (n_u + 1)).  ``first`` indexes the first
-    replicate of each distinct count row of a run (``distinct`` holds those
-    rows) and ``inverse`` maps every replicate to its distinct row, so
-    ``distinct[inverse]`` equals ``counts``; see :func:`distinct_rows`,
-    which makes every row its own distinct row when the counts are not
-    integers or the rows' mixed-radix codes would not fit in int64.
+    design has at most prod_u (n_u + 1)).  So the replicates are held as
+    their distinct count rows: ``distinct`` holds those rows, ``first``
+    indexes the first replicate of each and ``inverse`` maps every
+    replicate to its row; ``counts`` gathers the (R, K) rows back on
+    demand.  See :func:`distinct_rows`, which makes every row its own
+    distinct row when the counts are not integers or the rows' mixed-radix
+    codes would not fit in int64; pairwise runs find their distinct rows
+    from the drawn state indices without building the (R, K) counts.
     ``mass`` and ``cs`` are evaluated once per distinct row and gathered
     back, which gives the same values as evaluating every replicate because
     each row is computed on its own.
     """
 
-    counts: np.ndarray
+    distinct: np.ndarray
     mass: np.ndarray
     cs: np.ndarray
     v_e: float | np.ndarray
@@ -205,13 +207,31 @@ class ReplicateStats:
         (G R, K) counts of ``groups`` runs of R, each as if alone.
 
         The concentration moments are NaN when fewer than 2 replicates are
-        non-empty, and ``mass_cv`` is NaN when the mean mass is 0.
+        non-empty, and ``mass_cv`` is NaN when the mean mass is 0.  Grouped
+        counts are kept as they are, each row its own distinct row.
         """
+        if groups is not None:
+            _check_nonnegative(counts)
+            every = np.arange(len(counts))
+            return cls.from_distinct(counts, every, every, table, groups)
+        first, inverse = distinct_rows(counts)
+        return cls.from_distinct(counts[first], first, inverse, table)
+
+    @classmethod
+    def from_distinct(
+        cls,
+        distinct: np.ndarray,
+        first: np.ndarray,
+        inverse: np.ndarray,
+        table: ClassTable,
+        groups: int | None = None,
+    ) -> "ReplicateStats":
+        """Summarize replicates given as (U, K) ``distinct`` count rows,
+        the replicate index ``first`` of each and the row ``inverse`` of
+        every replicate; as :meth:`from_counts` of ``distinct[inverse]``."""
         g = groups or 1
-        size = len(counts) // g
-        every = np.arange(len(counts))
-        first, inverse = distinct_rows(counts) if groups is None else (every, every)
-        mass_d, analyte_d = sample_totals(counts[first], table)
+        size = len(inverse) // g
+        mass_d, analyte_d = sample_totals(distinct, table)
         nonempty_d = mass_d > 0
         cs_d = np.full(len(mass_d), np.nan)
         cs_d[nonempty_d] = analyte_d[nonempty_d] / mass_d[nonempty_d]
@@ -227,7 +247,7 @@ class ReplicateStats:
         if groups is None:
             v_e, v_e_se, mean_cs, mass_cv = (float(a[0]) for a in (v_e, v_e_se, mean_cs, mass_cv))
         return cls(
-            counts=counts, mass=mass, cs=cs, v_e=v_e, v_e_se=v_e_se, mean_cs=mean_cs,
+            distinct=distinct, mass=mass, cs=cs, v_e=v_e, v_e_se=v_e_se, mean_cs=mean_cs,
             mass_cv=mass_cv, n_empty=int(len(mass) - len(cs_ok)),
             first=first, inverse=inverse, groups=groups,
         )
@@ -237,9 +257,9 @@ class ReplicateStats:
         return len(self.mass)
 
     @property
-    def distinct(self) -> np.ndarray:
-        """(U, K) distinct count rows."""
-        return self.counts[self.first]
+    def counts(self) -> np.ndarray:
+        """(R, K) per-replicate class counts, gathered from ``distinct``."""
+        return self.distinct[self.inverse]
 
 
 def _group_reduce(reduce, x: np.ndarray, sizes: np.ndarray, least: int = 1) -> np.ndarray:
@@ -375,6 +395,18 @@ class _ClassStates:
         for start in range(0, self.size, _STATE_BATCH):
             s = self.decode(np.arange(start, min(start + _STATE_BATCH, self.size)))
             yield s, self.log_weights(s)
+
+    def draw(self, rng: np.random.Generator, r: int) -> np.ndarray:
+        """``r`` state indices drawn from the normalized weights by
+        inverting the state cdf at one ``rng.random(r)`` call."""
+        lw = np.concatenate([batch_lw for _, batch_lw in self.batches()])
+        top = lw.max()
+        if top == -np.inf:
+            raise ValueError("selection pmf is not normalizable (all weights zero)")
+        cdf = np.cumsum(np.exp(lw - top))
+        drawn = np.searchsorted(cdf, rng.random(r) * cdf[-1], side="right")
+        # u * Z may round up to Z; that draw belongs to the last state of positive weight
+        return np.minimum(drawn, np.flatnonzero(lw > -np.inf)[-1])
 
 
 def _invert_dependence(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
@@ -520,16 +552,21 @@ def window_counts(
     return counts
 
 
+def _replicate_rng(design: SelectionDesign, r: int, seed: int) -> np.random.Generator:
+    """The stream of ``r`` replicates of ``design``, derived from ``seed``."""
+    if r < 2:
+        raise ValueError("need at least 2 replicates")
+    if design.n == 0:
+        raise ValueError("design has no particles")
+    return derived_rng(seed)
+
+
 def replicate_counts(
     design: SelectionDesign, table: ClassTable, r: int, seed: int
 ) -> np.ndarray:
     """(R, K) class counts of ``r`` independent selections, drawn in
     replicate order from a stream derived from ``seed``."""
-    if r < 2:
-        raise ValueError("need at least 2 replicates")
-    if design.n == 0:
-        raise ValueError("design has no particles")
-    rng = derived_rng(seed)
+    rng = _replicate_rng(design, r, seed)
     k = table.k
     if design.variant == "window":
         anchors = np.column_stack(
@@ -552,40 +589,49 @@ def replicate_counts(
             for u in range(k):
                 counts[start:stop, u] = sel[:, class_masks[u]].sum(axis=1)
         return counts
-    # pairwise_pmf: draw state indices from the state cdf, decode only those
     states = _ClassStates(design, k)
-    lw = np.concatenate([batch_lw for _, batch_lw in states.batches()])
-    top = lw.max()
-    if top == -np.inf:
-        raise ValueError("selection pmf is not normalizable (all weights zero)")
-    cdf = np.cumsum(np.exp(lw - top))
-    drawn = np.searchsorted(cdf, rng.random(r) * cdf[-1], side="right")
-    # u * Z may round up to Z; that draw belongs to the last state of positive weight
-    drawn = np.minimum(drawn, np.flatnonzero(lw > -np.inf)[-1])
-    return np.ascontiguousarray(states.decode(drawn).T)
+    return np.ascontiguousarray(states.decode(states.draw(rng, r)).T)
+
+
+def _unique_codes(codes: np.ndarray, bound: int) -> tuple[np.ndarray, ...]:
+    """``np.unique`` (values, first, inverse) of non-negative integer
+    ``codes`` below ``bound``, sorted as the smallest unsigned dtype that
+    holds them: numpy's stable sort of 8- and 16-bit keys is a radix sort."""
+    narrow = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                  if bound - 1 <= np.iinfo(t).max)
+    return np.unique(codes.astype(narrow), return_index=True, return_inverse=True)
+
+
+def _check_nonnegative(counts: np.ndarray) -> None:
+    if counts.size and counts.min() < 0:
+        bad = int(np.flatnonzero((counts < 0).any(axis=1))[0])
+        raise ValueError(f"counts must be non-negative; row {bad} is {counts[bad].tolist()}")
 
 
 def distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of the distinct rows of (R, K) non-negative integer
+    """(first, inverse) of the distinct rows of (R, K) non-negative
     counts: ``counts[first]`` are the distinct rows, ``first`` indexes each
     one's first occurrence, and ``counts[first][inverse]`` equals ``counts``.
 
     Each row is coded as a mixed-radix number whose digit u is the count of
     class u in base ``counts[:, u].max() + 1`` (class 0 the most
-    significant), and the codes go through ``np.unique``; the distinct rows
-    then come in increasing code order.  When the counts are not of an
-    integer dtype, or the product of the bases does not fit in int64, every
-    row is its own distinct row.
+    significant), and the codes go through :func:`_unique_codes`; the
+    distinct rows then come in increasing code order.  When the counts are
+    not of an integer dtype, or the product of the bases does not fit in
+    int64, every row is its own distinct row.  A negative count raises a
+    ``ValueError`` naming its row.
     """
+    _check_nonnegative(counts)
     r, k = counts.shape
     base = [int(b) + 1 for b in counts.max(axis=0, initial=0)]
-    if counts.dtype.kind not in "iu" or math.prod(base) > np.iinfo(np.int64).max:
+    bound = math.prod(base)
+    if counts.dtype.kind not in "iu" or bound > np.iinfo(np.int64).max:
         every = np.arange(r)
         return every, every
     place = np.ones(k, dtype=np.int64)
     for u in range(k - 2, -1, -1):
         place[u] = place[u + 1] * base[u + 1]
-    _, first, inverse = np.unique(counts @ place, return_index=True, return_inverse=True)
+    _, first, inverse = _unique_codes(counts.astype(np.int64, copy=False) @ place, bound)
     return first, inverse
 
 
@@ -705,9 +751,17 @@ def run_replicates(
     do not depend on scheduling.  Empty replicates are recorded (not
     errors) and excluded from the concentration moments.  The inclusion
     fractions are functions of the count row, so the estimate weighs each
-    distinct row by its multiplicity.
+    distinct row by its multiplicity.  A pairwise design's replicates stay
+    state indices: only their distinct states are decoded into count rows.
     """
-    stats = ReplicateStats.from_counts(replicate_counts(design, table, r, seed), table)
+    if design.variant == "pairwise_pmf":
+        rng = _replicate_rng(design, r, seed)
+        states = _ClassStates(design, table.k)
+        codes, first, inverse = _unique_codes(states.draw(rng, r), states.size)
+        distinct = np.ascontiguousarray(states.decode(codes).T)
+        stats = ReplicateStats.from_distinct(distinct, first, inverse, table)
+    else:
+        stats = ReplicateStats.from_counts(replicate_counts(design, table, r, seed), table)
     pop = np.bincount(design.class_of, minlength=table.k)
     multiplicity = np.bincount(stats.inverse, minlength=len(stats.first))
     return stats, inclusion_from_fractions(
@@ -762,9 +816,11 @@ def compare_estimators(
     keep = stats.first[ok_distinct]
     # position of each non-empty replicate's row among the non-empty distinct rows
     gather = (np.cumsum(ok_distinct) - 1)[stats.inverse[ok]]
-    mean_counts = _group_reduce(lambda x: x.mean(axis=1), stats.counts[ok].astype(float), sizes)
+    distinct = stats.distinct.astype(float)
+    # the non-empty replicates' rows in replicate order, so the mean has the same bits
+    mean_counts = _group_reduce(lambda x: x.mean(axis=1), distinct[stats.inverse[ok]], sizes)
     mean_mass, mean_analyte = sample_totals(mean_counts, table)
-    rows = (stats.counts[keep].astype(float), stats.mass[keep], stats.cs[keep], keep // size)
+    rows = (distinct[ok_distinct], stats.mass[keep], stats.cs[keep], keep // size)
     summaries = (mean_counts, mean_mass, mean_analyte / mean_mass, np.arange(g))
 
     def evaluate(estimator, c, counts, mass, cs, group):

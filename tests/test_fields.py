@@ -457,6 +457,25 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="must be finite"):
             load_field_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,0.5,0.01", "expected 4 values, got 3"),
+        ("0.5,0.5,0.01,0,1", "expected 4 values, got 5"),
+        ("abc,0.5,0.01,0", "could not convert string to float: 'abc'"),
+        ("0.5,0.5,,0", "could not convert string to float: ''"),
+        ("0.5,0.5,0.01,1.5", "invalid literal for int"),
+        ("0.5,0.5,0.01,one", "invalid literal for int"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        """A short or long row, a non-numeric cell or a non-integer class id
+        is refused with the file and the line it sits on."""
+        path = tmp_path / "field.csv"
+        path.with_suffix(".json").write_text('{"width": 1.0, "height": 1.0}')
+        path.write_text(f"# comment\nx,y,radius,class_id\n0.2,0.2,0.01,1\n\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            load_field_csv(path)
+        assert str(info.value).startswith(f"{path}, line 5: ")
+        assert message in str(info.value)
+
 
 class TestSpatialField:
     def test_rejects_outside_centers(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import time
 import warnings
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from granvar import fields
+from granvar import fields, selection
 from granvar.errors import EmptySampleError
 from granvar.fields import ProcessParams, SpatialField, generate_field
 from granvar.intercept import TransectSpec, calibrate_against_oracle, intersect_segments
@@ -25,6 +26,7 @@ from granvar.selection import (
     enumerate_design,
     inclusion_from_fractions,
     pair_fractions,
+    replicate_counts,
     run_replicates,
     variance_se,
     window_counts,
@@ -753,6 +755,55 @@ class TestDistinctRows:
             np.testing.assert_array_equal(first, [0, 1])
             np.testing.assert_array_equal(inverse, [0, 1])
 
+    def test_negative_count_is_refused_with_its_row(self, two_particle_table):
+        """Codes of rows with a negative count collide with valid codes
+        ([1, -1] and [0, 2] are both 2 in base 3), so they are refused."""
+        counts = np.array([[0, 2], [1, -1], [0, 2], [-3, 0]])
+        with pytest.raises(ValueError, match=r"row 1 is \[1, -1\]"):
+            distinct_rows(counts)
+        for groups in (None, 2):
+            with pytest.raises(ValueError, match=r"row 1 is \[1, -1\]"):
+                ReplicateStats.from_counts(counts, two_particle_table, groups=groups)
+        with pytest.raises(ValueError, match=r"row 0 is \[-0.5, 0.0\]"):
+            distinct_rows(np.array([[-0.5, 0.0]]))
+
+    @pytest.mark.parametrize("bases", [
+        (16, 16), (257,), (256, 256), (65537,), (65536, 65536), (641, 6700417),
+        (7, (2**63 - 1) // 7),
+    ], ids=["2^8", "2^8+1", "2^16", "2^16+1", "2^32", "2^32+1", "2^63-1"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_code_dtype_boundaries(self, bases, dtype):
+        """Around each unsigned width the product of the bases crosses, the
+        distinct rows are those of int64 codes through ``np.unique``.  Codes
+        0, prod - 2 and prod - 1 are all drawn, so codes that wrapped in too
+        narrow a dtype, or were rounded as floats, would merge rows."""
+        rng = derived_rng(len(bases) * 1000 + bases[-1] % 1000)
+        top = np.array(bases) - 1
+        pool = np.vstack([np.zeros_like(top), top, top - np.eye(len(bases), dtype=int)[-1],
+                          [[int(rng.integers(0, b)) for b in bases] for _ in range(30)]])
+        counts = pool[rng.integers(0, len(pool), size=400)].astype(dtype)
+        counts[:3] = pool[:3]
+        place = [math.prod(bases[u + 1:]) for u in range(len(bases))]
+        codes = np.array([sum(int(c) * p for c, p in zip(row, place)) for row in counts.tolist()],
+                         dtype=np.int64)
+        assert codes.max() == math.prod(bases) - 1
+        _, want_first, want_inverse = np.unique(codes, return_index=True, return_inverse=True)
+        first, inverse = distinct_rows(counts)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(inverse, want_inverse)
+
+    def test_code_dtype_int64_overflow_fallback(self):
+        """Bases whose product passes int64 make every row its own distinct
+        row; those rows, distinct and in increasing order, are also what
+        ``np.unique`` makes of them."""
+        counts = np.array([[0, 0], [0, 2**62], [1, 5], [1, 2**62]], dtype=np.int64)
+        assert math.prod(int(b) + 1 for b in counts.max(axis=0)) > np.iinfo(np.int64).max
+        _, want_first, want_inverse = np.unique(counts, axis=0, return_index=True,
+                                                return_inverse=True)
+        first, inverse = distinct_rows(counts)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
+
     @settings(deadline=None, max_examples=300)
     @given(case=count_cases())
     def test_distinct_row_path_matches_direct_evaluation(self, case):
@@ -872,6 +923,100 @@ class TestRunReplicatesDistinctRows:
         assert est.replicates == r
         mass, cs, *_ = direct_summaries(stats.counts, table)
         assert same_bits(stats.mass, mass) and same_bits(stats.cs, cs)
+
+
+def assert_same_replicates(got, want):
+    """Two (ReplicateStats, InclusionEstimate) pairs equal bit for bit."""
+    (stats, est), (ref_stats, ref_est) = got, want
+    for name in ("distinct", "first", "inverse"):
+        a, b = getattr(stats, name), getattr(ref_stats, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("mass", "cs", "v_e", "v_e_se", "mean_cs", "mass_cv"):
+        assert same_bits(getattr(stats, name), getattr(ref_stats, name)), name
+    assert (stats.n_empty, stats.replicates, stats.groups) == (
+        ref_stats.n_empty, ref_stats.replicates, ref_stats.groups)
+    for f in dataclasses.fields(est):
+        assert same_bits(getattr(est, f.name), getattr(ref_est, f.name)), f.name
+
+
+def counts_path(design, table, r, seed):
+    """Reference: the pairwise run through (R, K) counts and
+    ``ReplicateStats.from_counts``, estimated as ``run_replicates`` does."""
+    stats = ReplicateStats.from_counts(replicate_counts(design, table, r, seed), table)
+    pop = np.bincount(design.class_of, minlength=table.k)
+    multiplicity = np.bincount(stats.inverse, minlength=len(stats.first))
+    return stats, inclusion_from_fractions(*pair_fractions(stats.distinct, pop), pop,
+                                           weights=multiplicity)
+
+
+def assert_same_comparison(got, want, table):
+    try:
+        expected = compare_estimators(*want, table)
+    except EmptySampleError:
+        with pytest.raises(EmptySampleError):
+            compare_estimators(*got, table)
+        return
+    report = compare_estimators(*got, table)
+    assert report.nan_dependence_cells == expected.nan_dependence_cells
+    for a, b in zip(report.rows, expected.rows, strict=True):
+        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+        assert a[:3] == b[:3] and same_bits(a[3:], b[3:]), (a, b)
+
+
+#: q = 1 for every class: the full selection is the only state of weight.
+SINGLE_STATE_CASE = (
+    SelectionDesign.pairwise_pmf([1.0, 1.0], [[2.0, 0.5], [0.5, 1.0]], [0, 1, 1]),
+    ClassTable.from_arrays([1.0, 2.0], [1.0, 0.0]),
+)
+
+
+class TestStateIndexReplicates:
+    """Pairwise runs keep their replicates as drawn state indices; they
+    equal the run through (R, K) counts bit for bit."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=pairwise_cases(), seed=st.integers(0, 2**31), r=st.integers(2, 300))
+    @example(case=FORBIDDEN_EDGE_CASE, seed=3, r=2)
+    @example(case=SINGLE_STATE_CASE, seed=4, r=2)
+    @example(case=SINGLE_STATE_CASE, seed=5, r=50)
+    def test_matches_counts_path(self, case, seed, r):
+        design, table = case
+        try:
+            want = counts_path(design, table, r, seed)
+        except ValueError:  # unnormalizable designs
+            with pytest.raises(ValueError):
+                run_replicates(design, table, r, seed)
+            return
+        seen = []
+        decode = selection._ClassStates.decode
+
+        def spy(states, index):
+            seen.append(np.asarray(index))
+            return decode(states, index)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection._ClassStates, "decode", spy)
+            got = run_replicates(design, table, r, seed)
+        # decode sees the state batches of the cdf and the distinct draws only
+        assert all(np.unique(index).size == index.size for index in seen)
+        assert seen[-1].size == len(got[0].first)
+        assert_same_replicates(got, want)
+        assert_same_comparison(got, want, table)
+
+    def test_benchmark_shape(self):
+        """20 particles in 3 classes, 1e5 replicates: the shape of the
+        pairwise oracle benchmark."""
+        rng = derived_rng(14)
+        class_of = rng.permutation(np.arange(20) % 3)
+        phi = rng.uniform(0.5, 1.5, size=(3, 3))
+        phi = np.triu(phi) + np.triu(phi, 1).T
+        design = SelectionDesign.pairwise_pmf(rng.uniform(0.2, 0.8, size=3), phi, class_of)
+        table = ClassTable.from_arrays(rng.uniform(0.5, 2.0, size=3), rng.uniform(0.0, 1.5, size=3))
+        got = run_replicates(design, table, 100_000, seed=7)
+        want = counts_path(design, table, 100_000, seed=7)
+        assert 1 < len(got[0].first) <= 7 * 8 * 8
+        assert_same_replicates(got, want)
+        assert_same_comparison(got, want, table)
 
 
 @st.composite
