@@ -15,6 +15,9 @@ one workload.  For each end-to-end metric of ``BENCHMARK.json`` the output
 holds, per side, the runs, their median and the quartiles (numpy's linear
 interpolation), and the pairs the change won, that is where it reads better.
 A run that prints no result counts as one failed operation on its side.
+With ``--traced-seed S``, each side of each workload also runs once with
+``--trace 1`` at seed S, after its pairs, and the workload entry holds that
+run's per-layer metrics under ``traced``.
 Standard library only.
 """
 from __future__ import annotations
@@ -32,12 +35,12 @@ SIDES = ("parent", "change")
 FIRST_SEED = 10
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The result line of one ``run.py --trace 0`` run, or None when it
-    printed none."""
+def run_once(root: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict | None:
+    """The result line of one ``run.py`` run, or None when it printed none."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seconds", f"{seconds:g}", "--trace", str(trace)],
         cwd=root, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -76,6 +79,17 @@ def compare(results: dict, metrics: list[dict]) -> dict:
     return entry
 
 
+def traced_entry(results: dict, seed: int) -> dict:
+    """The ``traced`` part of a workload entry from each side's traced run."""
+    entry = {"seed": seed}
+    for side in SIDES:
+        result = results[side]
+        entry[side] = None if result is None else {
+            "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    return entry
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -83,6 +97,8 @@ def main() -> int:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--pairs", action="append", default=[],
                    help="N for every workload, or W=N for workload W (repeatable)")
+    p.add_argument("--traced-seed", type=int,
+                   help="also run each side of each workload once with --trace 1 at this seed")
     args = p.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -103,7 +119,10 @@ def main() -> int:
             f"{FIRST_SEED} + i, the side that runs first alternating. run_s and setup_s "
             "are seconds at the host's reference speed (perfbench/hostref.py). Quartiles "
             "are linear-interpolation percentiles 25 and 75. A pair is won when the change "
-            "reads better."),
+            "reads better." + (
+                "" if args.traced_seed is None else
+                f" `traced` holds one `--trace 1` run per side at seed {args.traced_seed}, "
+                "after the pairs: per-layer metrics, raw seconds per operation.")),
         "machine": f"{os.cpu_count()} cores, {platform.system()}, "
                    f"python {platform.python_version()}",
         "workloads": {},
@@ -120,6 +139,15 @@ def main() -> int:
                 print(f"{workload} pair {i} {side}: "
                       f"{result['metrics'] if result else 'no result'}", file=sys.stderr)
         out["workloads"][workload] = compare(results, spec["end_to_end"])
+        if args.traced_seed is not None:
+            traced = {}
+            for side in SIDES:
+                traced[side] = run_once(roots[side], workload, args.traced_seed, seconds,
+                                        trace=1)
+                print(f"{workload} traced {side}: "
+                      f"{traced[side]['metrics'] if traced[side] else 'no result'}",
+                      file=sys.stderr)
+            out["workloads"][workload]["traced"] = traced_entry(traced, args.traced_seed)
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -63,15 +63,15 @@ class _Writer:
 
     def write(
         self, name: str, header: Sequence[str], columns: Sequence[Sequence],
-        rows: np.ndarray | None = None,
+        tail: tuple[Sequence[Sequence], np.ndarray] | None = None,
     ) -> Path:
         """Write one CSV file from its columns, which must be of equal length;
-        ``rows`` as in :func:`write_csv_columns`."""
+        ``tail`` as in :func:`write_csv_columns`."""
         path = self.out_dir / name
         with path.open("w", encoding="utf-8", newline="\n") as f:
             f.write(f"# {self.provenance}\n")
             f.write(",".join(header) + "\n")
-            write_csv_columns(f, columns, rows)
+            write_csv_columns(f, columns, tail)
         return path
 
 
@@ -184,8 +184,8 @@ def cmd_simulate(args) -> int:
     writer.write(
         "replicates.csv",
         ["replicate", "M_s", "c_s"] + [f"N_{u}" for u in range(k)],
-        [stats.mass[stats.first], stats.cs[stats.first], *stats.distinct.T],
-        rows=stats.inverse,
+        [np.arange(len(stats.inverse))],
+        ([stats.mass[stats.first], stats.cs[stats.first], *stats.distinct.T], stats.inverse),
     )
     writer.write(
         "first_order.csv", ["i", "pi_i", "se"], [np.arange(k), estimate.pi1, estimate.pi1_se]

@@ -100,7 +100,9 @@ class CellStrips:
     Cell (i, j), strip i along ``a`` and row j along the other axis ``b``,
     is slot ``i * nb + j`` (see :func:`_cell`).  Its particles are
     ``order[offsets[slot]:offsets[slot + 1]]``, so rows j0..j1 of one strip
-    are a single contiguous slice of ``order``.
+    are a single contiguous slice of ``order``.  ``order`` is the stable
+    order of the slots, found by two stable sorts of narrow keys: the
+    particles by row, then that order by strip.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, na: int, nb: int,
@@ -108,8 +110,13 @@ class CellStrips:
         self.na, self.nb = na, nb
         self.length_a, self.length_b = length_a, length_b
         self.scale_a, self.scale_b = na / length_a, nb / length_b
-        slot = _cell(a, self.scale_a, na) * nb + _cell(b, self.scale_b, nb)
-        self.order = np.argsort(slot, kind="stable")
+        cell_a, cell_b = _cell(a, self.scale_a, na), _cell(b, self.scale_b, nb)
+        # argsort(slot, kind="stable"), least significant key first;
+        # numpy radix-sorts keys of 16 bits or fewer
+        key = np.uint16 if max(na, nb) <= 1 << 16 else np.uint32
+        by_b = np.argsort(cell_b.astype(key), kind="stable")
+        self.order = by_b[np.argsort(cell_a.astype(key)[by_b], kind="stable")]
+        slot = cell_a * nb + cell_b
         self.offsets = np.zeros(na * nb + 1, dtype=np.intp)
         np.cumsum(np.bincount(slot, minlength=na * nb), out=self.offsets[1:])
 
@@ -493,19 +500,47 @@ def generate_field(p: ProcessParams, table: ClassTable, seed: int) -> SpatialFie
 
 def save_field_csv(field_: SpatialField, path: str | Path, comment: str | None = None) -> None:
     """Write particles as CSV (x,y,radius,class_id) plus a JSON sidecar
-    holding the domain; the sidecar shares the CSV path with a .json suffix."""
+    holding the domain; the sidecar shares the CSV path with a .json suffix.
+
+    When the class ids are integers in [0, n) and each class's radii are
+    equal bit for bit, as in a generated field, ``radius,class_id`` is
+    formatted once per class and written after each row's ``x,y``; every
+    other field is formatted cell by cell.  The bytes are the same.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
+    with path.open("w", encoding="utf-8", newline="\n") as f:
         if comment:
             f.write(f"# {comment}\n")
         f.write("x,y,radius,class_id\n")
-        write_csv_columns(f, [field_.x, field_.y, field_.radius, field_.class_id])
+        tail = _class_tail(field_.radius, field_.class_id)
+        if tail is None:
+            write_csv_columns(f, [field_.x, field_.y, field_.radius, field_.class_id])
+        else:
+            write_csv_columns(f, [field_.x, field_.y], (tail, field_.class_id))
     sidecar = {
         "width": field_.width,
         "height": field_.height,
         "process_tag": field_.process_tag,
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+
+
+def _class_tail(radius: np.ndarray, class_id: np.ndarray) -> list[np.ndarray] | None:
+    """Columns ``radius, class_id`` with one row per class k in 0..K-1,
+    when the n class ids are integers in [0, n) and each class's radii
+    are equal bit for bit (a class holding both 0.0 and -0.0 is not);
+    else None.  A class without particles gets radius 0."""
+    n = len(class_id)
+    if (not n or class_id.dtype.kind not in "iu" or radius.dtype != np.float64
+            or class_id.min() < 0 or class_id.max() >= n):
+        return None
+    k = int(class_id.max()) + 1
+    bits = radius.view(np.uint64)
+    table = np.zeros(k, np.uint64)
+    table[class_id] = bits
+    if not np.array_equal(table[class_id], bits):
+        return None
+    return [table.view(np.float64), np.arange(k)]
 
 
 def load_field_csv(path: str | Path) -> SpatialField:

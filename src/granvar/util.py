@@ -1,6 +1,7 @@
 """Shared numerics and reproducibility helpers."""
 from __future__ import annotations
 
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -55,7 +56,8 @@ _CSV_BLOCK = 1 << 13
 
 
 def write_csv_columns(
-    f: TextIO, columns: Sequence[Sequence], rows: np.ndarray | None = None
+    f: TextIO, columns: Sequence[Sequence],
+    tail: tuple[Sequence[Sequence], np.ndarray] | None = None,
 ) -> None:
     """Write equal-length columns to ``f`` as CSV rows, a block at a time.
 
@@ -70,45 +72,62 @@ def write_csv_columns(
     written, so a string holding a NUL character is refused with a
     ``ValueError`` that names its column.
 
-    With ``rows``, output row i is ``i`` followed by row ``rows[i]`` of
-    ``columns``, and each row of ``columns`` is formatted once however
-    often ``rows`` repeats it; a string may then not hold a newline.
+    With ``tail = (tail_columns, rows)``, output row i is row i of
+    ``columns`` followed by row ``rows[i]`` of ``tail_columns``, which are
+    of equal length too.  Each tail row is formatted once however often
+    ``rows`` repeats it, so a tail text cell may not hold a newline.
     """
     lengths = {len(c) for c in columns}
+    table = None
+    if tail is not None:
+        tail_columns, rows = tail
+        lengths.add(len(rows))
+        table = _tail_table(tail_columns)
     if len(lengths) > 1:
         raise ValueError("CSV columns differ in length")
-    n = max(lengths, default=0)
-    blocks = (_text(_row_words([c[start:start + _CSV_BLOCK] for c in columns]))
-              for start in range(0, n, _CSV_BLOCK))
-    if rows is None:
-        for text in blocks:
-            f.write(text)
-        return
-    # the distinct rows' text, left-aligned in NUL-padded words
-    lines = "".join(blocks).encode().split(b"\n")[:-1]
-    if len(lines) != n:
-        raise ValueError("CSV text cells written with rows= may not hold a newline")
-    table = _text_words(np.array(lines, dtype=np.bytes_)).T
-    for start in range(0, len(rows), _CSV_BLOCK):
-        block = rows[start:start + _CSV_BLOCK]
-        index = _int_words(np.arange(start, start + len(block)))
-        f.write(_text(np.hstack([
-            index[index.any(axis=1)].T, np.full((len(block), 1), _COMMA),
-            table[block], np.full((len(block), 1), _NEWLINE),
-        ])))
+    for start in range(0, max(lengths, default=0), _CSV_BLOCK):
+        block = [c[start:start + _CSV_BLOCK] for c in columns]
+        if table is None:
+            f.write(_text(_row_words(block)))
+            continue
+        index = rows[start:start + _CSV_BLOCK]
+        words = _row_words(block, len(index), table.shape[1])
+        np.take(table, index, axis=0, out=words[:, -table.shape[1]:])
+        f.write(_text(words))
+
+
+def _tail_table(columns: Sequence[Sequence]) -> np.ndarray:
+    """(k, w) words of the k CSV rows of ``columns``: each row's text
+    left-aligned in NUL-padded words, and its newline in the last word."""
+    text = io.StringIO()
+    write_csv_columns(text, columns)
+    k = len(columns[0]) if columns else 0
+    lines = text.getvalue().encode().split(b"\n")[:-1]
+    if len(lines) != k:
+        raise ValueError("CSV text cells of a tail may not hold a newline")
+    words = _text_words(np.array(lines, dtype=np.bytes_))
+    table = np.empty((k, len(words) + 1), np.uint32)
+    table[:, :-1] = words.T
+    table[:, -1] = _NEWLINE
+    return table
 
 
 def _text(words: np.ndarray) -> str:
     return words.tobytes().translate(None, b"\0").decode()
 
 
-def _row_words(columns: Sequence[Sequence]) -> np.ndarray:
-    """(n, w) words of the CSV rows of ``columns``, newline included.
+def _row_words(columns: Sequence[Sequence], n: int | None = None,
+               tail_width: int = 0) -> np.ndarray:
+    """(n, w) words of the CSV rows of ``columns``, each cell followed by
+    a comma and the last by a newline.  With ``tail_width``, the last cell
+    is followed by a comma too, and then by ``tail_width`` words that the
+    caller fills.  ``n`` defaults to the length of the first column.
 
     The cells of all columns are formatted one type at a time, in one call
     per type, so a block of many short columns costs few numpy calls.
     """
-    n = len(columns[0]) if columns else 0
+    if n is None:
+        n = len(columns[0]) if columns else 0
     by_kind: dict[str, list] = {}
     for index, column in enumerate(columns):
         for positions, values in _typed_cells(column, index):
@@ -131,13 +150,14 @@ def _row_words(columns: Sequence[Sequence]) -> np.ndarray:
         # word rows that are NUL in every cell (a sign where no value is
         # negative, unused integer chunks) are dropped before the copy
         columns_words.append(words[words.any(axis=1)])
-    out = np.empty((n, sum(len(w) + 1 for w in columns_words)), np.uint32)
+    out = np.empty((n, sum(len(w) + 1 for w in columns_words) + tail_width), np.uint32)
     at = 0
     for words in columns_words:
         out[:, at:at + len(words)] = words.T
         out[:, at + len(words)] = _COMMA
         at += len(words) + 1
-    out[:, -1:] = _NEWLINE
+    if not tail_width:
+        out[:, -1:] = _NEWLINE
     return out
 
 
@@ -287,9 +307,14 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     other = np.flatnonzero(~exact)
     if len(other):
         # at least 8 words, which hold any %.17g text (24 bytes at most)
-        words[:, other] = _text_words(np.array(
-            [b"%.17g" % v for v in x[other].tolist()], dtype=f"S{4 * len(words)}"))
+        words[:, other] = _printf_words(x[other], len(words))
     return words
+
+
+def _printf_words(x: np.ndarray, w: int) -> np.ndarray:
+    """(w, n) words of doubles as ``'%.17g' % v`` text, formatted one
+    value at a time."""
+    return _text_words(np.array([b"%.17g" % v for v in x.tolist()], dtype=f"S{4 * w}"))
 
 
 def _int_words(v: np.ndarray) -> np.ndarray:

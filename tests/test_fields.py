@@ -1,9 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from granvar import fields
 from granvar.errors import SaturationError
 from granvar.fields import (
     CellStrips,
@@ -15,7 +18,7 @@ from granvar.fields import (
     save_field_csv,
 )
 from granvar.model import ClassTable
-from granvar.util import derived_rng
+from granvar.util import derived_rng, write_csv_columns
 
 
 def poisson_params(intensity=500.0, mixing=(0.5, 0.5)):
@@ -300,6 +303,35 @@ class TestCellStrips:
             assert set(inside.tolist()) <= set(mine.tolist())
 
 
+    @settings(deadline=None, max_examples=80)
+    @given(shape=st.sampled_from([(1, 1), (1, 6), (6, 1), (7, 3), (256, 256), (1 << 16, 1),
+                                  (1, 1 << 16), ((1 << 16) + 1, 1), (70_000, 1), (1, 70_000)]),
+           length=st.sampled_from([(1.0, 1.0), (2.5, 0.7), (1e-3, 7e5)]),
+           data=st.data())
+    def test_order_is_the_stable_slot_order(self, shape, length, data):
+        """The two narrow-key sorts give np.argsort(slot, kind="stable"),
+        for empty fields, one-cell axes, points on the far edge and axes of
+        more than 2**16 cells (32-bit keys)."""
+        (na, nb), (width, height) = shape, length
+        drawn = data.draw(st.integers(0, 20))
+        m = data.draw(st.integers(0, 3000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+
+        def coordinates(side):
+            edge = st.one_of(st.just(0.0), st.just(side), st.floats(0.0, side))
+            v = np.concatenate([data.draw(st.lists(edge, min_size=drawn, max_size=drawn)),
+                                rng.random(m) * side])
+            # repeat some values so that cells hold several points
+            return np.where(rng.random(len(v)) < 0.3, v[::-1], v)
+
+        a, b = coordinates(width), coordinates(height)
+        strips = CellStrips(a, b, na, nb, width, height)
+        slot = fields._cell(a, na / width, na) * nb + fields._cell(b, nb / height, nb)
+        np.testing.assert_array_equal(strips.order, np.argsort(slot, kind="stable"))
+        assert strips.order.dtype == np.intp
+        assert strips.offsets[-1] == len(a)
+
+
 class TestGapViolations:
     @settings(deadline=None, max_examples=60)
     @given(
@@ -439,6 +471,46 @@ class TestFieldCsv:
         classes = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)))
         f = SpatialField(width, width, x, y, radius, classes)
         assert_same_particles(round_trip(f, tmp_path_factory.mktemp("csv")), f)
+
+    @staticmethod
+    def save_and_compare(f, path, monkeypatch) -> bool:
+        """Save ``f`` and check its bytes against writing all four columns
+        cell by cell; True when the per-class path wrote it."""
+        tails = []
+        monkeypatch.setattr(fields, "write_csv_columns", lambda out, columns, tail=None:
+                            tails.append(tail) or write_csv_columns(out, columns, tail))
+        save_field_csv(f, path)
+        reference = io.StringIO()
+        write_csv_columns(reference, [f.x, f.y, f.radius, f.class_id])
+        assert path.read_bytes().decode() == "x,y,radius,class_id\n" + reference.getvalue()
+        return tails[0] is not None
+
+    @pytest.mark.parametrize("radius, class_id, per_class", [
+        ([0.02, 0.5, 0.02, 0.02, 1e-5], [0, 2, 0, 0, 1], True),
+        ([0.02, 0.5, 0.02, 0.02, 0.02], [0, 2, 0, 0, 0], True),  # class 1 absent
+        ([0.01, 0.02, 0.03, 0.04, 0.05], [0, 0, 1, 1, 1], False),  # per-particle radii
+        ([0.0, 0.3, -0.0, 0.3, 0.0], [0, 1, 0, 1, 0], False),  # 0.0 and -0.0 in class 0
+        ([0.1, 0.1, 0.2, 0.2, 0.2], [-1, -1, 0, 0, 0], False),  # negative class id
+        ([0.1, 0.1, 0.2, 0.2, 0.2], [2**40, 2**40, 0, 0, 0], False),
+        ([0.1, 0.1, 0.2, 0.2, 0.2], [5, 5, 0, 0, 0], False),  # class id n
+        ([0.1, 0.1, 0.2, 0.2, 0.2], [4, 4, 0, 0, 0], True),  # class id n - 1
+        ([], [], False),
+    ])
+    def test_per_class_columns_write_the_same_bytes(self, tmp_path, monkeypatch,
+                                                    radius, class_id, per_class):
+        """radius,class_id is formatted once per class only when every
+        particle of a class has the same radius bits and the class ids are
+        integers in [0, n); either way the bytes are those of writing all
+        four columns cell by cell."""
+        n = len(radius)
+        rng = np.random.default_rng(n)
+        f = SpatialField(1.0, 1.0, rng.random(n), rng.random(n), np.array(radius, float),
+                         np.array(class_id, dtype=np.int64))
+        assert self.save_and_compare(f, tmp_path / "field.csv", monkeypatch) == per_class
+
+    def test_generated_field_takes_the_per_class_path(self, table, tmp_path, monkeypatch):
+        f = generate_field(cluster_params(), table, seed=3)
+        assert self.save_and_compare(f, tmp_path / "field.csv", monkeypatch)
 
     def test_round_trip_with_comment(self, table, tmp_path):
         f = generate_field(poisson_params(intensity=50.0), table, seed=4)

@@ -23,10 +23,16 @@ def row_by_row(columns) -> str:
                    for i in range(len(columns[0])))
 
 
-def written(columns, rows=None) -> str:
+def written(columns, tail=None) -> str:
     f = io.StringIO()
-    write_csv_columns(f, columns, rows)
+    write_csv_columns(f, columns, tail)
     return f.getvalue()
+
+
+def indexed(columns, rows):
+    """Head and tail of :func:`write_csv_columns` that write row ``rows[i]``
+    of ``columns`` after the index i."""
+    return [np.arange(len(rows))], (columns, rows)
 
 
 SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-320, 1.7976931348623157e308,
@@ -54,10 +60,10 @@ class TestWriteCsvColumns:
         columns = [np.array([0.5, np.nan, -0.0]), np.array([3, 0, 7])]
         rows = np.array([2, 0, 0, 1, 2])
         gathered = [np.arange(len(rows))] + [c[rows] for c in columns]
-        assert written(columns, rows) == row_by_row(gathered)
+        assert written(*indexed(columns, rows)) == row_by_row(gathered)
         big = np.arange(3000) % 3
         gathered = [np.arange(3000)] + [c[big] for c in columns]
-        assert written(columns, big) == row_by_row(gathered)
+        assert written(*indexed(columns, big)) == row_by_row(gathered)
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.integers(0, 2**64 - 1), max_size=300),
@@ -93,7 +99,7 @@ class TestWriteCsvColumns:
         assert written(columns) == row_by_row(columns)
         rows = rng.integers(0, max(n, 1), n) if n else np.zeros(0, dtype=int)
         gathered = [np.arange(n)] + [c[rows] for c in columns]
-        assert written(columns, rows) == row_by_row(gathered)
+        assert written(*indexed(columns, rows)) == row_by_row(gathered)
 
     def test_mixed_list_column(self):
         """A list column is split by cell type; big integers stay exact."""
@@ -107,7 +113,39 @@ class TestWriteCsvColumns:
                    np.array([1, -2, 3, 4])]
         rows = np.array([3, 3, 0, 3, 0])  # rows 1 and 2 unused
         gathered = [np.arange(len(rows))] + [[c[i] for i in rows] for c in columns]
-        assert written(columns, rows) == row_by_row(gathered)
+        assert written(*indexed(columns, rows)) == row_by_row(gathered)
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.sampled_from([0, 1, 8191, 8192, 8193]), data=st.data())
+    def test_tail_matches_gathered_cell_formatting(self, n, data):
+        """Row i is head row i then tail row rows[i], for head and tail
+        columns of every cell type, tail rows repeated and unused."""
+        kinds = st.sampled_from(["float", "int", "uint", "text", "bool"])
+        head_kinds = data.draw(st.lists(kinds, max_size=3))
+        tail_kinds = data.draw(st.lists(kinds, min_size=1, max_size=3))
+        k = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+
+        def column(kind, length):
+            if kind == "float":  # every exponent, nan and inf among them
+                v = rng.integers(0, 2**64, length, dtype=np.uint64).view(np.float64)
+                v[:len(SPECIAL)] = SPECIAL[:length]
+                return v
+            if kind == "int":
+                return rng.integers(-(2**63), 2**63, length, dtype=np.int64)
+            if kind == "uint":
+                return rng.integers(0, 2**64, length, dtype=np.uint64)
+            if kind == "bool":
+                return rng.random(length) < 0.5
+            return [chr(0x41 + i % 60) * (i % 5) + "é" * (i % 3) for i in
+                    rng.integers(0, 10**6, length).tolist()]
+
+        head = [column(kind, n) for kind in head_kinds]
+        tail = [column(kind, k) for kind in tail_kinds]
+        used = rng.choice(k, rng.integers(1, k + 1), replace=False)
+        rows = used[rng.integers(0, len(used), n)]
+        gathered = head + [[c[i] for i in rows] for c in tail]
+        assert written(head, (tail, rows)) == row_by_row(gathered)
 
     def test_text_with_nul_is_refused(self):
         with pytest.raises(ValueError, match="CSV column 1 holds a NUL"):
@@ -116,7 +154,7 @@ class TestWriteCsvColumns:
     def test_rows_text_with_newline_is_refused(self):
         """A newline inside a text cell would shift every gathered row."""
         with pytest.raises(ValueError, match="newline"):
-            written([["a\nb", "c"]], np.array([1, 0]))
+            written(*indexed([["a\nb", "c"]], np.array([1, 0])))
 
     def test_zero_radius_field_takes_the_vector_path(self, tmp_path, monkeypatch):
         """1e5 rows of radius 0: zeros are in the formatter's exact range,
@@ -127,12 +165,12 @@ class TestWriteCsvColumns:
         field = SpatialField(1.0, 1.0, rng.random(n), rng.random(n), np.zeros(n),
                              rng.integers(0, 3, n))
         fallback = []
-        text_words = util._text_words
-        monkeypatch.setattr(util, "_text_words", lambda data: fallback.append(data) or
-                            text_words(data))
+        printf_words = util._printf_words
+        monkeypatch.setattr(util, "_printf_words", lambda x, w: fallback.append(x) or
+                            printf_words(x, w))
         save_field_csv(field, tmp_path / "field.csv")
         tiny = sum(np.count_nonzero((c > 0) & (c < 1e-4)) for c in (field.x, field.y))
-        assert 0 < tiny == sum(len(data) for data in fallback)
+        assert 0 < tiny == sum(len(x) for x in fallback)
         lines = (tmp_path / "field.csv").read_text().splitlines()
         columns = [field.x, field.y, field.radius, field.class_id]
         assert "\n".join(lines[1:]) + "\n" == row_by_row(columns)
