@@ -8,12 +8,17 @@ with ``git archive``, for example
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --pairs 5 --pairs window_cluster=10 --out BENCH_<pr>.json
+        --pairs 5 --pairs window_cluster=10 --claim window_cluster:run_s \\
+        --out BENCH_<pr>.json
 
 ``--pairs N`` sets the pairs of every workload and ``--pairs W=N`` those of
 one workload.  For each end-to-end metric of ``BENCHMARK.json`` the output
 holds, per side, the runs, their median and the quartiles (numpy's linear
-interpolation), and the pairs the change won, that is where it reads better.
+interpolation), the pairs the change won, that is where it reads better, out
+of the pairs with a result on both sides, the parent's interquartile range,
+the change of the median as a fraction of the parent's, the metric's
+``bound`` and a verdict (see :func:`verdict`).  ``--claim W:M`` (repeatable)
+names a metric M the change claims to improve on workload W.
 A run that prints no result counts as one failed operation on its side.
 With ``--traced-seed S``, each side of each workload also runs once with
 ``--trace 1`` at seed S, after its pairs, and the workload entry holds that
@@ -49,16 +54,55 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
         return None
 
 
+def quartiles(runs: list[float]) -> tuple[float, float]:
+    if len(runs) < 2:
+        return runs[0], runs[0]
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return q1, q3
+
+
 def summary(runs: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 \
-        else (runs[0],) * 3
+    q1, q3 = quartiles(runs)
     return {"median": round(statistics.median(runs), 4), "q1": round(q1, 4),
             "q3": round(q3, 4), "runs": [round(v, 4) for v in runs]}
 
 
-def compare(results: dict, metrics: list[dict]) -> dict:
-    """The workload entry of BENCH_<pr>.json from each side's run results."""
+def verdict(parent: list[float], change: list[float], wins: int, pairs_run: int,
+            lower: bool, bound: float, claimed: bool, more_failures: bool) -> str:
+    """How one metric of one workload moved, from the runs of the pairs.
+
+    ``gain``: the metric is claimed, the change won (``wins``) at least nine
+    tenths of the ``pairs_run`` pairs, ties counting for neither, its median
+    is better than the parent's by more than the parent's interquartile
+    range, and no more operations failed than at the parent.  ``worse``: the change's
+    median is worse than the parent's by more than ``bound``, a fraction of
+    the parent's median.  ``unresolved``: the parent's interquartile range
+    is wider than ``bound`` of its median, and not every run of the change
+    reads better than every run of the parent.  ``within bound`` otherwise.
+    """
+    sign = 1.0 if lower else -1.0  # positive: the change reads better
+    q1, q3 = quartiles(parent)
+    base = statistics.median(parent)
+    gained = sign * (base - statistics.median(change))
+    if claimed and not more_failures and wins >= 0.9 * pairs_run and gained > q3 - q1:
+        return "gain"
+    if -gained > bound * abs(base):
+        return "worse"
+    separated = all(sign * (p - c) > 0 for p in parent for c in change)
+    if q3 - q1 > bound * abs(base) and not separated:
+        return "unresolved"
+    return "within bound"
+
+
+def compare(results: dict, metrics: list[dict], claimed: set[str] = frozenset()) -> dict:
+    """The workload entry of BENCH_<pr>.json from each side's run results;
+    ``claimed`` names the metrics the change claims to improve here."""
     entry = {"pairs": len(results["parent"]), "metrics": {}}
+    entry["failed_operations"] = {
+        side: sum(r["failed"] if r else 1 for r in results[side]) for side in SIDES}
+    entry["attempted_operations"] = {
+        side: sum(r["attempted"] if r else 0 for r in results[side]) for side in SIDES}
+    more_failures = entry["failed_operations"]["change"] > entry["failed_operations"]["parent"]
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -67,15 +111,16 @@ def compare(results: dict, metrics: list[dict]) -> dict:
             continue
         parent, change = ([v[s] for v in pairs] for s in (0, 1))
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+        q1, q3 = quartiles(parent)
         entry["metrics"][name] = {
             "parent": summary(parent), "change": summary(change), "change_wins": wins,
+            "pairs": len(pairs), "parent_iqr": round(q3 - q1, 4),
             "median_change_frac": round(statistics.median(change) / statistics.median(parent)
                                         - 1.0, 4),
+            "bound": m["bound"],
+            "verdict": verdict(parent, change, wins, entry["pairs"], lower, m["bound"],
+                               name in claimed, more_failures),
         }
-    entry["failed_operations"] = {
-        side: sum(r["failed"] if r else 1 for r in results[side]) for side in SIDES}
-    entry["attempted_operations"] = {
-        side: sum(r["attempted"] if r else 0 for r in results[side]) for side in SIDES}
     return entry
 
 
@@ -99,6 +144,9 @@ def main() -> int:
                    help="N for every workload, or W=N for workload W (repeatable)")
     p.add_argument("--traced-seed", type=int,
                    help="also run each side of each workload once with --trace 1 at this seed")
+    p.add_argument("--claim", action="append", default=[], metavar="W:M",
+                   help="end-to-end metric M the change claims to improve on workload W "
+                        "(repeatable)")
     args = p.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -110,6 +158,12 @@ def main() -> int:
             if workload not in pairs:
                 p.error(f"unknown workload {workload!r}")
             pairs[workload] = int(count)
+    claims = {workload: set() for workload in pairs}
+    for item in args.claim:
+        workload, _, metric = item.partition(":")
+        if workload not in pairs or metric not in {m["name"] for m in spec["end_to_end"]}:
+            p.error(f"--claim {item!r} names no workload:metric of BENCHMARK.json")
+        claims[workload].add(metric)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     out = {
@@ -119,12 +173,17 @@ def main() -> int:
             f"{FIRST_SEED} + i, the side that runs first alternating. run_s and setup_s "
             "are seconds at the host's reference speed (perfbench/hostref.py). Quartiles "
             "are linear-interpolation percentiles 25 and 75. A pair is won when the change "
-            "reads better." + (
+            "reads better. The verdict of a metric is `gain` (claimed; won at least 9 in "
+            "10 pairs, the median better by more than the parent's interquartile range, "
+            "no more failed operations), `worse` (the median worse by more than the "
+            "bound), `unresolved` (the parent's interquartile range wider than the bound "
+            "and the sides' runs overlapping) or `within bound`." + (
                 "" if args.traced_seed is None else
                 f" `traced` holds one `--trace 1` run per side at seed {args.traced_seed}, "
                 "after the pairs: per-layer metrics, raw seconds per operation.")),
         "machine": f"{os.cpu_count()} cores, {platform.system()}, "
                    f"python {platform.python_version()}",
+        "claims": sorted(args.claim),
         "workloads": {},
     }
     for workload, count in pairs.items():
@@ -138,7 +197,7 @@ def main() -> int:
                 results[side].append(result)
                 print(f"{workload} pair {i} {side}: "
                       f"{result['metrics'] if result else 'no result'}", file=sys.stderr)
-        out["workloads"][workload] = compare(results, spec["end_to_end"])
+        out["workloads"][workload] = compare(results, spec["end_to_end"], claims[workload])
         if args.traced_seed is not None:
             traced = {}
             for side in SIDES:

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import estimators as est
 from .errors import ConfigError, GranvarError
-from .fields import generate_field, save_field_csv
+from .fields import class_values, generate_field, save_field_csv
 from .intercept import (
     adjacency_dependence,
     calibrate_against_oracle,
@@ -235,25 +235,28 @@ def cmd_intercept(args) -> int:
         raise ConfigError("field", "generated field is empty; raise the intensity")
     save_field_csv(field, writer.out_dir / "field.csv", comment=writer.provenance)
     spec = config.transects
-    records = cast_transects(
+    batch = cast_transects(
         field, spec.count, spec.orientation, spec.length,
         derived_seeds(config.seed, _TRANSECT_STREAM)[0],
     )
-    hits = np.array([rec.n for rec in records], dtype=np.intp)
-    firsts = np.cumsum(hits) - hits
+    hits = batch.hits
+    columns = [
+        np.repeat(np.arange(len(batch)), hits),
+        np.arange(len(batch.particle_ids)) - np.repeat(batch.offsets[:-1], hits),
+        batch.particle_ids, batch.class_ids, batch.chords,
+    ]
+    # a generated field's widths are one per class: format each class's once
+    widths, tail = class_values(batch.widths, batch.class_ids), None
+    if widths is None:
+        columns.append(batch.widths)
+    else:
+        tail = ([widths], batch.class_ids)
     writer.write(
         "transects.csv",
         ["transect_id", "order", "particle_id", "class_id", "chord_length", "width"],
-        [
-            np.repeat(np.arange(len(records)), hits),
-            np.arange(hits.sum()) - np.repeat(firsts, hits),
-            *(
-                np.concatenate([getattr(rec, part) for rec in records])
-                for part in ("particle_ids", "class_ids", "chords", "widths")
-            ),
-        ],
+        columns, tail,
     )
-    adjacency, counts, corrected_freq = adjacency_dependence(records, k)
+    adjacency, counts, corrected_freq = adjacency_dependence(batch, k)
     classes = np.arange(k)
     writer.write(
         "counts.csv",
@@ -266,7 +269,7 @@ def cmd_intercept(args) -> int:
         ["class_id"] + [f"p_{u}" for u in range(k)] + ["stationary", "known", "irreducible"],
         [classes, *fit.transition.T, fit.stationary, fit.known, [fit.irreducible] * k],
     )
-    raw_freq = size_corrected_frequencies(records, k, correct=False)
+    raw_freq = size_corrected_frequencies(batch, k, correct=False)
     writer.write(
         "frequencies.csv",
         ["class_id", "raw_frequency", "size_corrected_frequency"],

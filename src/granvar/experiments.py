@@ -367,11 +367,11 @@ def size_bias_experiment(
     def one(seed_index: int) -> tuple[float, float, float, float]:
         field_seed, transect_seed = derived_seeds(master_seed, seed_index, count=2)
         fld = generate_field(params, table, field_seed)
-        records = cast_transects(
+        batch = cast_transects(
             fld, transects.count, transects.orientation, transects.length, transect_seed
         )
-        raw = class_weights(records, 2, correct=False)
-        corrected = class_weights(records, 2)
+        raw = class_weights(batch, 2, correct=False)
+        corrected = class_weights(batch, 2)
         return raw[0], raw[1], corrected[0], corrected[1]
 
     rows = np.array(ordered_map(one, list(range(n_seeds)), threads))

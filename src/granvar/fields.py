@@ -512,11 +512,12 @@ def save_field_csv(field_: SpatialField, path: str | Path, comment: str | None =
         if comment:
             f.write(f"# {comment}\n")
         f.write("x,y,radius,class_id\n")
-        tail = _class_tail(field_.radius, field_.class_id)
-        if tail is None:
+        radii = class_values(field_.radius, field_.class_id)
+        if radii is None:
             write_csv_columns(f, [field_.x, field_.y, field_.radius, field_.class_id])
         else:
-            write_csv_columns(f, [field_.x, field_.y], (tail, field_.class_id))
+            write_csv_columns(f, [field_.x, field_.y],
+                              ([radii, np.arange(len(radii))], field_.class_id))
     sidecar = {
         "width": field_.width,
         "height": field_.height,
@@ -525,22 +526,23 @@ def save_field_csv(field_: SpatialField, path: str | Path, comment: str | None =
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-def _class_tail(radius: np.ndarray, class_id: np.ndarray) -> list[np.ndarray] | None:
-    """Columns ``radius, class_id`` with one row per class k in 0..K-1,
-    when the n class ids are integers in [0, n) and each class's radii
-    are equal bit for bit (a class holding both 0.0 and -0.0 is not);
-    else None.  A class without particles gets radius 0."""
+def class_values(values: np.ndarray, class_id: np.ndarray) -> np.ndarray | None:
+    """The value of each class k in 0..K-1, K = max(class_id) + 1, when the
+    n class ids are integers in [0, n) and each class's float64 ``values``
+    are equal bit for bit (a class holding both 0.0 and -0.0 is not); else
+    None.  A class without entries gets 0.  With it a CSV writer formats a
+    per-class column once per class (:func:`write_csv_columns`'s ``tail``).
+    """
     n = len(class_id)
-    if (not n or class_id.dtype.kind not in "iu" or radius.dtype != np.float64
+    if (not n or class_id.dtype.kind not in "iu" or values.dtype != np.float64
             or class_id.min() < 0 or class_id.max() >= n):
         return None
-    k = int(class_id.max()) + 1
-    bits = radius.view(np.uint64)
-    table = np.zeros(k, np.uint64)
+    bits = values.view(np.uint64)
+    table = np.zeros(int(class_id.max()) + 1, np.uint64)
     table[class_id] = bits
     if not np.array_equal(table[class_id], bits):
         return None
-    return [table.view(np.float64), np.arange(k)]
+    return table.view(np.float64)
 
 
 def load_field_csv(path: str | Path) -> SpatialField:

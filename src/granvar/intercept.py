@@ -8,18 +8,27 @@ chain is biased towards larger particles (hit probability grows with
 projected width), so class frequencies can be corrected by inverse-width
 weighting.
 
-Casting does not test every particle against every transect.  It takes
-its candidates from the field's cell index (see
-:attr:`SpatialField.column_strips`): the particles sorted by cell on a grid
-whose cells are at least twice the largest radius wide (at most about
-sqrt(n) per axis), once column by column and once row by row.  Window
-counting shares that index, so a field that is both windowed and cast is
-sorted once per axis.  A transect walks the axis it moves along more; for
-each column (or row) it crosses, the candidates are one contiguous slice of
-the sorted particles, padded by a cell on every side, so every particle it
-can hit is among them.  The candidates then go through the exact chord
-arithmetic, in blocks of transects, and the records equal those of testing
-all n particles per transect bit for bit.
+A cast returns one :class:`TransectBatch`: the transects' starts and
+angles, and the flat arrays of their hits (particle, class, chord, width),
+transect after transect, with CSR offsets.  Transition counts, class
+weights and the CSV writer read these arrays directly; ``batch[t]`` gives
+one transect as a :class:`TransectRecord` view.
+
+Casting does not test every particle against every transect.  A disk that
+meets a segment has its centre within r_max, the largest |radius|, of the
+segment, so only the particles in that band can be hit.  The candidates
+come from the field's cell index (see :attr:`SpatialField.column_strips`):
+the particles sorted by cell, once column by column and once row by row,
+shared with window counting.  A transect walks the axis it moves along more.
+It takes the columns (or rows) that cover its extent widened by r_max, and
+in each of them the cells that cover the segment over that column, widened
+by r_max along the walk and again across it: one contiguous slice of the
+sorted particles per column.  Every centre within r_max of the segment lies
+in those cells whatever their size, and a margin far above the rounding
+of the chord test (``_CAST_MARGIN``) covers the disks that the test accepts
+a little beyond r_max (up to about 2e-8 at unit distance).  The candidates then go through the
+exact chord arithmetic, in blocks of transects, and the batch equals
+testing all n particles per transect bit for bit.
 Transects are planar: a segment ends where it leaves the domain and does
 not wrap around it, unlike windows and hard-core exclusion (toroidal
 wrapping of transects is pending).
@@ -32,7 +41,7 @@ only by sign and rank agreement against the window-sampling oracle; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,12 +57,22 @@ STATIONARY_RESIDUAL = 1e-12
 
 #: Transects intersected together.  A block's candidate arrays hold at most
 #: _TRANSECT_BLOCK * n entries, so the block size bounds the cast's memory.
-_TRANSECT_BLOCK = 64
+_TRANSECT_BLOCK = 256
+
+#: A segment's candidate band reaches r_max (the largest |radius|) plus this
+#: fraction of length + 2 r_max + the longer domain side.  The chord test
+#: computes along^2 - d^2 + r^2 with an error of a few ulp of d^2, d the
+#: centre's distance from the start, so it can accept a centre about
+#: sqrt(ulp) d beyond r: up to 1.9e-8 off the line at d <= 1.1 for radius-0
+#: particles.  A hit's d is at most length + 2 r_max, and the band's own
+#: cell arithmetic errs by ulps of the domain side.
+_CAST_MARGIN = 2.0**-20
 
 
 @dataclass(frozen=True)
 class TransectRecord:
-    """Particles intersected by one transect, in order of entry.
+    """Particles intersected by one transect, in order of entry: one
+    transect of a :class:`TransectBatch`.
 
     ``chords`` are the in-segment chord lengths; ``widths`` the projected
     particle widths (disk diameters) used for size-bias correction.
@@ -70,6 +89,54 @@ class TransectRecord:
     @property
     def n(self) -> int:
         return len(self.particle_ids)
+
+
+@dataclass(frozen=True)
+class TransectBatch:
+    """Transects of one length and the particles they intersect, as columns.
+
+    Transect t starts at ``starts[t]`` (a (T, 2) array) at ``angles[t]``.
+    Its hits, in order of entry, are entries ``offsets[t]:offsets[t + 1]``
+    of the flat arrays ``particle_ids``, ``class_ids``, ``chords`` (the
+    in-segment chord lengths) and ``widths`` (the projected widths, disk
+    diameters, used for size-bias correction); ``offsets`` holds T + 1
+    entries from 0.  ``batch[t]`` and ``iter(batch)`` give one transect as
+    a :class:`TransectRecord`, whose arrays are views of the flat ones.
+    """
+
+    starts: np.ndarray
+    angles: np.ndarray
+    length: float
+    offsets: np.ndarray
+    particle_ids: np.ndarray
+    class_ids: np.ndarray
+    chords: np.ndarray
+    widths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.angles)
+
+    def __getitem__(self, t: int) -> TransectRecord:
+        t = range(len(self))[t]
+        begin, end = self.offsets[t], self.offsets[t + 1]
+        x, y = self.starts[t].tolist()
+        return TransectRecord(
+            start=(x, y),
+            angle=float(self.angles[t]),
+            length=self.length,
+            particle_ids=self.particle_ids[begin:end],
+            class_ids=self.class_ids[begin:end],
+            chords=self.chords[begin:end],
+            widths=self.widths[begin:end],
+        )
+
+    def __iter__(self) -> Iterator[TransectRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def hits(self) -> np.ndarray:
+        """Intersections per transect."""
+        return np.diff(self.offsets)
 
 
 @dataclass(frozen=True)
@@ -144,20 +211,19 @@ def cast_transects(
     orientation: float | str,
     length: float,
     seed: int,
-) -> list[TransectRecord]:
+) -> TransectBatch:
     """Drop ``count`` transects with uniform random start points.
 
     ``orientation`` is a fixed angle in radians or ``"random"`` for a
     uniform angle per transect.  Intersections with particle disks are
-    exact; records are ordered by entry point along the segment, ties
-    broken by particle id (overlapping disks are legal in cluster fields).
+    exact; each transect's hits are ordered by entry point along the
+    segment, ties broken by particle id (overlapping disks are legal in
+    cluster fields).
     """
     if count < 1:
         raise ValueError("need at least one transect")
     if field.n == 0:
         raise ValueError("cannot cast transects over an empty field")
-    if length <= 0:
-        raise ValueError("transect length must be > 0")
     rng = derived_rng(seed)
     starts = np.column_stack(
         [rng.uniform(0.0, field.width, size=count), rng.uniform(0.0, field.height, size=count)]
@@ -171,27 +237,42 @@ def cast_transects(
 
 def intersect_segments(
     field: SpatialField, starts: np.ndarray, angles: np.ndarray, length: float
-) -> list[TransectRecord]:
-    """Particles hit by each segment of ``length`` from ``starts[t]`` (an
-    (T, 2) array) at ``angles[t]``, one record per segment.
+) -> TransectBatch:
+    """Particles hit by each segment of ``length`` from ``starts[t]`` (a
+    (T, 2) array) at ``angles[t]``, as one batch.
 
-    Candidates come from the field's cached column and row strips (see
-    :attr:`SpatialField.column_strips`): they hold every particle whose
-    centre lies within half a cell side of the segment, and a hit's centre
-    lies within the largest radius, at most half a cell side.  Each
-    candidate is tested with the exact chord arithmetic, and records are
-    ordered by entry point along the segment, ties broken by particle id.
-    Segments are planar: they end at ``length`` and do not wrap around the
-    domain.
+    A disk that meets a segment has its centre within r_max, the largest
+    |radius|, of it.  So the candidates of a segment are the particles of
+    the cells, in the field's cached column or row strips (see
+    :attr:`SpatialField.column_strips`), that the segment's r_max band
+    covers (see :func:`_segment_candidates`); the band is widened by
+    ``_CAST_MARGIN`` beyond the rounding of the chord test, so it holds
+    every particle the test accepts, whatever the cell size.  Each
+    candidate is tested with the exact chord arithmetic, and each
+    segment's hits are ordered by entry point along it, ties broken by
+    particle id, so the batch equals testing all n particles per segment
+    bit for bit.  Segments are planar: they end at ``length`` and do not
+    wrap around the domain.
     """
-    starts = np.asarray(starts, dtype=float)
-    angles = np.asarray(angles, dtype=float)
+    starts = np.array(starts, dtype=float)
+    angles = np.array(angles, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != 2:
+        raise ValueError(f"starts must be a (T, 2) array, got shape {starts.shape}")
+    if angles.shape != (len(starts),):
+        raise ValueError(f"angles must hold one angle per start ({len(starts)}), "
+                         f"got shape {angles.shape}")
+    for name, values in (("starts", starts), ("angles", angles)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    if not (np.isfinite(length) and length > 0):
+        raise ValueError(f"length must be finite and > 0, got {length}")
     x0, y0 = starts[:, 0], starts[:, 1]
     ux, uy = np.cos(angles), np.sin(angles)
     along_x = np.abs(ux) >= np.abs(uy)
     columns, rows = field.column_strips, field.row_strips
-    starts_x, starts_y, angle_list = x0.tolist(), y0.tolist(), angles.tolist()
-    records = []
+    r_max = float(np.abs(field.radius).max(initial=0.0))
+    reach = r_max + _CAST_MARGIN * (length + 2.0 * r_max + max(field.width, field.height))
+    hit_t, hit_p, hit_chords = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     for first in range(0, len(angles), _TRANSECT_BLOCK):
         block = np.arange(first, min(first + _TRANSECT_BLOCK, len(angles)))
         pairs = []
@@ -199,7 +280,8 @@ def intersect_segments(
             (columns, along_x, x0, y0, ux, uy), (rows, ~along_x, y0, x0, uy, ux)
         ):
             sel = block[major[block]]
-            t, p = _segment_candidates(strips, a0[sel], b0[sel], ua[sel], ub[sel], length)
+            t, p = _segment_candidates(strips, a0[sel], b0[sel], ua[sel], ub[sel], length,
+                                       reach)
             pairs.append((sel[t], p))
         t = np.concatenate([t for t, _ in pairs])
         p = np.concatenate([p for _, p in pairs])
@@ -217,70 +299,71 @@ def intersect_segments(
         ok = hi > lo
         t, p, lo, hi = t[ok], p[ok], lo[ok], hi[ok]
         order = np.lexsort((p, lo, t))
-        p, chords = p[order], (hi - lo)[order]
-        classes, widths = field.class_id[p], 2.0 * field.radius[p]
-        ends = np.cumsum(np.bincount(t - first, minlength=len(block))).tolist()
-        for i, begin, end in zip(block.tolist(), [0] + ends, ends):
-            records.append(TransectRecord(
-                start=(starts_x[i], starts_y[i]),
-                angle=angle_list[i],
-                length=length,
-                particle_ids=p[begin:end],
-                class_ids=classes[begin:end],
-                chords=chords[begin:end],
-                widths=widths[begin:end],
-            ))
-    return records
+        hit_t.append(t[order])
+        hit_p.append(p[order])
+        hit_chords.append((hi - lo)[order])
+    offsets = np.zeros(len(angles) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(np.concatenate(hit_t), minlength=len(angles)), out=offsets[1:])
+    p = np.concatenate(hit_p)
+    return TransectBatch(
+        starts=starts, angles=angles, length=length, offsets=offsets, particle_ids=p,
+        class_ids=field.class_id[p], chords=np.concatenate(hit_chords),
+        widths=2.0 * field.radius[p],
+    )
 
 
-def _segment_candidates(strips: CellStrips, a0, b0, ua, ub,
-                        length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (t, particle) covering every particle within half a cell of
-    segment t, which starts at (a0[t], b0[t]) in direction (ua[t], ub[t])
-    with |ua| >= |ub|, walking ``strips`` (strips along axis a); each
-    particle at most once per segment.
+def _segment_candidates(strips: CellStrips, a0, b0, ua, ub, length: float,
+                        reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (t, particle) covering every particle whose centre lies within
+    ``reach`` of segment t, which starts at (a0[t], b0[t]) in direction
+    (ua[t], ub[t]) with |ua| >= |ub|, walking ``strips`` (strips along axis
+    a); each particle at most once per segment.
 
-    The segment's strips are walked, padded by one on each side.  A centre
-    within half a cell of the segment is near a segment point over its own
-    or an adjacent strip, so each strip's rows are the ones the segment
-    spans over that strip and its two neighbours, padded by one row on each
-    side.  The slope |ub / ua| is at most 1.
+    The segment's strips are those covering its a-extent widened by
+    ``reach``.  A centre in strip c within ``reach`` of the segment is
+    within ``reach``, along a, of a segment point, so that point lies over
+    strip c widened by ``reach``; strip c's rows are the ones covering the
+    b-values of the segment over that stretch, widened by ``reach``.  The
+    slope |ub / ua| is at most 1, so a strip's rows span at most its own
+    width plus 4 ``reach`` along b.
     """
     a1 = a0 + length * ua
     a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
-    col_first, col_last = _span(a_lo, a_hi, strips.scale_a, strips.na)
+    col_first, col_last = _span(a_lo - reach, a_hi + reach, strips.scale_a, strips.na)
     n_cols = col_last - col_first + 1
     t = np.repeat(np.arange(len(a0)), n_cols)
     col = concat_ranges(col_first, n_cols)
-    edges = np.clip(np.stack([col - 1, col + 2]) / strips.scale_a, a_lo[t], a_hi[t])
+    edges = np.clip(np.stack([col / strips.scale_a - reach, (col + 1) / strips.scale_a + reach]),
+                    a_lo[t], a_hi[t])
     b = b0[t] + (edges - a0[t]) * (ub / ua)[t]
-    row_first, row_last = _span(b.min(axis=0), b.max(axis=0), strips.scale_b, strips.nb)
+    row_first, row_last = _span(b.min(axis=0) - reach, b.max(axis=0) + reach,
+                                strips.scale_b, strips.nb)
     begin, count = strips.slices(col, row_first, row_last)
     return np.repeat(t, count), strips.take(begin, count)
 
 
 def _span(lo: np.ndarray, hi: np.ndarray, scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last of the n cells (width 1 / scale, from 0) that cover
-    [lo, hi], padded by one cell on each side; last = first - 1 when no
-    cell is left after clipping to 0..n-1."""
-    first = np.clip(np.floor(lo * scale) - 1.0, 0, n).astype(np.intp)
-    last = np.clip(np.floor(hi * scale) + 1.0, -1, n - 1).astype(np.intp)
+    """Cells first..last, of the n cells of width 1 / scale from 0, that
+    hold every value in [lo, hi]: floor(lo * scale) and floor(hi * scale)
+    clipped to 0..n-1, since a value on the far edge lies in the last cell.
+    last = first - 1 (no cell) when hi < 0."""
+    first = np.clip(np.floor(lo * scale), 0, n - 1).astype(np.intp)
+    last = np.clip(np.floor(hi * scale), -1, n - 1).astype(np.intp)
     return first, last
 
 
-def transition_counts(records: Sequence[TransectRecord], k: int) -> TransitionCounts:
-    """Tally directional adjacent-class pairs within each record.
+def transition_counts(batch: TransectBatch, k: int) -> TransitionCounts:
+    """Tally directional adjacent-class pairs within each transect of
+    ``batch``.
 
-    Records shorter than two intersections contribute nothing; chains
+    Transects with fewer than two intersections contribute nothing; chains
     never continue across transects.
     """
-    chains = [rec.class_ids for rec in records if len(rec.class_ids) >= 2]
-    if not chains:
-        return TransitionCounts(np.zeros((k, k), dtype=np.int64))
-    classes = np.concatenate(chains).astype(np.int64, copy=False)
-    # a record's last hit is no source: it does not lead into the next record
-    source = np.ones(len(classes) - 1, dtype=bool)
-    source[np.cumsum([len(c) for c in chains[:-1]], dtype=np.intp) - 1] = False
+    classes = batch.class_ids.astype(np.int64, copy=False)
+    # a transect's last hit is no source: it does not lead into the next one
+    source = np.ones(max(len(classes) - 1, 0), dtype=bool)
+    ends = batch.offsets[1:-1]
+    source[ends[(ends > 0) & (ends < len(classes))] - 1] = False
     pairs = classes[:-1][source] * k + classes[1:][source]
     return TransitionCounts(np.bincount(pairs, minlength=k * k).reshape(k, k))
 
@@ -343,38 +426,31 @@ def _strongly_connected(adjacency: np.ndarray) -> bool:
         reach = wider
 
 
-def class_weights(
-    records: Sequence[TransectRecord], k: int, correct: bool = True
-) -> np.ndarray:
-    """Per-class tally of intersections, unnormalised.
+def class_weights(batch: TransectBatch, k: int, correct: bool = True) -> np.ndarray:
+    """Per-class tally of the intersections of ``batch``, unnormalised.
 
     With ``correct`` each intersection weighs the inverse of its projected
-    width, otherwise 1.  Weights are added in record order, so the sums do
-    not depend on how the records are grouped.
+    width, otherwise 1.  The weights are added in the order of the flat
+    hit arrays, transect by transect, in one ``bincount``.
     """
-    hit = [rec for rec in records if rec.n]
-    if not hit:
-        return np.zeros(k)
-    widths = np.concatenate([rec.widths for rec in hit])
-    if np.any(widths <= 0):
+    if not len(batch.widths):
+        return np.zeros(k)  # bincount would give integer zeros
+    if np.any(batch.widths <= 0):
         raise ValueError("all intercepted particles need positive width")
-    weights = 1.0 / widths if correct else np.ones(len(widths))
-    return np.bincount(np.concatenate([rec.class_ids for rec in hit]), weights=weights,
-                       minlength=k)
+    weights = 1.0 / batch.widths if correct else np.ones(len(batch.widths))
+    return np.bincount(batch.class_ids, weights=weights, minlength=k)
 
 
-def size_corrected_frequencies(
-    records: Sequence[TransectRecord], k: int, correct: bool = True
-) -> np.ndarray:
+def size_corrected_frequencies(batch: TransectBatch, k: int, correct: bool = True) -> np.ndarray:
     """Per-class abundance from intercepted particles.
 
     With ``correct`` each intersection is weighted by the inverse of its
     projected width, the standard unbiasing for width-proportional hit
     rates; without it the raw intersection frequencies are returned (the
-    difference measures the size bias).  All records contribute, including
-    single-hit ones.
+    difference measures the size bias).  All transects contribute,
+    including single-hit ones.
     """
-    weights = class_weights(records, k, correct)
+    weights = class_weights(batch, k, correct)
     total = weights.sum()
     if total <= 0:
         raise ValueError("no intersections: frequencies undefined")
@@ -419,19 +495,19 @@ def adjacency_dependence_for_field(
 
     Returns (dependence matrix, transition counts, class frequencies).
     """
-    records = cast_transects(field, spec.count, spec.orientation, spec.length, seed)
-    return adjacency_dependence(records, table.k)
+    batch = cast_transects(field, spec.count, spec.orientation, spec.length, seed)
+    return adjacency_dependence(batch, table.k)
 
 
 def adjacency_dependence(
-    records: Sequence[TransectRecord], k: int
+    batch: TransectBatch, k: int
 ) -> tuple[np.ndarray, TransitionCounts, np.ndarray]:
     """Adjacency dependence matrix of transects already cast.
 
     Returns (dependence matrix, transition counts, class frequencies).
     """
-    counts = transition_counts(records, k)
-    freq = size_corrected_frequencies(records, k)
+    counts = transition_counts(batch, k)
+    freq = size_corrected_frequencies(batch, k)
     return c_from_adjacency(counts, freq), counts, freq
 
 

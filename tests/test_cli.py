@@ -371,6 +371,32 @@ class TestIntercept:
         total = sum(float(r["raw_frequency"]) for r in freq)
         assert total == pytest.approx(1.0, rel=1e-9)
 
+    def test_width_column_per_class_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        """``width`` is formatted once per class when each class's widths
+        are equal bit for bit, and per row otherwise, with the same bytes."""
+        from granvar import cli
+
+        config = write_scenario(
+            tmp_path,
+            sample_counts=None,
+            dependence=None,
+            classes=[{"mass": 1.0, "concentration": 1.0, "radius": 0.01},
+                     {"mass": 1.0, "concentration": 0.0, "radius": 0.0123456789}],
+            field={"variant": "poisson", "intensity": 300, "mixing": [0.5, 0.5]},
+            transects={"count": 20, "length": 1.0, "orientation": "random"},
+        )
+        tables = []
+        class_values = cli.class_values
+        monkeypatch.setattr(cli, "class_values",
+                            lambda *a: tables.append(class_values(*a)) or tables[-1])
+        assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        assert tables[0].tolist() == [0.02, 0.0246913578]
+        monkeypatch.setattr(cli, "class_values", lambda *a: None)
+        assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+        text = (tmp_path / "a" / "transects.csv").read_bytes()
+        assert text == (tmp_path / "b" / "transects.csv").read_bytes()
+        assert b",0.024691357800000001\n" in text and b",0.02\n" in text
+
     def test_empty_field_exit_2(self, tmp_path):
         config = write_scenario(
             tmp_path,

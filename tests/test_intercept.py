@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from granvar.errors import GranvarError
 from granvar.fields import ProcessParams, SpatialField, generate_field, grid_shape
 from granvar.intercept import (
+    TransectBatch,
     TransectRecord,
     TransectSpec,
     TransitionCounts,
@@ -14,6 +17,7 @@ from granvar.intercept import (
     c_from_adjacency,
     calibrate_against_oracle,
     cast_transects,
+    class_weights,
     intersect_segments,
     markov_fit,
     size_corrected_frequencies,
@@ -62,20 +66,77 @@ def one_segment(field, start, angle, length):
     return intersect_segments(field, np.array([start], dtype=float), np.array([angle]), length)[0]
 
 
+def batch_of(hit_classes, widths=None):
+    """A batch of one transect per entry of ``hit_classes``, whose hits have
+    those classes and the matching entries of ``widths`` (default 1)."""
+    hits = [len(c) for c in hit_classes]
+    offsets = np.zeros(len(hits) + 1, dtype=np.intp)
+    np.cumsum(hits, out=offsets[1:])
+    classes = np.array([c for cs in hit_classes for c in cs], dtype=int)
+    flat_widths = np.ones(len(classes)) if widths is None else np.array(
+        [w for ws in widths for w in ws], dtype=float)
+    return TransectBatch(
+        starts=np.zeros((len(hits), 2)), angles=np.zeros(len(hits)), length=1.0,
+        offsets=offsets, particle_ids=np.arange(len(classes)), class_ids=classes,
+        chords=np.ones(len(classes)), widths=flat_widths,
+    )
+
+
+def list_transition_counts(records, k):
+    """Reference: transition counts of a record list, concatenating the
+    chains of two or more hits."""
+    chains = [rec.class_ids for rec in records if len(rec.class_ids) >= 2]
+    if not chains:
+        return TransitionCounts(np.zeros((k, k), dtype=np.int64))
+    classes = np.concatenate(chains).astype(np.int64, copy=False)
+    source = np.ones(len(classes) - 1, dtype=bool)
+    source[np.cumsum([len(c) for c in chains[:-1]], dtype=np.intp) - 1] = False
+    pairs = classes[:-1][source] * k + classes[1:][source]
+    return TransitionCounts(np.bincount(pairs, minlength=k * k).reshape(k, k))
+
+
+def list_class_weights(records, k, correct=True):
+    """Reference: class weights of a record list, concatenating the records
+    with hits."""
+    hit = [rec for rec in records if rec.n]
+    if not hit:
+        return np.zeros(k)
+    widths = np.concatenate([rec.widths for rec in hit])
+    if np.any(widths <= 0):
+        raise ValueError("all intercepted particles need positive width")
+    weights = 1.0 / widths if correct else np.ones(len(widths))
+    return np.bincount(np.concatenate([rec.class_ids for rec in hit]), weights=weights,
+                       minlength=k)
+
+
 def horizontal_record(field, y, length=10.0):
     """One transect along y from x=0, pointing right."""
     return one_segment(field, [0.0, y], 0.0, length)
 
 
+PARTS = ("particle_ids", "class_ids", "chords", "widths")
+
+
+def assert_same_bits(a, b, what):
+    assert a.dtype == b.dtype, what
+    assert a.tobytes() == b.tobytes(), (what, a, b)
+
+
 def assert_same_records(got, want):
-    """Bit-for-bit equality of two record lists, dtypes included."""
+    """Bit-for-bit equality of a batch and a record list, dtypes included:
+    record by record, and the batch's offsets and flat arrays against the
+    records concatenated."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.start, g.angle, g.length) == (w.start, w.angle, w.length)
-        for part in ("particle_ids", "class_ids", "chords", "widths"):
-            a, b = getattr(g, part), getattr(w, part)
-            assert a.dtype == b.dtype, part
-            assert a.tobytes() == b.tobytes(), (part, a, b)
+        for part in PARTS:
+            assert_same_bits(getattr(g, part), getattr(w, part), part)
+    hits = [rec.n for rec in want]
+    assert got.offsets.tolist() == [0, *np.cumsum(hits, dtype=int).tolist()]
+    np.testing.assert_array_equal(got.hits, hits)
+    for part in PARTS:
+        assert_same_bits(getattr(got, part), np.concatenate([getattr(w, part) for w in want]),
+                         part)
 
 
 class TestGeometry:
@@ -128,10 +189,53 @@ class TestGeometry:
         with pytest.raises(ValueError):
             cast_transects(field, 5, "random", 1.0, seed=1)
 
+    def test_batch_indexing(self):
+        field = make_field([1, 2, 3], [1, 2, 3], [0.3, 0.3, 0.3], [0, 1, 0])
+        batch = cast_transects(field, 10, "random", 4.0, seed=5)
+        records = list(batch)
+        assert len(batch) == len(records) == 10
+        assert batch[-1].angle == records[-1].angle == float(batch.angles[9])
+        assert batch[3].start == tuple(batch.starts[3].tolist())
+        with pytest.raises(IndexError):
+            batch[10]
+
+
+class TestSegmentInputs:
+    """``intersect_segments`` refuses malformed segments, naming the
+    argument, rather than casting fewer or raising IndexError."""
+
+    field = make_field([5.0], [5.0], [0.5], [0])
+
+    @pytest.mark.parametrize("starts, angles, length, name", [
+        ([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [0.5], 1.0, "angles"),
+        ([[1.0, 1.0]], [0.5, 1.0], 1.0, "angles"),
+        ([[1.0, 1.0]], [np.nan], 1.0, "angles"),
+        ([[1.0, 1.0]], [0.5], -1.0, "length"),
+        ([[1.0, 1.0]], [0.5], np.inf, "length"),
+        ([[1.0, np.nan]], [0.5], 1.0, "starts"),
+        ([1.0, 1.0], [0.5], 1.0, "starts"),
+    ], ids=["three-starts-one-angle", "one-start-two-angles", "nan-angle", "negative-length",
+            "infinite-length", "nan-start", "flat-starts"])
+    def test_malformed_input_names_its_argument(self, starts, angles, length, name):
+        with pytest.raises(ValueError, match=name):
+            intersect_segments(self.field, np.array(starts), np.array(angles), length)
+
 
 #: Axis-aligned angles, where one direction component is 0 or about 1e-16,
 #: and the diagonal, where |cos| and |sin| tie.
 AXIS_ANGLES = (0.0, np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2)
+
+
+@dataclass(frozen=True)
+class FixedGridField(SpatialField):
+    """A field whose cell index has ``grid`` cells per axis, whatever its
+    radii, so casting can be checked on cells of any size."""
+
+    grid: tuple[int, int] = (1, 1)
+
+    @property
+    def cell_grid(self) -> tuple[int, int]:
+        return self.grid
 
 
 class TestStripIndex:
@@ -142,28 +246,51 @@ class TestStripIndex:
     @given(
         seed=st.integers(0, 2**32 - 1),
         domain=st.sampled_from([(1.0, 1.0), (2.5, 0.7)]),
-        n=st.integers(1, 400),
+        n=st.integers(0, 400),
         rmax=st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.3]),
+        grid=st.sampled_from(["rule", "half", "fine"]),
+        negative=st.booleans(),
         on_edges=st.sampled_from([0.0, 0.5, 1.0]),
         length=st.sampled_from([0.01, 0.2, 1.0, 2.5, 4.0]),
     )
-    def test_matches_dense_loop(self, seed, domain, n, rmax, on_edges, length):
+    def test_matches_dense_loop(self, seed, domain, n, rmax, grid, negative, on_edges, length):
+        """Grids: the field's own (cells at least 2 r_max wide), cells
+        exactly 2 r_max wide along x, where the largest radius is exactly
+        r_max, and cells about r_max / 2 wide.  Centres and starts are
+        snapped onto cell edges, so axis-parallel segments lie on them, and
+        starts onto the domain's edges."""
         width, height = domain
         rng = np.random.default_rng(seed)
+        if grid == "half" and rmax > 0:
+            nx = max(1, round(width / (2.0 * rmax)))
+            rmax = width / nx / 2.0
+            shape = (nx, max(1, round(height / (2.0 * rmax))))
+        elif grid == "fine" and rmax > 0:
+            shape = tuple(min(256, max(1, round(side / (0.5 * rmax)))) for side in domain)
+        else:
+            shape = grid_shape(width, height, 2.0 * rmax, n)
+        nx, ny = shape
         x = rng.uniform(0.0, width, n)
         y = rng.uniform(0.0, height, n)
-        # snap a share of the centres onto cell edges of the grid the cast builds
-        nx, ny = grid_shape(width, height, 2.0 * rmax, n)
+        # snap a share of the centres onto cell edges of the grid the cast uses
         snap = rng.random(n) < on_edges
-        x[snap] = np.minimum(np.round(x[snap] * nx / width), nx) * (width / nx)
-        y[snap] = np.minimum(np.round(y[snap] * ny / height), ny) * (height / ny)
+        x[snap] = np.minimum(np.round(x[snap] * nx / width) * (width / nx), width)
+        y[snap] = np.minimum(np.round(y[snap] * ny / height) * (height / ny), height)
         radius = rng.uniform(0.0, rmax, n)
-        field = SpatialField(width, height, x, y, radius, rng.integers(0, 3, n))
+        if n:
+            radius[0] = rmax
+        if negative:
+            radius[rng.random(n) < 0.5] *= -1.0
+        field = FixedGridField(width, height, x, y, radius, rng.integers(0, 3, n), grid=shape)
+        assert field.column_strips.na == nx and field.row_strips.na == ny
 
         count = 150  # more than one block of transects
         starts = np.column_stack(
             [rng.uniform(0.0, width, count), rng.uniform(0.0, height, count)]
         )
+        snap = rng.random(count) < on_edges
+        starts[snap, 0] = np.round(starts[snap, 0] * nx / width) * (width / nx)
+        starts[snap, 1] = np.round(starts[snap, 1] * ny / height) * (height / ny)
         edge = rng.integers(0, 3, size=(count, 2))
         for axis, side in enumerate((width, height)):
             starts[edge[:, axis] == 1, axis] = 0.0
@@ -175,6 +302,25 @@ class TestStripIndex:
         got = intersect_segments(field, starts, angles, length)
         want = [dense_record(field, starts[t], float(angles[t]), length) for t in range(count)]
         assert_same_records(got, want)
+        np.testing.assert_array_equal(got.starts, starts)
+        np.testing.assert_array_equal(got.angles, angles)
+
+    def test_rounding_hits_past_a_cell_edge(self):
+        """The chord test accepts radius-0 particles on the line up to about
+        1e-8 beyond the segment's end.  Here the end lies 5e-9 before a
+        column edge and some of those particles after it, in a column that
+        the segment's r_max band (r_max = 0) reaches only through its
+        margin; a margin of 2^-30 of the lengths would miss them."""
+        length, theta = 0.7, 0.1
+        start = np.array([0.75 - length * np.cos(theta) - 5e-9, 0.2])
+        beyond = length + np.linspace(1e-10, 2.5e-8, 80)
+        x, y = start[0] + beyond * np.cos(theta), start[1] + beyond * np.sin(theta)
+        field = FixedGridField(1.0, 1.0, x, y, np.zeros(80), np.zeros(80, dtype=int),
+                               grid=(4, 4))
+        want = dense_record(field, start, theta, length)
+        assert (x[want.particle_ids] >= 0.75).any()
+        assert_same_records(intersect_segments(field, start[None], np.array([theta]), length),
+                            [want])
 
     def test_cast_matches_dense_loop_on_generated_fields(self):
         table = ClassTable.from_arrays([1, 1], [1, 0], [0.002, 0.004])
@@ -220,34 +366,66 @@ class TestStripIndex:
 
 
 class TestTransitionCounts:
-    def rec(self, classes):
-        n = len(classes)
-        return type(
-            "R", (), {"class_ids": np.array(classes, dtype=int), "n": n}
-        )()
-
     def test_alternating(self):
-        counts = transition_counts([self.rec([0, 1, 0])], k=2)
+        counts = transition_counts(batch_of([[0, 1, 0]]), k=2)
         assert counts.n[0, 1] == 1
         assert counts.n[1, 0] == 1
         assert counts.total == 2
 
     def test_short_records_contribute_nothing(self):
-        counts = transition_counts([self.rec([0]), self.rec([])], k=2)
+        counts = transition_counts(batch_of([[0], []]), k=2)
         assert counts.total == 0
 
     def test_tally(self):
-        counts = transition_counts(
-            [self.rec([0, 0]), self.rec([0, 0]), self.rec([1, 0])], k=2
-        )
+        counts = transition_counts(batch_of([[0, 0], [0, 0], [1, 0]]), k=2)
         assert counts.n[0, 0] == 2
         assert counts.n[1, 0] == 1
         assert counts.total == 3
 
     def test_no_cross_record_transitions(self):
-        counts = transition_counts([self.rec([0, 0]), self.rec([1, 1])], k=2)
+        counts = transition_counts(batch_of([[0, 0], [1, 1]]), k=2)
         assert counts.n[0, 1] == 0
         assert counts.n[1, 0] == 0
+
+
+class TestBatchReductions:
+    """Transition counts and class weights of a batch equal those of its
+    records, concatenated record by record, bit for bit."""
+
+    @staticmethod
+    def assert_reductions_match(batch, k):
+        records = list(batch)
+        assert_same_bits(transition_counts(batch, k).n, list_transition_counts(records, k).n,
+                         "transition counts")
+        for correct in (True, False):
+            assert_same_bits(class_weights(batch, k, correct),
+                             list_class_weights(records, k, correct), "class weights")
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 3), st.floats(1e-6, 10.0)),
+                             max_size=5), max_size=12))
+    def test_matches_record_lists(self, transects):
+        batch = batch_of([[c for c, _ in hits] for hits in transects],
+                         [[w for _, w in hits] for hits in transects])
+        self.assert_reductions_match(batch, 4)
+
+    @pytest.mark.parametrize("hit_classes", [
+        [], [[]], [[], [], []], [[2]], [[], [1], []], [[0], [1], [0]],
+        [[], [0, 1], [], [1, 1, 0], []],
+    ], ids=["no-transects", "one-empty", "all-empty", "single-hit", "single-hit-between-empty",
+            "single-hits", "empty-between-chains"])
+    def test_edge_batches(self, hit_classes):
+        self.assert_reductions_match(batch_of(hit_classes), 3)
+
+    def test_cast_batches(self):
+        table = ClassTable.from_arrays([1, 1, 1], [1, 0, 0], [0.002, 0.004, 0.003])
+        params = ProcessParams(variant="matern_cluster", width=1, height=1,
+                               mixing=(0.4, 0.3, 0.3), parent_intensity=100.0,
+                               offspring_mean=10.0, cluster_radius=0.02)
+        for seed in range(3):
+            batch = cast_transects(generate_field(params, table, seed), 300, "random", 0.5, seed)
+            assert 0 in batch.hits and batch.hits.max() >= 2
+            self.assert_reductions_match(batch, 3)
 
 
 class TestMarkovFit:
@@ -348,14 +526,9 @@ class TestSizeCorrection:
         assert freq.tolist() == [1.0]
 
     def test_zero_width_rejected(self):
-        field = make_field([5.0], [5.0], [0.0], [0])
-        rec = horizontal_record(field, 5.0)
-        # radius zero disks are never hit, so craft a record by hand
-        rec = type(
-            "R", (), {"class_ids": np.array([0]), "widths": np.array([0.0]), "n": 1}
-        )()
+        # radius zero disks are never hit, so build the batch by hand
         with pytest.raises(ValueError):
-            size_corrected_frequencies([rec], 1)
+            size_corrected_frequencies(batch_of([[0]], [[0.0]]), 1)
 
     def test_intersections_proportional_to_width(self):
         """The size-bias law itself: hit counts scale with number density

@@ -23,6 +23,20 @@ def row_by_row(columns) -> str:
                    for i in range(len(columns[0])))
 
 
+def assert_same_csv(got: str, want: str) -> None:
+    """Equality of two CSV texts.  A failure names the first line that
+    differs, instead of diffing the whole texts, so a large table fails in
+    seconds."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    line = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                min(len(got_lines), len(want_lines)))
+    pytest.fail(f"CSV texts differ from line {line} on ({len(got_lines)} against "
+                f"{len(want_lines)} lines): {got_lines[line:line + 1]} != "
+                f"{want_lines[line:line + 1]}")
+
+
 def written(columns, tail=None) -> str:
     f = io.StringIO()
     write_csv_columns(f, columns, tail)
@@ -46,7 +60,7 @@ class TestWriteCsvColumns:
             np.array(SPECIAL), np.arange(n) - 3, np.array([2**63 - 1] * n, dtype=np.uint64),
             [f"label{i}" for i in range(n)], np.arange(n) % 2 == 0, [0.25] * n,
         ]
-        assert written(columns) == row_by_row(columns)
+        assert_same_csv(written(columns), row_by_row(columns))
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2600), st.integers(0, 2**32))
@@ -54,16 +68,16 @@ class TestWriteCsvColumns:
         rng = np.random.default_rng(seed)
         columns = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n),
                    rng.integers(-10**12, 10**12, n)]
-        assert written(columns) == row_by_row(columns)
+        assert_same_csv(written(columns), row_by_row(columns))
 
     def test_rows_prefix_the_index_and_repeat_formatted_rows(self):
         columns = [np.array([0.5, np.nan, -0.0]), np.array([3, 0, 7])]
         rows = np.array([2, 0, 0, 1, 2])
         gathered = [np.arange(len(rows))] + [c[rows] for c in columns]
-        assert written(*indexed(columns, rows)) == row_by_row(gathered)
+        assert_same_csv(written(*indexed(columns, rows)), row_by_row(gathered))
         big = np.arange(3000) % 3
         gathered = [np.arange(3000)] + [c[big] for c in columns]
-        assert written(*indexed(columns, big)) == row_by_row(gathered)
+        assert_same_csv(written(*indexed(columns, big)), row_by_row(gathered))
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.integers(0, 2**64 - 1), max_size=300),
@@ -73,10 +87,10 @@ class TestWriteCsvColumns:
         """Floats of every exponent and sign (nan and inf included), and
         integers of the whole int64 and uint64 ranges."""
         floats = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert written([floats]) == row_by_row([floats])
+        assert_same_csv(written([floats]), row_by_row([floats]))
         ints = [np.array(signed, dtype=np.int64), np.array(unsigned, dtype=np.uint64)]
         for column in ints:
-            assert written([column]) == row_by_row([column])
+            assert_same_csv(written([column]), row_by_row([column]))
 
     def test_edge_values_match_cell_formatting(self):
         powers = [10.0**k for k in range(-6, 18)]
@@ -85,35 +99,35 @@ class TestWriteCsvColumns:
         ties = [m / 2**18 for m in (1, 3, 26215, 26217, 2**18 - 1)]
         floats = np.array(SPECIAL + powers + near + ties + [1e-4, 1e16 - 2, -(1e16 - 2)])
         floats = np.concatenate([floats, -floats])
-        assert written([floats]) == row_by_row([floats])
+        assert_same_csv(written([floats]), row_by_row([floats]))
         ints = np.array([-(2**63), 2**63 - 1, -1, 0, 9999, 10**4, 10**16, -(10**16)])
-        assert written([ints]) == row_by_row([ints])
+        assert_same_csv(written([ints]), row_by_row([ints]))
         top = np.array([2**64 - 1, 2**63, 10**19, 0], dtype=np.uint64)
-        assert written([top]) == row_by_row([top])
+        assert_same_csv(written([top]), row_by_row([top]))
 
     @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193])
     def test_block_boundaries(self, n):
         rng = np.random.default_rng(n)
         columns = [rng.normal(size=n) * 10.0 ** rng.integers(-6, 18, n),
                    rng.integers(-(10**12), 10**12, n), np.arange(n) % 3 == 0]
-        assert written(columns) == row_by_row(columns)
+        assert_same_csv(written(columns), row_by_row(columns))
         rows = rng.integers(0, max(n, 1), n) if n else np.zeros(0, dtype=int)
         gathered = [np.arange(n)] + [c[rows] for c in columns]
-        assert written(*indexed(columns, rows)) == row_by_row(gathered)
+        assert_same_csv(written(*indexed(columns, rows)), row_by_row(gathered))
 
     def test_mixed_list_column(self):
         """A list column is split by cell type; big integers stay exact."""
         cells = ["replicates", 7, 0.1, np.float64(-2.5e-7), np.int64(-3), True,
                  np.bool_(False), np.float32(0.1), 2**64 + 1, -(2**70), float("nan"), "é,x", ""]
         columns = [cells, np.arange(len(cells))]
-        assert written(columns) == row_by_row(columns)
+        assert_same_csv(written(columns), row_by_row(columns))
 
     def test_rows_with_repeated_and_unused_rows(self):
         columns = [np.array([0.5, 1e-5, 3.0, 12345.678]), ["a", "bb", "ccc", "dddd"],
                    np.array([1, -2, 3, 4])]
         rows = np.array([3, 3, 0, 3, 0])  # rows 1 and 2 unused
         gathered = [np.arange(len(rows))] + [[c[i] for i in rows] for c in columns]
-        assert written(*indexed(columns, rows)) == row_by_row(gathered)
+        assert_same_csv(written(*indexed(columns, rows)), row_by_row(gathered))
 
     @settings(deadline=None, max_examples=40)
     @given(n=st.sampled_from([0, 1, 8191, 8192, 8193]), data=st.data())
@@ -145,7 +159,7 @@ class TestWriteCsvColumns:
         used = rng.choice(k, rng.integers(1, k + 1), replace=False)
         rows = used[rng.integers(0, len(used), n)]
         gathered = head + [[c[i] for i in rows] for c in tail]
-        assert written(head, (tail, rows)) == row_by_row(gathered)
+        assert_same_csv(written(head, (tail, rows)), row_by_row(gathered))
 
     def test_text_with_nul_is_refused(self):
         with pytest.raises(ValueError, match="CSV column 1 holds a NUL"):
@@ -173,7 +187,7 @@ class TestWriteCsvColumns:
         assert 0 < tiny == sum(len(x) for x in fallback)
         lines = (tmp_path / "field.csv").read_text().splitlines()
         columns = [field.x, field.y, field.radius, field.class_id]
-        assert "\n".join(lines[1:]) + "\n" == row_by_row(columns)
+        assert_same_csv("\n".join(lines[1:]) + "\n", row_by_row(columns))
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
