@@ -16,11 +16,13 @@ from the same random stream a one-dart-at-a-time loop consumes, and the
 field equals that loop's.
 
 One cell index, :class:`CellStrips`, serves windows, transects, darts and
-gap checks; its one query, :meth:`CellStrips.rectangles`, finds the
-particles of wrapping rectangles.  A field builds one per axis the first
-time it is asked for and keeps it (``SpatialField.column_strips`` and
-``row_strips``), on cells at least twice the largest radius wide; the dart
-thrower indexes each chunk in a fresh one.
+gap checks; its query, :meth:`CellStrips.rectangles`, finds the particles
+of wrapping rectangles, and :meth:`CellStrips.ring_and_interior` splits
+them into a ring and interior cells that hold members only.  A field
+builds one per axis the first time it is asked for and keeps it
+(``SpatialField.column_strips`` and ``row_strips``), on cells at least
+twice the largest radius wide; the dart thrower indexes the particles
+accepted before each chunk, and then the chunk's survivors, in fresh ones.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import SaturationError
 from .model import ClassTable
-from .util import derived_rng, write_csv_columns
+from .util import derived_rng, wrap_periodic, write_csv_columns
 
 VARIANTS = ("poisson", "matern_cluster", "hardcore", "graded")
 
@@ -56,6 +58,8 @@ _QUERY_CHUNK = 4096
 #: edge before its cells are looked up.  That is far above the rounding of a
 #: test against its edges, such as a window's ``mod(x - anchor_x, W) <
 #: width``, so the widened rectangle's cells hold every particle it accepts.
+#: Likewise every particle of a cell inside the rectangle narrowed by it is
+#: accepted.
 _STRIP_MARGIN = 2.0**-30
 
 
@@ -130,21 +134,105 @@ class CellStrips:
         (query, strip) pair: its rows before the wrap and after it.  A query
         covers at most ``na`` strips and ``nb`` rows, so it holds no particle twice.
         """
-        strip_first, n_strips = _wrapped_cells(
-            a0, a_side, _STRIP_MARGIN * self.length_a, self.scale_a, self.na)
-        row_first, n_rows = _wrapped_cells(
-            b0, b_side, _STRIP_MARGIN * self.length_b, self.scale_b, self.nb)
-        # rows first..min(first + count, nb) - 1, then 0..first + count - nb - 1
-        wrap_end = row_first + n_rows
-        last_before = np.minimum(wrap_end, self.nb) - 1
-        last_after = np.maximum(wrap_end - self.nb, 0) - 1
+        (strip_first, row_first), (n_strips, n_rows), _, _ = self._cover(
+            a0, a_side, b0, b_side)
         query = np.repeat(np.arange(len(a0)), n_strips)
         strip = concat_ranges(strip_first, n_strips) % self.na
-        before = self.slices(strip, row_first[query], last_before[query])
-        after = self.slices(strip, 0, last_after[query])
-        # interleaved: strip 0 before, strip 0 after, strip 1 before, ...
-        begin, count = (np.stack(pair, axis=1).ravel() for pair in zip(before, after))
+        begin, count = self._row_runs(strip, row_first[query], n_rows[query])
         return query.repeat(2), begin, count
+
+    def ring_and_interior(self, a0: np.ndarray, a_side: float, b0: np.ndarray,
+                          b_side: float) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The slices of :meth:`rectangles`, split into ``(ring, interior)``,
+        each ``(query, begin, count)`` in query order.
+
+        The interior cells of a rectangle are those whose whole extent lies
+        in it after it is narrowed by ``_STRIP_MARGIN`` of the domain side
+        on every edge: every particle they hold passes the half-open test
+        ``mod(a - a0, length_a) < a_side`` and ``mod(b - b0, length_b) <
+        b_side`` for an anchor in the domain.  The ring is the rest.  A
+        strip with interior rows has four ring slices, its rows before the
+        interior and after it, each before and after the wrap, and two
+        interior slices; every other strip keeps its two ring slices.  The
+        first strip of a query is never interior, so every query has ring
+        slices.
+        """
+        (strip_first, row_first), (n_strips, n_rows), (strip_skip, row_skip), inner = (
+            self._cover(a0, a_side, b0, b_side))
+        # interior cells need interior strips and interior rows
+        inner[0, inner[1] == 0] = 0
+        query = np.repeat(np.arange(len(a0)), n_strips)
+        # per (query, strip) pair: its place among the query's strips less the
+        # interior's offset, and its strip (mod na); the interior strips are
+        # the pairs whose step lies in 0..inner strips - 1
+        base, strip, inner_strips, first, rows = np.stack([
+            np.cumsum(n_strips) - n_strips + strip_skip, strip_first + strip_skip,
+            inner[0], row_first, n_rows]).take(query, axis=1)
+        step = np.arange(len(query)) - base
+        strip += step
+        np.subtract(strip, self.na, out=strip, where=strip >= self.na)
+        pair = np.flatnonzero(step.view(np.uintp) < inner_strips.view(np.uintp))
+        iq = query[pair]
+        skip, inner_rows = row_skip[iq], inner[1, iq]
+        inner_first = first[pair] + skip
+        interior = self._row_runs(strip[pair], inner_first % self.nb, inner_rows)
+        if len(pair):
+            # an interior strip's ring rows are two runs: those before its
+            # interior rows, then those after; every other strip's are one
+            runs = np.ones(len(query), dtype=np.intp)
+            runs[pair] = 2
+            after = pair + np.arange(1, len(pair) + 1)
+            rows_after = rows[pair] - skip - inner_rows
+            run = np.repeat(np.arange(len(query)), runs)
+            query, strip, first, rows = query[run], strip[run], first[run], rows[run]
+            rows[after - 1] = skip
+            first[after] = (inner_first + inner_rows) % self.nb
+            rows[after] = rows_after
+        ring = (query.repeat(2), *self._row_runs(strip, first, rows))
+        return ring, (iq.repeat(2), *interior)
+
+    def _cover(self, a0: np.ndarray, a_side: float, b0: np.ndarray,
+               b_side: float) -> tuple[np.ndarray, ...]:
+        """``(first, count, skip, inner)``, each of shape (2, queries), per
+        axis (a, then b) and query: the first cell (in 0..n-1) and the number
+        of cells, at most n, of the n cells (width 1 / scale, from 0,
+        wrapping) that cover the side [anchor, anchor + side) widened by
+        ``_STRIP_MARGIN`` of the domain side on each edge; the offset from
+        that first cell (1 or 2) and the number of the cells whose whole
+        extent lies in the side narrowed likewise, kept among the covered
+        cells."""
+        ma, mb = _STRIP_MARGIN * self.length_a, _STRIP_MARGIN * self.length_b
+        sa, sb = self.scale_a, self.scale_b
+        # the widened edges, then the narrowed ones, in cells; the low
+        # narrowed edge negated, so that its floor is minus its ceiling
+        offset = np.array([[[-ma], [-mb]], [[a_side + ma], [b_side + mb]],
+                           [[ma], [mb]], [[a_side - ma], [b_side - mb]]])
+        scale = np.array([[[sa], [sb]], [[sa], [sb]], [[-sa], [-sb]], [[sa], [sb]]])
+        edge = np.stack([a0, b0]) + offset
+        edge *= scale
+        outer, high, low, stop = np.floor(edge, out=edge).astype(np.intp)
+        n = np.array([[self.na], [self.nb]])
+        count = np.minimum(high - outer + 1, n)
+        skip = -low - outer
+        return outer % n, count, skip, np.maximum(np.minimum(stop - outer, count) - skip, 0)
+
+    def _row_runs(self, strip: np.ndarray, first: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slices of the ``rows[i]`` rows from row ``first[i]`` (in 0..nb-1,
+        wrapping; at most nb) of each ``strip[i]``, two per run: its rows
+        before the wrap and after it, interleaved run by run."""
+        # rows first..cut - 1, then 0..end - cut - 1
+        slot = strip * self.nb
+        end = first + rows
+        cut = np.minimum(end, self.nb)
+        edge = np.empty((len(slot), 2), dtype=np.intp)
+        np.add(slot, first, out=edge[:, 0])
+        edge[:, 1] = slot
+        begin = self.offsets[edge.ravel()]
+        np.add(slot, cut, out=edge[:, 0])
+        end -= cut
+        np.add(slot, end, out=edge[:, 1])
+        return begin, self.offsets[edge.ravel()] - begin
 
     def slices(self, strip: np.ndarray, first: np.ndarray,
                last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,17 +251,6 @@ def concat_ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
     """arange(begin[i], begin[i] + count[i]), concatenated over i."""
     skip = np.repeat(begin - (np.cumsum(count) - count), count)
     return skip + np.arange(len(skip))
-
-
-def _wrapped_cells(
-    anchor: np.ndarray, side: float, margin: float, scale: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """First cell (in 0..n-1) and number of cells, at most n, of the n
-    cells (width 1 / scale, from 0, wrapping) that cover
-    [anchor - margin, anchor + side + margin)."""
-    first = np.floor((anchor - margin) * scale)
-    last = np.floor((anchor + (side + margin)) * scale)
-    return (first % n).astype(np.intp), np.minimum(last - first + 1, n).astype(np.intp)
 
 
 def _close_pairs(strips: CellStrips, x: np.ndarray, y: np.ndarray, radius: np.ndarray,
@@ -360,10 +437,6 @@ def assign_classes(
     return np.where(inherit, cluster_class[parent_of], own)
 
 
-def _wrap(values: np.ndarray, period: float) -> np.ndarray:
-    return np.mod(values, period)
-
-
 def _radii_for(classes: np.ndarray, table: ClassTable) -> np.ndarray:
     return table.radii[classes] if len(classes) else np.empty(0)
 
@@ -387,8 +460,8 @@ def _generate_matern(p: ProcessParams, table: ClassTable, rng) -> SpatialField:
     # uniform draw in the cluster disk
     rad = p.cluster_radius * np.sqrt(rng.random(n))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    x = _wrap(px[parent_of] + rad * np.cos(theta), p.width)
-    y = _wrap(py[parent_of] + rad * np.sin(theta), p.height)
+    x = wrap_periodic(px[parent_of] + rad * np.cos(theta), p.width)
+    y = wrap_periodic(py[parent_of] + rad * np.sin(theta), p.height)
     classes = assign_classes(n, np.asarray(p.mixing), rng, parent_of, p.class_correlation)
     return SpatialField(p.width, p.height, x, y, _radii_for(classes, table),
                         classes, process_tag="matern_cluster")
@@ -403,14 +476,16 @@ def _generate_hardcore(p: ProcessParams, table: ClassTable, rng) -> SpatialField
     chunks of uniforms (x, y and, for K > 1, the class), the very stream a
     one-dart-at-a-time loop of ``uniform``/``uniform``/``choice`` consumes;
     uniforms past the dart that fills the target go unused, and the
-    generator is discarded with them.  A chunk and the particles accepted
-    before it are indexed in a fresh :class:`CellStrips`, which lists the
-    (dart, earlier point) pairs that are too close.  The chunk is resolved
-    in rounds (greedy sequential independent sets, round form): reject each
-    undecided dart with an accepted earlier neighbour, then accept each one
-    with no undecided earlier neighbour.  A round decides at least the
-    earliest undecided dart, as the one-at-a-time loop would, so the field
-    equals that loop's.
+    generator is discarded with them.  The particles accepted before a
+    chunk are indexed in a fresh :class:`CellStrips`, which lists the darts
+    too close to one of them; those are rejected.  A rejected dart blocks
+    no other, so the survivors alone are indexed next, for the (dart,
+    earlier dart) pairs that are too close, and resolved in rounds (greedy
+    sequential independent sets, round form): reject each undecided dart
+    with an accepted earlier neighbour, then accept each one with no
+    undecided earlier neighbour.  A round decides at least the earliest
+    undecided dart, as the one-at-a-time loop would, so the field equals
+    that loop's.
     """
     target = int(rng.poisson(p.expected_count()))
     max_attempts = HARDCORE_ATTEMPT_FACTOR * max(target, 1)
@@ -438,21 +513,29 @@ def _generate_hardcore(p: ProcessParams, table: ClassTable, rng) -> SpatialField
         x = np.concatenate([xs[:placed], 0.0 + width * u[:, 0]])
         y = np.concatenate([ys[:placed], 0.0 + height * u[:, 1]])
         r = np.concatenate([radii[:placed], table.radii[c]])
-        strips = CellStrips(x, y, nx, ny, width, height)
-        i, j = _close_pairs(strips, x, y, r, gap, placed, len(x))
-        # the darts' states, by dart; a dart next to an accepted particle is out
-        state = np.full(chunk, _UNDECIDED, dtype=np.int8)
-        near = j < placed
-        state[i[near] - placed] = _REJECTED
-        i, j = i[~near] - placed, j[~near] - placed
+        # the darts clear of every accepted particle, by index into x
+        live = np.arange(placed, len(x))
+        if placed:
+            accepted = CellStrips(x[:placed], y[:placed], nx, ny, width, height)
+            near, _ = _close_pairs(accepted, x, y, r, gap, placed, len(x))
+            out = np.zeros(chunk, dtype=bool)
+            out[near - placed] = True
+            live = live[~out]
+        # the survivors' states, resolved among the survivors alone
+        i = j = np.empty(0, dtype=np.intp)
+        if len(live) > 1:
+            lx, ly, lr = x[live], y[live], r[live]
+            i, j = _close_pairs(CellStrips(lx, ly, nx, ny, width, height), lx, ly, lr, gap,
+                                0, len(live))
+        state = np.full(len(live), _UNDECIDED, dtype=np.int8)
         while (state == _UNDECIDED).any():
-            live = (state[i] == _UNDECIDED) & (state[j] != _REJECTED)
-            i, j = i[live], j[live]
+            undecided = (state[i] == _UNDECIDED) & (state[j] != _REJECTED)
+            i, j = i[undecided], j[undecided]
             state[i[state[j] == _ACCEPTED]] = _REJECTED
-            blocked = np.zeros(chunk, dtype=bool)
+            blocked = np.zeros(len(live), dtype=bool)
             blocked[i[(state[i] == _UNDECIDED) & (state[j] == _UNDECIDED)]] = True
             state[(state == _UNDECIDED) & ~blocked] = _ACCEPTED
-        new = placed + np.flatnonzero(state == _ACCEPTED)[: target - placed]
+        new = live[state == _ACCEPTED][: target - placed]
         end = placed + len(new)
         xs[placed:end] = x[new]
         ys[placed:end] = y[new]

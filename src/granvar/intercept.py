@@ -56,7 +56,9 @@ from .util import derived_rng, derived_seeds, ordered_map
 STATIONARY_RESIDUAL = 1e-12
 
 #: Transects intersected together.  A block's candidate arrays hold at most
-#: _TRANSECT_BLOCK * n entries, so the block size bounds the cast's memory.
+#: _TRANSECT_BLOCK * n entries, so the block size bounds the cast's memory;
+#: at most 2**16, so that :func:`_hit_order` sorts block-local transects as
+#: 16-bit keys.
 _TRANSECT_BLOCK = 256
 
 #: A segment's candidate band reaches r_max (the largest |radius|) plus this
@@ -298,7 +300,7 @@ def intersect_segments(
         hi = np.minimum(along + root, length)
         ok = hi > lo
         t, p, lo, hi = t[ok], p[ok], lo[ok], hi[ok]
-        order = np.lexsort((p, lo, t))
+        order = _hit_order(t - first, lo, p, field.n)
         hit_t.append(t[order])
         hit_p.append(p[order])
         hit_chords.append((hi - lo)[order])
@@ -310,6 +312,16 @@ def intersect_segments(
         class_ids=field.class_id[p], chords=np.concatenate(hit_chords),
         widths=2.0 * field.radius[p],
     )
+
+
+def _hit_order(block_t: np.ndarray, lo: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """``np.lexsort((p, lo, block_t))`` for block-local transect indices
+    below 2**16 and particle ids below ``n``.  A lexsort is a chain of
+    stable sorts, least significant key first, so ties keep their order;
+    numpy radix-sorts the keys of 16 bits or fewer."""
+    order = np.argsort(p.astype(np.uint16) if n <= 1 << 16 else p, kind="stable")
+    order = order[np.argsort(lo[order], kind="stable")]
+    return order[np.argsort(block_t[order].astype(np.uint16), kind="stable")]
 
 
 def _segment_candidates(strips: CellStrips, a0, b0, ua, ub, length: float,

@@ -21,9 +21,13 @@ Windows are counted through the field's periodic cell index, which
 transect casting and the gap check share (see
 :attr:`SpatialField.column_strips`).  Each window is one rectangle query,
 widened by a margin far above the rounding of the half-open membership test
-``mod(x - anchor_x, W) < width`` and ``mod(y - anchor_y, H) < height``; only
-the particles of its cells go through the test, so the counts equal those of
-testing every particle against every window.
+``mod(x - anchor_x, W) < width`` and ``mod(y - anchor_y, H) < height``, and
+split into its ring and its interior (:meth:`CellStrips.ring_and_interior`).
+The interior cells lie whole inside the window narrowed by that margin, so
+they hold members only and are counted from per-class running counts along
+the index; only the ring's particles go through the test.  The counts equal
+those of testing every particle against every window, and the tests grow
+with a window's perimeter, not its area.
 
 Replicated runs report per-replicate sample summaries, the empirical
 variance of the sample concentration, and inclusion-probability estimates
@@ -41,7 +45,7 @@ from .errors import EmptySampleError
 from .estimators import ht_terms, infinite_batch_weights, moment_terms, sample_totals
 from .fields import SpatialField
 from .model import ClassTable
-from .util import derived_rng, normal_half_width
+from .util import derived_rng, normal_half_width, wrap_periodic
 
 #: Exact enumeration and pairwise sampling are limited to designs with at
 #: most this many class-count states, prod_u (n_u + 1).
@@ -499,8 +503,8 @@ def _window_membership(
 ) -> np.ndarray:
     """Whether each point (x, y) lies in the half-open window
     [anchor, anchor + window) on a toroidal ``domain``; broadcasts."""
-    dx = np.mod(x - anchor_x, domain[0])
-    dy = np.mod(y - anchor_y, domain[1])
+    dx = wrap_periodic(x - anchor_x, domain[0])
+    dy = wrap_periodic(y - anchor_y, domain[1])
     return (dx < window[0]) & (dy < window[1])
 
 
@@ -512,21 +516,44 @@ def window_counts(
     field: SpatialField, anchors: np.ndarray, width: float, height: float, k: int
 ) -> np.ndarray:
     """(R, K) class counts of the toroidal windows anchored at the rows of
-    ``anchors``; particles of classes outside [0, K) are not counted.
+    ``anchors``, anchors in the domain; particles of classes outside [0, K)
+    are not counted.
 
-    Candidates come from one :meth:`CellStrips.rectangles` query per window
-    on the field's cached column strips (see
-    :attr:`SpatialField.column_strips`), which transect casting and the gap
-    check share.  The query's slices hold every particle of the window,
-    each once.  Each candidate is tested once, with
-    :func:`_window_membership`, in batches of about ``_STRIP_BATCH``, and
-    the classes outside [0, K) are dropped after the test.
+    Each window is one :meth:`CellStrips.ring_and_interior` query on the
+    field's cached column strips (see :attr:`SpatialField.column_strips`),
+    which transect casting and the gap check share.  Its ring slices hold
+    every particle of the window outside its interior cells, each once;
+    each of those candidates is tested with :func:`_window_membership`, in
+    batches of about ``_STRIP_BATCH``, and the classes outside [0, K) are
+    dropped after the test.  Every particle of an interior cell is in the
+    window, so the interior slices are counted without a test, as
+    differences of per-class running counts along the strips' order.
     """
     strips = field.column_strips
-    window, begin, count = strips.rectangles(anchors[:, 0], width, anchors[:, 1], height)
+    ring, interior = strips.ring_and_interior(anchors[:, 0], width, anchors[:, 1], height)
     r = len(anchors)
-    # every window has at least one slice
-    slices_end = np.searchsorted(window, np.arange(r), side="right")
+    counts = _ring_counts(field, ring, anchors, width, height, k)
+    query, begin, count = interior
+    if len(query):
+        cls = field.class_id[strips.order]
+        end = begin + count
+        running = np.zeros(field.n + 1, dtype=np.intp)
+        for c in range(k):
+            # running[i]: particles of class c among the first i of the order
+            np.cumsum(cls == c, out=running[1:])
+            inside = np.bincount(query, weights=running[end] - running[begin], minlength=r)
+            counts[:, c] += inside.astype(np.int64)
+    return counts
+
+
+def _ring_counts(field: SpatialField, ring: tuple[np.ndarray, ...], anchors: np.ndarray,
+                 width: float, height: float, k: int) -> np.ndarray:
+    """(R, K) class counts of the windows' members among the slices
+    ``ring``, which hold at least one slice per window."""
+    window, begin, count = ring
+    strips = field.column_strips
+    r = len(anchors)
+    slices_end = np.cumsum(np.bincount(window, minlength=r))
     ends = np.cumsum(count)[slices_end - 1]
 
     counts = np.empty((r, k), dtype=np.int64)

@@ -361,6 +361,32 @@ def _magnitude_index(m: np.ndarray, out: np.ndarray) -> None:
 _FORMATTERS = {"f": _float_words, "i": _int_words, "u": _int_words, "S": _text_words}
 
 
+def wrap_periodic(values: np.ndarray, period: float) -> np.ndarray:
+    """``np.mod(values, period)`` of float64 values, bit for bit, for a
+    finite ``period`` > 0; a single shift by +period, 0 or -period when
+    every value lies in [-period, 2 period), else ``np.mod`` itself.
+
+    In that range numpy's remainder is fmod, which is exact, and then one
+    addition of the period to a negative remainder: v + period for v < 0,
+    v - period (exact) for v >= period, and v otherwise, with -0.0 and
+    -period giving +0.0.  So v + shift is the same float, including a tiny
+    negative v for which both round v + period up to the period itself.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not (values.size and 0.0 < period < np.inf):
+        return np.mod(values, period)
+    lo, hi = values.min(), values.max()
+    if not (lo >= -period and hi < 2.0 * period):  # NaN falls back too
+        return np.mod(values, period)
+    shift = (values < 0.0).astype(np.float64)
+    shift *= period
+    if hi >= period:
+        shift -= (values >= period) * period
+    # 0.0 added to -0.0 gives +0.0
+    shift += values
+    return shift
+
+
 def round_sig(x: float, digits: int) -> float:
     """Round to ``digits`` significant figures (half away from zero)."""
     if x == 0 or not math.isfinite(x):

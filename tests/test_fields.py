@@ -242,6 +242,9 @@ class TestHardcore:
     # reach 0.6, one reach-wide cell per axis: at most two particles fit,
     # so about 27 chunks of darts run before the attempt budget is spent
     @example(case=hardcore_case(1, (1.0, 1.0), [0.3], 0.0, 20.0) + (8,))
+    # saturating with 5 x 5 reach-wide cells: about 720 chunks whose darts
+    # nearly all land next to one of the few accepted particles
+    @example(case=hardcore_case(1, (1.0, 1.0), [0.15], 0.05, 500.0) + (3,))
     def test_matches_scalar_loop(self, case):
         params, table, seed = case
         got = outcome(lambda: generate_field(params, table, seed))
@@ -330,6 +333,49 @@ class TestCellStrips:
         np.testing.assert_array_equal(strips.order, np.argsort(slot, kind="stable"))
         assert strips.order.dtype == np.intp
         assert strips.offsets[-1] == len(a)
+
+
+    @settings(deadline=None, max_examples=100)
+    @given(case=rectangle_cases())
+    def test_ring_and_interior_split_the_rectangle(self, case):
+        """The ring and interior slices of a query hold the particles of its
+        rectangle query, each once, and every interior particle is in the
+        half-open wrapping rectangle."""
+        width, height, na, nb, a, b, a0, b0, a_side, b_side = case
+        strips = CellStrips(a, b, na, nb, width, height)
+        ring, interior = strips.ring_and_interior(a0, a_side, b0, b_side)
+        query, begin, count = strips.rectangles(a0, a_side, b0, b_side)
+        whole = strips.take(begin, count)
+        owner = np.repeat(query, count)
+        parts = []
+        for part_query, part_begin, part_count in (ring, interior):
+            assert np.all(np.diff(part_query) >= 0)
+            parts.append((strips.take(part_begin, part_count),
+                          np.repeat(part_query, part_count)))
+        assert np.array_equal(np.unique(ring[0]), np.arange(len(a0)))
+        (ring_held, ring_owner), (inner_held, inner_owner) = parts
+        for q in range(len(a0)):
+            ring_q, inner_q = ring_held[ring_owner == q], inner_held[inner_owner == q]
+            assert sorted(np.concatenate([ring_q, inner_q]).tolist()) == sorted(
+                whole[owner == q].tolist())
+            inside = (np.mod(a - a0[q], width) < a_side) & (np.mod(b - b0[q], height) < b_side)
+            assert inside[inner_q].all()
+
+    def test_interior_of_a_wide_rectangle(self):
+        """A rectangle 3.5 cells wide on a 10 x 10 grid has 2 or 3 interior
+        strips, each with two interior slices, and its interior cells hold
+        more than a third of its particles."""
+        rng = derived_rng(21)
+        a, b = rng.uniform(0.0, 1.0, 5000), rng.uniform(0.0, 1.0, 5000)
+        strips = CellStrips(a, b, 10, 10, 1.0, 1.0)
+        anchors = rng.uniform(0.0, 1.0, (50, 2))
+        anchors[0] = [0.3, 0.9]  # on cell edges, wrapping along b
+        _, interior = strips.ring_and_interior(anchors[:, 0], 0.35, anchors[:, 1], 0.35)
+        assert set((np.bincount(interior[0], minlength=50) // 2).tolist()) <= {2, 3}
+        inside = np.count_nonzero(
+            (np.mod(a[:, None] - anchors[:, 0], 1.0) < 0.35)
+            & (np.mod(b[:, None] - anchors[:, 1], 1.0) < 0.35))
+        assert interior[2].sum() > inside / 3
 
 
 class TestGapViolations:

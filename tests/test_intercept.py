@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from granvar import intercept
 from granvar.errors import GranvarError
 from granvar.fields import ProcessParams, SpatialField, generate_field, grid_shape
 from granvar.intercept import (
@@ -363,6 +364,25 @@ class TestStripIndex:
         field = make_field([], [], [], [])
         records = intersect_segments(field, np.array([[1.0, 2.0]]), np.array([0.5]), 3.0)
         assert [rec.n for rec in records] == [0]
+
+
+class TestHitOrder:
+    @settings(deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 600),
+           n=st.sampled_from([1, 7, 6000, 65535, 65536, 65537, 200_000]),
+           transects=st.sampled_from([1, 3, 256]))
+    def test_matches_lexsort(self, seed, m, n, transects):
+        """The chained stable sorts equal ``np.lexsort((p, lo, t))``, with
+        exact ties in ``lo`` (0.0, -0.0 and repeated values), repeated
+        particle ids and, for n > 2**16, 32-bit ids above 65,535."""
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, transects, m)
+        lo = np.where(rng.random(m) < 0.5, rng.choice([0.0, -0.0, 0.25, 1e-300], m),
+                      rng.random(m))
+        p = rng.integers(max(n - 70_000, 0), n, m)
+        got = intercept._hit_order(t, lo, p, n)
+        np.testing.assert_array_equal(got, np.lexsort((p, lo, t)))
+        assert got.dtype == np.intp
 
 
 class TestTransitionCounts:

@@ -404,31 +404,54 @@ def ulp_around(values):
 
 @st.composite
 def window_cases(draw):
-    """A small field, anchors and a window on a random domain.  Coordinates
-    are drawn from a few boundary values as well as the whole range."""
+    """A field, anchors and a window on a random domain.  Coordinates are
+    uniform, or drawn from the domain's and the cells' edges, the floats
+    next to them and the whole range.  With up to 400 particles the index
+    has up to 21 cells per axis, and windows from three cells wide up to
+    the whole side have interior cells.  Anchors and anchor + width fall on
+    cell edges and one ulp either side of them, and some classes lie
+    outside [0, 3)."""
     width = draw(st.sampled_from([1.0, 2.5, 0.7, 3.0e-3, 1.0e4]))
     height = draw(st.sampled_from([1.0, 0.7, 2.5]))
     below = float(np.nextafter(width, 0.0))
+    n = draw(st.integers(1, 400))
+    # the grid of point_field's radius-0 particles
+    nx, ny = fields.grid_shape(width, height, 0.0, n)
 
-    def coord(side):
-        edge = st.sampled_from([0.0, side, float(np.nextafter(side, 0.0)), 0.5 * side])
-        return st.one_of(edge, st.floats(0.0, side))
+    def side(length, cells):
+        return st.one_of(
+            st.sampled_from([length, float(np.nextafter(length, 0.0)), 1e-12 * length,
+                             0.5 * length, min(3.0 / cells, 1.0) * length]),
+            st.floats(0.0, length, exclude_min=True),
+            st.floats(min(3.0 / cells, 1.0) * length, length))
 
-    n = draw(st.integers(1, 40))
-    xs = draw(st.lists(coord(width), min_size=n, max_size=n))
-    ys = draw(st.lists(coord(height), min_size=n, max_size=n))
-    classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    anchor_x = st.one_of(st.sampled_from([0.0, below, *xs]), st.floats(0.0, below))
-    anchors = draw(st.lists(
-        st.tuples(anchor_x, st.floats(0.0, float(np.nextafter(height, 0.0)))),
-        min_size=1, max_size=20,
-    ))
-    w = draw(st.one_of(
-        st.sampled_from([width, below, 1e-12 * width, 0.5 * width]),
-        st.floats(0.0, width, exclude_min=True),
-    ))
-    h = draw(st.one_of(st.sampled_from([height, 1e-12 * height]),
-                       st.floats(0.0, height, exclude_min=True)))
+    def on_edges(length, cells, shift):
+        """Cell edges less ``shift``, wrapped into [0, length), and the
+        floats next to them."""
+        edges = [float(np.mod(j * (length / cells) - shift, length)) for j in range(cells)]
+        return st.sampled_from([v for v in ulp_around(edges)
+                                if 0.0 <= v < length] or [0.0])
+
+    def coord(length, cells):
+        edge = st.sampled_from([0.0, length, float(np.nextafter(length, 0.0)), 0.5 * length])
+        return st.one_of(edge, st.floats(0.0, length), on_edges(length, cells, 0.0))
+
+    # uniform coordinates, some replaced by drawn ones
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs, ys = rng.uniform(0.0, width, n), rng.uniform(0.0, height, n)
+    picked = draw(st.lists(st.tuples(st.integers(0, n - 1), coord(width, nx),
+                                     coord(height, ny)),
+                           max_size=min(n, 30)))
+    for i, x, y in picked:
+        xs[i], ys[i] = x, y
+    xs, ys = xs.tolist(), ys.tolist()
+    classes = rng.integers(-2, 5, n)
+    w, h = draw(side(width, nx)), draw(side(height, ny))
+    anchor_x = st.one_of(st.sampled_from([0.0, below, *xs]), st.floats(0.0, below),
+                         on_edges(width, nx, 0.0), on_edges(width, nx, w))
+    anchor_y = st.one_of(st.floats(0.0, float(np.nextafter(height, 0.0))),
+                         on_edges(height, ny, 0.0), on_edges(height, ny, h))
+    anchors = draw(st.lists(st.tuples(anchor_x, anchor_y), min_size=1, max_size=20))
     return point_field(width, height, xs, ys, classes), np.array(anchors), w, h
 
 
@@ -550,10 +573,34 @@ class TestWindowIndex:
 
     @settings(deadline=None, max_examples=200)
     @given(case=window_cases())
+    # a particle at y = H lies in the last row, which the window [H/2, H)
+    # covers; mod(H - H/2, H) = H/2 is not below h = H/2
+    @example(case=(point_field(1.0, 1.0, [0.0, 0.7, 0.3], [1.0, 0.6, 0.2], [0, 1, 1]),
+                   np.array([[0.0, 0.5]]), 1.0, 0.5))
     def test_matches_dense_reference(self, case):
         field, anchors, w, h = case
         got = window_counts(field, anchors, w, h, 3)
         np.testing.assert_array_equal(got, dense_window_counts(field, anchors, w, h, 3))
+
+    def test_interior_is_counted_without_a_test(self, monkeypatch):
+        """A window 3 or more cells wide sends fewer particles through the
+        membership test than it holds, and counts them all."""
+        tested = []
+        membership = selection._window_membership
+
+        def counting(x, *args):
+            tested.append(len(x))
+            return membership(x, *args)
+
+        monkeypatch.setattr(selection, "_window_membership", counting)
+        rng = derived_rng(14)
+        field = point_field(1.0, 1.0, rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 1.0, 2000),
+                            rng.integers(0, 2, 2000))
+        assert field.cell_grid == (45, 45)
+        anchors = rng.uniform(0.0, 1.0, (40, 2))
+        got = window_counts(field, anchors, 0.2, 0.3, 2)
+        np.testing.assert_array_equal(got, dense_window_counts(field, anchors, 0.2, 0.3, 2))
+        assert 0 < sum(tested) < got.sum() / 2
 
     @pytest.mark.parametrize("side", [0.05, 0.6, 1.0])
     def test_cluster_field_many_windows(self, two_particle_table, side):

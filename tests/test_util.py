@@ -197,3 +197,36 @@ class TestWriteCsvColumns:
 def test_normal_half_width_matches_norm_ppf():
     for level in np.linspace(0.01, 0.999, 200).tolist() + [0.9, 0.95, 0.99]:
         assert normal_half_width(level) == float(sstats.norm.ppf(0.5 + level / 2.0))
+
+
+def around(value):
+    """``value`` and the floats just below and above it."""
+    return [float(np.nextafter(value, -np.inf)), value, float(np.nextafter(value, np.inf))]
+
+
+class TestWrapPeriodic:
+    @settings(deadline=None, max_examples=300)
+    @given(period=st.one_of(st.sampled_from([1.0, 2.5, 0.7, 3.0e-3, 1.0e4]),
+                            st.floats(1e-300, 1e300)),
+           data=st.data())
+    def test_bits_equal_np_mod(self, period, data):
+        """Bit for bit np.mod, in the shifted range and beyond it: -0.0, the
+        range's ends and their neighbours, tiny negatives whose v + period
+        rounds to the period, and values out of range, infinite or NaN."""
+        edges = [0.0, -0.0, 5e-324, -5e-324, -1e-300, -0.25 * float(np.spacing(period)),
+                 *around(period), *around(-period), *around(2.0 * period),
+                 *around(-2.0 * period), 3.5 * period, -7.25 * period]
+        value = st.one_of(st.sampled_from(edges), st.floats(-period, 2.0 * period),
+                          st.floats(allow_nan=True, allow_infinity=True))
+        values = np.array(data.draw(st.lists(value, max_size=40)), dtype=float)
+        with np.errstate(invalid="ignore"):
+            got = util.wrap_periodic(values, period)
+            want = np.mod(values, period)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_tiny_negative_wraps_to_the_period(self):
+        """np.mod's own rounding: -1e-20 + 1.0 is 1.0, not a value below it."""
+        got = util.wrap_periodic(np.array([-1e-20, -0.0, -1.0, 1.0, 1.5, -0.5]), 1.0)
+        assert got.tolist() == [1.0, 0.0, 0.0, 0.0, 0.5, 0.5]
+        assert not np.signbit(got).any()
