@@ -340,9 +340,9 @@ class ProcessParams:
 class SpatialField:
     """Disk-shaped particles in a rectangular domain.
 
-    Centres lie in [0, W] x [0, H]; centres and radii are finite.  The cell
-    indices are built from the particle arrays on first use and kept, so
-    the arrays must not change afterwards.
+    Centres lie in [0, W] x [0, H]; centres and radii are finite, and radii
+    are >= 0.  The cell indices are built from the particle arrays on first
+    use and kept, so the arrays must not change afterwards.
     """
 
     width: float
@@ -361,6 +361,11 @@ class SpatialField:
         for name in ("x", "y", "radius"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"particle {name} values must be finite")
+        negative = np.flatnonzero(np.asarray(self.radius) < 0)
+        if len(negative):
+            i = int(negative[0])
+            raise ValueError(
+                f"particle radii must be >= 0; particle {i} has radius {float(self.radius[i])!r}")
         if n and (
             np.any(self.x < 0) or np.any(self.x > self.width)
             or np.any(self.y < 0) or np.any(self.y > self.height)

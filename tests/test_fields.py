@@ -615,6 +615,26 @@ class TestSpatialField:
             SpatialField(1.0, 1.0, values["x"], values["y"], values["radius"],
                          np.array([0, 1]))
 
+    def test_rejects_negative_radius_naming_the_particle(self):
+        with pytest.raises(ValueError, match=r"particle 0 has radius -0\.1$"):
+            SpatialField(1.0, 1.0, np.array([0.5, 0.2]), np.array([0.5, 0.7]),
+                         np.array([-0.1, 0.05]), np.array([0, 1]))
+        with pytest.raises(ValueError, match=r"particle 2 has radius -5e-324$"):
+            SpatialField(1.0, 1.0, np.full(4, 0.5), np.full(4, 0.5),
+                         np.array([0.0, 0.1, -5e-324, -1.0]), np.zeros(4, dtype=int))
+
+    def test_zero_radius_is_accepted(self):
+        f = SpatialField(1.0, 1.0, np.array([0.5, 0.2]), np.array([0.5, 0.7]),
+                         np.array([0.0, -0.0]), np.array([0, 1]))
+        assert f.n == 2
+
+    def test_loaded_negative_radius_is_refused(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.with_suffix(".json").write_text('{"width": 1.0, "height": 1.0}')
+        path.write_text("x,y,radius,class_id\n0.2,0.2,0.01,1\n0.5,0.5,0,0\n0.7,0.1,-0.02,1\n")
+        with pytest.raises(ValueError, match=r"particle 2 has radius -0\.02$"):
+            load_field_csv(path)
+
     def test_class_counts(self, table):
         f = generate_field(poisson_params(intensity=200.0), table, seed=9)
         counts = f.class_counts(2)

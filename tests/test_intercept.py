@@ -282,7 +282,13 @@ class TestStripIndex:
             radius[0] = rmax
         if negative:
             radius[rng.random(n) < 0.5] *= -1.0
-        field = FixedGridField(width, height, x, y, radius, rng.integers(0, 3, n), grid=shape)
+        classes = rng.integers(0, 3, n)
+        if np.any(radius < 0):
+            # negative radii are refused; flipped back (-0.0 stays), the field is cast
+            with pytest.raises(ValueError, match="particle radii must be >= 0"):
+                FixedGridField(width, height, x, y, radius, classes, grid=shape)
+            radius[radius < 0] *= -1.0
+        field = FixedGridField(width, height, x, y, radius, classes, grid=shape)
         assert field.column_strips.na == nx and field.row_strips.na == ny
 
         count = 150  # more than one block of transects

@@ -1,16 +1,21 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import time
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granvar import fields, selection
+from granvar.cli import main as cli_main
 from granvar.errors import EmptySampleError
 from granvar.fields import ProcessParams, SpatialField, generate_field
 from granvar.intercept import TransectSpec, calibrate_against_oracle, intersect_segments
@@ -1064,6 +1069,175 @@ class TestStateIndexReplicates:
         assert 1 < len(got[0].first) <= 7 * 8 * 8
         assert_same_replicates(got, want)
         assert_same_comparison(got, want, table)
+
+
+def guide_buckets(states: int) -> int:
+    """The guide table's bucket count for a cdf of ``states`` entries."""
+    return min(max(1 << (8 * states - 1).bit_length(), 1 << 10), 1 << 16)
+
+
+@st.composite
+def cdf_cases(draw):
+    """(cdf, last, u): a cdf of 1 to 4096 states whose largest weight is 1,
+    with zero-weight runs at the start, in the middle and at the end, or
+    one positive state, and sometimes a last positive weight too small to
+    move the cdf; and draws u at 0, at 1, next to 1, and one and two ulps
+    either side of every cdf entry and bucket edge (as fractions of Z)."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    w = rng.random(n) ** draw(st.sampled_from([1, 8, 40]))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        w[start:start + draw(st.integers(1, max(1, n // 3)))] = 0.0
+    if draw(st.booleans()):
+        w[:draw(st.integers(0, n - 1))] = 0.0
+    if draw(st.booleans()):
+        w[draw(st.integers(1, n)):] = 0.0
+    if draw(st.booleans()) or not w.any():
+        w[:] = 0.0
+        w[draw(st.integers(0, n - 1))] = 1.0
+    w /= w.max()
+    if n > 1 and draw(st.booleans()):
+        w[-1] = 1e-300  # positive, yet the cdf does not move
+    cdf = np.cumsum(w)
+    last = int(np.flatnonzero(w > 0)[-1])
+    z, g = cdf[-1], guide_buckets(n)
+    picks = rng.integers(0, n, min(n, 150))
+    edges = rng.integers(0, g + 1, 150) * (z / g)
+    near = np.concatenate([cdf[picks], edges]) / z
+    for _ in range(2):
+        near = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, 2.0)])
+    u = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0)], near, rng.random(200)])
+    return cdf, last, rng.permutation(np.clip(u, 0.0, 1.0))
+
+
+class TestPairwiseKernels:
+    """The guide-table draw, the tally of distinct codes and the exact mean
+    counts equal what they replaced, bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=cdf_cases())
+    def test_guide_table_matches_searchsorted(self, case):
+        cdf, last, u = case
+        want = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), last)
+        for per_bucket in (0, 1):  # the table at every size, then from G draws on
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(selection, "_GUIDE_DRAWS_PER_BUCKET", per_bucket)
+                got = selection._invert_cdf(cdf, last, u.copy())
+                single = [selection._invert_cdf(cdf, last, u[i:i + 1].copy())[0]
+                          for i in range(5)]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert single == want[:5].tolist()
+
+    def test_product_rounding_up_onto_a_bucket_edge(self, monkeypatch):
+        """u = 0.6621093749999999 lies in bucket 677 of 1024, and u Z rounds
+        up onto E_678, where the first cdf entry sits: that entry is <= t,
+        so the draw is state 1, which a bracket closed at E_678 on the
+        left side of ``searchsorted`` would miss."""
+        z = 1.5118216247002567
+        edge = 678 * (z / 1024)
+        cdf = np.array([edge, z])
+        u = np.array([0.6621093749999999])
+        assert int(u[0] * 1024) == 677 and u[0] * z == edge
+        monkeypatch.setattr(selection, "_GUIDE_DRAWS_PER_BUCKET", 0)
+        assert selection._invert_cdf(cdf, 1, u).tolist() == [1]
+
+    def test_benchmark_shape_draws_from_the_table(self):
+        """On the pairwise oracle benchmark's shape (448 states, 1e5 draws)
+        the table is built once and the draws equal the plain search."""
+        rng = derived_rng(14)
+        class_of = rng.permutation(np.arange(20) % 3)
+        phi = rng.uniform(0.5, 1.5, size=(3, 3))
+        design = SelectionDesign.pairwise_pmf(rng.uniform(0.2, 0.8, size=3),
+                                              np.triu(phi) + np.triu(phi, 1).T, class_of)
+        states = selection._ClassStates(design, 3)
+        lw = np.concatenate([batch for _, batch in states.batches()])
+        cdf = np.cumsum(np.exp(lw - lw.max()))
+        u = derived_rng(7).random(100_000)
+        want = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
+                          np.flatnonzero(lw > -np.inf)[-1])
+        tables = []
+        guide_table = selection._guide_table
+
+        def spy(*args):
+            tables.append(guide_table(*args))
+            return tables[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_guide_table", spy)
+            got = states.draw(derived_rng(7), 100_000)
+        assert len(tables) == 1 and len(tables[0]) == guide_buckets(448) + 1
+        assert np.array_equal(got, want)
+        # the draws that search the cdf are a small share
+        assert np.mean(tables[0][(u * guide_buckets(448)).astype(np.intp)] < 0) < 0.1
+
+    @pytest.mark.parametrize("r", [1, 2, 7, 300, 5000])
+    def test_tally_matches_np_unique(self, r, monkeypatch):
+        """Codes below a bound of R or R + 1, random, all equal and all at
+        the bound's top: ``np.unique``'s values (and their dtype), first
+        positions and inverse, with ``np.unique`` called only above R."""
+        rng = derived_rng(r)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+        for bound in (r, r + 1):
+            narrow = next(t for t in (np.uint8, np.uint16, np.uint32)
+                          if bound - 1 <= np.iinfo(t).max)
+            for codes in (rng.integers(0, bound, r), np.zeros(r, dtype=np.intp),
+                          np.full(r, bound - 1)):
+                want = unique(codes.astype(narrow), return_index=True, return_inverse=True)
+                calls.clear()
+                got = selection._unique_codes(codes, bound)
+                assert calls == ([] if bound <= r else [1])
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["ungrouped", "grouped"])
+    @pytest.mark.parametrize("size, top", [(6361, (2**53 - 1) // 6361), (3, (2**53 + 1) // 3)],
+                             ids=["max_times_size_below_2^53", "above_2^53"])
+    def test_mean_counts_match_the_gather(self, size, top, grouped, monkeypatch):
+        """Against the float gather and mean they replaced: the first run
+        holds ``top`` in class 0 on every row, so max x size is 2^53 - 1,
+        summed exactly, or 2^53 + 1, gathered; grouped runs of equal and
+        unequal sizes."""
+        distinct = np.array([[top, 0, 1], [top - 1, 5, 0], [1, top, 2]], dtype=np.int64)
+        rng = derived_rng(size)
+        group_reduce, gathered = selection._group_reduce, []
+        monkeypatch.setattr(selection, "_group_reduce",
+                            lambda *a: gathered.append(1) or group_reduce(*a))
+        for sizes in ([size], [size, size], [size, size - 1]) if grouped else ([size],):
+            sizes = np.array(sizes)
+            rows = rng.integers(0, 3, sizes.sum())
+            rows[:size] = 0
+            want = group_reduce(lambda x: x.mean(axis=1), distinct.astype(float)[rows], sizes)
+            gathered.clear()
+            got = selection._mean_counts(distinct, rows, sizes)
+            assert same_bits(got, want)
+            assert gathered == ([] if top * size < 2**53 else [1])
+
+    def test_pairwise_simulate_tree_keeps_its_digests(self, tmp_path):
+        """``simulate`` on the pairwise oracle scenario (1e5 draws of a
+        4-state design) takes the guide table, the tally and the exact
+        mean counts, and writes the recorded bytes."""
+        root = Path(__file__).resolve().parents[1]
+        golden = json.loads((root / "tests" / "golden" / "example_scenarios.json").read_text())
+        if (np.__version__, scipy.__version__) != (golden["numpy"], golden["scipy"]):
+            pytest.skip("golden digests were recorded with other numpy and scipy versions")
+        used = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_guide_table", "_unique_codes", "_mean_counts"):
+                fn = getattr(selection, name)
+                mp.setattr(selection, name, lambda *a, _fn=fn, _name=name:
+                           used.append(_name) or _fn(*a))
+            mp.setattr(np, "unique", lambda *a, **kw: pytest.fail("np.unique called"))
+            assert cli_main(["simulate", "--config",
+                             str(root / "scripts" / "scenarios" / "pairwise_oracle.json"),
+                             "--out", str(tmp_path), "--threads", "1"]) == 0
+        assert sorted(set(used)) == ["_guide_table", "_mean_counts", "_unique_codes"]
+        got = {f"pairwise_oracle/simulate/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+        assert got == {key: v for key, v in golden["digests"].items()
+                       if key.startswith("pairwise_oracle/simulate/")}
 
 
 @st.composite

@@ -38,9 +38,17 @@ def assert_same_csv(got: str, want: str) -> None:
 
 
 def written(columns, tail=None) -> str:
-    f = io.StringIO()
-    write_csv_columns(f, columns, tail)
-    return f.getvalue()
+    """The text :func:`write_csv_columns` writes, through the vectorised
+    formatter and cell by cell, which must agree byte for byte."""
+    texts = []
+    for cells in (-1, 2**62):  # every call vectorised, then every call cell by cell
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(util, "_SCALAR_CELLS", cells)
+            f = io.StringIO()
+            write_csv_columns(f, columns, tail)
+            texts.append(f.getvalue())
+    assert_same_csv(texts[1], texts[0])
+    return texts[0]
 
 
 def indexed(columns, rows):
@@ -160,6 +168,68 @@ class TestWriteCsvColumns:
         rows = used[rng.integers(0, len(used), n)]
         gathered = head + [[c[i] for i in rows] for c in tail]
         assert_same_csv(written(head, (tail, rows)), row_by_row(gathered))
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_scalar_and_vector_paths_write_the_same_bytes(self, data):
+        """Mixed list columns and numpy columns, with and without a tail,
+        written cell by cell and vectorised: the same bytes, and the
+        reference's."""
+        n = data.draw(st.integers(0, 12))
+        specials = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                                    1e300, -1e300, 1e-4, 1e16])
+        big = st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64,
+                               2**70, -(2**63) - 1, -(2**80)])
+        scalars = st.sampled_from([np.float64(-2.5e-7), np.float32(0.1), np.float16(0.5),
+                                   np.int64(-(2**63)), np.int8(-5), np.uint64(2**64 - 1),
+                                   np.bool_(True), np.bool_(False), np.float64(np.nan)])
+        text = st.text(st.characters(blacklist_categories=("Cs",),
+                                     blacklist_characters="\0\n"), max_size=6)
+        cell = st.one_of(st.floats(), specials, st.integers(-(2**64), 2**64), big, scalars,
+                         st.booleans(), text)
+
+        def column(length):
+            kind = data.draw(st.sampled_from(["mixed", "float", "int", "uint", "bool"]))
+            if kind == "mixed":
+                return data.draw(st.lists(cell, min_size=length, max_size=length))
+            values = data.draw(st.lists(
+                {"float": st.one_of(st.floats(), specials),
+                 "int": st.integers(-(2**63), 2**63 - 1), "uint": st.integers(0, 2**64 - 1),
+                 "bool": st.booleans()}[kind], min_size=length, max_size=length))
+            return np.array(values, dtype={"float": np.float64, "int": np.int64,
+                                           "uint": np.uint64, "bool": bool}[kind])
+
+        head = [column(n) for _ in range(data.draw(st.integers(1, 4)))]
+        assert_same_csv(written(head), row_by_row(head))
+        k = data.draw(st.integers(1, 5))
+        tail = [column(k) for _ in range(data.draw(st.integers(1, 3)))]
+        rows = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+                        dtype=np.intp)
+        gathered = head + [[c[i] for i in rows] for c in tail]
+        assert_same_csv(written(head, (tail, rows)), row_by_row(gathered))
+
+    @pytest.mark.parametrize("cells", [-1, 2**62], ids=["vector", "scalar"])
+    def test_both_paths_refuse_nul_and_tail_newlines(self, cells, monkeypatch):
+        monkeypatch.setattr(util, "_SCALAR_CELLS", cells)
+        with pytest.raises(ValueError, match=r"CSV column 1 holds a NUL character: 'a\\x00b'"):
+            write_csv_columns(io.StringIO(), [np.zeros(2), ["ok", "a\0b"]])
+        with pytest.raises(ValueError, match="CSV column 0 holds a NUL"):
+            write_csv_columns(io.StringIO(), [np.zeros(1)], ([["x\0"]], np.array([0])))
+        with pytest.raises(ValueError, match="newline"):
+            write_csv_columns(io.StringIO(), [np.zeros(1)], ([["a\nb"]], np.array([0])))
+
+    def test_small_calls_take_the_scalar_path(self, monkeypatch):
+        """A call of at most ``_SCALAR_CELLS`` cells makes no vectorised
+        word table; one cell more does."""
+        calls = []
+        row_words = util._row_words
+        monkeypatch.setattr(util, "_row_words", lambda *a: calls.append(1) or row_words(*a))
+        rows = util._SCALAR_CELLS // 2
+        written_once = io.StringIO()
+        write_csv_columns(written_once, [np.zeros(rows), np.arange(rows)])
+        assert calls == []
+        write_csv_columns(written_once, [np.zeros(rows + 1), np.arange(rows + 1)])
+        assert calls == [1]
 
     def test_text_with_nul_is_refused(self):
         with pytest.raises(ValueError, match="CSV column 1 holds a NUL"):
