@@ -19,7 +19,10 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +49,43 @@ from .verify import DEFAULT_VERIFY_SEED, run_checks
 
 #: Stream indices for deriving per-stage seeds from the scenario seed.
 _FIELD_STREAM, _REPLICATE_STREAM, _TRANSECT_STREAM, _CALIBRATE_STREAM = range(4)
+
+#: glibc's ``mallopt`` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+#: The ceiling glibc's own dynamic mmap threshold reaches on 64-bit
+#: platforms, and twice it for the trim threshold, as glibc's dynamic rule
+#: sets it.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+#: Environment variables through which a user sets glibc's malloc tunables.
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Let glibc keep freed blocks of up to 32 MiB for reuse; True when
+    both thresholds were applied.  Runs once per process.
+
+    With glibc's default thresholds an operation's large numpy temporaries
+    go back to the kernel when freed, and their pages fault in again, one
+    4 KiB page at a time, on the next allocation.  Only :func:`main` calls
+    this, so library callers keep glibc's defaults, and so does a user who
+    set glibc's own malloc tunables.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    if (any(name in os.environ for name in _MALLOC_ENV)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 0 when it rejects a setting, which then stays unset
+    trimmed = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mapped = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    return bool(trimmed and mapped)
 
 
 class _Writer:
@@ -397,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -27,9 +27,11 @@ accepted before each chunk, and then the chunk's survivors, in fresh ones.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -341,8 +343,10 @@ class SpatialField:
     """Disk-shaped particles in a rectangular domain.
 
     Centres lie in [0, W] x [0, H]; centres and radii are finite, and radii
-    are >= 0.  The cell indices are built from the particle arrays on first
-    use and kept, so the arrays must not change afterwards.
+    are >= 0.  Sequences are taken as arrays: ``x``, ``y`` and ``radius``
+    as float64, ``class_id`` as integers.  The cell indices are built from
+    the particle arrays on first use and kept, so the arrays must not change
+    afterwards.
     """
 
     width: float
@@ -354,6 +358,17 @@ class SpatialField:
     process_tag: str = ""
 
     def __post_init__(self):
+        for name in ("x", "y", "radius"):
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind not in "iuf":
+                raise ValueError(f"particle {name} values must be numbers, not {values.dtype}")
+            object.__setattr__(self, name, values.astype(np.float64, copy=False))
+        class_id = np.asarray(self.class_id)
+        if class_id.size == 0:  # np.asarray([]) is float64
+            class_id = class_id.astype(np.int64)
+        if class_id.dtype.kind not in "iu":
+            raise ValueError(f"particle class_id values must be integers, not {class_id.dtype}")
+        object.__setattr__(self, "class_id", class_id)
         n = len(self.x)
         for name in ("y", "radius", "class_id"):
             if len(getattr(self, name)) != n:
@@ -633,44 +648,72 @@ def class_values(values: np.ndarray, class_id: np.ndarray) -> np.ndarray | None:
     return table.view(np.float64)
 
 
+#: One row of a field CSV, as :func:`load_field_csv`'s fast path reads it.
+_FIELD_ROW = np.dtype([("x", np.float64), ("y", np.float64), ("radius", np.float64),
+                       ("class_id", np.int64)])
+
+
 def load_field_csv(path: str | Path) -> SpatialField:
     """Read a field written by save_field_csv (or produced externally,
-    e.g. from segmented images) together with its domain sidecar."""
+    e.g. from segmented images) together with its domain sidecar.
+
+    The body is parsed in one ``np.loadtxt`` call.  When that fails, as on
+    a malformed row or a line of spaces, it is parsed again line by line,
+    which gives the same arrays or a ``ValueError`` naming the bad line.
+    """
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text())
-    xs, ys, radii, classes = [], [], [], []
     with path.open("r", encoding="utf-8") as f:
-        lines = enumerate(f, start=1)
-        for _, header in lines:
-            header = header.strip()
-            if not header.startswith("#"):
-                break
-        else:
-            header = ""
-        if header != "x,y,radius,class_id":
-            raise ValueError(f"unexpected field CSV header: {header!r}")
-        for number, line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                if len(cells) != 4:
-                    raise ValueError(f"expected 4 values, got {len(cells)}")
-                sx, sy, sr, sc = cells
-                x, y, radius, class_id = float(sx), float(sy), float(sr), int(sc)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from None
-            xs.append(x)
-            ys.append(y)
-            radii.append(radius)
-            classes.append(class_id)
+        _field_body(f)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty body only warns
+                rows = np.loadtxt(f, _FIELD_ROW, delimiter=",", comments=None, ndmin=1)
+            columns = [np.ascontiguousarray(rows[name]) for name in _FIELD_ROW.names]
+        except (ValueError, Warning):
+            f.seek(0)
+            columns = _parse_field_lines(path, _field_body(f))
     return SpatialField(
         float(sidecar["width"]),
         float(sidecar["height"]),
-        np.array(xs),
-        np.array(ys),
-        np.array(radii),
-        np.array(classes, dtype=int),
+        *columns,
         process_tag=str(sidecar.get("process_tag", "")),
     )
+
+
+def _field_body(f) -> Iterator[tuple[int, str]]:
+    """The numbered lines of an open field CSV after its header, which this
+    checks; comment lines may precede the header."""
+    lines = enumerate(f, start=1)
+    for _, header in lines:
+        header = header.strip()
+        if not header.startswith("#"):
+            break
+    else:
+        header = ""
+    if header != "x,y,radius,class_id":
+        raise ValueError(f"unexpected field CSV header: {header!r}")
+    return lines
+
+
+def _parse_field_lines(path: Path, lines: Iterator[tuple[int, str]]) -> list[np.ndarray]:
+    """x, y, radius and class_id from a field CSV's body, one line at a
+    time; blank lines are skipped."""
+    xs, ys, radii, classes = [], [], [], []
+    for number, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            if len(cells) != 4:
+                raise ValueError(f"expected 4 values, got {len(cells)}")
+            sx, sy, sr, sc = cells
+            x, y, radius, class_id = float(sx), float(sy), float(sr), int(sc)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+        xs.append(x)
+        ys.append(y)
+        radii.append(radius)
+        classes.append(class_id)
+    return [np.array(xs), np.array(ys), np.array(radii), np.array(classes, dtype=int)]

@@ -1,8 +1,10 @@
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 import scipy
 
 import granvar
-from granvar import __version__
+from granvar import __version__, cli
 from granvar.cli import main
 
 
@@ -577,3 +579,99 @@ class TestEnvironment:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+class TestAllocator:
+    """``main`` sets glibc's trim and mmap thresholds once per process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self, monkeypatch):
+        for name in MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        cli._keep_freed_memory.cache_clear()
+        yield
+        cli._keep_freed_memory.cache_clear()
+
+    @staticmethod
+    def fake_libc(monkeypatch, result: int = 1, mallopt: bool = True) -> list:
+        calls = []
+
+        def fake_mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        libc = types.SimpleNamespace(**({"mallopt": fake_mallopt} if mallopt else {}))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        return calls
+
+    def test_main_sets_both_thresholds_once(self, monkeypatch, capsys):
+        calls = self.fake_libc(monkeypatch)
+        assert main(["table1"]) == 0
+        assert main(["table1"]) == 0
+        # M_TRIM_THRESHOLD to 64 MiB, M_MMAP_THRESHOLD to 32 MiB
+        assert calls == [(-1, 64 * 2**20), (-3, 32 * 2**20)]
+        assert cli._keep_freed_memory()
+
+    @pytest.mark.parametrize("setting", [
+        ("libc", "musl"),
+        ("mallopt", None),
+        ("MALLOC_MMAP_THRESHOLD_", "1048576"),
+        ("MALLOC_TRIM_THRESHOLD_", "1048576"),
+        ("GLIBC_TUNABLES", "glibc.pthread.rseq=0:glibc.malloc.trim_threshold=0"),
+    ], ids=lambda setting: setting[0])
+    def test_leaves_the_allocator_alone(self, monkeypatch, capsys, setting):
+        """No call off glibc, without mallopt, or when the user set glibc's
+        own malloc tunables."""
+        name, value = setting
+        calls = self.fake_libc(monkeypatch, mallopt=name != "mallopt")
+        if name == "libc":
+            monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("", ""))
+        elif name != "mallopt":
+            monkeypatch.setenv(name, value)
+        assert main(["table1"]) == 0
+        assert calls == []
+        assert not cli._keep_freed_memory()
+
+    def test_other_glibc_tunables_do_not_count(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch)
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.pthread.rseq=0")
+        assert cli._keep_freed_memory()
+        assert len(calls) == 2
+
+    def test_a_refused_setting_is_tolerated(self, monkeypatch, capsys):
+        calls = self.fake_libc(monkeypatch, result=0)
+        assert main(["table1"]) == 0
+        assert len(calls) == 2
+        assert not cli._keep_freed_memory()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_second_run_reuses_freed_memory(self, tmp_path, monkeypatch):
+        """A second ``simulate`` in the same process faults in almost no
+        fresh pages: the first run's freed blocks stay in the heap."""
+        src = str(Path(granvar.__file__).resolve().parents[1])
+        monkeypatch.setenv(
+            "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        )
+        script = (
+            "import resource, sys\n"
+            "from granvar.cli import main\n"
+            "def run(out):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert main(['simulate', '--config', sys.argv[1], '--out', out]) == 0\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "print(run(sys.argv[2]), run(sys.argv[3]))\n"
+        )
+        config = ROOT / "scripts" / "scenarios" / "pairwise_oracle.json"
+        assert json.loads(config.read_text())["replicates"] == 100_000
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "a"),
+             str(tmp_path / "b")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        first, second = map(int, proc.stdout.split())
+        assert second < first / 10, (first, second)
