@@ -20,6 +20,9 @@ the change of the median as a fraction of the parent's, the metric's
 ``bound`` and a verdict (see :func:`verdict`).  ``--claim W:M`` (repeatable)
 names a metric M the change claims to improve on workload W.
 A run that prints no result counts as one failed operation on its side.
+Every run that exits non-zero is listed under the workload's
+``nonzero_exits``: side, seed, whether it was traced, exit code and the
+first ``# FAILED`` line it printed.
 With ``--traced-seed S``, each side of each workload also runs once with
 ``--trace 1`` at seed S, after its pairs, and the workload entry holds that
 run's per-layer metrics under ``traced``.
@@ -41,17 +44,23 @@ FIRST_SEED = 10
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float,
-             trace: int = 0) -> dict | None:
-    """The result line of one ``run.py`` run, or None when it printed none."""
+             trace: int = 0) -> tuple[dict | None, dict | None]:
+    """The result line of one ``run.py`` run, or None when it printed none,
+    and, when the run exited non-zero, its exit code and first ``# FAILED``
+    line (None when it printed none)."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}", "--trace", str(trace)],
         cwd=root, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
+    failed = None
+    if done.returncode:
+        first = next((line for line in lines if line.startswith("# FAILED")), None)
+        failed = {"code": done.returncode, "first_failed": first}
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), failed
     except (IndexError, json.JSONDecodeError):
-        return None
+        return None, failed
 
 
 def quartiles(runs: list[float]) -> tuple[float, float]:
@@ -190,10 +199,20 @@ def main() -> int:
         if not count:
             continue
         results = {side: [] for side in SIDES}
+        nonzero = []
+
+        def run(side: str, seed: int, trace: int = 0) -> dict | None:
+            result, failed = run_once(roots[side], workload, seed, seconds, trace)
+            if failed:
+                nonzero.append({"side": side, "seed": seed, "trace": trace, **failed})
+                print(f"{workload} {side} seed {seed} exited {failed['code']}: "
+                      f"{failed['first_failed']}", file=sys.stderr)
+            return result
+
         for i in range(count):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_once(roots[side], workload, FIRST_SEED + i, seconds)
+                result = run(side, FIRST_SEED + i)
                 results[side].append(result)
                 print(f"{workload} pair {i} {side}: "
                       f"{result['metrics'] if result else 'no result'}", file=sys.stderr)
@@ -201,12 +220,12 @@ def main() -> int:
         if args.traced_seed is not None:
             traced = {}
             for side in SIDES:
-                traced[side] = run_once(roots[side], workload, args.traced_seed, seconds,
-                                        trace=1)
+                traced[side] = run(side, args.traced_seed, trace=1)
                 print(f"{workload} traced {side}: "
                       f"{traced[side]['metrics'] if traced[side] else 'no result'}",
                       file=sys.stderr)
             out["workloads"][workload]["traced"] = traced_entry(traced, args.traced_seed)
+        out["workloads"][workload]["nonzero_exits"] = nonzero
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

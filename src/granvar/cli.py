@@ -108,9 +108,8 @@ class _Writer:
         """Write one CSV file from its columns, which must be of equal length;
         ``tail`` as in :func:`write_csv_columns`."""
         path = self.out_dir / name
-        with path.open("w", encoding="utf-8", newline="\n") as f:
-            f.write(f"# {self.provenance}\n")
-            f.write(",".join(header) + "\n")
+        with path.open("wb") as f:
+            f.write(f"# {self.provenance}\n{','.join(header)}\n".encode())
             write_csv_columns(f, columns, tail)
         return path
 

@@ -611,10 +611,9 @@ def save_field_csv(field_: SpatialField, path: str | Path, comment: str | None =
     other field is formatted cell by cell.  The bytes are the same.
     """
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        if comment:
-            f.write(f"# {comment}\n")
-        f.write("x,y,radius,class_id\n")
+    head = f"# {comment}\n" if comment else ""
+    with path.open("wb") as f:
+        f.write(f"{head}x,y,radius,class_id\n".encode())
         radii = class_values(field_.radius, field_.class_id)
         if radii is None:
             write_csv_columns(f, [field_.x, field_.y, field_.radius, field_.class_id])

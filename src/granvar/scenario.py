@@ -173,7 +173,11 @@ def _parse_transects(raw: Any) -> TransectSpec:
     length = _number(_require(raw, "length", "transects"), "transects.length")
     orientation = raw.get("orientation", "random")
     if orientation != "random":
-        orientation = _number(orientation, "transects.orientation")
+        try:
+            orientation = _number(orientation, "transects.orientation")
+        except ConfigError:
+            raise ConfigError("transects.orientation", 'expected "random" or a finite '
+                              f"angle in radians, got {orientation!r}") from None
     if count < 1:
         raise ConfigError("transects.count", "must be >= 1")
     if length <= 0:

@@ -5,7 +5,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from typing import Callable, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -60,10 +60,11 @@ _SCALAR_CELLS = 512
 
 
 def write_csv_columns(
-    f: TextIO, columns: Sequence[Sequence],
+    f: BinaryIO, columns: Sequence[Sequence],
     tail: tuple[Sequence[Sequence], np.ndarray] | None = None,
 ) -> None:
-    """Write equal-length columns to ``f`` as CSV rows, a block at a time.
+    """Write equal-length columns to the binary file ``f`` as CSV rows in
+    UTF-8, a block at a time.
 
     Every float cell is written as ``'%.17g' % v`` and every integer cell
     as ``'%d' % v``, byte for byte; strings are written as they are and
@@ -77,7 +78,7 @@ def write_csv_columns(
     exactly in numpy (:func:`_float_words`), and every other float (nan,
     inf, tiny, huge) is formatted on its own by ``%.17g``.  Each cell is
     laid out as 4-byte words padded with NUL bytes, and the padding is
-    deleted as a block is written.
+    deleted from a block's bytes as they are written.
 
     With ``tail = (tail_columns, rows)``, output row i is row i of
     ``columns`` followed by row ``rows[i]`` of ``tail_columns``, which are
@@ -94,39 +95,39 @@ def write_csv_columns(
         raise ValueError("CSV columns differ in length")
     n = max(lengths, default=0)
     if n * (len(columns) + (tail is not None)) <= _SCALAR_CELLS:
-        f.write(_scalar_text(columns, None if tail is None else (lines, rows)))
+        f.write(_scalar_text(columns, None if tail is None else (lines, rows)).encode())
         return
-    table = None if tail is None else _tail_table(lines)
+    if tail is not None:
+        table = _tail_table(lines)
+        width = table.itemsize // 4
     for start in range(0, n, _CSV_BLOCK):
         block = [c[start:start + _CSV_BLOCK] for c in columns]
-        if table is None:
-            f.write(_text(_row_words(block)))
+        if tail is None:
+            f.write(_packed(_row_words(block)))
             continue
         index = rows[start:start + _CSV_BLOCK]
-        words = _row_words(block, len(index), table.shape[1])
-        np.take(table, index, axis=0, out=words[:, -table.shape[1]:])
-        f.write(_text(words))
+        words = _row_words(block, len(index), width)
+        # each row's tail is one item of the table
+        np.take(table, index, out=words[:, -width:].view(table.dtype)[:, 0])
+        f.write(_packed(words))
 
 
 def _tail_lines(columns: Sequence[Sequence]) -> list[str]:
     """The CSV rows of ``columns`` as lines without their newlines."""
-    text = io.StringIO()
-    write_csv_columns(text, columns)
+    data = io.BytesIO()
+    write_csv_columns(data, columns)
     k = len(columns[0]) if columns else 0
-    lines = text.getvalue().split("\n")[:-1]
+    lines = data.getvalue().decode().split("\n")[:-1]
     if len(lines) != k:
         raise ValueError("CSV text cells of a tail may not hold a newline")
     return lines
 
 
 def _tail_table(lines: list[str]) -> np.ndarray:
-    """(k, w) words of k CSV ``lines``: each line's text left-aligned in
-    NUL-padded words, and its newline in the last word."""
-    words = _text_words(np.array([line.encode() for line in lines], dtype=np.bytes_))
-    table = np.empty((len(lines), len(words) + 1), np.uint32)
-    table[:, :-1] = words.T
-    table[:, -1] = _NEWLINE
-    return table
+    """The k CSV ``lines`` as k items of w words: each line's text and its
+    newline left-aligned in NUL-padded words."""
+    words = _text_words(np.array([(line + "\n").encode() for line in lines], dtype=np.bytes_))
+    return np.ascontiguousarray(words.T).view(f"V{4 * len(words)}").ravel()
 
 
 def _scalar_text(columns: Sequence[Sequence],
@@ -160,8 +161,9 @@ def _cell_texts(column: Sequence, index: int) -> list[str]:
     return texts
 
 
-def _text(words: np.ndarray) -> str:
-    return words.tobytes().translate(None, b"\0").decode()
+def _packed(words: np.ndarray) -> bytes:
+    """The bytes of ``words`` without their NUL padding."""
+    return words.tobytes().translate(None, b"\0")
 
 
 def _row_words(columns: Sequence[Sequence], n: int | None = None,
@@ -195,9 +197,10 @@ def _row_words(columns: Sequence[Sequence], n: int | None = None,
             words = np.zeros((max(len(w) for _, w in cells), n), np.uint32)
             for positions, w in cells:
                 words[:len(w), positions] = w
-        # word rows that are NUL in every cell (a sign where no value is
-        # negative, unused integer chunks) are dropped before the copy
-        columns_words.append(words[words.any(axis=1)])
+        # word rows that are NUL in every cell (unused integer or fraction
+        # chunks) are dropped before the copy
+        used = words.any(axis=1)
+        columns_words.append(words if used.all() else words[used])
     out = np.empty((n, sum(len(w) + 1 for w in columns_words) + tail_width), np.uint32)
     at = 0
     for words in columns_words:
@@ -251,27 +254,31 @@ def _text_words(data: np.ndarray) -> np.ndarray:
 
 def _digit_words() -> np.ndarray:
     """The word table: three 10**4-entry tables of 4-byte ASCII words, one
-    after another, then the words ``-`` and ``.``.  The tables hold the
-    four digits of 0..9999 in full, with leading zeros as NUL (0 keeps its
-    last digit), and with trailing zeros as NUL (0 is all NUL)."""
+    after another, then the words ``-``, ``.`` and ``0.``.  The tables hold
+    the four digits of 0..9999 with trailing zeros as NUL (0 is all NUL),
+    with leading zeros as NUL (0 keeps its last digit), and in full."""
     v = np.arange(10_000, dtype=np.int32)[:, None]
     place = 10 ** np.arange(3, -1, -1, dtype=np.int32)
     digits = (v // place % 10 + ord("0")).astype(np.uint8)
     leading = digits * ((v >= place) | (place == 1))
     trailing = digits * (v % (10 * place) != 0)
-    signs = np.array([[ord("-"), 0, 0, 0], [ord("."), 0, 0, 0]], np.uint8)
-    return np.concatenate([digits, leading, trailing, signs]).view(np.uint32).ravel()
+    signs = np.array([[ord("-"), 0, 0, 0], [ord("."), 0, 0, 0], [ord("0"), ord("."), 0, 0]],
+                     np.uint8)
+    return np.concatenate([trailing, leading, digits, signs]).view(np.uint32).ravel()
 
 
 _WORDS = _digit_words()
 #: Offsets of the three digit tables in ``_WORDS``, and the indices of
-#: its NUL (the trailing table's 0), ``-`` and ``.`` words.
-_FULL, _LEADING, _TRAILING = 0, 10_000, 20_000
-_NUL, _MINUS, _POINT = _TRAILING, 30_000, 30_001
+#: its NUL (the trailing table's 0), ``-``, ``.`` and ``0.`` words.
+_TRAILING, _LEADING, _FULL = 0, 10_000, 20_000
+_NUL, _MINUS, _POINT, _ZERO_POINT = _TRAILING, 30_000, 30_001, 30_002
 _COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
-_POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
+#: The words of the text ``0``: a ``0`` and five NULs.
+_ZERO_WORDS = _WORDS[[_LEADING] + [_NUL] * 5][:, None]
 #: 10**k as doubles; exact for k <= 22.
 _POW10F = np.array([float(10**k) for k in range(23)])
+#: 10**(e mod 4), the shift of a significand into its 20-digit frame.
+_FRAME_SHIFT = np.array([1, 10, 100, 1000], dtype=np.int64)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,79 +291,148 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _POW10F_HI, _POW10F_LO = _split(_POW10F)
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * 10**k`` as the exact sum ``hi + lo`` (Dekker's two-product,
-    which needs no fused multiply-add)."""
+def _significand(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``a * 10**(16 - e)`` rounded half to even, as int64, for doubles
+    1e-4 <= ``a`` < 1e16 and ``e`` = floor(log10 a) give or take one.
+
+    The product is the exact sum ``hi + lo`` (Dekker's two-product, which
+    needs no fused multiply-add).  Where it is 10**16 or more, ``hi`` is a
+    double of 10**16 > 2**53 or more and so an even integer, and ``hi +
+    rint(lo)`` is the product rounded half to even.
+
+    The result lies in [10**16, 10**17) exactly when the product does,
+    that is when ``e`` is right.  Rounding to doubles is monotone and both
+    ends are doubles, so only a product just below an end could round onto
+    it.  But the largest double below each 10**m, m = -4..16, lies at
+    least 8.3e-17 of it under it, so such a product lies at least 0.83
+    under 10**16 (``lo`` <= -0.83, and ``rint`` takes the result below
+    10**16), or 8.3 under 10**17, where doubles are 16 apart (``hi`` is
+    10**17 - 16 at most).
+    """
+    k = 16 - e
     hi = a * _POW10F.take(k)
     ah, al = _split(a)
     bh, bl = _POW10F_HI.take(k), _POW10F_LO.take(k)
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    # lo = ((ah*bh - hi) + al*bh + ah*bl) + al*bl, in place
+    lo = ah * bh
+    lo -= hi
+    bh *= al
+    lo += bh
+    ah *= bl
+    lo += ah
+    al *= bl
+    lo += al
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
+    return d
 
 
 def _float_words(x: np.ndarray) -> np.ndarray:
     """(w, n) words of doubles as ``'%.17g' % v`` text.
 
-    For 1e-4 <= |v| < 1e16 and for 0, ``%.17g`` prints the 17-digit
-    significand D of v in fixed notation with trailing zeros stripped.
-    D is |v| * 10**(16 - X) rounded half to even, X = floor(log10|v|),
-    and is computed exactly from a two-product; ``log10`` can be one off
-    next to a power of ten, and such values are scaled again.  D is cut
-    into an integer part and a 20-digit fraction, whose base-10**4
-    chunks index the word table.  Every other value (nan, inf, tiny,
-    huge) is formatted on its own by ``%.17g``.
+    For 1e-4 <= |v| < 1e16, ``%.17g`` prints the 17-digit significand D
+    of v, |v| * 10**(16 - e) rounded half to even, e = floor(log10|v|), in
+    fixed notation with trailing zeros stripped (:func:`_significand`;
+    ``log10`` in single precision may be one off, and such values are
+    scaled again).  Their words come from :func:`_frame_words`; a sign
+    word is added when one of them is negative.  Values of one count of
+    integer chunks are laid out together, the most frequent count over
+    the whole column and each other count over its own cells.  Zeros, and
+    every value printed otherwise (nan, inf, tiny, huge, formatted on its
+    own by ``%.17g``), are laid out as some other value and then written
+    over.
     """
+    n = len(x)
     a = np.abs(x)
-    zero = a == 0
-    exact = ((a >= 1e-4) & (a < 1e16)) | zero
-    a = np.where(exact & ~zero, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _scaled(a, 16 - e)
-    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
-    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    again = np.flatnonzero(shift)
-    if len(again):
-        e[again] += shift[again]
-        hi[again], lo[again] = _scaled(a[again], 16 - e[again])
-    floor = np.floor(lo)
-    d = hi.astype(np.int64) + floor.astype(np.int64)
-    half = lo - floor
-    # d never rounds up to 10**17: the largest double below a power of ten
-    # lies 2**-53 of it or more below, over ten units of the 17th digit
-    d += (half > 0.5) | ((half == 0.5) & (d & 1 == 1))
-    d[zero] = 0
-    decimals = 16 - e
-    decimals[zero] = 0
-    whole = _POW10.take(np.minimum(decimals, 17))
-    integer = d // whole
-    rest = d - integer * whole
-    # the 20-digit fraction rest * 10**(20 - decimals) is
-    # head * 10**16 + tail, so that every step fits in int64
-    up = _POW10.take(np.maximum(decimals - 4, 0))
-    head = rest // up
-    tail = (rest - head * up) * _POW10.take(np.minimum(20 - decimals, 16))
-    head *= _POW10.take(np.maximum(4 - decimals, 0))
+    outside = ~((a >= 1e-4) & (a < 1e16))  # zeros, nan, inf, tiny, huge
+    odd = np.flatnonzero(outside)
+    # their words are written over: they take the first other value's
+    # place, so as not to add a count
+    a[odd] = a[np.argmin(outside)] if len(odd) < n else 1.0
+    e = np.log10(a.astype(np.float32))
+    e = np.floor(e, out=e).astype(np.int64)
+    d = _significand(a, e)
+    # a frame outside [1e16, 1e17) means e was one off next to a power of ten
+    wrong = np.flatnonzero((d - 10**16).view(np.uint64) >= 9 * 10**16)
+    if len(wrong):
+        e[wrong] += np.sign(d[wrong] - 10**16)
+        d[wrong] = _significand(a[wrong], e[wrong])
 
-    # sign, integer chunks, point and five fraction chunks
-    index = np.empty((_chunk_count(integer) + 7, len(x)), np.intp)
-    index[0] = np.where(np.signbit(x), _MINUS, _NUL)
-    _magnitude_index(integer, index[1:-6])
-    fraction = index[-5:]
-    fraction[0] = head
-    _chunks(tail, fraction[1:])
-    # a fraction chunk is written in full while a later one is nonzero,
-    # else from the trailing table, which strips %g's trailing zeros
-    later = fraction[1:] != 0
-    for i in (2, 1, 0):
-        later[i] |= later[i + 1]
-    fraction[:-1] += ~later * (_TRAILING - _FULL)
-    fraction[-1] += _TRAILING
-    index[-6] = np.where(later[0] | (head != 0), _POINT, _NUL)
+    zero = odd[x[odd] == 0]
+    other = odd[x[odd] != 0]
+    signed = np.signbit(x)
+    signed[other] = False
+    sign = int(signed.any())
+    index = np.empty((6 + sign, n), np.intp)
+    if sign:
+        np.multiply(signed, _MINUS, out=index[0])  # NUL is word 0
+    layout = index[sign:]
+    first, last = (e.min() >> 2, e.max() >> 2) if n else (0, 0)
+    if first == last:
+        _frame_words(d, e, int(first) + 1, layout)
+    else:
+        count = (e >> 2) + 1
+        sizes = np.bincount(count)
+        main = int(sizes.argmax())
+        _frame_words(d, e, main, layout)
+        for c in np.flatnonzero(sizes).tolist():
+            if c != main:
+                at = np.flatnonzero(count == c)
+                part = np.empty((6, len(at)), np.intp)
+                _frame_words(d[at], e[at], c, part)
+                layout[:, at] = part
     words = _WORDS.take(index)
-    other = np.flatnonzero(~exact)
+    if len(zero):
+        words[sign:, zero] = _ZERO_WORDS
     if len(other):
-        # at least 8 words, which hold any %.17g text (24 bytes at most)
+        # six words hold any %.17g text (24 bytes at most)
         words[:, other] = _printf_words(x[other], len(words))
     return words
+
+
+def _frame_words(d: np.ndarray, e: np.ndarray, count: int, out: np.ndarray) -> None:
+    """Fill the six rows of ``out`` with the word indices of significands
+    ``d`` of exponents ``e`` whose integer parts have ``count`` = floor(e/4)
+    + 1 base-10**4 chunks.
+
+    The 20-digit frame D * 10**(e mod 4) < 10**20 is cut into five chunks
+    by scalar divisors, as two int64 limbs split at 10**8.  Chunk i is
+    worth 10**(4 * (count - 1 - i)), so the first ``count`` chunks are the
+    integer part and the rest the fraction.  Row ``count`` holds the
+    point, or ``0.`` for a count of 0, and the chunks fill the other rows
+    in order: the first without its leading zeros, the later integer ones
+    in full, and each fraction chunk in full while a chunk after it is
+    nonzero, else without its trailing zeros.  The point is NUL when the
+    fraction is zero.
+    """
+    shift = _FRAME_SHIFT.take(e & 3)
+    high = d // 10**8
+    low = d - high * 10**8
+    low *= shift
+    carry = low // 10**8
+    low -= carry * 10**8
+    high *= shift
+    high += carry
+    rows = [i + (i >= count) for i in range(5)]
+    np.floor_divide(high, 10**8, out=out[rows[0]])
+    mid = high - out[rows[0]] * 10**8
+    np.floor_divide(mid, 10**4, out=out[rows[1]])
+    np.subtract(mid, out[rows[1]] * 10**4, out=out[rows[2]])
+    np.floor_divide(low, 10**4, out=out[rows[3]])
+    np.subtract(low, out[rows[3]] * 10**4, out=out[rows[4]])
+    # a chunk after chunk i is nonzero where after[i] is (all are >= 0;
+    # chunk 4's row is not changed below)
+    after = [mid | low, out[rows[2]] | low, low, out[rows[4]]]
+    if count:
+        out[0] += _LEADING
+        out[1:count] += _FULL
+        np.multiply(np.sign(after[count - 1]), _POINT, out=out[count])
+    else:
+        out[0] = _ZERO_POINT
+    for i in range(count, 4):
+        full = np.sign(after[i])
+        full *= _FULL
+        out[rows[i]] += full
 
 
 def _printf_words(x: np.ndarray, w: int) -> np.ndarray:

@@ -96,3 +96,25 @@ def test_missing_runs_count_against_the_claim(bench_pairs):
     results["change"][0] = None
     m = bench_pairs.compare(results, METRICS, {"run_s"})["metrics"]["run_s"]
     assert (m["change_wins"], m["verdict"]) == (9, "within bound")
+
+
+def test_nonzero_exit_reports_code_and_first_failure(bench_pairs, tmp_path):
+    """A run that exits non-zero is reported with its exit code and its
+    first ``# FAILED`` line, whether or not it printed a result."""
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text(
+        "import sys\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "print('# FAILED: pi2[2,2]: 0.0 is inf SE from the exact 9e-07')\n"
+        "print('# FAILED: second')\n"
+        "if seed == 1:\n"
+        "    print('{\"attempted\": 3, \"failed\": 1, \"metrics\": {}}')\n"
+        "sys.exit(seed)\n")
+    result, failed = bench_pairs.run_once(tmp_path, "w", 1, 1.0)
+    assert result == {"attempted": 3, "failed": 1, "metrics": {}}
+    assert failed == {"code": 1, "first_failed":
+                      "# FAILED: pi2[2,2]: 0.0 is inf SE from the exact 9e-07"}
+    result, failed = bench_pairs.run_once(tmp_path, "w", 3, 1.0)
+    assert result is None and failed["code"] == 3
+    assert bench_pairs.run_once(tmp_path, "w", 0, 1.0)[1] is None

@@ -241,6 +241,18 @@ class TestConfigErrors:
         assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {location}:" in capsys.readouterr().err
 
+    def test_orientation_names_both_forms(self, tmp_path, capsys):
+        """A string other than "random" is refused with a message that
+        names both accepted forms."""
+        config = write_scenario(
+            tmp_path, sample_counts=None, dependence=None,
+            field={"variant": "poisson", "intensity": 100, "mixing": [0.5, 0.5]},
+            transects={"count": 5, "length": 1.0, "orientation": "diagonal"})
+        assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: transects.orientation:" in err
+        assert '"random"' in err and "radians" in err and "'diagonal'" in err
+
     def test_integer_literal_beyond_the_digit_limit(self, tmp_path, capsys):
         bad = tmp_path / "long.json"
         bad.write_text('{"seed": 1' + "0" * 5000 + "}")

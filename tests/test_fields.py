@@ -560,9 +560,9 @@ class TestFieldCsv:
         monkeypatch.setattr(fields, "write_csv_columns", lambda out, columns, tail=None:
                             tails.append(tail) or write_csv_columns(out, columns, tail))
         save_field_csv(f, path)
-        reference = io.StringIO()
+        reference = io.BytesIO()
         write_csv_columns(reference, [f.x, f.y, f.radius, f.class_id])
-        assert path.read_bytes().decode() == "x,y,radius,class_id\n" + reference.getvalue()
+        assert path.read_bytes() == b"x,y,radius,class_id\n" + reference.getvalue()
         return tails[0] is not None
 
     @pytest.mark.parametrize("radius, class_id, per_class", [

@@ -44,9 +44,9 @@ def written(columns, tail=None) -> str:
     for cells in (-1, 2**62):  # every call vectorised, then every call cell by cell
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(util, "_SCALAR_CELLS", cells)
-            f = io.StringIO()
+            f = io.BytesIO()
             write_csv_columns(f, columns, tail)
-            texts.append(f.getvalue())
+            texts.append(f.getvalue().decode())
     assert_same_csv(texts[1], texts[0])
     return texts[0]
 
@@ -212,11 +212,11 @@ class TestWriteCsvColumns:
     def test_both_paths_refuse_nul_and_tail_newlines(self, cells, monkeypatch):
         monkeypatch.setattr(util, "_SCALAR_CELLS", cells)
         with pytest.raises(ValueError, match=r"CSV column 1 holds a NUL character: 'a\\x00b'"):
-            write_csv_columns(io.StringIO(), [np.zeros(2), ["ok", "a\0b"]])
+            write_csv_columns(io.BytesIO(), [np.zeros(2), ["ok", "a\0b"]])
         with pytest.raises(ValueError, match="CSV column 0 holds a NUL"):
-            write_csv_columns(io.StringIO(), [np.zeros(1)], ([["x\0"]], np.array([0])))
+            write_csv_columns(io.BytesIO(), [np.zeros(1)], ([["x\0"]], np.array([0])))
         with pytest.raises(ValueError, match="newline"):
-            write_csv_columns(io.StringIO(), [np.zeros(1)], ([["a\nb"]], np.array([0])))
+            write_csv_columns(io.BytesIO(), [np.zeros(1)], ([["a\nb"]], np.array([0])))
 
     def test_small_calls_take_the_scalar_path(self, monkeypatch):
         """A call of at most ``_SCALAR_CELLS`` cells makes no vectorised
@@ -225,7 +225,7 @@ class TestWriteCsvColumns:
         row_words = util._row_words
         monkeypatch.setattr(util, "_row_words", lambda *a: calls.append(1) or row_words(*a))
         rows = util._SCALAR_CELLS // 2
-        written_once = io.StringIO()
+        written_once = io.BytesIO()
         write_csv_columns(written_once, [np.zeros(rows), np.arange(rows)])
         assert calls == []
         write_csv_columns(written_once, [np.zeros(rows + 1), np.arange(rows + 1)])
@@ -255,6 +255,80 @@ class TestWriteCsvColumns:
         save_field_csv(field, tmp_path / "field.csv")
         tiny = sum(np.count_nonzero((c > 0) & (c < 1e-4)) for c in (field.x, field.y))
         assert 0 < tiny == sum(len(x) for x in fallback)
+        lines = (tmp_path / "field.csv").read_text().splitlines()
+        columns = [field.x, field.y, field.radius, field.class_id]
+        assert_same_csv("\n".join(lines[1:]) + "\n", row_by_row(columns))
+
+    @settings(deadline=None, max_examples=80)
+    @given(j=st.integers(-4, 15), n=st.integers(1, 400), seed=st.integers(0, 2**32),
+           negate=st.booleans(),
+           extras=st.lists(st.sampled_from([3e-5, -7.5e-9, 5e-324, 0.0, -0.0, np.nan]),
+                           max_size=4))
+    def test_blocks_of_one_layout_match_cell_formatting(self, j, n, seed, negate, extras):
+        """Values of one magnitude, so mostly of one integer-chunk count,
+        with a few values printed by printf, zeros of both signs and nan
+        among them."""
+        rng = np.random.default_rng(seed)
+        floats = rng.random(n) * 10.0**j
+        if negate:
+            floats[rng.random(n) < 0.5] *= -1
+        floats[rng.integers(0, n, len(extras))] = extras
+        assert_same_csv(written([floats]), row_by_row([floats]))
+
+    @staticmethod
+    def frame_calls(monkeypatch) -> list[int]:
+        """The count of each call of ``util._frame_words``, recorded."""
+        counts = []
+        frame_words = util._frame_words
+        monkeypatch.setattr(util, "_frame_words", lambda d, e, count, out:
+                            counts.append(count) or frame_words(d, e, count, out))
+        return counts
+
+    def test_all_five_counts_in_one_block(self, monkeypatch):
+        """Values with 0 to 4 integer chunks: the most frequent count is
+        laid out over the block, each other one over its own cells."""
+        rng = np.random.default_rng(11)
+        floats = rng.random(700) * 10.0 ** rng.integers(-3, 16, 700)
+        floats[::3] *= -1
+        counts = self.frame_calls(monkeypatch)
+        assert_same_csv(written([floats]), row_by_row([floats]))
+        assert sorted(set(counts)) == [0, 1, 2, 3, 4]
+        assert len(counts) == 5  # one vectorised call lays out each count once
+
+    @pytest.mark.parametrize("m", range(-4, 16))
+    def test_neighbours_of_powers_of_ten_in_blocks_of_one_layout(self, m, monkeypatch):
+        """The largest double below 10**m and the smallest above it, the
+        values whose exponent the range check of the significand corrects,
+        each among values of its own exponent and so laid out in one
+        piece."""
+        rng = np.random.default_rng(m + 100)
+        below, above = np.nextafter(10.0**m, 0.0), np.nextafter(10.0**m, np.inf)
+        blocks = [np.append((1.0 + 9.0 * rng.random(300)) * 10.0 ** (m - 1), below),
+                  np.append((1.0 + 9.0 * rng.random(300)) * 10.0**m, [10.0**m, above])]
+        for floats in blocks:
+            rng.shuffle(floats)
+            for values in (floats, -floats):
+                counts = self.frame_calls(monkeypatch)
+                assert_same_csv(written([values]), row_by_row([values]))
+                assert len(counts) == 1
+
+    def test_field_row_width(self, tmp_path, monkeypatch):
+        """A block of field rows with a coordinate below 1e-4 is 16 words
+        a row: six for each coordinate, each followed by a comma word, and
+        the tail ``0.002,k`` with its newline in two.  The printf cell does
+        not split the coordinates' one layout."""
+        rng = np.random.default_rng(8)
+        n = 8192
+        field = SpatialField(1.0, 1.0, rng.random(n), rng.random(n), np.full(n, 0.002),
+                             rng.integers(0, 2, n))
+        field.x[17] = 3.5e-5
+        widths = []
+        packed = util._packed
+        monkeypatch.setattr(util, "_packed", lambda words: widths.append(words.shape[1]) or
+                            packed(words))
+        counts = self.frame_calls(monkeypatch)
+        save_field_csv(field, tmp_path / "field.csv")
+        assert widths == [16] and counts == [0]
         lines = (tmp_path / "field.csv").read_text().splitlines()
         columns = [field.x, field.y, field.radius, field.class_id]
         assert_same_csv("\n".join(lines[1:]) + "\n", row_by_row(columns))
