@@ -33,10 +33,10 @@ import numpy as np
 from . import __version__
 from . import estimators as est
 from .errors import ConfigError, GranvarError
+from .experiments import calibrate_against_oracle
 from .fields import class_values, generate_field, save_field_csv
 from .intercept import (
     adjacency_dependence,
-    calibrate_against_oracle,
     cast_transects,
     markov_fit,
     size_corrected_frequencies,
@@ -335,17 +335,14 @@ def _write_calibration(writer: _Writer, config: ScenarioConfig, threads: int) ->
         master_seed=derived_seeds(config.seed, _CALIBRATE_STREAM)[0],
         n_seeds=settings["n_seeds"], threads=threads,
     )
-    k = config.table.k
-    rows = []
-    for case in report.cases:
-        for u in range(k):
-            for v in range(u, k):
-                rows.append(
-                    (case.label, u, v, case.oracle_c[u, v], case.adjacency_c[u, v])
-                )
+    iu, ju = np.triu_indices(config.table.k)
+    cases = report.cases
     writer.write(
         "calibration_cases.csv", ["case", "i", "j", "oracle_c", "adjacency_c"],
-        list(zip(*rows)),
+        [np.repeat([case.label for case in cases], len(iu)),
+         np.tile(iu, len(cases)), np.tile(ju, len(cases)),
+         *(np.concatenate([getattr(case, name)[iu, ju] for case in cases])
+           for name in ("oracle_c", "adjacency_c"))],
     )
     writer.write(
         "calibration_summary.csv",

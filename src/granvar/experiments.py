@@ -12,10 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ProcessParams, generate_field
-from .intercept import TransectSpec, calibrate_against_oracle, cast_transects, class_weights
+from .fields import ProcessParams, SpatialField, generate_field
+from .intercept import (
+    TransectSpec, adjacency_dependence_for_field, cast_transects, class_weights,
+)
 from .model import ClassTable
 from .selection import (
+    InclusionEstimate,
     ReplicateStats,
     SelectionDesign,
     compare_estimators,
@@ -130,76 +133,94 @@ def _within(estimate: float, exact: float, se: float, sigma: float, atol: float 
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SeedOutcome:
-    """Per-seed readout of one window-sampling run."""
-
-    c_hat: np.ndarray
-    covers_zero: np.ndarray
-    v_e: float
-    v_e_se: float
-    moment_zero: float
-    moment_empirical: float
-
-
-@dataclass(frozen=True)
 class WindowEnsemble:
-    outcomes: tuple[SeedOutcome, ...]
+    """Per-seed readouts of a window-sampling ensemble.
+
+    ``outcomes`` holds one record per seed: ``c_hat`` and ``covers_zero``
+    (K, K), and the floats ``v_e``, ``v_e_se``, ``moment_zero`` and
+    ``moment_empirical``.  Each field is also an array over the seeds.
+    """
+
+    outcomes: np.recarray
 
     def coverage_fraction(self, cells: Sequence[tuple[int, int]]) -> float:
         """Fraction of (seed, cell) combinations whose CI covers zero."""
-        flags = [
-            o.covers_zero[a, b]
-            for o in self.outcomes
-            for (a, b) in cells
-            if not np.isnan(o.c_hat[a, b])
-        ]
-        return float(np.mean(flags)) if flags else np.nan
+        a, b = np.asarray(cells, dtype=np.intp).reshape(-1, 2).T
+        flags = self.outcomes.covers_zero[:, a, b][~np.isnan(self.outcomes.c_hat[:, a, b])]
+        return float(flags.mean()) if flags.size else np.nan
 
     def cell_values(self, a: int, b: int) -> np.ndarray:
-        return np.array([o.c_hat[a, b] for o in self.outcomes])
+        return self.outcomes.c_hat[:, a, b]
 
     def cell_z(self, a: int, b: int) -> float:
         """Mean / SE-of-mean of a dependence cell across seeds."""
-        vals = self.cell_values(a, b)
-        vals = vals[np.isfinite(vals)]
-        if len(vals) < 2:
-            return np.nan
-        return float(vals.mean() / (vals.std(ddof=1) / np.sqrt(len(vals))))
+        return _mean_z(self.cell_values(a, b))
 
     def gy_null_z(self) -> float:
         """Paired z of (independence-model estimate - empirical variance)."""
-        diffs = np.array([o.moment_zero - o.v_e for o in self.outcomes])
-        diffs = diffs[np.isfinite(diffs)]
-        return float(diffs.mean() / (diffs.std(ddof=1) / np.sqrt(len(diffs))))
+        return _mean_z(self.outcomes.moment_zero - self.outcomes.v_e)
 
     def improvement_fraction(self) -> float:
         """Fraction of seeds where plugging the empirical dependence matrix
         into the moment estimator beats the independence baseline."""
-        wins = [
-            abs(o.moment_empirical - o.v_e) < abs(o.moment_zero - o.v_e)
-            for o in self.outcomes
-            if np.isfinite(o.moment_empirical) and np.isfinite(o.v_e)
-        ]
-        return float(np.mean(wins)) if wins else np.nan
+        o = self.outcomes
+        wins = (abs(o.moment_empirical - o.v_e) < abs(o.moment_zero - o.v_e))[
+            np.isfinite(o.moment_empirical) & np.isfinite(o.v_e)]
+        return float(wins.mean()) if wins.size else np.nan
+
+
+def _mean_z(values: np.ndarray) -> float:
+    """Mean / SE-of-mean of the finite ``values``; NaN when fewer than two
+    are finite."""
+    values = values[np.isfinite(values)]
+    if len(values) < 2:
+        return np.nan
+    return float(values.mean() / (values.std(ddof=1) / np.sqrt(len(values))))
+
+
+def _window_draw(
+    params: ProcessParams,
+    table: ClassTable,
+    window: tuple[float, float],
+    replicates: int,
+    field_seed: int,
+    window_seed: int,
+) -> tuple[SpatialField, np.ndarray, np.ndarray]:
+    """One field from ``field_seed`` and ``replicates`` windows on it from
+    ``window_seed``: (field, (R, K) populations, (R, K) window counts)."""
+    field = generate_field(params, table, field_seed)
+    design = SelectionDesign.window(field, window[0], window[1])
+    counts = replicate_counts(design, table, replicates, window_seed)
+    pop = np.bincount(design.class_of, minlength=table.k)
+    return field, np.broadcast_to(pop, counts.shape), counts
+
+
+def _grouped_inclusion(
+    draws: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, InclusionEstimate]:
+    """Every seed's (R, K) (populations, window counts) stacked: the counts,
+    and their inclusion estimate in one grouped pass, each seed a group."""
+    if not draws:
+        raise ValueError("need at least one seed")
+    pops, counts = (np.concatenate(parts) for parts in zip(*draws))
+    return counts, inclusion_from_fractions(*pair_fractions(counts, pops), groups=len(draws))
 
 
 def _aggregate_seeds(
     draws: Sequence[tuple[np.ndarray, np.ndarray]], table: ClassTable
 ) -> WindowEnsemble:
     """The ensemble of every seed's (R, K) (populations, window counts),
-    stacked and summarized in one pass with each seed a group."""
-    pops, counts = (np.concatenate(parts) for parts in zip(*draws))
-    seeds = len(draws)
-    stats = ReplicateStats.from_counts(counts, table, groups=seeds)
-    mean_pop = pops.reshape(seeds, -1, table.k).mean(axis=1).round().astype(int)
-    est = inclusion_from_fractions(*pair_fractions(counts, pops), mean_pop, groups=seeds)
+    summarized in one pass with each seed a group."""
+    counts, est = _grouped_inclusion(draws)
+    stats = ReplicateStats.from_counts(counts, table, groups=len(draws))
     report = compare_estimators(stats, est, table)
-    return WindowEnsemble(tuple(map(
-        SeedOutcome, est.c_hat, empirical_dependence(est).covers_zero(),
-        stats.v_e.tolist(), stats.v_e_se.tolist(),
-        *(report.row("moment", dep, "replicate_mean").value.tolist()
-          for dep in ("zero", "empirical")),
-    )))
+    k = table.k
+    return WindowEnsemble(np.rec.fromarrays(
+        [est.c_hat, empirical_dependence(est).covers_zero(), stats.v_e, stats.v_e_se,
+         *(report.row("moment", dep, "replicate_mean").value for dep in ("zero", "empirical"))],
+        dtype=[("c_hat", float, (k, k)), ("covers_zero", bool, (k, k)), ("v_e", float),
+               ("v_e_se", float), ("moment_zero", float), ("moment_empirical", float)],
+    ))
 
 
 def window_ensemble(
@@ -216,12 +237,8 @@ def window_ensemble(
     estimator comparisons."""
 
     def one(seed_index: int) -> tuple[np.ndarray, np.ndarray]:
-        field_seed, mc_seed = derived_seeds(master_seed, seed_index, count=2)
-        fld = generate_field(params, table, field_seed)
-        design = SelectionDesign.window(fld, window[0], window[1])
-        counts = replicate_counts(design, table, replicates, mc_seed)
-        pop = np.bincount(design.class_of, minlength=table.k)
-        return np.broadcast_to(pop, counts.shape), counts
+        seeds = derived_seeds(master_seed, seed_index, count=2)
+        return _window_draw(params, table, window, replicates, *seeds)[1:]
 
     return _aggregate_seeds(ordered_map(one, list(range(n_seeds)), threads), table)
 
@@ -384,8 +401,115 @@ def size_bias_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Adjacency-vs-oracle monotonicity sweep
+# Adjacency-vs-oracle calibration and monotonicity sweep
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CalibrationCase:
+    label: str
+    oracle_c: np.ndarray
+    oracle_se: np.ndarray
+    adjacency_c: np.ndarray
+    adjacency_se: np.ndarray
+
+
+@dataclass(frozen=True)
+class CalibrationReport:
+    """Agreement between the adjacency estimator and the window oracle.
+
+    ``spearman`` is the rank correlation across ensemble cases of the two
+    dependence series; ``sign_agreement`` the fraction of informative
+    cells with matching sign.  ``null_regime`` flags ensembles whose
+    oracle values are statistically indistinguishable from zero, where
+    sign agreement carries no information.  ``notes`` records the fixed
+    conventions under audit (symmetrized transitions; inter-particle gaps
+    carry no state).
+    """
+
+    cases: tuple[CalibrationCase, ...]
+    spearman: float
+    sign_agreement: float
+    null_regime: bool
+    notes: tuple[str, ...] = (
+        "transitions symmetrized (directional counts folded)",
+        "gaps between particles carry no chain state",
+    )
+
+
+def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell mean over the seeds (the leading axis) of the finite
+    ``values``, and its standard error."""
+    with np.errstate(invalid="ignore"):
+        n = np.sum(np.isfinite(values), axis=0)
+        return (np.nanmean(values, axis=0),
+                np.nanstd(values, axis=0, ddof=1) / np.sqrt(np.maximum(n, 1)))
+
+
+def calibrate_against_oracle(
+    processes: Sequence[tuple[str, ProcessParams]],
+    table: ClassTable,
+    window: tuple[float, float],
+    replicates: int,
+    transects: TransectSpec,
+    master_seed: int,
+    n_seeds: int,
+    threads: int = 1,
+) -> CalibrationReport:
+    """Compare adjacency-based and window-oracle dependence estimates over
+    an ensemble of field processes.
+
+    For every process and seed a field is generated and measured both
+    ways, from the field's one cell index, which is sorted once per axis;
+    per-process means are compared by Spearman rank correlation and
+    sign agreement.  When the oracle means are all within two standard
+    errors of zero the ensemble is flagged as a null regime where sign
+    agreement is not meaningful.  The standard errors are taken between
+    fields, so ``n_seeds`` must be at least 2.
+    """
+    if n_seeds < 2:
+        raise ValueError(f"n_seeds must be >= 2: a between-field standard error needs "
+                         f"two fields, got {n_seeds}")
+
+    def one_case(item: tuple[int, tuple[str, ProcessParams]]) -> CalibrationCase:
+        case_index, (label, params) = item
+        draws, adjacency = [], []
+        for s in range(n_seeds):
+            field_seed, window_seed, transect_seed = derived_seeds(
+                master_seed, case_index, s, count=3
+            )
+            field, *draw = _window_draw(params, table, window, replicates,
+                                        field_seed, window_seed)
+            draws.append(draw)
+            adjacency.append(
+                adjacency_dependence_for_field(field, table, transects, transect_seed)[0])
+        oracle = _grouped_inclusion(draws)[1].c_hat
+        return CalibrationCase(label, *_mean_and_se(oracle),
+                               *_mean_and_se(np.stack(adjacency)))
+
+    cases = ordered_map(one_case, list(enumerate(processes)), threads)
+
+    # every case's upper-triangle cells, case by case, where both are finite
+    iu = np.triu_indices(table.k)
+    oracle, oracle_se, adjacency = (
+        np.array([getattr(case, name)[iu] for case in cases]).ravel()
+        for name in ("oracle_c", "oracle_se", "adjacency_c")
+    )
+    finite = np.isfinite(oracle) & np.isfinite(adjacency)
+    oracle, oracle_se, adjacency = oracle[finite], oracle_se[finite], adjacency[finite]
+    if len(oracle) >= 2 and np.ptp(oracle) > 0 and np.ptp(adjacency) > 0:
+        from scipy.stats import spearmanr  # deferred: scipy.stats is slow to import
+
+        rho = float(spearmanr(oracle, adjacency).statistic)
+    else:
+        rho = np.nan
+    # a cell is informative when its oracle mean clears its own noise floor
+    informative = np.abs(oracle) > 2.0 * np.where(np.isfinite(oracle_se), oracle_se, np.inf)
+    if informative.any():
+        agree = float(np.mean(np.sign(oracle[informative]) == np.sign(adjacency[informative])))
+    else:
+        agree = np.nan
+    return CalibrationReport(tuple(cases), rho, agree, not informative.any())
+
 
 @dataclass(frozen=True)
 class MonotonicityResult:
@@ -419,17 +543,13 @@ def monotonicity_sweep(
         processes, table, window, replicates, transects,
         master_seed=master_seed, n_seeds=n_seeds, threads=threads,
     )
-    oracle_series = []
-    adjacency_series = []
-    for case in report.cases:
-        oracle_series.append(float(np.nanmean(np.diag(case.oracle_c))))
-        adjacency_series.append(float(np.nanmean(np.diag(case.adjacency_c))))
+    oracle_series, adjacency_series = (
+        tuple(float(np.nanmean(np.diag(getattr(case, name)))) for case in report.cases)
+        for name in ("oracle_c", "adjacency_c")
+    )
     from scipy.stats import spearmanr  # deferred: scipy.stats is slow to import
 
     rho = float(spearmanr(oracle_series, adjacency_series).statistic)
     return MonotonicityResult(
-        tuple(float(r) for r in cluster_radii),
-        tuple(oracle_series),
-        tuple(adjacency_series),
-        rho,
+        tuple(float(r) for r in cluster_radii), oracle_series, adjacency_series, rho,
     )

@@ -36,22 +36,19 @@ wrapping of transects is pending).
 The mapping from transition counts to a dependence matrix implemented in
 :func:`c_from_adjacency` is a design choice of this package, validated
 only by sign and rank agreement against the window-sampling oracle; see
-:func:`calibrate_against_oracle`.
+:func:`granvar.experiments.calibrate_against_oracle`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import GranvarError
-from .fields import CellStrips, ProcessParams, SpatialField, concat_ranges, generate_field
+from .fields import CellStrips, SpatialField, concat_ranges
 from .model import ClassTable
-from .selection import (
-    SelectionDesign, inclusion_from_fractions, pair_fractions, replicate_counts,
-)
-from .util import derived_rng, derived_seeds, ordered_map
+from .util import derived_rng
 
 STATIONARY_RESIDUAL = 1e-12
 
@@ -173,38 +170,6 @@ class MarkovFit:
     stationary: np.ndarray
     known: np.ndarray
     irreducible: bool
-
-
-@dataclass(frozen=True)
-class CalibrationCase:
-    label: str
-    oracle_c: np.ndarray
-    oracle_se: np.ndarray
-    adjacency_c: np.ndarray
-    adjacency_se: np.ndarray
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    """Agreement between the adjacency estimator and the window oracle.
-
-    ``spearman`` is the rank correlation across ensemble cases of the two
-    dependence series; ``sign_agreement`` the fraction of informative
-    cells with matching sign.  ``null_regime`` flags ensembles whose
-    oracle values are statistically indistinguishable from zero, where
-    sign agreement carries no information.  ``notes`` records the fixed
-    conventions under audit (symmetrized transitions; inter-particle gaps
-    carry no state).
-    """
-
-    cases: tuple[CalibrationCase, ...]
-    spearman: float
-    sign_agreement: float
-    null_regime: bool
-    notes: tuple[str, ...] = (
-        "transitions symmetrized (directional counts folded)",
-        "gaps between particles carry no chain state",
-    )
 
 
 def cast_transects(
@@ -521,91 +486,3 @@ def adjacency_dependence(
     counts = transition_counts(batch, k)
     freq = size_corrected_frequencies(batch, k)
     return c_from_adjacency(counts, freq), counts, freq
-
-
-def calibrate_against_oracle(
-    processes: Sequence[tuple[str, ProcessParams]],
-    table: ClassTable,
-    window: tuple[float, float],
-    replicates: int,
-    transects: TransectSpec,
-    master_seed: int,
-    n_seeds: int,
-    threads: int = 1,
-) -> CalibrationReport:
-    """Compare adjacency-based and window-oracle dependence estimates over
-    an ensemble of field processes.
-
-    For every process and seed a field is generated and measured both
-    ways, from the field's one cell index, which is sorted once per axis;
-    per-process means are compared by Spearman rank correlation and
-    sign agreement.  When the oracle means are all within two standard
-    errors of zero the ensemble is flagged as a null regime where sign
-    agreement is not meaningful.
-    """
-    def one_case(item: tuple[int, tuple[str, ProcessParams]]) -> CalibrationCase:
-        case_index, (label, params) = item
-        pops, counts, adjacency_vals = [], [], []
-        for s in range(n_seeds):
-            field_seed, window_seed, transect_seed = derived_seeds(
-                master_seed, case_index, s, count=3
-            )
-            field = generate_field(params, table, field_seed)
-            design = SelectionDesign.window(field, window[0], window[1])
-            counts.append(replicate_counts(design, table, replicates, window_seed))
-            pops.append(np.broadcast_to(np.bincount(design.class_of, minlength=table.k),
-                                        counts[-1].shape))
-            adj, _, _ = adjacency_dependence_for_field(
-                field, table, transects, transect_seed
-            )
-            adjacency_vals.append(adj)
-        # every seed's windows in one grouped pass, each seed a group
-        pops, counts = np.concatenate(pops), np.concatenate(counts)
-        oracle = inclusion_from_fractions(
-            *pair_fractions(counts, pops), pops[::replicates], groups=n_seeds
-        ).c_hat
-        adjacency = np.stack(adjacency_vals)
-        with np.errstate(invalid="ignore"):
-            oracle_mean = np.nanmean(oracle, axis=0)
-            adjacency_mean = np.nanmean(adjacency, axis=0)
-            n_o = np.sum(np.isfinite(oracle), axis=0)
-            n_a = np.sum(np.isfinite(adjacency), axis=0)
-            oracle_se = np.nanstd(oracle, axis=0, ddof=1) / np.sqrt(np.maximum(n_o, 1))
-            adjacency_se = np.nanstd(adjacency, axis=0, ddof=1) / np.sqrt(np.maximum(n_a, 1))
-        return CalibrationCase(label, oracle_mean, oracle_se, adjacency_mean, adjacency_se)
-
-    cases = ordered_map(one_case, list(enumerate(processes)), threads)
-
-    k = table.k
-    iu = np.triu_indices(k)
-    oracle_series = []
-    oracle_se_series = []
-    adjacency_series = []
-    for case in cases:
-        for a, b in zip(*iu):
-            o, c = case.oracle_c[a, b], case.adjacency_c[a, b]
-            if np.isfinite(o) and np.isfinite(c):
-                oracle_series.append(o)
-                oracle_se_series.append(case.oracle_se[a, b])
-                adjacency_series.append(c)
-    oracle_series = np.array(oracle_series)
-    oracle_se_series = np.array(oracle_se_series)
-    adjacency_series = np.array(adjacency_series)
-    if len(oracle_series) >= 2 and np.ptp(oracle_series) > 0 and np.ptp(adjacency_series) > 0:
-        from scipy.stats import spearmanr  # deferred: scipy.stats is slow to import
-
-        rho = float(spearmanr(oracle_series, adjacency_series).statistic)
-    else:
-        rho = np.nan
-    # a cell is informative when its oracle mean clears its own noise floor
-    informative = np.abs(oracle_series) > 2.0 * np.where(
-        np.isfinite(oracle_se_series), oracle_se_series, np.inf
-    )
-    if informative.any():
-        agree = float(
-            np.mean(np.sign(oracle_series[informative]) == np.sign(adjacency_series[informative]))
-        )
-    else:
-        agree = np.nan
-    null_regime = not informative.any()
-    return CalibrationReport(tuple(cases), rho, agree, null_regime)

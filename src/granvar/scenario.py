@@ -195,8 +195,9 @@ def _parse_calibration(raw: Any, field: ProcessParams | None) -> dict:
     if any(r <= 0 for r in radii):
         raise ConfigError("calibration.cluster_radius", "radii must be > 0")
     n_seeds = _integer(raw.get("n_seeds", 10), "calibration.n_seeds")
-    if n_seeds < 1:
-        raise ConfigError("calibration.n_seeds", "must be >= 1")
+    if n_seeds < 2:
+        raise ConfigError("calibration.n_seeds",
+                          f"must be >= 2: a between-field SE needs two fields, got {n_seeds}")
     replicates = _integer(raw.get("replicates", 100), "calibration.replicates")
     if replicates < 2:
         raise ConfigError("calibration.replicates", "must be >= 2")

@@ -301,7 +301,6 @@ class InclusionEstimate:
     c_hat: np.ndarray
     c_hat_se: np.ndarray
     replicates: int | np.ndarray
-    population_counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -754,7 +753,6 @@ def _weighted_mean(x: np.ndarray, w: np.ndarray, valid: np.ndarray):
 def inclusion_from_fractions(
     f1: np.ndarray,
     f2: np.ndarray,
-    population_counts: np.ndarray,
     weights: np.ndarray | None = None,
     groups: int | None = None,
 ) -> InclusionEstimate:
@@ -798,7 +796,7 @@ def inclusion_from_fractions(
     replicates = w.sum(axis=1).astype(np.int64)
     if groups is None:
         fields, replicates = [f[0] for f in fields], int(replicates[0])
-    return InclusionEstimate(*fields, replicates, population_counts)
+    return InclusionEstimate(*fields, replicates)
 
 
 def pair_fractions(counts: np.ndarray, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -853,7 +851,7 @@ def run_replicates(
     pop = np.bincount(design.class_of, minlength=table.k)
     multiplicity = np.bincount(stats.inverse, minlength=len(stats.first))
     return stats, inclusion_from_fractions(
-        *pair_fractions(stats.distinct, pop), pop, weights=multiplicity
+        *pair_fractions(stats.distinct, pop), weights=multiplicity
     )
 
 

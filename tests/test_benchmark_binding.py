@@ -61,3 +61,15 @@ def test_cast_counter_reads_real_records(perfbench):
     assert counts["intercept.hits"] == sum(len(rec.particle_ids) for rec in records) > 0
     assert counts["intercept.length"] == pytest.approx(40.0)
     assert 0.0 < counts["intercept.in_domain_length"] <= counts["intercept.length"]
+
+
+@pytest.mark.parametrize("name", ["window_cluster", "pairwise_oracle", "transect_hardcore",
+                                  "null_ensemble"])
+def test_workload_check_passes_on_the_program(perfbench, tmp_path, name):
+    """Each workload's check reads the program's output (files, or the
+    fields of ``WindowEnsemble.outcomes``) and finds it correct, on input 0
+    of seed 10."""
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS[name]
+    ctx = workloads.load(workload, 10, tmp_path)[0]
+    assert workload.check(ctx, workload.run(ctx)) == []

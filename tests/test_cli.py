@@ -152,6 +152,7 @@ class TestConfigErrors:
             ({"window": [0.05]}, "calibration.window"),
             ({"replicates": 1}, "calibration.replicates"),
             ({"cluster_radius": [0.05, -0.01]}, "calibration.cluster_radius"),
+            ({"n_seeds": 1}, "calibration.n_seeds"),
         ],
     )
     def test_calibration_section_validated(self, tmp_path, capsys, calibration, location):

@@ -568,7 +568,7 @@ class TestKernelsAgainstCompensatedSums:
         )
         stats = ReplicateStats.from_counts(counts, table)
         pop = counts.max(axis=0) + 1
-        inclusion = inclusion_from_fractions(*pair_fractions(counts, pop), pop)
+        inclusion = inclusion_from_fractions(*pair_fractions(counts, pop))
         try:
             report = compare_estimators(stats, inclusion, table)
         except EmptySampleError:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from granvar.experiments import (
     binary_table,
+    calibrate_against_oracle,
     clustered_params,
     gy_null_ensemble,
     poisson_null_params,
@@ -12,6 +14,7 @@ from granvar.experiments import (
     window_ensemble,
 )
 from granvar.fields import ProcessParams, generate_field
+from granvar.intercept import TransectSpec
 from granvar.selection import (
     ReplicateStats,
     compare_estimators,
@@ -119,8 +122,7 @@ def per_seed_loop(master_seed, replicates=200, n_seeds=50, window=(0.3, 0.3)):
         pops, counts = poisson_window_counts(
             poisson_null_params(), window, replicates, derived_rng(master_seed, s)
         )
-        est = reference_inclusion(*pair_fractions(counts, pops),
-                                  pops.mean(axis=0).round().astype(int))
+        est = reference_inclusion(*pair_fractions(counts, pops))
         stats = ReplicateStats.from_counts(counts, table)
         report = compare_estimators(stats, est, table)
         for name, value in (
@@ -152,3 +154,35 @@ def test_null_ensemble_rejects_window_outside_domain(window):
 def test_null_ensemble_needs_two_replicates():
     with pytest.raises(ValueError, match="replicates"):
         gy_null_ensemble(replicates=1, n_seeds=1)
+
+
+CLUSTER = clustered_params(cluster_radius=0.05, parent_intensity=30.0, offspring_mean=6.0)
+
+
+@pytest.mark.parametrize("driver", [
+    lambda: window_ensemble(CLUSTER, binary_table(), (0.1, 0.1), replicates=10, n_seeds=0,
+                            master_seed=1),
+    lambda: gy_null_ensemble(replicates=10, n_seeds=0),
+    lambda: calibrate_against_oracle([("cluster", CLUSTER)], binary_table(), (0.1, 0.1), 10,
+                                     TransectSpec(count=5, length=0.5), master_seed=1,
+                                     n_seeds=0),
+], ids=["window_ensemble", "gy_null_ensemble", "calibrate_against_oracle"])
+def test_zero_seeds_are_refused_by_name(driver):
+    with pytest.raises(ValueError, match="seed"):
+        driver()
+
+
+def test_calibration_needs_two_fields():
+    """A between-field standard error needs two fields; one field would
+    leave every oracle SE NaN and call the regime null on no evidence."""
+    with pytest.raises(ValueError, match="n_seeds"):
+        calibrate_against_oracle([("cluster", CLUSTER)], binary_table(), (0.1, 0.1), 10,
+                                 TransectSpec(count=5, length=0.5), master_seed=1, n_seeds=1)
+
+
+def test_single_seed_z_is_nan_without_warnings():
+    ensemble = gy_null_ensemble(n_seeds=1, replicates=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(ensemble.gy_null_z())
+        assert np.isnan(ensemble.cell_z(0, 1))

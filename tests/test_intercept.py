@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from granvar import intercept
 from granvar.errors import GranvarError
+from granvar.experiments import calibrate_against_oracle
 from granvar.fields import ProcessParams, SpatialField, generate_field, grid_shape
 from granvar.intercept import (
     TransectBatch,
@@ -16,7 +17,6 @@ from granvar.intercept import (
     TransitionCounts,
     adjacency_dependence_for_field,
     c_from_adjacency,
-    calibrate_against_oracle,
     cast_transects,
     class_weights,
     intersect_segments,

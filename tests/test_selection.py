@@ -18,7 +18,8 @@ from granvar import fields, selection
 from granvar.cli import main as cli_main
 from granvar.errors import EmptySampleError
 from granvar.fields import ProcessParams, SpatialField, generate_field
-from granvar.intercept import TransectSpec, calibrate_against_oracle, intersect_segments
+from granvar.experiments import calibrate_against_oracle
+from granvar.intercept import TransectSpec, intersect_segments
 from granvar.model import ClassTable, derive_expectation
 from granvar.selection import (
     ComparisonRow,
@@ -873,7 +874,7 @@ class TestDistinctRows:
         assert same_bits(stats.mass_cv, mass_cv) and stats.n_empty == n_empty
 
         pop = counts.max(axis=0) + 1
-        est = inclusion_from_fractions(*pair_fractions(counts, pop), pop)
+        est = inclusion_from_fractions(*pair_fractions(counts, pop))
         expected = direct_comparison(counts, est, table)
         if expected is None:
             with pytest.raises(EmptySampleError):
@@ -888,7 +889,7 @@ class TestDistinctRows:
             assert same_bits(got[3:], want[3:]), (got, want)
 
 
-def reference_inclusion(f1, f2, population_counts):
+def reference_inclusion(f1, f2):
     """Reference: the per-replicate aggregation that ``inclusion_from_fractions``
     replaced, cell by cell, with finiteness masks and ``np.cov``."""
     r, k = f1.shape
@@ -926,7 +927,7 @@ def reference_inclusion(f1, f2, population_counts):
                 grad = np.array([-1.0 / (b * c), a / (b * b * c), a / (b * c * c)])
                 cov = np.cov(np.vstack([pair, f1[mask, u], f1[mask, v]]), ddof=1) / n_used
             c_se[u, v] = c_se[v, u] = np.sqrt(max(float(grad @ cov @ grad), 0.0))
-    return InclusionEstimate(pi1, pi1_se, pi2, pi2_se, c_hat, c_se, r, population_counts)
+    return InclusionEstimate(pi1, pi1_se, pi2, pi2_se, c_hat, c_se, r)
 
 
 #: Relative tolerance of the weighted inclusion pass against the
@@ -971,7 +972,7 @@ class TestRunReplicatesDistinctRows:
         except ValueError:  # unnormalizable designs
             return
         pop = np.bincount(design.class_of, minlength=table.k)
-        assert_inclusion_close(est, reference_inclusion(*pair_fractions(stats.counts, pop), pop))
+        assert_inclusion_close(est, reference_inclusion(*pair_fractions(stats.counts, pop)))
         assert est.replicates == r
         mass, cs, *_ = direct_summaries(stats.counts, table)
         assert same_bits(stats.mass, mass) and same_bits(stats.cs, cs)
@@ -997,7 +998,7 @@ def counts_path(design, table, r, seed):
     stats = ReplicateStats.from_counts(replicate_counts(design, table, r, seed), table)
     pop = np.bincount(design.class_of, minlength=table.k)
     multiplicity = np.bincount(stats.inverse, minlength=len(stats.first))
-    return stats, inclusion_from_fractions(*pair_fractions(stats.distinct, pop), pop,
+    return stats, inclusion_from_fractions(*pair_fractions(stats.distinct, pop),
                                            weights=multiplicity)
 
 
@@ -1288,11 +1289,11 @@ class TestGroupedAggregation:
         k = runs[0][0].shape[1]
         groups = len(runs) if grouped or len(runs) > 1 else None
         est = inclusion_from_fractions(*pair_fractions(rows[:, k:], rows[:, :k]),
-                                       np.zeros((len(runs), k), int), weights, groups)
+                                       weights, groups)
         for g, (pops, counts) in enumerate(runs):
             got = est if groups is None else InclusionEstimate(
                 *(getattr(est, f.name)[g] for f in dataclasses.fields(est)))
-            assert_inclusion_close(got, reference_inclusion(*pair_fractions(counts, pops), None))
+            assert_inclusion_close(got, reference_inclusion(*pair_fractions(counts, pops)))
             assert got.replicates == len(counts)
 
     @settings(deadline=None, max_examples=200)
@@ -1304,13 +1305,12 @@ class TestGroupedAggregation:
         pops, counts = (np.concatenate(parts) for parts in zip(*runs))
         g = len(runs)
         stats = ReplicateStats.from_counts(counts, table, groups=g)
-        first_pops = np.array([run_pops[0] for run_pops, _ in runs])
-        est = inclusion_from_fractions(*pair_fractions(counts, pops), first_pops, groups=g)
+        est = inclusion_from_fractions(*pair_fractions(counts, pops), groups=g)
         alone = []
         for run_pops, run_counts in runs:
             run_stats = ReplicateStats.from_counts(run_counts, table)
             alone.append((run_stats, inclusion_from_fractions(
-                *pair_fractions(run_counts, run_pops), run_pops[0])))
+                *pair_fractions(run_counts, run_pops))))
         for name in ("v_e", "v_e_se", "mean_cs", "mass_cv"):
             assert same_bits(getattr(stats, name), [getattr(s, name) for s, _ in alone]), name
         assert stats.n_empty == sum(s.n_empty for s, _ in alone)
