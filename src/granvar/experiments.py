@@ -106,9 +106,9 @@ def oracle_agreement_experiment(
                     continue
                 checked += 1
                 passed += _within(est.pi2[u, v], exact.pi2[u, v], est.pi2_se[u, v], sigma)
-        # the enumerated variance is E[c^2]-E[c]^2 and carries rounding of
-        # that scale; without the floor, designs whose true variance is
-        # exactly zero compare two numerical zeros at astronomical z
+        # the enumerated variance is the two-pass sum of w (c - mean)^2; when
+        # every non-empty state has the same c, it and v_e are both rounding of
+        # c's scale, which the floor absorbs instead of comparing at huge z
         atol = 1e-12 * (exact.var_cs + exact.mean_cs**2)
         var_ok = int(_within(stats.v_e, exact.var_cs, stats.v_e_se, sigma, atol))
         return checked, passed, var_ok
@@ -437,12 +437,15 @@ class CalibrationReport:
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell mean over the seeds (the leading axis) of the finite
-    ``values``, and its standard error."""
-    with np.errstate(invalid="ignore"):
-        n = np.sum(np.isfinite(values), axis=0)
-        return (np.nanmean(values, axis=0),
-                np.nanstd(values, axis=0, ddof=1) / np.sqrt(np.maximum(n, 1)))
+    """Per-cell mean over two or more seeds (the leading axis) of the finite
+    ``values`` and its SE, NaN for a cell of one value.  ``np.nanmean`` and
+    ``np.nanstd`` would warn on cells of no or one value: the mean is taken as
+    ``nansum`` over the count, and zeros stand in for those cells in the SE."""
+    counted = np.sum(~np.isnan(values), axis=0)
+    thin, n = counted < 2, np.sum(np.isfinite(values), axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        se = np.nanstd(np.where(thin, 0.0, values), axis=0, ddof=1) / np.sqrt(np.maximum(n, 1))
+        return np.nansum(values, axis=0) / counted, np.where(thin, np.nan, se)
 
 
 def calibrate_against_oracle(

@@ -138,27 +138,26 @@ def validate_dependence(
         c = c.values
     c = _check_square(c)
     k = c.shape[0]
+    c = c.tolist()  # Python floats, so the messages print plain numbers
     violations: list[str] = []
     for i in range(k):
         for j in range(i + 1, k):
-            if c[i, j] != c[j, i]:
-                violations.append(
-                    f"asymmetry at ({i},{j}): {c[i, j]!r} != {c[j, i]!r}"
-                )
+            if c[i][j] != c[j][i]:
+                violations.append(f"asymmetry at ({i},{j}): {c[i][j]!r} != {c[j][i]!r}")
     for i in range(k):
         for j in range(i, k):
-            if not c[i, j] < 1.0:
-                violations.append(f"C[{i},{j}] must be < 1, got {c[i, j]!r}")
+            if not c[i][j] < 1.0:
+                violations.append(f"C[{i},{j}] must be < 1, got {c[i][j]!r}")
     if q is not None:
         q = np.asarray(q, dtype=float)
         if q.shape != (k,):
             raise ValueError(f"q must have length {k}, got shape {q.shape}")
         for i in range(k):
             for j in range(i, k):
-                lower = 1.0 - 1.0 / max(q[i], q[j])
-                if c[i, j] < lower:
+                lower = 1.0 - 1.0 / float(max(q[i], q[j]))
+                if c[i][j] < lower:
                     violations.append(
-                        f"C[{i},{j}]={c[i, j]!r} below feasibility bound "
+                        f"C[{i},{j}]={c[i][j]!r} below feasibility bound "
                         f"{lower!r} (pair probability would exceed min(q_i,q_j))"
                     )
     return violations
@@ -289,6 +288,15 @@ def derive_expectation(counts: Sequence[float], table: ClassTable) -> Expectatio
     return ExpectationSummary(tuple(counts), mass, conc)
 
 
+def first_order_probabilities(q: Sequence[float]) -> tuple[float, ...]:
+    """``q`` as floats, each checked to be an inclusion probability in (0, 1]."""
+    q = tuple(float(v) for v in q)
+    for i, qi in enumerate(q):
+        if not (0.0 < qi <= 1.0):
+            raise ValueError(f"q[{i}] must be in (0, 1], got {qi}")
+    return q
+
+
 @dataclass(frozen=True)
 class BatchSpec:
     """Batch mass and per-class first-order inclusion probabilities.
@@ -304,13 +312,10 @@ class BatchSpec:
     def __init__(self, batch_mass: float, first_order_q: Sequence[float],
                  correct_sampling: bool = False):
         object.__setattr__(self, "batch_mass", float(batch_mass))
-        object.__setattr__(self, "first_order_q", tuple(float(x) for x in first_order_q))
-        object.__setattr__(self, "correct_sampling", bool(correct_sampling))
         if not self.batch_mass > 0:
             raise ValueError(f"batch mass must be > 0, got {batch_mass}")
-        for i, qi in enumerate(self.first_order_q):
-            if not (0.0 < qi <= 1.0):
-                raise ValueError(f"q[{i}] must be in (0, 1], got {qi}")
+        object.__setattr__(self, "first_order_q", first_order_probabilities(first_order_q))
+        object.__setattr__(self, "correct_sampling", bool(correct_sampling))
         if self.correct_sampling and len(set(self.first_order_q)) > 1:
             raise ValueError("correct sampling requires all q_i equal")
 

@@ -120,7 +120,9 @@ def _parse_batch(raw: Any, k: int) -> BatchSpec:
     if not isinstance(raw, dict):
         raise ConfigError("batch", "expected an object")
     mass = _number(_require(raw, "mass", "batch"), "batch.mass")
-    correct = bool(raw.get("correct", False))
+    correct = raw.get("correct", False)
+    if not isinstance(correct, bool):
+        raise ConfigError("batch.correct", f"expected true or false, got {correct!r}")
     if "q" in raw:
         q = _number_list(raw["q"], "batch.q")
         if len(q) != k:

@@ -1,7 +1,8 @@
 """Selection designs over particle populations.
 
 Three designs are provided.  ``bernoulli`` selects every particle by an
-independent per-class coin flip (the classical independence null).
+independent per-class coin flip (the classical independence null), so a
+replicate's class counts are independent binomial draws.
 ``pairwise_pmf`` draws whole subsets from an explicit pairwise-interaction
 mass function, p(s) proportional to
 prod_i q_i^{s_i} (1-q_i)^{1-s_i} * prod_{i<j} phi_{ij}^{s_i s_j},
@@ -15,7 +16,7 @@ classes, so a subset's weight is a function of its class counts s_u:
 w(s) = prod_u C(n_u, s_u) q_u^{s_u} (1-q_u)^{n_u-s_u} phi_uu^{s_u(s_u-1)/2}
 * prod_{u<v} phi_uv^{s_u s_v}.  Enumeration and pairwise sampling therefore
 walk the prod_u (n_u + 1) class-count states instead of the 2^n subsets,
-with the weights computed in log space.
+with the weights computed in log space, once per state.
 
 Windows are counted through the field's periodic cell index, which
 transect casting and the gap check share (see
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import EmptySampleError
 from .estimators import ht_terms, infinite_batch_weights, moment_terms, sample_totals
 from .fields import SpatialField
-from .model import ClassTable
+from .model import ClassTable, first_order_probabilities
 from .util import derived_rng, normal_half_width, wrap_periodic
 
 #: Exact enumeration and pairwise sampling are limited to designs with at
@@ -52,8 +53,6 @@ from .util import derived_rng, normal_half_width, wrap_periodic
 MAX_ENUM_STATES = 1 << 24
 #: Class-count states per batch; small batches keep the arrays in cache.
 _STATE_BATCH = 1 << 14
-
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,20 +69,14 @@ class SelectionDesign:
 
     @classmethod
     def bernoulli(cls, q: Sequence[float], class_of: Sequence[int]) -> "SelectionDesign":
-        q = tuple(float(v) for v in q)
-        for i, qi in enumerate(q):
-            if not (0.0 < qi <= 1.0):
-                raise ValueError(f"q[{i}] must be in (0, 1], got {qi}")
+        q = first_order_probabilities(q)
         return cls("bernoulli", class_of=_class_ids(class_of, len(q)), q=q)
 
     @classmethod
     def pairwise_pmf(
         cls, q: Sequence[float], phi: np.ndarray, class_of: Sequence[int]
     ) -> "SelectionDesign":
-        q = tuple(float(v) for v in q)
-        for i, qi in enumerate(q):
-            if not (0.0 < qi <= 1.0):
-                raise ValueError(f"q[{i}] must be in (0, 1], got {qi}")
+        q = first_order_probabilities(q)
         phi = np.array(phi, dtype=float, copy=True)
         k = len(q)
         if phi.shape != (k, k):
@@ -96,12 +89,7 @@ class SelectionDesign:
             raise ValueError("pair interaction weights must be symmetric")
         phi.setflags(write=False)
         class_of = _class_ids(class_of, k)
-        states = _state_count(np.bincount(class_of, minlength=k))
-        if states > MAX_ENUM_STATES:
-            raise ValueError(
-                f"pairwise designs support at most {MAX_ENUM_STATES} class-count "
-                f"states prod(n_u + 1), got {states}"
-            )
+        _state_count(np.bincount(class_of, minlength=k))
         return cls("pairwise_pmf", class_of=class_of, q=q, phi=phi)
 
     @classmethod
@@ -135,8 +123,23 @@ def _class_ids(class_of: Sequence[int], k: int | None = None) -> np.ndarray:
 
 
 def _state_count(pop: np.ndarray) -> int:
-    """prod_u (n_u + 1): the class-count states of class populations ``pop``."""
-    return math.prod(int(c) + 1 for c in pop)
+    """prod_u (n_u + 1): the class-count states of class populations ``pop``,
+    refused above ``MAX_ENUM_STATES``."""
+    states = math.prod(int(c) + 1 for c in pop)
+    if states > MAX_ENUM_STATES:
+        raise ValueError(
+            f"enumeration and pairwise sampling support at most {MAX_ENUM_STATES} "
+            f"class-count states prod(n_u + 1), got {states}"
+        )
+    return states
+
+
+def _class_populations(design: SelectionDesign, k: int) -> np.ndarray:
+    """(K,) class populations of a bernoulli or pairwise design, whose ``q``
+    must have one entry per class of the table."""
+    if len(design.q) != k:
+        raise ValueError(f"design has {len(design.q)} classes, the class table {k}")
+    return np.bincount(design.class_of, minlength=k)
 
 
 @dataclass(frozen=True)
@@ -343,28 +346,24 @@ class ComparisonReport:
 
 
 class _ClassStates:
-    """The class-count states of a bernoulli or pairwise design.
+    """The class-count states of a bernoulli or pairwise design, with their
+    weights.
 
     State indices are mixed-radix numbers whose digit u is s_u in base
     n_u + 1 (class 0 the most significant).  Counts are held class-major,
     as (K, states) arrays.  Log weights follow the module formula with
     0 log 0 = 0, so phi = 0 forbids a state only when its pair count is
     positive, and q = 1 forbids only the states that leave a member of that
-    class out.
+    class out.  Each state's log weight is evaluated once, into
+    ``weights``, exp(log w(s) - max log w), which the sampler inverts and
+    enumeration sums; ``last`` is the last state of finite log weight.
     """
 
     def __init__(self, design: SelectionDesign, k: int):
         from scipy.special import gammaln, xlogy  # deferred: keeps scipy.special out of start-up
 
-        if len(design.q) != k:
-            raise ValueError(f"design has {len(design.q)} classes, the class table {k}")
-        self.pop = np.bincount(design.class_of, minlength=k)
+        self.pop = _class_populations(design, k)
         self.size = _state_count(self.pop)
-        if self.size > MAX_ENUM_STATES:
-            raise ValueError(
-                f"enumeration supports at most {MAX_ENUM_STATES} class-count states, "
-                f"got {self.size}"
-            )
         q = np.asarray(design.q)
         phi = np.ones((k, k)) if design.phi is None else design.phi
         #: log of the per-class factor of w(s), indexed [u][s_u]
@@ -380,6 +379,14 @@ class _ClassStates:
         self.log_phi = np.where(cross & (phi > 0), np.log(np.where(phi > 0, phi, 1.0)), 0.0)
         self.forbidden = (cross & (phi == 0)).astype(float)
 
+        lw = np.concatenate([self.log_weights(s) for _, s in self.batches()])
+        top = lw.max()
+        if top == -np.inf:
+            raise ValueError("selection pmf is not normalizable (all weights zero)")
+        self.last = int(np.flatnonzero(lw > -np.inf)[-1])
+        lw -= top
+        self.weights = np.exp(lw, out=lw)
+
     def decode(self, index: np.ndarray) -> np.ndarray:
         """(K, len(index)) class counts of the states ``index``."""
         return np.array(np.unravel_index(index, tuple(self.pop + 1)))
@@ -394,21 +401,16 @@ class _ClassStates:
         return lw
 
     def batches(self):
-        """(class counts, log weights) over every state, a batch at a time."""
+        """(states, class counts) of every batch of states, the states as a slice."""
         for start in range(0, self.size, _STATE_BATCH):
-            s = self.decode(np.arange(start, min(start + _STATE_BATCH, self.size)))
-            yield s, self.log_weights(s)
+            stop = min(start + _STATE_BATCH, self.size)
+            yield slice(start, stop), self.decode(np.arange(start, stop))
 
     def draw(self, rng: np.random.Generator, r: int) -> np.ndarray:
         """``r`` state indices drawn from the normalized weights by
         inverting the state cdf at one ``rng.random(r)`` call (see
         :func:`_invert_cdf`)."""
-        lw = np.concatenate([batch_lw for _, batch_lw in self.batches()])
-        top = lw.max()
-        if top == -np.inf:
-            raise ValueError("selection pmf is not normalizable (all weights zero)")
-        cdf = np.cumsum(np.exp(lw - top))
-        return _invert_cdf(cdf, np.flatnonzero(lw > -np.inf)[-1], rng.random(r))
+        return _invert_cdf(np.cumsum(self.weights), self.last, rng.random(r))
 
 
 #: Draws per guide-table bucket from which :func:`_invert_cdf` builds the
@@ -475,9 +477,9 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
     """Exact inclusion probabilities and concentration moments by summing
     over every class-count state of the design.
 
-    Only bernoulli and pairwise_pmf designs are enumerable.  The states are
-    walked in batches, three times: for the largest log weight (the scale of
-    every weight), for the normalizer and the moments, and for the
+    Only bernoulli and pairwise_pmf designs are enumerable.  The states'
+    weights are computed once (see :class:`_ClassStates`) and walked in
+    batches twice: for the normalizer and the moments, and for the
     concentration variance about its mean.  For the bernoulli design the
     inclusion probabilities are independent by construction, so they are
     returned exactly (pi_i = q_i, pi_ij = q_i q_j) while the concentration
@@ -490,16 +492,11 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
     k = table.k
     states = _ClassStates(design, k)
 
-    top = max(float(lw.max()) for _, lw in states.batches())
-    if top == -np.inf:
-        raise ValueError("selection pmf is not normalizable (all weights zero)")
-
     def weighted_states():
         """(weights, class counts, non-empty weights, c_s) per batch; c_s is
         0 on the empty states, which carry no non-empty weight."""
-        for s, lw in states.batches():
-            w = np.exp(lw - top)
-            sf = s.astype(float)
+        for span, s in states.batches():
+            w, sf = states.weights[span], s.astype(float)
             mass, analyte = sample_totals(sf.T, table)
             nonempty = mass > 0
             cs = analyte / np.where(nonempty, mass, 1.0)
@@ -656,16 +653,8 @@ def replicate_counts(
             design.field, anchors, design.window_width, design.window_height, k
         )
     if design.variant == "bernoulli":
-        q_p = np.asarray(design.q)[design.class_of]
-        class_masks = [design.class_of == u for u in range(k)]
-        counts = np.empty((r, k), dtype=np.int64)
-        step = max(_CHUNK // max(design.n, 1), 1)
-        for start in range(0, r, step):
-            stop = min(start + step, r)
-            sel = rng.random((stop - start, design.n)) < q_p
-            for u in range(k):
-                counts[start:stop, u] = sel[:, class_masks[u]].sum(axis=1)
-        return counts
+        # the selected count of n_u independent coin flips is binomial
+        return rng.binomial(_class_populations(design, k), design.q, size=(r, k))
     states = _ClassStates(design, k)
     return np.ascontiguousarray(states.decode(states.draw(rng, r)).T)
 

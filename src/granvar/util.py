@@ -44,7 +44,7 @@ def normal_half_width(level: float) -> float:
 def format_sig(x: float, digits: int = 17) -> str:
     """Format a number with a fixed count of significant digits.
 
-    Used for all CSV output so reruns are byte-comparable.
+    Formats the ``table1`` header; CSV cells go through :func:`write_csv_columns`.
     """
     if isinstance(x, (int, np.integer)):
         return str(int(x))

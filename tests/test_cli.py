@@ -194,6 +194,8 @@ class TestConfigErrors:
             ("simulate", {"replicates": 10, "design": {
                 "variant": "pairwise_pmf", "q": [0.5, 0.5],
                 "phi": [[1, float("inf")], [float("inf"), 1]], "class_of": [0, 1]}}, "design"),
+            ("estimate", {"batch": {"mass": 100, "q": [0.1, 0.1], "correct": "false"}},
+             "batch.correct"),
         ],
     )
     def test_malformed_values_name_their_location(

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import granvar
+from granvar import experiments
 from granvar.experiments import (
     binary_table,
     calibrate_against_oracle,
@@ -186,3 +192,35 @@ def test_single_seed_z_is_nan_without_warnings():
         warnings.simplefilter("error")
         assert np.isnan(ensemble.gy_null_z())
         assert np.isnan(ensemble.cell_z(0, 1))
+
+
+def test_calibration_cell_of_one_field_is_quiet():
+    """A cell finite in one field of three has that value as its mean and
+    a NaN SE, without a warning; a cell finite in none is NaN, and a full
+    cell keeps numpy's nanmean and nanstd / sqrt(n)."""
+    values = np.array([[[0.5, np.nan, np.nan]], [[0.25, 0.75, np.nan]], [[1.0, np.nan, np.nan]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = experiments._mean_and_se(values)
+    full = values[:, 0, 0]
+    assert mean[0, 0] == np.mean(full) and se[0, 0] == np.std(full, ddof=1) / np.sqrt(3)
+    assert mean[0, 1] == 0.75 and np.isnan(se[0, 1])
+    assert np.isnan(mean[0, 2]) and np.isnan(se[0, 2])
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_sign_experiments.py", ["--seeds", "2", "--replicates", "20"]),
+    ("run_adjacency_calibration.py", ["--seeds", "2", "--radii", "0.1", "0.05"]),
+    ("run_size_bias.py", ["--seeds", "3"]),
+])
+def test_experiment_script_runs(script, args, monkeypatch):
+    """Each experiment script runs to completion on tiny arguments, so a
+    changed import or keyword in ``granvar.experiments`` shows here."""
+    src = Path(granvar.__file__).resolve().parents[1]
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    )
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    proc = subprocess.run([sys.executable, str(path), *args, "--threads", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -147,6 +147,18 @@ class TestValidateDependence:
         assert violations
         assert all("feasibility" in v for v in violations)
 
+    def test_messages_print_plain_numbers(self):
+        """A bad ``dependence`` section reaches the user as these messages,
+        so they print numbers, not numpy reprs."""
+        assert validate_dependence([[0, 0.5], [0.2, 1.5]]) == [
+            "asymmetry at (0,1): 0.5 != 0.2",
+            "C[1,1] must be < 1, got 1.5",
+        ]
+        assert validate_dependence([[-3.0]], q=[0.5]) == [
+            "C[0,0]=-3.0 below feasibility bound -1.0 "
+            "(pair probability would exceed min(q_i,q_j))"
+        ]
+
     def test_feasible_negative_value_passes(self):
         c = np.full((2, 2), -0.5)
         assert validate_dependence(c, q=[0.5, 0.5]) == []

@@ -18,7 +18,7 @@ from granvar import fields, selection
 from granvar.cli import main as cli_main
 from granvar.errors import EmptySampleError
 from granvar.fields import ProcessParams, SpatialField, generate_field
-from granvar.experiments import calibrate_against_oracle
+from granvar.experiments import calibrate_against_oracle, random_pairwise_design
 from granvar.intercept import TransectSpec, intersect_segments
 from granvar.model import ClassTable, derive_expectation
 from granvar.selection import (
@@ -272,6 +272,21 @@ class TestEnumeration:
         assert np.all(np.abs(est.pi1 - exact.pi1) <= 5 * est.pi1_se)
         assert np.all(np.abs(est.pi2 - exact.pi2) <= 5 * est.pi2_se)
 
+    def test_each_state_weighed_once(self, monkeypatch):
+        """Enumeration evaluates every class-count state's log weight once."""
+        design, table = random_pairwise_design(derived_rng(5, 3), 16)
+        weighed = []
+        log_weights = selection._ClassStates.log_weights
+
+        def spy(states, s):
+            weighed.append(s.shape[1])
+            return log_weights(states, s)
+
+        monkeypatch.setattr(selection._ClassStates, "log_weights", spy)
+        enumerate_design(design, table)
+        pop = np.bincount(design.class_of, minlength=table.k)
+        assert sum(weighed) == math.prod(pop + 1) == 250
+
     def test_window_not_enumerable(self, two_particle_table):
         field = generate_field(
             ProcessParams(variant="poisson", width=1, height=1, mixing=(0.5, 0.5),
@@ -299,6 +314,33 @@ class TestRunReplicates:
         assert stats.n_empty == 0
         assert np.all(stats.counts == 2)
         assert est.pi1[0] == 1.0
+
+    def test_bernoulli_counts_are_binomial(self):
+        """Each class's replicate counts have the binomial mean n_u q_u and
+        variance n_u q_u (1 - q_u), within 5 standard errors."""
+        q, pop = np.array([0.05, 0.5, 0.9, 1.0]), np.array([40, 7, 300, 3])
+        table = ClassTable.from_arrays([1.0] * 4, [1.0, 0.5, 0.0, 0.2])
+        design = SelectionDesign.bernoulli(q, np.repeat(np.arange(4), pop))
+        r = 20_000
+        counts = replicate_counts(design, table, r, seed=2024)
+        assert counts.shape == (r, 4) and counts.dtype == np.int64
+        mean, var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+        want_mean, want_var = pop * q, pop * q * (1.0 - q)
+        var_se = np.array([variance_se(c.astype(float)) for c in counts.T])
+        assert np.all(np.abs(mean - want_mean) <= 5 * np.sqrt(want_var / r))
+        assert np.all(np.abs(var - want_var) <= 5 * var_se)
+        assert np.all(counts[:, 3] == 3)  # q = 1 selects every member
+
+    def test_bernoulli_class_count_must_match_the_table(self):
+        """A design of 2 classes on a 3-class table is refused, as
+        enumeration refuses it, instead of drawing a zero column."""
+        design = SelectionDesign.bernoulli([0.5, 0.5], [0, 1, 1])
+        table = ClassTable.from_arrays([1.0] * 3, [1.0, 0.0, 0.5])
+        for call in (replicate_counts, run_replicates):
+            with pytest.raises(ValueError, match="design has 2 classes, the class table 3"):
+                call(design, table, 10, 1)
+        with pytest.raises(ValueError, match="design has 2 classes, the class table 3"):
+            enumerate_design(design, table)
 
     def test_deterministic(self, two_particle_table):
         design = SelectionDesign.bernoulli([0.4, 0.4], [0, 0, 1, 1])
@@ -1152,7 +1194,9 @@ class TestPairwiseKernels:
         design = SelectionDesign.pairwise_pmf(rng.uniform(0.2, 0.8, size=3),
                                               np.triu(phi) + np.triu(phi, 1).T, class_of)
         states = selection._ClassStates(design, 3)
-        lw = np.concatenate([batch for _, batch in states.batches()])
+        lw = states.log_weights(states.decode(np.arange(states.size)))
+        assert np.array_equal(states.weights, np.exp(lw - lw.max()))
+        assert states.last == np.flatnonzero(lw > -np.inf)[-1]
         cdf = np.cumsum(np.exp(lw - lw.max()))
         u = derived_rng(7).random(100_000)
         want = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
