@@ -19,7 +19,9 @@ of the pairs with a result on both sides, the parent's interquartile range,
 the change of the median as a fraction of the parent's, the metric's
 ``bound`` and a verdict (see :func:`verdict`).  ``--claim W:M`` (repeatable)
 names a metric M the change claims to improve on workload W.
-A run that prints no result counts as one failed operation on its side.
+A run that prints no result counts as one failed operation out of one
+attempted on its side.  Each side's ``failed_share`` is its failed over its
+attempted operations.
 Every run that exits non-zero is listed under the workload's
 ``nonzero_exits``: side, seed, whether it was traced, exit code and the
 first ``# FAILED`` line it printed.
@@ -77,13 +79,14 @@ def summary(runs: list[float]) -> dict:
 
 
 def verdict(parent: list[float], change: list[float], wins: int, pairs_run: int,
-            lower: bool, bound: float, claimed: bool, more_failures: bool) -> str:
+            lower: bool, bound: float, claimed: bool, higher_failed_share: bool) -> str:
     """How one metric of one workload moved, from the runs of the pairs.
 
     ``gain``: the metric is claimed, the change won (``wins``) at least nine
     tenths of the ``pairs_run`` pairs, ties counting for neither, its median
     is better than the parent's by more than the parent's interquartile
-    range, and no more operations failed than at the parent.  ``worse``: the change's
+    range, and no larger share of its operations failed than at the parent
+    (``higher_failed_share`` false).  ``worse``: the change's
     median is worse than the parent's by more than ``bound``, a fraction of
     the parent's median.  ``unresolved``: the parent's interquartile range
     is wider than ``bound`` of its median, and not every run of the change
@@ -93,7 +96,7 @@ def verdict(parent: list[float], change: list[float], wins: int, pairs_run: int,
     q1, q3 = quartiles(parent)
     base = statistics.median(parent)
     gained = sign * (base - statistics.median(change))
-    if claimed and not more_failures and wins >= 0.9 * pairs_run and gained > q3 - q1:
+    if claimed and not higher_failed_share and wins >= 0.9 * pairs_run and gained > q3 - q1:
         return "gain"
     if -gained > bound * abs(base):
         return "worse"
@@ -110,8 +113,11 @@ def compare(results: dict, metrics: list[dict], claimed: set[str] = frozenset())
     entry["failed_operations"] = {
         side: sum(r["failed"] if r else 1 for r in results[side]) for side in SIDES}
     entry["attempted_operations"] = {
-        side: sum(r["attempted"] if r else 0 for r in results[side]) for side in SIDES}
-    more_failures = entry["failed_operations"]["change"] > entry["failed_operations"]["parent"]
+        side: sum(r["attempted"] if r else 1 for r in results[side]) for side in SIDES}
+    share = {side: entry["failed_operations"][side] / max(entry["attempted_operations"][side], 1)
+             for side in SIDES}
+    entry["failed_share"] = {side: round(v, 4) for side, v in share.items()}
+    higher_failed_share = share["change"] > share["parent"]
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -128,7 +134,7 @@ def compare(results: dict, metrics: list[dict], claimed: set[str] = frozenset())
                                         - 1.0, 4),
             "bound": m["bound"],
             "verdict": verdict(parent, change, wins, entry["pairs"], lower, m["bound"],
-                               name in claimed, more_failures),
+                               name in claimed, higher_failed_share),
         }
     return entry
 
@@ -184,8 +190,8 @@ def main() -> int:
             "are linear-interpolation percentiles 25 and 75. A pair is won when the change "
             "reads better. The verdict of a metric is `gain` (claimed; won at least 9 in "
             "10 pairs, the median better by more than the parent's interquartile range, "
-            "no more failed operations), `worse` (the median worse by more than the "
-            "bound), `unresolved` (the parent's interquartile range wider than the bound "
+            "no larger share of failed operations), `worse` (the median worse by more than "
+            "the bound), `unresolved` (the parent's interquartile range wider than the bound "
             "and the sides' runs overlapping) or `within bound`." + (
                 "" if args.traced_seed is None else
                 f" `traced` holds one `--trace 1` run per side at seed {args.traced_seed}, "

@@ -437,6 +437,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed", f"seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"granvar: configuration error: {exc}", file=sys.stderr)

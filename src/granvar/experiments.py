@@ -249,6 +249,27 @@ def poisson_null_params(intensity: float = 500.0) -> ProcessParams:
     )
 
 
+def _window_count_rates(params: ProcessParams, window: tuple[float, float]) -> np.ndarray:
+    """(2, K) Poisson rates of each class's count inside one toroidal
+    ``window`` of a Poisson field (row 0) and outside it (row 1), after
+    checking that the law applies and that the window fits the domain."""
+    if params.variant != "poisson":
+        raise ValueError(f"the window-count law holds for poisson fields, not {params.variant}")
+    if not (0 < window[0] <= params.width and 0 < window[1] <= params.height):
+        raise ValueError(f"window {window} must be positive and fit inside the domain")
+    inside = window[0] * window[1]
+    return params.intensity * np.outer((inside, params.area - inside), params.mixing)
+
+
+def _draw_window_counts(
+    rates: np.ndarray, replicates: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, K) populations and window counts from one Poisson draw of every
+    replicate's inside and outside counts at the (2, K) ``rates``."""
+    split = rng.poisson(rates, size=(replicates, *rates.shape))
+    return split[:, 0] + split[:, 1], split[:, 0]
+
+
 def poisson_window_counts(
     params: ProcessParams,
     window: tuple[float, float],
@@ -259,17 +280,14 @@ def poisson_window_counts(
     Poisson fields, each sampled by one uniformly anchored toroidal window.
 
     Drawn from the exact law of that process rather than by generating the
-    fields: class u's population is Poisson(intensity * W * H * mixing_u),
-    and its window count is Binomial(population, w * h / (W * H)).
+    fields.  Class u's particles form a Poisson process of intensity
+    intensity * mixing_u, and the window and the rest of the domain are
+    disjoint, so by the colouring theorem the counts inside (rate
+    intensity * mixing_u * w * h) and outside (rate intensity * mixing_u *
+    (W * H - w * h)) are independent Poisson variates whatever the anchor.
+    The population is their sum; the window count is the inside count.
     """
-    if params.variant != "poisson":
-        raise ValueError(f"the window-count law holds for poisson fields, not {params.variant}")
-    width, height = params.width, params.height
-    if not (0 < window[0] <= width and 0 < window[1] <= height):
-        raise ValueError(f"window {window} must be positive and fit inside the domain")
-    rates = params.expected_count() * np.asarray(params.mixing, dtype=float)
-    pops = rng.poisson(rates, size=(replicates, len(rates)))
-    return pops, rng.binomial(pops, window[0] * window[1] / (width * height))
+    return _draw_window_counts(_window_count_rates(params, window), replicates, rng)
 
 
 def gy_null_ensemble(
@@ -293,21 +311,20 @@ def gy_null_ensemble(
 
     The replicates are drawn from the exact law of that process (see
     :func:`poisson_window_counts`), not by generating fields.  A homogeneous
-    Poisson field with i.i.d. labels is K independent Poisson processes, so
-    the class populations are independent Poisson counts.  Given them, each
-    particle is uniform on the domain and so lies in the half-open toroidal
-    window with probability w * h / (W * H) whatever the anchor,
-    independently of the others, which makes each window count binomial.
-    Fresh fields make the replicates independent.  Each seed draws from
-    its own derived stream, and the seeds are summarized together.
+    Poisson field with i.i.d. labels is K independent Poisson processes,
+    and each one's counts in the disjoint window and remainder of the
+    domain are independent Poisson variates, so every class's window count
+    and outside count are 2K independent Poisson counts.  Fresh fields make
+    the replicates independent.  The window is checked and the (2, K) rates
+    set once; each seed then makes one draw from its own derived stream,
+    and the seeds are summarized together.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    params = poisson_null_params(intensity)
+    rates = _window_count_rates(poisson_null_params(intensity), window)
 
     def one(seed_index: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = derived_rng(master_seed, seed_index)
-        return poisson_window_counts(params, window, replicates, rng)
+        return _draw_window_counts(rates, replicates, derived_rng(master_seed, seed_index))
 
     return _aggregate_seeds(ordered_map(one, list(range(n_seeds)), threads), binary_table())
 

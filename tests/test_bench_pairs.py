@@ -18,14 +18,14 @@ def bench_pairs():
     return module
 
 
-def result(run_s, rate=1.0, failed=0):
-    return {"attempted": 10, "failed": failed,
+def result(run_s, rate=1.0, failed=0, attempted=10):
+    return {"attempted": attempted, "failed": failed,
             "metrics": {"run_s": {"value": run_s}, "rate": {"value": rate}}}
 
 
-def runs(parent, change, failed=(0, 0)):
-    return {"parent": [result(v, failed=failed[0]) for v in parent],
-            "change": [result(v, failed=failed[1]) for v in change]}
+def runs(parent, change, failed=(0, 0), attempted=(10, 10)):
+    return {"parent": [result(v, failed=failed[0], attempted=attempted[0]) for v in parent],
+            "change": [result(v, failed=failed[1], attempted=attempted[1]) for v in change]}
 
 
 PARENT = [0.100, 0.102, 0.098, 0.101, 0.099, 0.100, 0.103, 0.097, 0.100, 0.101]
@@ -53,6 +53,19 @@ def test_run_time_verdicts(bench_pairs, change, claimed, failed, want):
     assert m["pairs"] == 10 and m["bound"] == 0.25
     q1, q3 = np.percentile(PARENT, [25, 75])
     assert m["parent_iqr"] == round(q3 - q1, 4)
+
+
+@pytest.mark.parametrize("change_attempted, want", [(14, "gain"), (9, "within bound")])
+def test_failures_are_compared_as_shares(bench_pairs, change_attempted, want):
+    """A faster change attempts more operations: more failures at a lower
+    failed share keep the gain, a higher share withholds it."""
+    results = runs(PARENT, [v * 0.8 for v in PARENT], failed=(1, 2),
+                   attempted=(7, change_attempted))
+    entry = bench_pairs.compare(results, METRICS, {"run_s"})
+    assert entry["failed_operations"] == {"parent": 10, "change": 20}
+    assert entry["failed_share"] == {"parent": round(1 / 7, 4),
+                                     "change": round(2 / change_attempted, 4)}
+    assert entry["metrics"]["run_s"]["verdict"] == want
 
 
 def test_wide_spread_is_unresolved(bench_pairs):
@@ -89,6 +102,7 @@ def test_missing_runs_count_against_the_claim(bench_pairs):
     m = entry["metrics"]["run_s"]
     assert (m["pairs"], m["change_wins"], m["verdict"]) == (9, 9, "gain")
     assert entry["failed_operations"] == {"parent": 1, "change": 0}
+    assert entry["attempted_operations"] == {"parent": 91, "change": 100}
     results["parent"][1] = None
     m = bench_pairs.compare(results, METRICS, {"run_s"})["metrics"]["run_s"]
     assert (m["pairs"], m["change_wins"], m["verdict"]) == (8, 8, "within bound")

@@ -119,6 +119,22 @@ class TestConfigErrors:
         bad.write_text(json.dumps({"classes": [{"mass": 1, "concentration": 1}]}))
         assert main(["estimate", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "pairwise_oracle.json"],
+        ["intercept", "--config", "hardcore_transect.json"],
+        ["estimate", "--config", "single_class_solver.json"],
+        ["verify", "--quick"],
+    ], ids=["simulate", "intercept", "estimate", "verify"])
+    def test_negative_seed_override(self, tmp_path, capsys, argv):
+        """A negative ``--seed`` is refused at ``--seed`` like a negative
+        scenario seed, before the subcommand writes anything."""
+        argv = [str(golden_digests.SCENARIO_DIR / a) if a.endswith(".json") else a
+                for a in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_dependence_shape(self, tmp_path):
         config = write_scenario(tmp_path, dependence=[[0.0]])
         assert main(["estimate", "--config", str(config)]) == 2

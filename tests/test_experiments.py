@@ -65,9 +65,12 @@ def _centered(x):
 @pytest.mark.parametrize("window", [(0.6, 0.3), DOMAIN])
 @pytest.mark.parametrize("sampler", ["field_reference", "exact_law"])
 def test_null_sampler_matches_closed_form_moments(sampler, window):
-    """pop_u ~ Poisson(lam mix_u W H) and sel_u | pop_u ~ Binomial(pop_u, wh/WH):
-    E = Var of pop_u is lam mix_u W H; E = Var of sel_u and Cov(pop_u, sel_u)
-    are lam mix_u w h; the classes are independent."""
+    """Class u's counts inside the window and outside it are independent
+    Poisson(lam mix_u w h) and Poisson(lam mix_u (W H - w h)) (colouring),
+    so E = Var of pop_u is lam mix_u W H; E = Var of sel_u and
+    Cov(pop_u, sel_u) are lam mix_u w h; the outside count pop_u - sel_u
+    has mean and variance lam mix_u (W H - w h) and is uncorrelated with
+    sel_u; the classes are independent."""
     replicates = 2000
     if sampler == "field_reference":
         pops, counts = field_reference(PARAMS, window, replicates, seed=31)
@@ -82,6 +85,11 @@ def test_null_sampler_matches_closed_form_moments(sampler, window):
         assert abs(_z(sel, part[u])) < 5
         assert abs(_z(_centered(sel) ** 2, part[u])) < 5
         assert abs(_z(_centered(pop) * _centered(sel), part[u])) < 5
+        if window != DOMAIN:
+            out = pop - sel
+            assert abs(_z(out, whole[u] - part[u])) < 5
+            assert abs(_z(_centered(out) ** 2, whole[u] - part[u])) < 5
+            assert abs(_z(_centered(out) * _centered(sel), 0.0)) < 5
     assert abs(_z(_centered(counts[:, 0]) * _centered(counts[:, 1]), 0.0)) < 5
     if window == DOMAIN:
         np.testing.assert_array_equal(counts, pops)
