@@ -439,6 +439,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed", f"seed must be a non-negative integer, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigError("--threads", f"need at least one thread, got {args.threads}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"granvar: configuration error: {exc}", file=sys.stderr)

@@ -479,7 +479,7 @@ def calibrate_against_oracle(
     an ensemble of field processes.
 
     For every process and seed a field is generated and measured both
-    ways, from the field's one cell index, which is sorted once per axis;
+    ways, from the field's one cell index, which is sorted once;
     per-process means are compared by Spearman rank correlation and
     sign agreement.  When the oracle means are all within two standard
     errors of zero the ensemble is flagged as a null regime where sign

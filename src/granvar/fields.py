@@ -19,10 +19,12 @@ One cell index, :class:`CellStrips`, serves windows, transects, darts and
 gap checks; its query, :meth:`CellStrips.rectangles`, finds the particles
 of wrapping rectangles, and :meth:`CellStrips.ring_and_interior` splits
 them into a ring and interior cells that hold members only.  A field
-builds one per axis the first time it is asked for and keeps it
-(``SpatialField.column_strips`` and ``row_strips``), on cells at least
-twice the largest radius wide; the dart thrower indexes the particles
-accepted before each chunk, and then the chunk's survivors, in fresh ones.
+builds it, column by column, the first time it is asked for and keeps it
+(``SpatialField.column_strips``), on cells at least twice the largest
+radius wide; a transect of any slope walks its columns, taking in each the
+rows that the segment covers over it.  The dart thrower indexes the
+particles accepted before each chunk, and then the chunk's survivors, in
+fresh ones.
 """
 from __future__ import annotations
 
@@ -344,7 +346,7 @@ class SpatialField:
 
     Centres lie in [0, W] x [0, H]; centres and radii are finite, and radii
     are >= 0.  Sequences are taken as arrays: ``x``, ``y`` and ``radius``
-    as float64, ``class_id`` as integers.  The cell indices are built from
+    as float64, ``class_id`` as integers.  The cell index is built from
     the particle arrays on first use and kept, so the arrays must not change
     afterwards.
     """
@@ -403,12 +405,6 @@ class SpatialField:
         """The particles sorted by cell, column by column (strips along x)."""
         nx, ny = self.cell_grid
         return CellStrips(self.x, self.y, nx, ny, self.width, self.height)
-
-    @cached_property
-    def row_strips(self) -> CellStrips:
-        """The particles sorted by cell, row by row (strips along y)."""
-        nx, ny = self.cell_grid
-        return CellStrips(self.y, self.x, ny, nx, self.height, self.width)
 
     def class_counts(self, k: int) -> np.ndarray:
         return np.bincount(self.class_id, minlength=k)

@@ -18,17 +18,18 @@ Casting does not test every particle against every transect.  A disk that
 meets a segment has its centre within r_max, the largest |radius|, of the
 segment, so only the particles in that band can be hit.  The candidates
 come from the field's cell index (see :attr:`SpatialField.column_strips`):
-the particles sorted by cell, once column by column and once row by row,
-shared with window counting.  A transect walks the axis it moves along more.
-It takes the columns (or rows) that cover its extent widened by r_max, and
-in each of them the cells that cover the segment over that column, widened
-by r_max along the walk and again across it: one contiguous slice of the
-sorted particles per column.  Every centre within r_max of the segment lies
-in those cells whatever their size, and a margin far above the rounding
-of the chord test (``_CAST_MARGIN``) covers the disks that the test accepts
-a little beyond r_max (up to about 2e-8 at unit distance).  The candidates then go through the
-exact chord arithmetic, in blocks of transects, and the batch equals
-testing all n particles per transect bit for bit.
+the particles sorted by cell, column by column, shared with window
+counting.  A transect takes the columns that cover its x-extent widened by
+r_max, and in each of them the rows that cover the segment between where
+it crosses the column's two edges, all widened by r_max: one contiguous
+slice of the sorted particles per column, so a steep segment takes few
+columns and many rows of each.  Every centre within r_max of the segment
+lies in those cells whatever their size, and a margin far above the
+rounding of the chord test (``_CAST_MARGIN``) covers the disks that the
+test accepts a little beyond r_max (up to about 2e-8 at unit distance).
+The candidates then go through the exact chord arithmetic, in blocks of
+transects, and the batch equals testing all n particles per transect bit
+for bit.
 Transects are planar: a segment ends where it leaves the domain and does
 not wrap around it, unlike windows and hard-core exclusion (toroidal
 wrapping of transects is pending).
@@ -210,11 +211,11 @@ def intersect_segments(
 
     A disk that meets a segment has its centre within r_max, the largest
     |radius|, of it.  So the candidates of a segment are the particles of
-    the cells, in the field's cached column or row strips (see
+    the cells, in the field's cached column strips (see
     :attr:`SpatialField.column_strips`), that the segment's r_max band
-    covers (see :func:`_segment_candidates`); the band is widened by
-    ``_CAST_MARGIN`` beyond the rounding of the chord test, so it holds
-    every particle the test accepts, whatever the cell size.  Each
+    covers, whatever its slope (see :func:`_segment_candidates`); the band
+    is widened by ``_CAST_MARGIN`` beyond the rounding of the chord test, so
+    it holds every particle the test accepts, whatever the cell size.  Each
     candidate is tested with the exact chord arithmetic, and each
     segment's hits are ordered by entry point along it, ties broken by
     particle id, so the batch equals testing all n particles per segment
@@ -235,23 +236,14 @@ def intersect_segments(
         raise ValueError(f"length must be finite and > 0, got {length}")
     x0, y0 = starts[:, 0], starts[:, 1]
     ux, uy = np.cos(angles), np.sin(angles)
-    along_x = np.abs(ux) >= np.abs(uy)
-    columns, rows = field.column_strips, field.row_strips
     r_max = float(np.abs(field.radius).max(initial=0.0))
     reach = r_max + _CAST_MARGIN * (length + 2.0 * r_max + max(field.width, field.height))
     hit_t, hit_p, hit_chords = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     for first in range(0, len(angles), _TRANSECT_BLOCK):
-        block = np.arange(first, min(first + _TRANSECT_BLOCK, len(angles)))
-        pairs = []
-        for strips, major, a0, b0, ua, ub in (
-            (columns, along_x, x0, y0, ux, uy), (rows, ~along_x, y0, x0, uy, ux)
-        ):
-            sel = block[major[block]]
-            t, p = _segment_candidates(strips, a0[sel], b0[sel], ua[sel], ub[sel], length,
-                                       reach)
-            pairs.append((sel[t], p))
-        t = np.concatenate([t for t, _ in pairs])
-        p = np.concatenate([p for _, p in pairs])
+        block = slice(first, first + _TRANSECT_BLOCK)
+        t, p = _segment_candidates(field.column_strips, x0[block], y0[block], ux[block],
+                                   uy[block], length, reach)
+        t += first
         # the dense loop's arithmetic, element for element
         dx = field.x[p] - x0[t]
         dy = field.y[p] - y0[t]
@@ -289,31 +281,32 @@ def _hit_order(block_t: np.ndarray, lo: np.ndarray, p: np.ndarray, n: int) -> np
     return order[np.argsort(block_t[order].astype(np.uint16), kind="stable")]
 
 
-def _segment_candidates(strips: CellStrips, a0, b0, ua, ub, length: float,
+def _segment_candidates(strips: CellStrips, x0, y0, ux, uy, length: float,
                         reach: float) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (t, particle) covering every particle whose centre lies within
-    ``reach`` of segment t, which starts at (a0[t], b0[t]) in direction
-    (ua[t], ub[t]) with |ua| >= |ub|, walking ``strips`` (strips along axis
-    a); each particle at most once per segment.
+    ``reach`` of segment t, which starts at (x0[t], y0[t]) in direction
+    (ux[t], uy[t]), walking the column ``strips``; each particle at most
+    once per segment.
 
-    The segment's strips are those covering its a-extent widened by
-    ``reach``.  A centre in strip c within ``reach`` of the segment is
-    within ``reach``, along a, of a segment point, so that point lies over
-    strip c widened by ``reach``; strip c's rows are the ones covering the
-    b-values of the segment over that stretch, widened by ``reach``.  The
-    slope |ub / ua| is at most 1, so a strip's rows span at most its own
-    width plus 4 ``reach`` along b.
+    The segment's columns are those covering its x-extent widened by
+    ``reach``.  A centre in column c within ``reach`` of the segment is
+    within ``reach``, along x, of a segment point, so that point lies over
+    column c widened by ``reach``, between the distances along the segment
+    s = clip((edge - x0) / ux, 0, length) of the widened column's two
+    edges; column c's rows are the ones covering the segment's y-values at
+    those two distances, widened by ``reach``.  ``np.cos`` of a finite
+    double is never 0, so a vertical segment, whose x-extent rounds to
+    nothing, still spans its whole length in its columns.
     """
-    a1 = a0 + length * ua
-    a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
-    col_first, col_last = _span(a_lo - reach, a_hi + reach, strips.scale_a, strips.na)
+    x1 = x0 + length * ux
+    col_first, col_last = _span(np.minimum(x0, x1) - reach, np.maximum(x0, x1) + reach,
+                                strips.scale_a, strips.na)
     n_cols = col_last - col_first + 1
-    t = np.repeat(np.arange(len(a0)), n_cols)
+    t = np.repeat(np.arange(len(x0)), n_cols)
     col = concat_ranges(col_first, n_cols)
-    edges = np.clip(np.stack([col / strips.scale_a - reach, (col + 1) / strips.scale_a + reach]),
-                    a_lo[t], a_hi[t])
-    b = b0[t] + (edges - a0[t]) * (ub / ua)[t]
-    row_first, row_last = _span(b.min(axis=0) - reach, b.max(axis=0) + reach,
+    edges = np.stack([col / strips.scale_a - reach, (col + 1) / strips.scale_a + reach])
+    y = y0[t] + np.clip((edges - x0[t]) / ux[t], 0.0, length) * uy[t]
+    row_first, row_last = _span(y.min(axis=0) - reach, y.max(axis=0) + reach,
                                 strips.scale_b, strips.nb)
     begin, count = strips.slices(col, row_first, row_last)
     return np.repeat(t, count), strips.take(begin, count)

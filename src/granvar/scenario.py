@@ -250,6 +250,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -258,6 +260,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         ) from exc
     except ValueError as exc:  # an integer literal beyond Python's digit limit
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(str(path), "invalid JSON: nested too deeply") from exc
     return parse_scenario(raw)
 
 

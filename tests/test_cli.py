@@ -135,6 +135,38 @@ class TestConfigErrors:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "pairwise_oracle.json"],
+        ["intercept", "--config", "hardcore_transect.json"],
+        ["estimate", "--config", "single_class_solver.json"],
+        ["table1"],
+        ["verify", "--quick"],
+    ], ids=["simulate", "intercept", "estimate", "table1", "verify"])
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one(self, tmp_path, capsys, argv, threads):
+        """``--threads`` below 1 is refused at ``--threads``, before the
+        subcommand writes anything."""
+        argv = [str(golden_digests.SCENARIO_DIR / a) if a.endswith(".json") else a
+                for a in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--threads", threads, "--out", str(out)]) == 2
+        assert "configuration error: --threads:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scenario_not_utf8_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"seed": 1, "note": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["estimate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {bad}: not UTF-8 text:" in err
+
+    def test_scenario_nested_too_deeply_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"seed": 1, "classes": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert main(["estimate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {bad}: invalid JSON: nested too deeply" in err
+
     def test_wrong_dependence_shape(self, tmp_path):
         config = write_scenario(tmp_path, dependence=[[0.0]])
         assert main(["estimate", "--config", str(config)]) == 2

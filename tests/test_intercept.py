@@ -289,7 +289,7 @@ class TestStripIndex:
                 FixedGridField(width, height, x, y, radius, classes, grid=shape)
             radius[radius < 0] *= -1.0
         field = FixedGridField(width, height, x, y, radius, classes, grid=shape)
-        assert field.column_strips.na == nx and field.row_strips.na == ny
+        assert field.column_strips.na == nx and field.column_strips.nb == ny
 
         count = 150  # more than one block of transects
         starts = np.column_stack(
@@ -312,20 +312,25 @@ class TestStripIndex:
         np.testing.assert_array_equal(got.starts, starts)
         np.testing.assert_array_equal(got.angles, angles)
 
-    def test_rounding_hits_past_a_cell_edge(self):
+    @pytest.mark.parametrize("theta, axis", [(0.1, 0), (np.pi / 2 - 0.1, 1)],
+                             ids=["shallow-column-edge", "steep-row-edge"])
+    def test_rounding_hits_past_a_cell_edge(self, theta, axis):
         """The chord test accepts radius-0 particles on the line up to about
-        1e-8 beyond the segment's end.  Here the end lies 5e-9 before a
-        column edge and some of those particles after it, in a column that
-        the segment's r_max band (r_max = 0) reaches only through its
+        1e-8 beyond the segment's end.  Here the end lies 5e-9 before a cell
+        edge at 0.75, a column edge for the shallow segment and a row edge
+        for the steep one, and some of those particles lie past it, in cells
+        that the segment's r_max band (r_max = 0) reaches only through its
         margin; a margin of 2^-30 of the lengths would miss them."""
-        length, theta = 0.7, 0.1
-        start = np.array([0.75 - length * np.cos(theta) - 5e-9, 0.2])
+        length = 0.7
+        direction = np.array([np.cos(theta), np.sin(theta)])
+        start = np.full(2, 0.2)
+        start[axis] = 0.75 - length * direction[axis] - 5e-9
         beyond = length + np.linspace(1e-10, 2.5e-8, 80)
-        x, y = start[0] + beyond * np.cos(theta), start[1] + beyond * np.sin(theta)
+        x, y = start[:, None] + beyond * direction[:, None]
         field = FixedGridField(1.0, 1.0, x, y, np.zeros(80), np.zeros(80, dtype=int),
                                grid=(4, 4))
         want = dense_record(field, start, theta, length)
-        assert (x[want.particle_ids] >= 0.75).any()
+        assert ((x, y)[axis][want.particle_ids] >= 0.75).any()
         assert_same_records(intersect_segments(field, start[None], np.array([theta]), length),
                             [want])
 
@@ -345,8 +350,11 @@ class TestStripIndex:
             assert sum(rec.n for rec in records) > 0
 
     def test_near_vertical_segment_keeps_far_hits(self):
-        """cos(pi/2) is 6e-17, and 1.5 + 6e-17 rounds to 1.5: walking columns
-        would see a segment of zero x-extent; the walk goes along rows."""
+        """cos(pi/2) is 6e-17, and 1.5 + 6e-17 rounds to 1.5, so only the
+        columns of the segment's r_max band are walked.  Each column's rows
+        are read where the segment crosses the column's widened edges, at
+        distances that clip to 0 and the full length, so they span the whole
+        segment."""
         xs = np.full(9, 1.5)
         ys = np.linspace(0.05, 0.95, 9)
         field = make_field(xs, ys, [0.01] * 9, [0] * 9, width=2.5, height=1.0)
