@@ -202,29 +202,31 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    writer = _Writer(_resolve_out_dir(args, config), config.config_hash, config.seed)
     table = config.table
     k = table.k
     if config.replicates is None:
         raise ConfigError("replicates", "simulate needs a replicate count")
     field = None
     if config.field is not None:
-        field_seed = derived_seeds(config.seed, _FIELD_STREAM)[0]
-        field = generate_field(config.field, table, field_seed)
-        save_field_csv(field, writer.out_dir / "field.csv", comment=writer.provenance)
+        field = generate_field(config.field, table, derived_seeds(config.seed, _FIELD_STREAM)[0])
     design = build_design(config, field)
     stats, estimate = run_replicates(
         design, table, config.replicates, derived_seeds(config.seed, _REPLICATE_STREAM)[0]
     )
     dep = empirical_dependence(estimate)
+    report = compare_estimators(stats, estimate, table)
 
+    # nothing is written until every stage has succeeded
+    writer = _Writer(_resolve_out_dir(args, config), config.config_hash, config.seed)
+    if field is not None:
+        save_field_csv(field, writer.out_dir / "field.csv", comment=writer.provenance)
     # a replicate row after its index is a function of the count row:
     # format each distinct row once
     writer.write(
         "replicates.csv",
         ["replicate", "M_s", "c_s"] + [f"N_{u}" for u in range(k)],
         [np.arange(len(stats.inverse))],
-        ([stats.mass[stats.first], stats.cs[stats.first], *stats.distinct.T], stats.inverse),
+        ([stats.mass, stats.cs, *stats.distinct.T], stats.inverse),
     )
     writer.write(
         "first_order.csv", ["i", "pi_i", "se"], [np.arange(k), estimate.pi1, estimate.pi1_se]
@@ -238,7 +240,6 @@ def cmd_simulate(args) -> int:
             dep.c_hat[iu, ju], dep.ci_lo[iu, ju], dep.ci_hi[iu, ju],
         ],
     )
-    report = compare_estimators(stats, estimate, table)
     writer.write(
         "comparison.csv",
         ["estimator", "dependence", "mode", "value", "v_e", "ratio", "z"],

@@ -167,34 +167,41 @@ class EnumerationResult:
 
 @dataclass(frozen=True)
 class ReplicateStats:
-    """Per-replicate sample summaries plus aggregates.
-
-    ``cs`` holds NaN for empty replicates; empties are excluded from the
-    concentration moments (``mean_cs``, ``v_e``) and counted in
-    ``n_empty``.  ``mass_cv`` is computed over all replicates and audits
-    the constant-sample-mass assumption of the Horvitz-Thompson route.
-
-    With ``groups`` set, the rows are that many equal runs, one after
-    another (an ensemble's seeds): ``v_e``, ``v_e_se``, ``mean_cs`` and
-    ``mass_cv`` are then (G,) arrays, ``n_empty`` counts all runs, and
-    every row is its own distinct row.
+    """Replicate sample summaries, held over the distinct count rows.
 
     Every per-replicate summary is a function of the replicate's class
     counts, and a design's replicates repeat few count vectors (a pairwise
-    design has at most prod_u (n_u + 1)).  So the replicates are held as
-    their distinct count rows: ``distinct`` holds those rows, ``first``
-    indexes the first replicate of each and ``inverse`` maps every
-    replicate to its row; ``counts`` gathers the (R, K) rows back on
-    demand.  See :func:`distinct_rows`, which makes every row its own
-    distinct row when the counts are not integers or the rows' mixed-radix
-    codes would not fit in int64; pairwise runs find their distinct rows
-    from the drawn state indices without building the (R, K) counts.
-    ``mass`` and ``cs`` are evaluated once per distinct row and gathered
-    back, which gives the same values as evaluating every replicate because
-    each row is computed on its own.
+    design has at most prod_u (n_u + 1)).  So the R replicates are held as
+    U distinct count rows: ``distinct`` holds those rows, ``multiplicity``
+    how many replicates drew each, and ``inverse`` maps every replicate to
+    its row; ``counts`` gathers the (R, K) rows back on demand.  See
+    :func:`distinct_rows`, which makes every row its own distinct row when
+    the counts are not integers or the rows' mixed-radix codes would not
+    fit in int64; pairwise runs find their distinct rows from the drawn
+    state indices without building the (R, K) counts.  ``mass`` and ``cs``
+    are each distinct row's sample mass and concentration, ``cs`` NaN for
+    an empty row.
+
+    The aggregates are multiplicity-weighted sums over the distinct rows
+    (:func:`_weighted_moments`), so they equal the same sums over the R
+    replicates to rounding.  Empty replicates are excluded from the
+    concentration moments (``mean_cs``, ``v_e`` with ddof=1, and its
+    standard error ``v_e_se`` by :func:`variance_se`'s formula) and counted
+    in ``n_empty``.  Those moments are NaN when fewer than 2 replicates are
+    non-empty (``v_e_se`` below 4).  ``mass_cv`` is computed over all
+    replicates, NaN when the mean mass is 0; it audits the
+    constant-sample-mass assumption of the Horvitz-Thompson route.
+
+    With ``groups`` set, the rows are that many equal runs, one after
+    another (an ensemble's seeds), each row its own distinct row of
+    multiplicity 1: ``v_e``, ``v_e_se``, ``mean_cs`` and ``mass_cv`` are
+    then (G,) arrays, each run's bit for bit as numpy's mean, var, std and
+    :func:`variance_se` of its replicates, and ``n_empty`` counts all runs.
     """
 
     distinct: np.ndarray
+    multiplicity: np.ndarray
+    inverse: np.ndarray
     mass: np.ndarray
     cs: np.ndarray
     v_e: float | np.ndarray
@@ -202,8 +209,6 @@ class ReplicateStats:
     mean_cs: float | np.ndarray
     mass_cv: float | np.ndarray
     n_empty: int
-    first: np.ndarray
-    inverse: np.ndarray
     groups: int | None = None
 
     @classmethod
@@ -211,57 +216,50 @@ class ReplicateStats:
         cls, counts: np.ndarray, table: ClassTable, groups: int | None = None
     ) -> "ReplicateStats":
         """Summarize (R, K) per-replicate selected class counts, or the
-        (G R, K) counts of ``groups`` runs of R, each as if alone.
-
-        The concentration moments are NaN when fewer than 2 replicates are
-        non-empty, and ``mass_cv`` is NaN when the mean mass is 0.  Grouped
-        counts are kept as they are, each row its own distinct row.
-        """
+        (G R, K) counts of ``groups`` runs of R, each as if alone.  Grouped
+        counts are kept as they are, each row its own distinct row."""
         if groups is not None:
             _check_nonnegative(counts)
-            every = np.arange(len(counts))
-            return cls.from_distinct(counts, every, every, table, groups)
-        first, inverse = distinct_rows(counts)
-        return cls.from_distinct(counts[first], first, inverse, table)
+            n = len(counts)
+            return cls.from_distinct(counts, np.ones(n, np.intp), np.arange(n), table, groups)
+        return cls.from_distinct(*distinct_rows(counts), table)
 
     @classmethod
     def from_distinct(
         cls,
         distinct: np.ndarray,
-        first: np.ndarray,
+        multiplicity: np.ndarray,
         inverse: np.ndarray,
         table: ClassTable,
         groups: int | None = None,
     ) -> "ReplicateStats":
         """Summarize replicates given as (U, K) ``distinct`` count rows,
-        the replicate index ``first`` of each and the row ``inverse`` of
-        every replicate; as :meth:`from_counts` of ``distinct[inverse]``."""
+        the number of replicates ``multiplicity`` of each and the row
+        ``inverse`` of every replicate; as :meth:`from_counts` of
+        ``distinct[inverse]``."""
         g = groups or 1
-        size = len(inverse) // g
-        mass_d, analyte_d = sample_totals(distinct, table)
-        nonempty_d = mass_d > 0
-        cs_d = np.full(len(mass_d), np.nan)
-        cs_d[nonempty_d] = analyte_d[nonempty_d] / mass_d[nonempty_d]
-        mass, cs = mass_d[inverse], cs_d[inverse]
+        mass, analyte = sample_totals(distinct, table)
         nonempty = mass > 0
-        cs_ok, sizes = cs[nonempty], nonempty.reshape(g, size).sum(axis=1)
-        v_e = _group_reduce(lambda x: x.var(axis=1, ddof=1), cs_ok, sizes, least=2)
-        v_e_se = _group_reduce(variance_se, cs_ok, sizes, least=2)
-        mean_cs = _group_reduce(lambda x: x.mean(axis=1), cs_ok, sizes, least=2)
-        mean_mass = mass.reshape(g, size).mean(axis=1)
-        mass_cv = np.divide(mass.reshape(g, size).std(axis=1, ddof=1), mean_mass,
-                            out=np.full(g, np.nan), where=mean_mass > 0)
+        cs = np.full(len(mass), np.nan)
+        cs[nonempty] = analyte[nonempty] / mass[nonempty]
+        w = multiplicity.astype(float)
+        _, mean_mass, var_mass, _ = _group_reduce(
+            _weighted_moments, np.full(g, len(mass) // g), mass, w)
+        _, mean_cs, v_e, v_e_se = _group_reduce(
+            _weighted_moments, _rows_per_run(nonempty, g), cs[nonempty], w[nonempty])
+        mass_cv = np.divide(np.sqrt(var_mass), mean_mass, out=np.full(g, np.nan),
+                            where=mean_mass > 0)
         if groups is None:
             v_e, v_e_se, mean_cs, mass_cv = (float(a[0]) for a in (v_e, v_e_se, mean_cs, mass_cv))
         return cls(
-            distinct=distinct, mass=mass, cs=cs, v_e=v_e, v_e_se=v_e_se, mean_cs=mean_cs,
-            mass_cv=mass_cv, n_empty=int(len(mass) - len(cs_ok)),
-            first=first, inverse=inverse, groups=groups,
+            distinct=distinct, multiplicity=multiplicity, inverse=inverse, mass=mass, cs=cs,
+            v_e=v_e, v_e_se=v_e_se, mean_cs=mean_cs, mass_cv=mass_cv,
+            n_empty=int(multiplicity[~nonempty].sum()), groups=groups,
         )
 
     @property
     def replicates(self) -> int:
-        return len(self.mass)
+        return len(self.inverse)
 
     @property
     def counts(self) -> np.ndarray:
@@ -269,22 +267,44 @@ class ReplicateStats:
         return self.distinct[self.inverse]
 
 
-def _group_reduce(reduce, x: np.ndarray, sizes: np.ndarray, least: int = 1) -> np.ndarray:
-    """``reduce`` over axis 1 of each group of the (N, ...) rows ``x``,
-    whose consecutive groups have ``sizes`` rows; NaN for a group of fewer
-    than ``least``.  Numpy reduces a group in a stack as it reduces it
-    alone, so equal groups go through in one call; unequal ones (some with
-    empty replicates dropped) are reduced one by one."""
-    out = np.full((len(sizes),) + x.shape[1:], np.nan)
-    enough = sizes >= least
+def _rows_per_run(keep: np.ndarray, g: int) -> np.ndarray:
+    """(G,) count of the rows ``keep`` marks in each of ``g`` equal runs of
+    consecutive rows."""
+    return keep.reshape(g, -1).sum(axis=1)
+
+
+def _group_reduce(reduce, sizes: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``reduce`` of each group of the (N,) ``arrays``, whose consecutive
+    groups have ``sizes`` rows; ``reduce`` takes (G, n) arrays and returns
+    a tuple of (G,) arrays.  Numpy reduces a group in a stack as it reduces
+    it alone, so equal groups go through in one call; unequal ones (some
+    with empty replicates dropped) are reduced one by one."""
     if np.all(sizes == sizes[0]):
-        if enough[0]:
-            out[:] = reduce(x.reshape((len(sizes), sizes[0]) + x.shape[1:]))
-        return out
-    for g, part in enumerate(np.split(x, np.cumsum(sizes)[:-1])):
-        if enough[g]:
-            out[g] = reduce(part[None])[0]
-    return out
+        return reduce(*(a.reshape(len(sizes), sizes[0]) for a in arrays))
+    cuts = np.cumsum(sizes)[:-1]
+    parts = [reduce(*(p[None] for p in split))
+             for split in zip(*(np.split(a, cuts) for a in arrays))]
+    return tuple(np.concatenate(values) for values in zip(*parts))
+
+
+def _weighted_moments(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(weight, mean, variance, standard error of the variance) along the
+    last axis of (G, N) values ``x`` with weights ``w``; the variance with
+    ddof=1 and its standard error by :func:`variance_se`'s fourth-moment
+    formula.  The mean and variance are NaN below a total weight of 2, the
+    standard error below 4.  Unit weights give numpy's mean and
+    var(ddof=1) of each row of ``x`` from 2 values on, bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = w.sum(axis=-1)
+        mean = (w * x).sum(axis=-1) / total
+        sq = x - mean[:, None]
+        sq *= sq
+        var = (w * sq).sum(axis=-1) / (total - 1.0)
+        m4 = (w * (sq * sq)).sum(axis=-1) / total
+        se = np.sqrt(np.maximum((m4 - var * var * (total - 3.0) / (total - 1.0)) / total, 0.0))
+    few = total < 2
+    return (total, np.where(few, np.nan, mean), np.where(few, np.nan, var),
+            np.where(total < 4, np.nan, se))
 
 
 @dataclass(frozen=True)
@@ -660,22 +680,20 @@ def replicate_counts(
 
 
 def _unique_codes(codes: np.ndarray, bound: int) -> tuple[np.ndarray, ...]:
-    """``np.unique`` (values, first, inverse) of non-negative integer
+    """``np.unique`` (values, inverse, counts) of non-negative integer
     ``codes`` below ``bound``.  When the bound is at most the number of
-    codes they are tallied by ``bincount`` instead of sorted: ``first`` is
-    each value's smallest position and ``inverse`` its rank among the
-    values.  Otherwise they are sorted as the smallest unsigned dtype that
-    holds them: numpy's stable sort of 8- and 16-bit keys is a radix sort."""
+    codes they are tallied by ``bincount`` instead of sorted: ``counts``
+    is each value's tally and ``inverse`` its rank among the values.
+    Otherwise they are sorted as the smallest unsigned dtype that holds
+    them: numpy's stable sort of 8- and 16-bit keys is a radix sort."""
     narrow = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                   if bound - 1 <= np.iinfo(t).max)
     if bound > len(codes):
-        return np.unique(codes.astype(narrow), return_index=True, return_inverse=True)
-    seen = np.bincount(codes, minlength=bound) > 0
-    first = np.full(bound, len(codes), dtype=np.intp)
-    np.minimum.at(first, codes, np.arange(len(codes)))
-    values = np.flatnonzero(seen)
-    rank = np.cumsum(seen) - 1
-    return values.astype(narrow), first[values], rank[codes]
+        return np.unique(codes.astype(narrow), return_inverse=True, return_counts=True)
+    tally = np.bincount(codes, minlength=bound)
+    values = np.flatnonzero(tally)
+    rank = np.cumsum(tally > 0) - 1
+    return values.astype(narrow), rank[codes], tally[values]
 
 
 def _check_nonnegative(counts: np.ndarray) -> None:
@@ -684,43 +702,41 @@ def _check_nonnegative(counts: np.ndarray) -> None:
         raise ValueError(f"counts must be non-negative; row {bad} is {counts[bad].tolist()}")
 
 
-def distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of the distinct rows of (R, K) non-negative
-    counts: ``counts[first]`` are the distinct rows, ``first`` indexes each
-    one's first occurrence, and ``counts[first][inverse]`` equals ``counts``.
+def distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct, multiplicity, inverse) of (R, K) non-negative counts:
+    the distinct rows, how many rows equal each, and the index of every
+    row among them, so that ``distinct[inverse]`` equals ``counts``.
 
     Each row is coded as a mixed-radix number whose digit u is the count of
     class u in base ``counts[:, u].max() + 1`` (class 0 the most
-    significant), and the codes go through :func:`_unique_codes`; the
-    distinct rows then come in increasing code order.  When the counts are
-    not of an integer dtype, or the product of the bases does not fit in
-    int64, every row is its own distinct row.  A negative count raises a
-    ``ValueError`` naming its row.
+    significant), the codes go through :func:`_unique_codes`, and the
+    distinct rows are decoded from their codes, in increasing code order,
+    in the dtype of ``counts``.  When the counts are not of an integer
+    dtype, or the product of the bases does not fit in int64, every row is
+    its own distinct row.  A negative count raises a ``ValueError`` naming
+    its row.
     """
     _check_nonnegative(counts)
     r, k = counts.shape
     base = [int(b) + 1 for b in counts.max(axis=0, initial=0)]
     bound = math.prod(base)
     if counts.dtype.kind not in "iu" or bound > np.iinfo(np.int64).max:
-        every = np.arange(r)
-        return every, every
+        return counts, np.ones(r, np.intp), np.arange(r)
     place = np.ones(k, dtype=np.int64)
     for u in range(k - 2, -1, -1):
         place[u] = place[u + 1] * base[u + 1]
-    _, first, inverse = _unique_codes(counts.astype(np.int64, copy=False) @ place, bound)
-    return first, inverse
+    codes, inverse, multiplicity = _unique_codes(
+        counts.astype(np.int64, copy=False) @ place, bound)
+    distinct = codes.astype(np.int64)[:, None] // place % np.array(base, dtype=np.int64)
+    return distinct.astype(counts.dtype, copy=False), multiplicity, inverse
 
 
 def variance_se(values: np.ndarray) -> float | np.ndarray:
     """Standard error of the sample variance (fourth-moment formula) along
-    the last axis; a float for 1-D ``values``."""
-    n = values.shape[-1]
-    if n < 4:
-        return np.nan if values.ndim == 1 else np.full(values.shape[:-1], np.nan)
-    sq = values - values.mean(axis=-1, keepdims=True)
-    sq = sq * sq
-    s2 = sq.sum(axis=-1) / (n - 1)
-    se = np.sqrt(np.maximum(((sq * sq).mean(axis=-1) - s2 * s2 * (n - 3) / (n - 1)) / n, 0.0))
+    the last axis, NaN below 4 values; a float for 1-D ``values``.  The
+    unit-weight case of :func:`_weighted_moments`."""
+    flat = values.reshape(-1, values.shape[-1])
+    se = _weighted_moments(flat, np.ones(flat.shape))[3].reshape(values.shape[:-1])
     return float(se) if values.ndim == 1 else se
 
 
@@ -832,15 +848,14 @@ def run_replicates(
     if design.variant == "pairwise_pmf":
         rng = _replicate_rng(design, r, seed)
         states = _ClassStates(design, table.k)
-        codes, first, inverse = _unique_codes(states.draw(rng, r), states.size)
+        codes, inverse, multiplicity = _unique_codes(states.draw(rng, r), states.size)
         distinct = np.ascontiguousarray(states.decode(codes).T)
-        stats = ReplicateStats.from_distinct(distinct, first, inverse, table)
+        stats = ReplicateStats.from_distinct(distinct, multiplicity, inverse, table)
     else:
         stats = ReplicateStats.from_counts(replicate_counts(design, table, r, seed), table)
     pop = np.bincount(design.class_of, minlength=table.k)
-    multiplicity = np.bincount(stats.inverse, minlength=len(stats.first))
     return stats, inclusion_from_fractions(
-        *pair_fractions(stats.distinct, pop), weights=multiplicity
+        *pair_fractions(stats.distinct, pop), weights=stats.multiplicity
     )
 
 
@@ -859,28 +874,27 @@ def empirical_dependence(
     )
 
 
-def _mean_counts(distinct: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """(G, K) mean count rows of G consecutive runs of ``sizes`` replicates,
-    the replicates being the rows ``rows`` of ``distinct``: numpy's mean of
-    the gathered float rows, bit for bit.
+def _mean_counts(distinct: np.ndarray, weights: np.ndarray, runs: np.ndarray,
+                 sizes: np.ndarray) -> np.ndarray:
+    """(G, K) mean count rows of G runs of ``sizes`` replicates: run g is
+    the next ``runs[g]`` rows of ``distinct``, each standing for
+    ``weights`` replicates.
 
-    Integer counts whose largest magnitude times the largest run is below
-    2^53 sum exactly in any order, so each class is taken by ``rows`` from
-    its own contiguous column and summed (a ``bincount`` by run when there
-    are runs), and the exact sum over the run size is numpy's mean.  Other
-    counts are gathered as floats and averaged.
+    Integer counts give each mean exactly, rounded once, which is numpy's
+    mean of the replicates' float rows whenever that float sum is exact:
+    every weight times count and every sum of them is an integer, exact as
+    a double while the largest magnitude times the largest run is below
+    2^53, and summed as Python integers above.  Other counts are weighted
+    and summed as floats.
     """
+    dtype = float
     if distinct.dtype.kind in "iu" and (
-        max(int(distinct.max()), -int(distinct.min())) * int(sizes.max()) < 2**53
+        max(int(distinct.max()), -int(distinct.min())) * int(sizes.max()) >= 2**53
     ):
-        g = len(sizes)
-        run = np.repeat(np.arange(g), sizes) if g > 1 else None
-        sums = np.empty((g, distinct.shape[1]))
-        for u, column in enumerate(np.ascontiguousarray(distinct.T)):
-            taken = column.take(rows)
-            sums[:, u] = taken.sum() if run is None else np.bincount(run, taken, minlength=g)
-        return sums / sizes[:, None]
-    return _group_reduce(lambda x: x.mean(axis=1), distinct.astype(float)[rows], sizes)
+        dtype, sizes = object, sizes.astype(object)
+    x = distinct.astype(dtype) * weights.astype(dtype)[:, None]
+    sums = np.add.reduceat(x, np.cumsum(runs) - runs, axis=0)
+    return (sums / sizes[:, None]).astype(float)
 
 
 def compare_estimators(
@@ -896,31 +910,35 @@ def compare_estimators(
     non-empty replicates) and on the mean sample summary.  NaN dependence
     cells (unestimable pairs) enter as zero and are counted.  The
     per-replicate values are functions of the count row, so they are
-    evaluated once per distinct non-empty row and gathered back before
-    averaging.  Grouped ``stats`` and ``est`` compare each run under its
-    own matrix, which enters the kernels as per-row columns, and every
-    value of the report is then a (G,) array.
+    evaluated once per distinct non-empty row, and the replicate means
+    and mean count rows weigh each row by its multiplicity; so
+    ``replicate_mean`` values equal the per-replicate means to rounding,
+    and the mean counts are exact (see :func:`_mean_counts`).  Grouped
+    ``stats`` and ``est`` compare each run under its own matrix, which
+    enters the kernels as per-row columns, and every value of the report
+    is then a (G,) array, each run's bit for bit as if compared alone.
     """
     k = table.k
     g = stats.groups or 1
-    size = stats.replicates // g
     c_hat = est.c_hat.reshape(g, k, k)
     iu, iv = np.triu_indices(k)
     nan_cells = np.isnan(c_hat[:, iu, iv]).sum(axis=1)
     ok = stats.mass > 0
-    sizes = ok.reshape(g, size).sum(axis=1)
+    # non-empty distinct rows per run, their multiplicities and their run
+    runs, weights = _rows_per_run(ok, g), stats.multiplicity[ok]
+    run = np.repeat(np.arange(g), runs)
+    sizes = np.bincount(run, weights, minlength=g).astype(np.int64)  # exact below 2^53
     if np.any(sizes < 2):
         raise EmptySampleError("too few non-empty replicates to compare estimators")
-    ok_distinct = stats.mass[stats.first] > 0
-    keep = stats.first[ok_distinct]
-    ok_rows = stats.inverse[ok]
-    # position of each non-empty replicate's row among the non-empty distinct rows
-    gather = (np.cumsum(ok_distinct) - 1)[ok_rows]
-    mean_counts = _mean_counts(stats.distinct, ok_rows, sizes)
+    mean_counts = _mean_counts(stats.distinct[ok], weights, runs, sizes)
     mean_mass, mean_analyte = sample_totals(mean_counts, table)
-    rows = (stats.distinct[ok_distinct].astype(float), stats.mass[keep], stats.cs[keep],
-            keep // size)
+    rows = (stats.distinct[ok].astype(float), stats.mass[ok], stats.cs[ok], run)
     summaries = (mean_counts, mean_mass, mean_analyte / mean_mass, np.arange(g))
+    w = weights.astype(float)
+
+    def run_mean(values):
+        return _group_reduce(lambda x, w: ((w * x).sum(axis=-1) / w.sum(axis=-1),),
+                             runs, values, w)[0]
 
     def evaluate(estimator, c, counts, mass, cs, group):
         """Per-row values, each row under its run's matrix of the (G, K, K)
@@ -943,8 +961,7 @@ def compare_estimators(
         for dep, c in (("zero", np.zeros((k, k))),
                        ("empirical", np.where(np.isnan(c_hat), 0.0, c_hat))):
             for mode, value in (
-                ("replicate_mean", _group_reduce(lambda x: x.mean(axis=1),
-                                                 evaluate(estimator, c, *rows)[gather], sizes)),
+                ("replicate_mean", run_mean(evaluate(estimator, c, *rows))),
                 ("mean_summary", evaluate(estimator, c, *summaries)),
             ):
                 with np.errstate(divide="ignore", invalid="ignore"):

@@ -442,14 +442,17 @@ def _printf_words(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def _int_words(v: np.ndarray) -> np.ndarray:
-    """(w, n) words of int64 or uint64 integers as ``'%d' % v`` text."""
-    sign = np.where(v < 0, _MINUS, _NUL)
-    if v.dtype == np.int64:
+    """(w, n) words of int64 or uint64 integers as ``'%d' % v`` text, with
+    a sign row only when a value is negative."""
+    negative = v.dtype == np.int64 and v.min(initial=0) < 0
+    if negative:
+        minus = v < 0
         bits = v.view(np.uint64)
-        v = np.where(v < 0, ~bits + np.uint64(1), bits)  # |v|, int64's minimum too
-    index = np.empty((_chunk_count(v) + 1, len(v)), np.intp)
-    index[0] = sign
-    _magnitude_index(v, index[1:])
+        v = np.where(minus, ~bits + np.uint64(1), bits)  # |v|, int64's minimum too
+    index = np.empty((_chunk_count(v) + negative, len(v)), np.intp)
+    if negative:
+        np.multiply(minus, _MINUS, out=index[0])  # NUL is word 0
+    _magnitude_index(v, index[int(negative):])
     return _WORDS.take(index)
 
 
@@ -470,15 +473,23 @@ def _chunks(m: np.ndarray, out: np.ndarray) -> None:
 
 def _magnitude_index(m: np.ndarray, out: np.ndarray) -> None:
     """Fill the c rows of ``out`` with the word indices of non-negative
-    integers ``m`` < 10**(4c), without leading zeros; 0 is ``0``."""
-    c = len(out)
+    integers ``m`` < 10**(4c), without leading zeros; 0 is ``0``.
+
+    A chunk takes its word from the trailing table before the value's
+    first digit (the chunk is 0, so the word is NUL), from the leading
+    table at the chunk that holds it, and from the full table after; the
+    last chunk holds a digit even of 0.  The three tables start at 0,
+    ``_LEADING`` and 2 ``_LEADING``, so a chunk's offset is ``_LEADING``
+    times the number of its "digits started" flags that are set, one
+    before the chunk and one at it, and the flags run along the chunks.
+    """
     _chunks(m, out)
-    leading = np.full(len(m), c - 1)  # chunks before the first digit
-    for j in range(1, c):
-        leading -= m >= 10 ** (4 * j)
-    lead, j = np.arange(c), np.arange(c)[:, None]
-    kinds = np.where(j < lead, _TRAILING, np.where(j == lead, _LEADING, _FULL))
-    out += kinds.take(leading, axis=1)
+    before = np.zeros(len(m), np.intp)
+    for row in out[:-1]:
+        now = before | (row != 0)
+        row += (before + now) * _LEADING
+        before = now
+    out[-1] += (before + 1) * _LEADING
 
 
 #: The formatter of each kind of cell values.

@@ -192,6 +192,20 @@ class TestConfigErrors:
         )
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("field", [False, True], ids=["bernoulli", "with-field"])
+    def test_failed_comparison_writes_no_csv(self, tmp_path, capsys, field):
+        """Every replicate of q = 1e-9 is empty, so the estimator comparison
+        exits 3 after the draw; no CSV (field.csv neither) is written."""
+        config = write_scenario(
+            tmp_path, dependence=None, sample_counts=None, replicates=1000,
+            design={"variant": "bernoulli", "q": [1e-9, 1e-9], "class_of": [0, 0, 1, 1]},
+            field={"variant": "poisson", "intensity": 50, "mixing": [0.5, 0.5]} if field else None,
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 3
+        assert "too few non-empty replicates" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize(
         "calibration,location",
         [

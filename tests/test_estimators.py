@@ -573,7 +573,7 @@ class TestKernelsAgainstCompensatedSums:
             report = compare_estimators(stats, inclusion, table)
         except EmptySampleError:
             assume(False)
-        mean_counts = counts[stats.mass > 0].astype(float).mean(axis=0)
+        mean_counts = counts[stats.mass[stats.inverse] > 0].astype(float).mean(axis=0)
         exp = derive_expectation(mean_counts, table)
         c_emp = np.where(np.isnan(inclusion.c_hat), 0.0, inclusion.c_hat)
         for dep, c in (("zero", np.zeros((k, k))), ("empirical", c_emp)):

@@ -137,13 +137,14 @@ def per_seed_loop(master_seed, replicates=200, n_seeds=50, window=(0.3, 0.3)):
             poisson_null_params(), window, replicates, derived_rng(master_seed, s)
         )
         est = reference_inclusion(*pair_fractions(counts, pops))
-        stats = ReplicateStats.from_counts(counts, table)
+        # a group of one: the seed's replicates with unit weights
+        stats = ReplicateStats.from_counts(counts, table, groups=1)
         report = compare_estimators(stats, est, table)
         for name, value in (
             ("c_hat", est.c_hat), ("covers_zero", empirical_dependence(est).covers_zero()),
-            ("v_e", stats.v_e), ("v_e_se", stats.v_e_se),
-            ("moment_zero", report.row("moment", "zero", "replicate_mean").value),
-            ("moment_empirical", report.row("moment", "empirical", "replicate_mean").value),
+            ("v_e", stats.v_e[0]), ("v_e_se", stats.v_e_se[0]),
+            ("moment_zero", report.row("moment", "zero", "replicate_mean").value[0]),
+            ("moment_empirical", report.row("moment", "empirical", "replicate_mean").value[0]),
         ):
             rows[name].append(value)
     return {name: np.array(values) for name, values in rows.items()}

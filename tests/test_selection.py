@@ -769,14 +769,18 @@ def direct_variance(estimator, row, mass, cs, table, c):
 
 
 def direct_comparison(counts, est, table):
-    """Reference: ``compare_estimators`` evaluated replicate by replicate;
-    the R-length means as in the module.  None when it must raise."""
+    """Reference: ``compare_estimators`` evaluated replicate by replicate,
+    the R-length means as numpy takes them and the mean count row exact,
+    rounded once (Python's int division); None when it must raise.  Each
+    row comes with the largest |per-replicate value| of its mean, the
+    scale of its floor in ``SUMMARY_FLOORS``."""
     mass, cs, (v_e, v_e_se, _), _, _ = direct_summaries(counts, table)
     ok = mass > 0
     if ok.sum() < 2:
         return None
     c_emp = np.where(np.isnan(est.c_hat), 0.0, est.c_hat)
-    mean_counts = counts[ok].astype(float).mean(axis=0)
+    kept = counts[ok].tolist()
+    mean_counts = np.array([sum(column) / len(kept) for column in zip(*kept)])
     exp = derive_expectation(mean_counts, table)
     rows = []
     for estimator in ("moment", "horvitz_thompson"):
@@ -787,14 +791,94 @@ def direct_comparison(counts, est, table):
             ]
             one = direct_variance(estimator, mean_counts.tolist(), exp.mass,
                                   exp.concentration, table, c)
+            scale = float(np.max(np.abs(per_rep)))
             for mode, value in (("replicate_mean", float(np.mean(per_rep))),
                                 ("mean_summary", float(one))):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = np.float64(value) / v_e if v_e else np.nan
                     z = (np.float64(value) - v_e) / v_e_se if v_e_se else np.nan
-                rows.append(ComparisonRow(estimator, dep, mode, value, v_e,
-                                          float(ratio), float(z)))
+                rows.append((ComparisonRow(estimator, dep, mode, value, v_e,
+                                           float(ratio), float(z)), scale))
     return rows
+
+
+#: Relative tolerance of the multiplicity-weighted aggregates (``v_e``,
+#: ``v_e_se``, ``mean_cs``, ``mass_cv`` and the ``replicate_mean`` values)
+#: against the per-replicate reference.  Both sum the same terms in
+#: different orders (each distinct row's term times its multiplicity, and
+#: one term per replicate), so they agree to rounding.
+SUMMARY_RTOL = 1e-9
+#: Absolute floors, in units of each value's input scale: the largest
+#: |c_s| for ``mean_cs``, its square for ``v_e`` and ``v_e_se``, the
+#: largest mass over the mean mass for ``mass_cv``, and the largest
+#: |per-replicate value| for a replicate mean.  A variance near 0 sums
+#: squared deviations from a mean that rounding moves by about 1e-16 of
+#: the scale; a standard error of the variance is a difference of fourth
+#: moments, good only to about the square root of that.
+SUMMARY_FLOORS = {"mean_cs": 1e-12, "v_e": 1e-12, "v_e_se": 1e-7, "mass_cv": 1e-12,
+                  "replicate_mean": 1e-12}
+
+
+def summary_tolerance(name, want, scale):
+    """The allowed |got - want| of aggregate ``name`` (NaN for a NaN ``want``)."""
+    return SUMMARY_RTOL * abs(want) + SUMMARY_FLOORS[name] * scale
+
+
+def assert_close(name, got, want, tol):
+    """``got`` is NaN where ``want`` is, and within ``tol`` of it elsewhere."""
+    if np.isnan(want):
+        assert np.isnan(got), (name, got, want)
+    else:
+        assert abs(got - want) <= tol, (name, got, want, tol)
+
+
+def assert_summaries_close(stats, counts, table):
+    """``stats`` against ``direct_summaries`` of the replicate ``counts``:
+    each distinct row's mass and c_s and ``n_empty`` bit for bit, the
+    aggregates to SUMMARY_RTOL and SUMMARY_FLOORS.  Returns each
+    aggregate's (reference value, tolerance) by name."""
+    mass, cs, (v_e, v_e_se, mean_cs), mass_cv, n_empty = direct_summaries(counts, table)
+    assert same_bits(stats.mass[stats.inverse], mass)
+    assert same_bits(stats.cs[stats.inverse], cs) and stats.n_empty == n_empty
+    cs_scale = float(np.abs(cs[mass > 0]).max(initial=0.0))
+    mass_scale = float(mass.max() / mass.mean()) if mass.mean() > 0 else 0.0
+    bands = {}
+    for name, got, want, scale in (
+        ("mean_cs", stats.mean_cs, mean_cs, cs_scale), ("v_e", stats.v_e, v_e, cs_scale**2),
+        ("v_e_se", stats.v_e_se, v_e_se, cs_scale**2),
+        ("mass_cv", stats.mass_cv, mass_cv, mass_scale),
+    ):
+        bands[name] = want, summary_tolerance(name, want, scale)
+        assert_close(name, got, want, bands[name][1])
+    return bands
+
+
+def assert_comparison_close(report, expected, bands):
+    """``report`` against the rows of ``direct_comparison``: mean-summary
+    values bit for bit, replicate means to SUMMARY_RTOL and their floor,
+    and the v_e, ratio and z columns within what the tolerances of the
+    value and of v_e and v_e_se (``bands``, from
+    :func:`assert_summaries_close`) allow.  A ratio or z whose
+    denominator's tolerance reaches 0 is not compared."""
+    (_, tol_v_e), (v_e_se, tol_se) = bands["v_e"], bands["v_e_se"]
+    for got, (want, scale) in zip(report.rows, expected, strict=True):
+        assert dataclasses.astuple(got)[:3] == dataclasses.astuple(want)[:3]
+        if want.mode == "mean_summary":
+            assert same_bits(got.value, want.value), (got, want)
+            tol_value = 0.0
+        else:
+            tol_value = summary_tolerance("replicate_mean", want.value, scale)
+            assert_close("value", got.value, want.value, tol_value)
+        assert_close("v_e", got.v_e, want.v_e, tol_v_e)
+        # |a'/b' - a/b| <= (|a' - a| + |a/b| |b' - b|) / (|b| - |b' - b|)
+        for name, quotient, numerator_tol, den, den_tol in (
+            ("ratio", want.ratio, tol_value, want.v_e, tol_v_e),
+            ("z", want.z, tol_value + tol_v_e, v_e_se, tol_se),
+        ):
+            if abs(den) > den_tol:
+                bound = (numerator_tol + abs(quotient) * den_tol) / (abs(den) - den_tol)
+                assert_close(name, getattr(got, name), quotient,
+                             bound + SUMMARY_RTOL * abs(quotient))
 
 
 def same_bits(a, b) -> bool:
@@ -838,16 +922,18 @@ def count_cases(draw):
 class TestDistinctRows:
     def test_codes_and_inverse(self):
         counts = np.array([[2, 0], [0, 1], [2, 0], [0, 0], [0, 1]])
-        first, inverse = distinct_rows(counts)
-        np.testing.assert_array_equal(counts[first], [[0, 0], [0, 1], [2, 0]])
-        np.testing.assert_array_equal(first, [3, 1, 0])
-        np.testing.assert_array_equal(counts[first][inverse], counts)
+        distinct, multiplicity, inverse = distinct_rows(counts)
+        assert distinct.dtype == counts.dtype
+        np.testing.assert_array_equal(distinct, [[0, 0], [0, 1], [2, 0]])
+        np.testing.assert_array_equal(multiplicity, [1, 2, 2])
+        np.testing.assert_array_equal(distinct[inverse], counts)
 
     def test_overflowing_radix_or_float_counts_make_every_row_distinct(self):
         for counts in (np.array([[2**40, 2**40], [2**40, 2**40]]),
                        np.array([[2.0**60, 1.0], [2.0**60, 0.0]])):
-            first, inverse = distinct_rows(counts)
-            np.testing.assert_array_equal(first, [0, 1])
+            distinct, multiplicity, inverse = distinct_rows(counts)
+            np.testing.assert_array_equal(distinct, counts)
+            np.testing.assert_array_equal(multiplicity, [1, 1])
             np.testing.assert_array_equal(inverse, [0, 1])
 
     def test_negative_count_is_refused_with_its_row(self, two_particle_table):
@@ -882,9 +968,12 @@ class TestDistinctRows:
         codes = np.array([sum(int(c) * p for c, p in zip(row, place)) for row in counts.tolist()],
                          dtype=np.int64)
         assert codes.max() == math.prod(bases) - 1
-        _, want_first, want_inverse = np.unique(codes, return_index=True, return_inverse=True)
-        first, inverse = distinct_rows(counts)
-        np.testing.assert_array_equal(first, want_first)
+        _, want_first, want_inverse, want_counts = np.unique(
+            codes, return_index=True, return_inverse=True, return_counts=True)
+        distinct, multiplicity, inverse = distinct_rows(counts)
+        assert distinct.dtype == counts.dtype
+        np.testing.assert_array_equal(distinct, counts[want_first])
+        np.testing.assert_array_equal(multiplicity, want_counts)
         np.testing.assert_array_equal(inverse, want_inverse)
 
     def test_code_dtype_int64_overflow_fallback(self):
@@ -893,27 +982,26 @@ class TestDistinctRows:
         ``np.unique`` makes of them."""
         counts = np.array([[0, 0], [0, 2**62], [1, 5], [1, 2**62]], dtype=np.int64)
         assert math.prod(int(b) + 1 for b in counts.max(axis=0)) > np.iinfo(np.int64).max
-        _, want_first, want_inverse = np.unique(counts, axis=0, return_index=True,
-                                                return_inverse=True)
-        first, inverse = distinct_rows(counts)
-        np.testing.assert_array_equal(first, want_first)
+        want, want_inverse, want_counts = np.unique(counts, axis=0, return_inverse=True,
+                                                    return_counts=True)
+        distinct, multiplicity, inverse = distinct_rows(counts)
+        np.testing.assert_array_equal(distinct, want)
+        np.testing.assert_array_equal(multiplicity, want_counts)
         np.testing.assert_array_equal(inverse, want_inverse.ravel())
 
     @settings(deadline=None, max_examples=300)
     @given(case=count_cases())
     def test_distinct_row_path_matches_direct_evaluation(self, case):
         counts, table = case
-        first, inverse = distinct_rows(counts)
-        np.testing.assert_array_equal(counts[first][inverse], counts)
-        assert len({tuple(row) for row in counts[first].tolist()}) == len(first) or (
-            np.array_equal(first, np.arange(len(counts)))
+        distinct, multiplicity, inverse = distinct_rows(counts)
+        np.testing.assert_array_equal(distinct[inverse], counts)
+        np.testing.assert_array_equal(multiplicity, np.bincount(inverse))
+        assert len({tuple(row) for row in distinct.tolist()}) == len(distinct) or (
+            np.array_equal(inverse, np.arange(len(counts)))
         )
 
         stats = ReplicateStats.from_counts(counts, table)
-        mass, cs, moments, mass_cv, n_empty = direct_summaries(counts, table)
-        assert same_bits(stats.mass, mass) and same_bits(stats.cs, cs)
-        assert same_bits([stats.v_e, stats.v_e_se, stats.mean_cs], moments)
-        assert same_bits(stats.mass_cv, mass_cv) and stats.n_empty == n_empty
+        bands = assert_summaries_close(stats, counts, table)
 
         pop = counts.max(axis=0) + 1
         est = inclusion_from_fractions(*pair_fractions(counts, pop))
@@ -925,10 +1013,7 @@ class TestDistinctRows:
         # the empty replicates stay out: nothing divides by a zero mass
         with np.errstate(divide="raise", invalid="raise"):
             report = compare_estimators(stats, est, table)
-        for got, want in zip(report.rows, expected, strict=True):
-            got, want = dataclasses.astuple(got), dataclasses.astuple(want)
-            assert got[:3] == want[:3]
-            assert same_bits(got[3:], want[3:]), (got, want)
+        assert_comparison_close(report, expected, bands)
 
 
 def reference_inclusion(f1, f2):
@@ -1006,8 +1091,10 @@ class TestRunReplicatesDistinctRows:
     @given(case=pairwise_cases(), seed=st.integers(0, 2**31), r=st.integers(2, 300))
     def test_matches_direct_evaluation(self, case, seed, r):
         """The estimate over distinct rows, weighted by multiplicity, is the
-        per-replicate reference's to INCLUSION_RTOL; the summaries are the
-        direct evaluation's bit for bit."""
+        per-replicate reference's to INCLUSION_RTOL; the summaries and the
+        comparison are the direct evaluation's to SUMMARY_RTOL, each
+        distinct row's mass and c_s and the mean-summary values bit for
+        bit."""
         design, table = case
         try:
             stats, est = run_replicates(design, table, r=r, seed=seed)
@@ -1015,15 +1102,21 @@ class TestRunReplicatesDistinctRows:
             return
         pop = np.bincount(design.class_of, minlength=table.k)
         assert_inclusion_close(est, reference_inclusion(*pair_fractions(stats.counts, pop)))
-        assert est.replicates == r
-        mass, cs, *_ = direct_summaries(stats.counts, table)
-        assert same_bits(stats.mass, mass) and same_bits(stats.cs, cs)
+        assert est.replicates == r == stats.replicates
+        assert np.array_equal(stats.multiplicity, np.bincount(stats.inverse))
+        bands = assert_summaries_close(stats, stats.counts, table)
+        expected = direct_comparison(stats.counts, est, table)
+        if expected is None:
+            with pytest.raises(EmptySampleError):
+                compare_estimators(stats, est, table)
+        else:
+            assert_comparison_close(compare_estimators(stats, est, table), expected, bands)
 
 
 def assert_same_replicates(got, want):
     """Two (ReplicateStats, InclusionEstimate) pairs equal bit for bit."""
     (stats, est), (ref_stats, ref_est) = got, want
-    for name in ("distinct", "first", "inverse"):
+    for name in ("distinct", "multiplicity", "inverse"):
         a, b = getattr(stats, name), getattr(ref_stats, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     for name in ("mass", "cs", "v_e", "v_e_se", "mean_cs", "mass_cv"):
@@ -1039,9 +1132,8 @@ def counts_path(design, table, r, seed):
     ``ReplicateStats.from_counts``, estimated as ``run_replicates`` does."""
     stats = ReplicateStats.from_counts(replicate_counts(design, table, r, seed), table)
     pop = np.bincount(design.class_of, minlength=table.k)
-    multiplicity = np.bincount(stats.inverse, minlength=len(stats.first))
     return stats, inclusion_from_fractions(*pair_fractions(stats.distinct, pop),
-                                           weights=multiplicity)
+                                           weights=stats.multiplicity)
 
 
 def assert_same_comparison(got, want, table):
@@ -1094,7 +1186,7 @@ class TestStateIndexReplicates:
             got = run_replicates(design, table, r, seed)
         # decode sees the state batches of the cdf and the distinct draws only
         assert all(np.unique(index).size == index.size for index in seen)
-        assert seen[-1].size == len(got[0].first)
+        assert seen[-1].size == len(got[0].distinct)
         assert_same_replicates(got, want)
         assert_same_comparison(got, want, table)
 
@@ -1109,7 +1201,7 @@ class TestStateIndexReplicates:
         table = ClassTable.from_arrays(rng.uniform(0.5, 2.0, size=3), rng.uniform(0.0, 1.5, size=3))
         got = run_replicates(design, table, 100_000, seed=7)
         want = counts_path(design, table, 100_000, seed=7)
-        assert 1 < len(got[0].first) <= 7 * 8 * 8
+        assert 1 < len(got[0].distinct) <= 7 * 8 * 8
         assert_same_replicates(got, want)
         assert_same_comparison(got, want, table)
 
@@ -1155,8 +1247,8 @@ def cdf_cases(draw):
 
 
 class TestPairwiseKernels:
-    """The guide-table draw, the tally of distinct codes and the exact mean
-    counts equal what they replaced, bit for bit."""
+    """The guide-table draw and the tally of distinct codes equal what they
+    replaced, and the mean counts are exact, bit for bit."""
 
     @settings(deadline=None, max_examples=150)
     @given(case=cdf_cases())
@@ -1219,8 +1311,8 @@ class TestPairwiseKernels:
     @pytest.mark.parametrize("r", [1, 2, 7, 300, 5000])
     def test_tally_matches_np_unique(self, r, monkeypatch):
         """Codes below a bound of R or R + 1, random, all equal and all at
-        the bound's top: ``np.unique``'s values (and their dtype), first
-        positions and inverse, with ``np.unique`` called only above R."""
+        the bound's top: ``np.unique``'s values (and their dtype), inverse
+        and counts, with ``np.unique`` called only above R."""
         rng = derived_rng(r)
         calls = []
         unique = np.unique
@@ -1230,7 +1322,7 @@ class TestPairwiseKernels:
                           if bound - 1 <= np.iinfo(t).max)
             for codes in (rng.integers(0, bound, r), np.zeros(r, dtype=np.intp),
                           np.full(r, bound - 1)):
-                want = unique(codes.astype(narrow), return_index=True, return_inverse=True)
+                want = unique(codes.astype(narrow), return_inverse=True, return_counts=True)
                 calls.clear()
                 got = selection._unique_codes(codes, bound)
                 assert calls == ([] if bound <= r else [1])
@@ -1240,25 +1332,30 @@ class TestPairwiseKernels:
     @pytest.mark.parametrize("grouped", [False, True], ids=["ungrouped", "grouped"])
     @pytest.mark.parametrize("size, top", [(6361, (2**53 - 1) // 6361), (3, (2**53 + 1) // 3)],
                              ids=["max_times_size_below_2^53", "above_2^53"])
-    def test_mean_counts_match_the_gather(self, size, top, grouped, monkeypatch):
-        """Against the float gather and mean they replaced: the first run
+    def test_mean_counts_match_the_gather(self, size, top, grouped):
+        """Each run's distinct rows weighted by their multiplicities give
+        the exact mean of the run's rows, rounded once, and below 2^53
+        numpy's mean of the gathered float rows, bit for bit.  The first run
         holds ``top`` in class 0 on every row, so max x size is 2^53 - 1,
-        summed exactly, or 2^53 + 1, gathered; grouped runs of equal and
-        unequal sizes."""
+        summed as doubles, or 2^53 + 1, summed as Python integers; grouped
+        runs of equal and unequal sizes."""
         distinct = np.array([[top, 0, 1], [top - 1, 5, 0], [1, top, 2]], dtype=np.int64)
         rng = derived_rng(size)
-        group_reduce, gathered = selection._group_reduce, []
-        monkeypatch.setattr(selection, "_group_reduce",
-                            lambda *a: gathered.append(1) or group_reduce(*a))
         for sizes in ([size], [size, size], [size, size - 1]) if grouped else ([size],):
             sizes = np.array(sizes)
             rows = rng.integers(0, 3, sizes.sum())
             rows[:size] = 0
-            want = group_reduce(lambda x: x.mean(axis=1), distinct.astype(float)[rows], sizes)
-            gathered.clear()
-            got = selection._mean_counts(distinct, rows, sizes)
-            assert same_bits(got, want)
-            assert gathered == ([] if top * size < 2**53 else [1])
+            runs = np.split(rows, np.cumsum(sizes)[:-1])
+            tallies = [np.unique(run, return_counts=True) for run in runs]
+            got = selection._mean_counts(
+                np.concatenate([distinct[used] for used, _ in tallies]),
+                np.concatenate([tally for _, tally in tallies]),
+                np.array([len(used) for used, _ in tallies]), sizes)
+            exact = [[sum(int(distinct[i, u]) for i in run.tolist()) / len(run) for u in range(3)]
+                     for run in runs]
+            assert same_bits(got, exact)
+            if top * size < 2**53:
+                assert same_bits(got, [distinct.astype(float)[run].mean(axis=0) for run in runs])
 
     def test_pairwise_simulate_tree_keeps_its_digests(self, tmp_path):
         """``simulate`` on the pairwise oracle scenario (1e5 draws of a
@@ -1344,7 +1441,10 @@ class TestGroupedAggregation:
     @given(case=grouped_runs())
     def test_grouped_pass_equals_each_run_alone(self, case):
         """Summaries, estimates and comparisons of stacked runs equal those of
-        each run aggregated alone, bit for bit, empty replicates included."""
+        each run aggregated alone, bit for bit, empty replicates included.
+        A run's summaries alone are taken as a group of one, whose rows
+        are its replicates with unit weights; ungrouped, its distinct rows
+        would sum in another order."""
         runs, table = case
         pops, counts = (np.concatenate(parts) for parts in zip(*runs))
         g = len(runs)
@@ -1352,11 +1452,12 @@ class TestGroupedAggregation:
         est = inclusion_from_fractions(*pair_fractions(counts, pops), groups=g)
         alone = []
         for run_pops, run_counts in runs:
-            run_stats = ReplicateStats.from_counts(run_counts, table)
+            run_stats = ReplicateStats.from_counts(run_counts, table, groups=1)
             alone.append((run_stats, inclusion_from_fractions(
                 *pair_fractions(run_counts, run_pops))))
         for name in ("v_e", "v_e_se", "mean_cs", "mass_cv"):
-            assert same_bits(getattr(stats, name), [getattr(s, name) for s, _ in alone]), name
+            assert same_bits(getattr(stats, name),
+                             np.concatenate([getattr(s, name) for s, _ in alone])), name
         assert stats.n_empty == sum(s.n_empty for s, _ in alone)
         for f in dataclasses.fields(est):
             assert same_bits(getattr(est, f.name), [getattr(e, f.name) for _, e in alone]), f
@@ -1367,13 +1468,15 @@ class TestGroupedAggregation:
                 compare_estimators(stats, est, table)
             return
         report = compare_estimators(stats, est, table)
-        assert same_bits(report.nan_dependence_cells, [r.nan_dependence_cells for r in expected])
+        assert same_bits(report.nan_dependence_cells,
+                         np.concatenate([r.nan_dependence_cells for r in expected]))
         for i, row in enumerate(report.rows):
             assert (row.estimator, row.dependence, row.mode) == dataclasses.astuple(
                 expected[0].rows[i])[:3]
             for name in ("value", "v_e", "ratio", "z"):
                 assert same_bits(getattr(row, name),
-                                 [getattr(r.rows[i], name) for r in expected]), (row, name)
+                                 np.concatenate([getattr(r.rows[i], name) for r in expected])), \
+                    (row, name)
 
 
 def old_variance_se(values):

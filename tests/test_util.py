@@ -123,6 +123,25 @@ class TestWriteCsvColumns:
         gathered = [np.arange(n)] + [c[rows] for c in columns]
         assert_same_csv(written(*indexed(columns, rows)), row_by_row(gathered))
 
+    def test_integer_blocks_change_chunks_and_sign(self):
+        """Integer columns whose base-10**4 chunk count changes at the
+        8,192-row block edge (9,999 on one side, 10,000 on the other, both
+        ways round), a block with a negative cell next to one without (both
+        ways round), a zero chunk between digits, and uint64 values above
+        2^63 beside small ones; each column alone and all in one call,
+        vectorised and cell by cell."""
+        n, edge = 2 * util._CSV_BLOCK + 5, util._CSV_BLOCK
+        first = np.arange(n) < edge
+        up = np.where(first, 9_999, 10_000)
+        negative_first = np.arange(n) % 10_001
+        negative_first[::1000] = 10**8 + 1  # a zero chunk between digits
+        negative_first[edge - 1] = -1
+        big = np.where(np.arange(n) % 3 == 0, 2**63 + 10**4, 9).astype(np.uint64)
+        big[first] = np.arange(edge, dtype=np.uint64) % 10
+        columns = [up, up[::-1].copy(), negative_first, negative_first[::-1].copy(), big]
+        for call in [[c] for c in columns] + [columns]:
+            assert_same_csv(written(call), row_by_row(call))
+
     def test_mixed_list_column(self):
         """A list column is split by cell type; big integers stay exact."""
         cells = ["replicates", 7, 0.1, np.float64(-2.5e-7), np.int64(-3), True,
