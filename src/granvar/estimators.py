@@ -10,15 +10,15 @@ correct sampling; it admits a general form (explicit first/second-order
 inclusion probabilities), a finite-batch form, and an infinite-batch form.
 
 Each formula has one kernel over (R, K) class-count rows
-(:func:`sample_totals`, :func:`moment_terms`, :func:`ht_terms`); the scalar
-estimators call them with R = 1.  The kernels are row-local: a row's
-per-class terms are added left to right from 0.  A matrix product or an
-einsum may round a row differently with the batch it sits in, so a value
-evaluated once per distinct row, or as a scalar, would differ from the
-same row evaluated in another batch.  Because the arithmetic is
-elementwise, the dependence and pair weights may also be per-row stacks,
-(K, K, R) with each entry an (R,) column, and a row then gets the same
-value as with its own (K, K) matrix.
+(:func:`sample_totals`, :func:`sample_concentration`, :func:`moment_terms`,
+:func:`ht_terms`); the scalar estimators call them with R = 1.  The
+kernels are row-local: a row's per-class terms are added left to right
+from 0.  A matrix product or an einsum may round a row differently with
+the batch it sits in, so a value evaluated once per distinct row, or as a
+scalar, would differ from the same row evaluated in another batch.
+Because the arithmetic is elementwise, the dependence and pair weights
+may also be per-row stacks, (K, K, R) with each entry an (R,) column, and
+a row then gets the same value as with its own (K, K) matrix.
 """
 from __future__ import annotations
 
@@ -150,6 +150,16 @@ def sample_totals(counts: np.ndarray, table: ClassTable) -> tuple[np.ndarray, np
     sum_u N_u (m_u c_u) of (R, K) class counts."""
     m = table.masses
     return _class_sums(counts, m), _class_sums(counts, m * table.concentrations)
+
+
+def sample_concentration(mass: np.ndarray, analyte: np.ndarray, table: ClassTable) -> np.ndarray:
+    """Per-row sample concentration c_s = analyte / mass of
+    :func:`sample_totals`' totals; exactly the common concentration when
+    every class of ``table`` has the same one, whatever the mass, where the
+    division would round it differently from row to row."""
+    if table.common_concentration is None:
+        return analyte / mass
+    return np.full(np.shape(mass), table.common_concentration)
 
 
 def moment_terms(

@@ -52,6 +52,9 @@ HARDCORE_ATTEMPT_FACTOR = 100
 #: cells of the index grid, which bounds the dart-dart pairs on coarse grids.
 _DART_BLOCK = 64
 
+#: Largest distance of a mixing's sum from 1 that ``rng.choice`` accepts.
+_MIXING_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
 #: A dart's state while its chunk is resolved.
 _UNDECIDED, _ACCEPTED, _REJECTED = 0, 1, 2
 
@@ -109,8 +112,9 @@ class CellStrips:
     is slot ``i * nb + j`` (see :func:`_cell`).  Its particles are
     ``order[offsets[slot]:offsets[slot + 1]]``, so rows j0..j1 of one strip
     are a single contiguous slice of ``order``.  ``order`` is the stable
-    order of the slots, found by two stable sorts of narrow keys: the
-    particles by row, then that order by strip.
+    order of the slots, found by a least-significant-digit radix sort: one
+    stable sort of the slots' 16-bit digits per digit, the low digit
+    first.  A grid of at most 2**16 cells has one digit, so one sort.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, na: int, nb: int,
@@ -118,13 +122,13 @@ class CellStrips:
         self.na, self.nb = na, nb
         self.length_a, self.length_b = length_a, length_b
         self.scale_a, self.scale_b = na / length_a, nb / length_b
-        cell_a, cell_b = _cell(a, self.scale_a, na), _cell(b, self.scale_b, nb)
-        # argsort(slot, kind="stable"), least significant key first;
+        slot = _cell(a, self.scale_a, na) * nb + _cell(b, self.scale_b, nb)
+        # argsort(slot, kind="stable"), least significant digit first;
         # numpy radix-sorts keys of 16 bits or fewer
-        key = np.uint16 if max(na, nb) <= 1 << 16 else np.uint32
-        by_b = np.argsort(cell_b.astype(key), kind="stable")
-        self.order = by_b[np.argsort(cell_a.astype(key)[by_b], kind="stable")]
-        slot = cell_a * nb + cell_b
+        self.order = np.argsort(slot.astype(np.uint16), kind="stable")
+        for shift in range(16, int(na * nb - 1).bit_length(), 16):
+            digit = (slot >> shift).astype(np.uint16)
+            self.order = self.order[np.argsort(digit[self.order], kind="stable")]
         self.offsets = np.zeros(na * nb + 1, dtype=np.intp)
         np.cumsum(np.bincount(slot, minlength=na * nb), out=self.offsets[1:])
 
@@ -310,8 +314,9 @@ class ProcessParams:
         if not (self.width > 0 and self.height > 0):
             raise ValueError("domain dimensions must be > 0")
         mixing = np.asarray(self.mixing, dtype=float)
-        if np.any(mixing < 0) or abs(mixing.sum() - 1.0) > 1e-9:
-            raise ValueError(f"mixing proportions must be >= 0 and sum to 1, got {self.mixing}")
+        if not np.all(np.isfinite(mixing)) or np.any(mixing < 0) or abs(mixing.sum() - 1.0) > 1e-9:
+            raise ValueError(
+                f"mixing proportions must be finite, >= 0 and sum to 1, got {self.mixing}")
         if self.variant in ("poisson", "hardcore", "graded"):
             if self.intensity is None or not self.intensity > 0:
                 raise ValueError(f"{self.variant} variant needs intensity > 0")
@@ -439,18 +444,65 @@ def assign_classes(
     class from ``mixing`` and each member copies it with probability
     ``correlation``, otherwise draws independently; the marginal class
     distribution stays equal to ``mixing`` for every correlation level.
+
+    For K > 1 classes the stream is ``rng.random(n)`` for the own labels,
+    then, in correlated mode, ``rng.random(n_parents)`` for the clusters'
+    labels and ``rng.random(n)`` for the inheritance coins; one class
+    draws nothing.  A label is :func:`_classes_of` its uniform, which is
+    what ``rng.choice(K, size, p=mixing)`` computes from the same
+    ``random(size)`` call, so the labels equal that call's.  ``mixing`` is
+    refused as ``rng.choice`` refuses it (see :func:`_mixing_cdf`).
     """
-    mixing = np.asarray(mixing, dtype=float)
-    k = len(mixing)
-    if k == 1:
-        return np.zeros(n, dtype=int)
-    own = rng.choice(k, size=n, p=mixing)
+    cdf = _mixing_cdf(mixing)
+    if len(cdf) == 1:
+        return np.zeros(n, dtype=np.int64)
+    own = _classes_of(rng.random(n), cdf)
     if parent_of is None or correlation == 0.0 or n == 0:
         return own
     n_parents = int(parent_of.max()) + 1 if len(parent_of) else 0
-    cluster_class = rng.choice(k, size=n_parents, p=mixing)
+    cluster_class = _classes_of(rng.random(n_parents), cdf)
     inherit = rng.random(n) < correlation
     return np.where(inherit, cluster_class[parent_of], own)
+
+
+def _mixing_cdf(mixing) -> np.ndarray:
+    """The class cdf of ``mixing``, its running sum divided by its last
+    entry, as ``rng.choice(K, p=mixing)`` makes it.
+
+    Raises ``ValueError`` for what ``rng.choice`` refuses: a NaN sum, a
+    negative entry, or a sum more than sqrt(float64 eps) from 1.
+    """
+    p = np.asarray(mixing, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN sum, refused below
+        total = float(p.sum())
+    if np.isnan(total):
+        raise ValueError(f"mixing proportions contain NaN: {p.tolist()}")
+    if (p < 0).any():
+        raise ValueError(f"mixing proportions must be >= 0, got {p.tolist()}")
+    if abs(total - 1.0) > _MIXING_ATOL:
+        raise ValueError(f"mixing proportions must sum to 1, got {p.tolist()}")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _classes_of(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The class of each uniform ``u``: how many of the K - 1 first entries
+    of the class ``cdf`` are <= u, which is ``cdf.searchsorted(u,
+    side="right")`` for u < 1 = cdf[-1], as int64.
+
+    It makes K - 1 passes over ``u``, so its cost grows with n * K where
+    ``searchsorted``'s grows with n * log K.  Against ``rng.choice`` on a
+    2-core x86_64 host (``scripts/layer_times.py``) it wins at every n
+    measured for K <= 5, and at K = 40 and 100 from 5,000 labels up, but
+    at 500 labels it falls behind: 54 against 32 us at K = 40, 124 against
+    38 us at K = 100.  The example scenarios and benchmark inputs all have
+    K = 2.
+    """
+    c = np.zeros(len(u), dtype=np.min_scalar_type(len(cdf)))
+    for t in cdf[:-1]:
+        c += u >= t
+    return c.astype(np.int64)
 
 
 def _radii_for(classes: np.ndarray, table: ClassTable) -> np.ndarray:
@@ -510,8 +562,7 @@ def _generate_hardcore(p: ProcessParams, table: ClassTable, rng) -> SpatialField
     cls = np.empty(target, dtype=int)
     radii = np.empty(target)
     k = len(p.mixing)
-    cdf = np.asarray(p.mixing, dtype=float).cumsum()
-    cdf /= cdf[-1]
+    cdf = _mixing_cdf(p.mixing)
     gap, width, height = p.min_gap, p.width, p.height
     reach = 2.0 * float(table.radii.max()) + gap
     # cells at least reach / 2 wide: a dart's query square spans at most 5 a side
@@ -524,7 +575,7 @@ def _generate_hardcore(p: ProcessParams, table: ClassTable, rng) -> SpatialField
         chunk = min(max(_DART_BLOCK, placed // 4, min(target - placed, nx * ny // 2)),
                     max_attempts - attempts)
         u = rng.random((chunk, 3 if k > 1 else 2))
-        c = cdf.searchsorted(u[:, 2], side="right") if k > 1 else np.zeros(chunk, dtype=int)
+        c = _classes_of(u[:, 2], cdf) if k > 1 else np.zeros(chunk, dtype=np.int64)
         # the accepted particles, then the chunk's darts
         x = np.concatenate([xs[:placed], 0.0 + width * u[:, 0]])
         y = np.concatenate([ys[:placed], 0.0 + height * u[:, 1]])

@@ -102,6 +102,12 @@ class ClassTable:
     def radii(self) -> np.ndarray:
         return _read_only([c.radius for c in self.classes])
 
+    @cached_property
+    def common_concentration(self) -> float | None:
+        """The concentration every class shares, or None when two differ."""
+        first = self.classes[0].concentration
+        return first if all(c.concentration == first for c in self.classes) else None
+
     def __len__(self) -> int:
         return self.k
 
@@ -197,12 +203,12 @@ class DependenceMatrix:
 
 def _summary_identities(counts: np.ndarray, table: ClassTable) -> tuple[float, float]:
     # imported here: the estimators module imports this one
-    from .estimators import sample_totals
+    from .estimators import sample_concentration, sample_totals
 
     mass, analyte = (float(v[0]) for v in sample_totals(counts[None, :], table))
     if mass <= 0:
         raise EmptySampleError("sample has zero total mass")
-    return mass, analyte / mass
+    return mass, float(sample_concentration(mass, analyte, table))
 
 
 class _Summary:

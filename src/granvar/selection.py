@@ -43,7 +43,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySampleError
-from .estimators import ht_terms, infinite_batch_weights, moment_terms, sample_totals
+from .estimators import (
+    ht_terms,
+    infinite_batch_weights,
+    moment_terms,
+    sample_concentration,
+    sample_totals,
+)
 from .fields import SpatialField
 from .model import ClassTable, first_order_probabilities
 from .util import derived_rng, normal_half_width, wrap_periodic
@@ -197,6 +203,11 @@ class ReplicateStats:
     multiplicity 1: ``v_e``, ``v_e_se``, ``mean_cs`` and ``mass_cv`` are
     then (G,) arrays, each run's bit for bit as numpy's mean, var, std and
     :func:`variance_se` of its replicates, and ``n_empty`` counts all runs.
+    A table whose classes share one concentration is the exception: c_s
+    is exactly that concentration (see
+    :func:`~granvar.estimators.sample_concentration`), so ``mean_cs`` is
+    too and ``v_e`` and ``v_e_se`` are 0, where the sums would give
+    rounding noise; they stay NaN below 2 (4) non-empty replicates.
     """
 
     distinct: np.ndarray
@@ -241,7 +252,7 @@ class ReplicateStats:
         mass, analyte = sample_totals(distinct, table)
         nonempty = mass > 0
         cs = np.full(len(mass), np.nan)
-        cs[nonempty] = analyte[nonempty] / mass[nonempty]
+        cs[nonempty] = sample_concentration(mass[nonempty], analyte[nonempty], table)
         w = multiplicity.astype(float)
         _, mean_mass, var_mass, _ = _group_reduce(
             _weighted_moments, np.full(g, len(mass) // g), mass, w)
@@ -249,6 +260,13 @@ class ReplicateStats:
             _weighted_moments, _rows_per_run(nonempty, g), cs[nonempty], w[nonempty])
         mass_cv = np.divide(np.sqrt(var_mass), mean_mass, out=np.full(g, np.nan),
                             where=mean_mass > 0)
+        common = table.common_concentration
+        if common is not None:
+            # c_s is exactly ``common`` on every non-empty row: the sums would
+            # round its mean and give its spread as noise
+            few, fewer = np.isnan(v_e), np.isnan(v_e_se)
+            mean_cs = np.where(few, np.nan, common)
+            v_e, v_e_se = np.where(few, np.nan, 0.0), np.where(fewer, np.nan, 0.0)
         if groups is None:
             v_e, v_e_se, mean_cs, mass_cv = (float(a[0]) for a in (v_e, v_e_se, mean_cs, mass_cv))
         return cls(
@@ -519,7 +537,7 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
             w, sf = states.weights[span], s.astype(float)
             mass, analyte = sample_totals(sf.T, table)
             nonempty = mass > 0
-            cs = analyte / np.where(nonempty, mass, 1.0)
+            cs = sample_concentration(np.where(nonempty, mass, 1.0), analyte, table)
             yield w, sf, np.where(nonempty, w, 0.0), cs
 
     z = z_empty = z_nonempty = sum_cs = 0.0
@@ -536,7 +554,10 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
         sum_cs += float((w_nonempty * cs).sum())
     if z_nonempty <= 0:
         raise EmptySampleError("every selection outcome with positive weight is empty")
-    mean_cs = sum_cs / z_nonempty
+    # a shared concentration is every state's c_s: its mean, which the
+    # weighted sum would round, and variance 0
+    common = table.common_concentration
+    mean_cs = sum_cs / z_nonempty if common is None else common
     var_cs = sum(
         float((w_nonempty * (cs - mean_cs) ** 2).sum())
         for _, _, w_nonempty, cs in weighted_states()
@@ -933,7 +954,8 @@ def compare_estimators(
     mean_counts = _mean_counts(stats.distinct[ok], weights, runs, sizes)
     mean_mass, mean_analyte = sample_totals(mean_counts, table)
     rows = (stats.distinct[ok].astype(float), stats.mass[ok], stats.cs[ok], run)
-    summaries = (mean_counts, mean_mass, mean_analyte / mean_mass, np.arange(g))
+    summaries = (mean_counts, mean_mass, sample_concentration(mean_mass, mean_analyte, table),
+                 np.arange(g))
     w = weights.astype(float)
 
     def run_mean(values):

@@ -68,6 +68,12 @@ class TestProcessParams:
     def test_expected_count(self):
         assert cluster_params().expected_count() == pytest.approx(300.0)
 
+    @pytest.mark.parametrize("mixing", [(np.nan, 1.0), (0.5, np.nan), (np.inf, 1.0),
+                                        (1.0, -np.inf), (np.inf, -np.inf)])
+    def test_mixing_must_be_finite(self, mixing):
+        with pytest.raises(ValueError, match="finite"):
+            poisson_params(mixing=mixing)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("maker", [poisson_params, cluster_params])
@@ -307,33 +313,37 @@ class TestCellStrips:
             assert set(inside.tolist()) <= set(mine.tolist())
 
 
-    @settings(deadline=None, max_examples=80)
-    @given(shape=st.sampled_from([(1, 1), (1, 6), (6, 1), (7, 3), (256, 256), (1 << 16, 1),
-                                  (1, 1 << 16), ((1 << 16) + 1, 1), (70_000, 1), (1, 70_000)]),
+    @settings(deadline=None, max_examples=100)
+    @given(shape=st.sampled_from([(1, 1), (1, 6), (6, 1), (7, 3), (256, 256), (257, 256),
+                                  (1 << 16, 1), (1, 1 << 16), ((1 << 16) + 1, 1), (70_000, 1),
+                                  (1, 70_000)]),
            length=st.sampled_from([(1.0, 1.0), (2.5, 0.7), (1e-3, 7e5)]),
            data=st.data())
     def test_order_is_the_stable_slot_order(self, shape, length, data):
-        """The two narrow-key sorts give np.argsort(slot, kind="stable"),
-        for empty fields, one-cell axes, points on the far edge and axes of
-        more than 2**16 cells (32-bit keys)."""
+        """``order`` is np.lexsort((cell_b, cell_a)) and ``offsets`` the
+        running bincount of the slots, for empty fields, one-cell axes,
+        points on cell edges and on the far edge, grids of 2**16 cells (one
+        16-bit digit sort) and of more (two)."""
         (na, nb), (width, height) = shape, length
         drawn = data.draw(st.integers(0, 20))
         m = data.draw(st.integers(0, 3000))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
 
-        def coordinates(side):
-            edge = st.one_of(st.just(0.0), st.just(side), st.floats(0.0, side))
+        def coordinates(side, cells):
+            edge = st.one_of(st.just(0.0), st.just(side), st.floats(0.0, side),
+                             st.integers(0, cells).map(lambda i: min(i * (side / cells), side)))
             v = np.concatenate([data.draw(st.lists(edge, min_size=drawn, max_size=drawn)),
                                 rng.random(m) * side])
             # repeat some values so that cells hold several points
             return np.where(rng.random(len(v)) < 0.3, v[::-1], v)
 
-        a, b = coordinates(width), coordinates(height)
+        a, b = coordinates(width, na), coordinates(height, nb)
         strips = CellStrips(a, b, na, nb, width, height)
-        slot = fields._cell(a, na / width, na) * nb + fields._cell(b, nb / height, nb)
-        np.testing.assert_array_equal(strips.order, np.argsort(slot, kind="stable"))
+        cell_a, cell_b = fields._cell(a, na / width, na), fields._cell(b, nb / height, nb)
+        np.testing.assert_array_equal(strips.order, np.lexsort((cell_b, cell_a)))
         assert strips.order.dtype == np.intp
-        assert strips.offsets[-1] == len(a)
+        counts = np.bincount(cell_a * nb + cell_b, minlength=na * nb)
+        np.testing.assert_array_equal(strips.offsets, np.concatenate([[0], np.cumsum(counts)]))
 
 
     @settings(deadline=None, max_examples=100)
@@ -406,7 +416,79 @@ class TestGapViolations:
         assert one.gap_violations(1.0) == 0
 
 
+def choice_reference(n, mixing, rng, parent_of=None, correlation=0.0):
+    """The class draw of ``assign_classes`` through ``rng.choice``."""
+    k = len(mixing)
+    if k == 1:
+        return np.zeros(n, dtype=int)
+    own = rng.choice(k, size=n, p=mixing)
+    if parent_of is None or correlation == 0.0 or n == 0:
+        return own
+    cluster_class = rng.choice(k, size=int(parent_of.max()) + 1, p=mixing)
+    return np.where(rng.random(n) < correlation, cluster_class[parent_of], own)
+
+
+def mixing_with_zero(k, zero):
+    """Weights 1..k normalized, with entry ``zero`` (if any) set to 0."""
+    w = np.arange(1.0, k + 1.0)
+    if zero is not None:
+        w[zero] = 0.0
+    return w / w.sum()
+
+
 class TestClassAssignment:
+    @pytest.mark.parametrize("k, zero", [(1, None), (2, None), (2, 0), (2, 1), (3, None),
+                                         (3, 0), (3, 1), (3, 2), (5, None), (5, 0),
+                                         (5, 2), (5, 4)])
+    @pytest.mark.parametrize("n", [0, 1, 7, 5000])
+    @pytest.mark.parametrize("correlation", [0.0, 0.3, 1.0])
+    def test_labels_equal_rng_choice(self, k, zero, n, correlation):
+        """Bit for bit the labels, dtype and stream of rng.choice on the same
+        seed, independent and cluster-correlated, with a zero weight first,
+        in the middle and last."""
+        mixing = mixing_with_zero(k, zero)
+        parent_of = np.sort(derived_rng(n).integers(0, 1 + n // 10, n))
+        got_rng, want_rng = derived_rng(31), derived_rng(31)
+        got = assign_classes(n, mixing, got_rng, parent_of, correlation)
+        want = choice_reference(n, mixing, want_rng, parent_of, correlation)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if zero is not None:
+            assert not np.any(got == zero)
+        # the same stream was consumed
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("k, zero", [(2, None), (3, 1), (5, 0), (5, 4)])
+    def test_uniforms_on_cdf_entries(self, k, zero):
+        """A uniform (in [0, 1)) equal to a cdf entry, or one ulp either
+        side of it, gets the class searchsorted(side="right") gives it."""
+        cdf = fields._mixing_cdf(mixing_with_zero(k, zero))
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[:-1],
+                            np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0)])
+        u = u[u < 1.0]
+        got = fields._classes_of(u, cdf)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("mixing, message", [
+        ([0.5, np.nan], "NaN"), ([np.inf, -np.inf], "NaN"), ([-0.1, 1.1], ">= 0"),
+        ([0.5, 0.5 + 2e-8], "sum to 1"), ([0.0, 0.0], "sum to 1"), ([np.inf, 0.0], "sum to 1"),
+        ([0.3, 0.3, 0.3], "sum to 1"), ([1.5], "sum to 1"),
+    ])
+    def test_refuses_what_rng_choice_refuses(self, mixing, message):
+        mixing = np.array(mixing)
+        if len(mixing) > 1:
+            with pytest.raises(ValueError):
+                derived_rng(1).choice(len(mixing), size=3, p=mixing)
+        with pytest.raises(ValueError, match=message):
+            assign_classes(3, mixing, derived_rng(1))
+
+    @pytest.mark.parametrize("mixing", [[0.5, 0.5 + 1e-8], [0.5, 0.5 - 1e-8], [1.0 - 1e-8]])
+    def test_accepts_what_rng_choice_accepts(self, mixing):
+        """Sums within sqrt(float64 eps) of 1 pass, as in rng.choice."""
+        mixing = np.array(mixing)
+        got = assign_classes(50, mixing, derived_rng(2))
+        assert np.array_equal(got, choice_reference(50, mixing, derived_rng(2)))
+
     def test_independent_matches_mixing(self):
         rng = derived_rng(5)
         ids = assign_classes(20000, np.array([0.3, 0.7]), rng)

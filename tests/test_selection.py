@@ -720,8 +720,10 @@ class TestReplicateAggregation:
 def direct_summaries(counts, table):
     """Reference: ``ReplicateStats.from_counts`` evaluated replicate by
     replicate, in Python floats, with the module's operation order (sums
-    added left to right from 0); the aggregates as in the module."""
+    added left to right from 0), c_s exactly the classes' concentration
+    when they share one; the aggregates as in the module."""
     m, conc = table.masses.tolist(), table.concentrations.tolist()
+    common = len(set(conc)) == 1
     mass, cs = [], []
     for row in counts.tolist():
         total = analyte = 0.0
@@ -729,7 +731,7 @@ def direct_summaries(counts, table):
             total = total + n_u * m_u
             analyte = analyte + n_u * (m_u * c_u)
         mass.append(total)
-        cs.append(analyte / total if total > 0 else np.nan)
+        cs.append(np.nan if total <= 0 else conc[0] if common else analyte / total)
     mass, cs = np.array(mass), np.array(cs)
     cs_ok = cs[mass > 0]
     if len(cs_ok) >= 2:
@@ -1550,6 +1552,28 @@ class TestCompareEstimators:
         for row in report.rows:
             if row.estimator == "moment":
                 assert row.value == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_shared_concentration_gives_exact_cs(self, k):
+        """When every class has concentration 0.1, c_s is 0.1 itself, not
+        n (m 0.1) / (n m) rounded per n: v_e, v_e_se and the exact
+        variance are 0, every ratio and z NaN, and the moment form 0."""
+        table = ClassTable.from_arrays([0.3, 0.7, 1.9][:k], [0.1] * k)
+        design = SelectionDesign.bernoulli([0.5] * k, [u % k for u in range(40)])
+        stats, est = run_replicates(design, table, 2000, 3)
+        nonempty = stats.mass > 0
+        assert np.all(stats.cs[nonempty] == 0.1) and stats.mean_cs == 0.1
+        assert stats.v_e == 0.0 and stats.v_e_se == 0.0
+        report = compare_estimators(stats, est, table)
+        for row in report.rows:
+            assert row.v_e == 0.0 and np.isnan(row.ratio) and np.isnan(row.z)
+            if row.estimator == "moment":
+                assert row.value == 0.0
+        exact = enumerate_design(design, table)
+        assert exact.mean_cs == 0.1 and exact.var_cs == 0.0
+        assert derive_expectation([3.0] * k, table).concentration == 0.1
+        grouped = ReplicateStats.from_counts(np.tile(stats.counts[:50], (2, 1)), table, groups=2)
+        assert np.all(grouped.v_e == 0.0) and np.all(grouped.mean_cs == 0.1)
 
     def test_rows_cover_grid(self, two_particle_table):
         design = SelectionDesign.bernoulli([0.5, 0.5], [0, 0, 1, 1])
