@@ -9,13 +9,18 @@ a symmetric per-class-pair dependence matrix.  Negative entries mean the
 pair co-occurs more than independence predicts (clustering), positive
 entries mean mutual exclusion (repulsion).
 
-Subpackages:
+Modules:
 
 * ``model``       core domain types (class tables, summaries, dependence)
 * ``estimators``  closed-form variance estimators and the single-class solver
 * ``fields``      synthetic 2-D particle fields (Poisson, cluster, hard-core)
 * ``selection``   selection designs, exact enumeration oracle, Monte Carlo
 * ``intercept``   line-intercept sampling and adjacency-based dependence
+* ``experiments`` reusable simulation experiments, run by the acceptance suite
+* ``scenario``    JSON scenario loading and validation
+* ``util``        seed derivation, thread pools, number formatting, CSV writer
+* ``verify``      the built-in checks of ``granvar verify``
+* ``errors``      the exception hierarchy
 * ``cli``         the ``granvar`` command-line tool
 """
 

@@ -187,17 +187,17 @@ def cmd_estimate(args) -> int:
         )
     if config.ckk_grid is not None:
         n_k_values, ratios = config.ckk_grid
-        grid_rows = []
-        for n_k in n_k_values:
-            for r in ratios:
-                sol = est.solve_single_class_dependence(
-                    est.EmpiricalVarianceInput(v_e=r, n_k=n_k), v_gy=1.0
-                )
-                grid_rows.append((n_k, r, sol.value, sol.infeasible))
-        writer.write(
-            "ckk_grid.csv", ["n_k", "ratio", "c_kk", "infeasible"], list(zip(*grid_rows))
-        )
+        grid = est.dependence_grid(n_k_values, ratios)
+        writer.write("ckk_grid.csv", ["n_k", "ratio", "c_kk", "infeasible"],
+                     [*_grid_columns(n_k_values, ratios, grid), grid.ravel() >= 1.0])
     return 0
+
+
+def _grid_columns(n_k_values, ratio_values, grid: np.ndarray) -> list[np.ndarray]:
+    """The ``n_k``, ``ratio`` and ``c_kk`` columns of a
+    :func:`estimators.dependence_grid` result, one row per cell, row by row."""
+    return [np.repeat(n_k_values, len(ratio_values)), np.tile(ratio_values, len(n_k_values)),
+            grid.ravel()]
 
 
 def cmd_simulate(args) -> int:
@@ -369,12 +369,8 @@ def cmd_table1(args) -> int:
         print("  ".join(cells))
     if args.out or os.environ.get("GRANVAR_OUT"):
         writer = _Writer(_resolve_out_dir(args, None), "none", 0)
-        rows = [
-            (n_k, r, grid[a, b])
-            for a, n_k in enumerate(est.GRID_N_K)
-            for b, r in enumerate(est.GRID_RATIO)
-        ]
-        writer.write("table1.csv", ["n_k", "ratio", "c_kk"], list(zip(*rows)))
+        writer.write("table1.csv", ["n_k", "ratio", "c_kk"],
+                     _grid_columns(est.GRID_N_K, est.GRID_RATIO, grid))
     return 0
 
 

@@ -158,46 +158,33 @@ class CellStrips:
         in it after it is narrowed by ``_STRIP_MARGIN`` of the domain side
         on every edge: every particle they hold passes the half-open test
         ``mod(a - a0, length_a) < a_side`` and ``mod(b - b0, length_b) <
-        b_side`` for an anchor in the domain.  The ring is the rest.  A
-        strip with interior rows has four ring slices, its rows before the
-        interior and after it, each before and after the wrap, and two
-        interior slices; every other strip keeps its two ring slices.  The
-        first strip of a query is never interior, so every query has ring
-        slices.
+        b_side`` for an anchor in the domain.  The ring is the rest.  Each
+        (query, strip) pair of the cover is three runs of rows: the ring
+        rows before the interior, the interior rows and the ring rows after
+        it.  A strip without interior rows, such as the first strip of a
+        query, has all its rows in the first run.  The ring is the first
+        and last runs of every pair, four slices per pair (each run before
+        and after the wrap), so every query has ring slices; the interior
+        is the middle run of each interior strip, two slices.
         """
         (strip_first, row_first), (n_strips, n_rows), (strip_skip, row_skip), inner = (
             self._cover(a0, a_side, b0, b_side))
-        # interior cells need interior strips and interior rows
-        inner[0, inner[1] == 0] = 0
         query = np.repeat(np.arange(len(a0)), n_strips)
-        # per (query, strip) pair: its place among the query's strips less the
-        # interior's offset, and its strip (mod na); the interior strips are
-        # the pairs whose step lies in 0..inner strips - 1
-        base, strip, inner_strips, first, rows = np.stack([
-            np.cumsum(n_strips) - n_strips + strip_skip, strip_first + strip_skip,
-            inner[0], row_first, n_rows]).take(query, axis=1)
-        step = np.arange(len(query)) - base
-        strip += step
+        strip = concat_ranges(strip_first, n_strips)
+        first, rows, skip, inner_strips, inner_rows, base = np.stack([
+            row_first, n_rows, row_skip, *inner, strip_first + strip_skip]).take(query, axis=1)
+        # interior cells need interior rows and a strip whose step past the
+        # query's first interior strip lies in 0..inner strips - 1
+        inside = ((strip - base).view(np.uintp) < inner_strips.view(np.uintp)) & (inner_rows > 0)
         np.subtract(strip, self.na, out=strip, where=strip >= self.na)
-        pair = np.flatnonzero(step.view(np.uintp) < inner_strips.view(np.uintp))
-        iq = query[pair]
-        skip, inner_rows = row_skip[iq], inner[1, iq]
-        inner_first = first[pair] + skip
-        interior = self._row_runs(strip[pair], inner_first % self.nb, inner_rows)
-        if len(pair):
-            # an interior strip's ring rows are two runs: those before its
-            # interior rows, then those after; every other strip's are one
-            runs = np.ones(len(query), dtype=np.intp)
-            runs[pair] = 2
-            after = pair + np.arange(1, len(pair) + 1)
-            rows_after = rows[pair] - skip - inner_rows
-            run = np.repeat(np.arange(len(query)), runs)
-            query, strip, first, rows = query[run], strip[run], first[run], rows[run]
-            rows[after - 1] = skip
-            first[after] = (inner_first + inner_rows) % self.nb
-            rows[after] = rows_after
-        ring = (query.repeat(2), *self._row_runs(strip, first, rows))
-        return ring, (iq.repeat(2), *interior)
+        # the rows of each pair's first two runs, and the row each run starts from
+        before, middle = np.where(inside, skip, rows), inner_rows * inside
+        start = np.stack([first, first + before, first + before + middle])
+        np.subtract(start, self.nb, out=start, where=start >= self.nb)
+        ring = self._row_runs(strip.repeat(2), start[::2].T.ravel(),
+                              np.stack([before, rows - before - middle], axis=1).ravel())
+        interior = self._row_runs(strip[inside], start[1, inside], middle[inside])
+        return (query.repeat(4), *ring), (query[inside].repeat(2), *interior)
 
     def _cover(self, a0: np.ndarray, a_side: float, b0: np.ndarray,
                b_side: float) -> tuple[np.ndarray, ...]:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import GranvarError
 from .fields import CellStrips, SpatialField, concat_ranges
-from .model import ClassTable
+from .model import ClassTable, dependence_from_inclusion
 from .util import derived_rng
 
 STATIONARY_RESIDUAL = 1e-12
@@ -434,8 +434,9 @@ def c_from_adjacency(counts: TransitionCounts, freq: np.ndarray) -> np.ndarray:
     ordered-pair probability; dividing by the independence baseline
     freq_i * freq_j and subtracting from one gives a dependence value with
     the oracle's orientation: more same-pair adjacency means a lower
-    (more negative) value.  Entries with a zero baseline are NaN
-    (unestimable).  Exactly symmetric by construction.
+    (more negative) value (:func:`granvar.model.dependence_from_inclusion`).
+    Entries with a zero or non-finite baseline are NaN (unestimable).
+    Exactly symmetric by construction.
     """
     t = counts.total
     if t < 1:
@@ -443,12 +444,7 @@ def c_from_adjacency(counts: TransitionCounts, freq: np.ndarray) -> np.ndarray:
     freq = np.asarray(freq, dtype=float)
     if freq.shape != (counts.k,):
         raise ValueError(f"freq must have length {counts.k}")
-    s = (counts.n + counts.n.T) / (2.0 * t)
-    baseline = freq[:, None] * freq[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = 1.0 - s / baseline
-    c[baseline == 0] = np.nan
-    return c
+    return dependence_from_inclusion(freq, (counts.n + counts.n.T) / (2.0 * t))
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,17 @@ def validate_dependence(
     return violations
 
 
+def dependence_from_inclusion(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
+    """The dependence values 1 - pi2_ij / (pi1_i pi1_j) of first-order
+    probabilities ``pi1`` (..., K) and pair probabilities ``pi2`` (..., K,
+    K); NaN (unestimable) where the product pi1_i pi1_j is 0 or not finite."""
+    outer = pi1[..., :, None] * pi1[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = 1.0 - pi2 / outer
+    c[~np.isfinite(outer) | (outer == 0)] = np.nan
+    return c
+
+
 @dataclass(frozen=True)
 class DependenceMatrix:
     """Symmetric per-class-pair dependence parameters, all strictly < 1.

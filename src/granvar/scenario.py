@@ -367,7 +367,10 @@ def build_design(config: ScenarioConfig, field: SpatialField | None) -> Selectio
                 raise ConfigError("design.class_of", "expected a list of class indices")
             if not class_of:
                 raise ConfigError("design.class_of", "the design has no particles")
-            class_of = [_integer(v, f"design.class_of[{i}]") for i, v in enumerate(class_of)]
+            for i, v in enumerate(class_of):
+                if not 0 <= _integer(v, f"design.class_of[{i}]") < k:
+                    raise ConfigError(f"design.class_of[{i}]",
+                                      f"expected a class index in [0, {k}), got {v!r}")
             if variant == "bernoulli":
                 return SelectionDesign.bernoulli(q, class_of)
             try:

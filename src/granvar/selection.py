@@ -51,7 +51,7 @@ from .estimators import (
     sample_totals,
 )
 from .fields import SpatialField
-from .model import ClassTable, first_order_probabilities
+from .model import ClassTable, dependence_from_inclusion, first_order_probabilities
 from .util import derived_rng, normal_half_width, wrap_periodic
 
 #: Exact enumeration and pairwise sampling are limited to designs with at
@@ -119,7 +119,10 @@ class SelectionDesign:
 
 def _class_ids(class_of: Sequence[int], k: int | None = None) -> np.ndarray:
     """A read-only int64 copy of ``class_of``, checked against ``k`` classes."""
-    ids = np.array(class_of, dtype=np.int64)
+    try:
+        ids = np.array(class_of, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("class ids must index into q") from exc
     if ids.ndim != 1:
         raise ValueError("class ids must form a flat sequence")
     if k is not None and np.any((ids < 0) | (ids >= k)):
@@ -503,14 +506,6 @@ def _guide_table(cdf: np.ndarray, last: int, g: int) -> np.ndarray:
     return np.where(lo == hi, lo, -1)
 
 
-def _invert_dependence(pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
-    outer = pi1[..., :, None] * pi1[..., None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = 1.0 - pi2 / outer
-    c[~np.isfinite(outer) | (outer == 0)] = np.nan
-    return c
-
-
 def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationResult:
     """Exact inclusion probabilities and concentration moments by summing
     over every class-count state of the design.
@@ -577,7 +572,7 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
     else:
         pi1 = np.where(pop > 0, first / (z * np.maximum(pop, 1.0)), np.nan)
         pi2 = np.where(pair_pop > 0, pairs / (z * np.maximum(pair_pop, 1.0)), np.nan)
-        c_exact = _invert_dependence(pi1, pi2)
+        c_exact = dependence_from_inclusion(pi1, pi2)
     return EnumerationResult(pi1, pi2, c_exact, mean_cs, var_cs, p_empty)
 
 
@@ -817,7 +812,7 @@ def inclusion_from_fractions(
     square = np.empty((3, g, k, k))
     square[:, :, iu, iv] = square[:, :, iv, iu] = np.where(
         n2 >= 2, [pi2, pi2_se, c_se], np.nan).transpose(0, 2, 1)
-    c_hat = _invert_dependence(pi1, square[0])
+    c_hat = dependence_from_inclusion(pi1, square[0])
     fields = [pi1, pi1_se, *square[:2], c_hat, np.where(np.isnan(c_hat), np.nan, square[2])]
     replicates = w.sum(axis=1).astype(np.int64)
     if groups is None:

@@ -306,6 +306,24 @@ class TestConfigErrors:
         assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {location}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "design",
+        [
+            {"variant": "bernoulli", "q": [0.5, 0.5], "class_of": [0, 1, 10**20]},
+            {"variant": "pairwise_pmf", "q": [0.5, 0.5], "phi": [[1, 1], [1, 1]],
+             "class_of": [0, 1, -2**70]},
+            {"variant": "bernoulli", "q": [0.5, 0.5], "class_of": [0, 1, 2]},
+        ],
+        ids=["beyond-int64", "below-int64", "k"],
+    )
+    def test_class_id_outside_the_classes_names_its_entry(self, tmp_path, capsys, design):
+        """A class id outside [0, K), even one that int64 cannot hold, is a
+        configuration error (exit 2) that names its entry."""
+        config = write_scenario(tmp_path, sample_counts=None, dependence=None, replicates=10,
+                                design=design)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error: design.class_of[2]:" in capsys.readouterr().err
+
     def test_orientation_names_both_forms(self, tmp_path, capsys):
         """A string other than "random" is refused with a message that
         names both accepted forms."""

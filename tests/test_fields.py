@@ -293,6 +293,14 @@ def rectangle_cases(draw):
             a_side, b_side)
 
 
+def twelve_by_nine(a0, b0, a_side, b_side):
+    """A rectangle case on a 12 x 9 grid over the 2.5 x 0.7 domain, whose
+    800 particles fill every cell."""
+    rng = np.random.default_rng(12)
+    return (2.5, 0.7, 12, 9, rng.random(800) * 2.5, rng.random(800) * 0.7,
+            np.array(a0), np.array(b0), float(a_side), float(b_side))
+
+
 class TestCellStrips:
     @settings(deadline=None, max_examples=100)
     @given(case=rectangle_cases())
@@ -348,6 +356,13 @@ class TestCellStrips:
 
     @settings(deadline=None, max_examples=100)
     @given(case=rectangle_cases())
+    # covers and interiors that wrap both axes, from anchors in and below the domain
+    @example(case=twelve_by_nine([2.0, -0.5, 2.3], [0.5, -0.2, 0.65], 1.0, 0.4))
+    # sides equal to the domain's
+    @example(case=twelve_by_nine([2.0, 0.0, -0.5], [0.5, 0.0, -0.2], 2.5, 0.7))
+    # sides one ulp under 5 and 3 cells, from anchors on cell edges and off them
+    @example(case=twelve_by_nine([0.0, 2.5 * 7 / 12, 2.3], [0.0, 0.7 * 5 / 9, 0.65],
+                                 np.nextafter(2.5 * 5 / 12, 0.0), np.nextafter(0.7 * 3 / 9, 0.0)))
     def test_ring_and_interior_split_the_rectangle(self, case):
         """The ring and interior slices of a query hold the particles of its
         rectangle query, each once, and every interior particle is in the

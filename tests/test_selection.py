@@ -156,6 +156,14 @@ class TestDesignValidation:
         with pytest.raises(ValueError, match="class-count states"):
             enumerate_design(over, ClassTable.from_arrays([1.0] * 25, [0.5] * 25))
 
+    @pytest.mark.parametrize("bad", [2, -1, 10**20, -2**70])
+    def test_class_ids_index_into_q(self, bad):
+        """Ids outside [0, K), also those beyond int64, raise ValueError."""
+        with pytest.raises(ValueError, match="index into q"):
+            SelectionDesign.bernoulli([0.5, 0.5], [0, 1, bad])
+        with pytest.raises(ValueError, match="index into q"):
+            SelectionDesign.pairwise_pmf([0.5, 0.5], np.ones((2, 2)), [0, 1, bad])
+
     def test_window_must_fit(self, two_particle_table):
         field = generate_field(
             ProcessParams(variant="poisson", width=1, height=1, mixing=(0.5, 0.5),
