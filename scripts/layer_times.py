@@ -1,4 +1,5 @@
-"""Layer timings of field generation and window counting, as one JSON object.
+"""Layer timings of field generation, window counting and replicate
+aggregation, as one JSON object.
 
 Times, at each particle count n, the best of ``--repeat`` timeit runs of:
 
@@ -9,6 +10,16 @@ Times, at each particle count n, the best of ``--repeat`` timeit runs of:
   expected;
 - ``window_counts`` of 500 windows of side 0.05 on the cluster field, its
   cell index already built.
+
+and, at K = 2, 10 and 40 classes, on seeded (R, K) count rows:
+
+- ``inclusion_from_fractions(*pair_fractions(counts, pop))``;
+- ``compare_estimators`` of those rows, their summary and estimate
+  already built.
+
+The aggregation layers are keyed by the replicate count R, fixed at 500,
+not by ``--sizes``: their memory grows by about 36 bytes per R * K**2, so
+R = 100,000 at K = 40 would need about 5.8 GB.
 
 Each value is seconds per call, to 3 significant digits.  Run from the
 repository root:
@@ -34,7 +45,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from granvar.fields import CellStrips, ProcessParams, assign_classes, generate_field  # noqa: E402
 from granvar.model import ClassTable  # noqa: E402
-from granvar.selection import window_counts  # noqa: E402
+from granvar.selection import (  # noqa: E402
+    ReplicateStats, compare_estimators, inclusion_from_fractions, pair_fractions, window_counts,
+)
 
 SIZES = (500, 5_000, 50_000, 100_000)
 SEED = 11
@@ -46,6 +59,12 @@ RADIUS = 0.002
 HARDCORE_COVER = 0.1
 WINDOWS = 500
 WINDOW_SIDE = 0.05
+#: Replicates and class counts K of the aggregation layers; every class has
+#: POPULATION members, each selected with chance SELECTED.
+REPLICATES = 500
+AGGREGATE_K = (2, 10, 40)
+POPULATION = 50
+SELECTED = 0.2
 #: Calls per timeit run: enough for a run to last about this long.
 RUN_SECONDS = 0.02
 
@@ -99,6 +118,17 @@ def layer_times(sizes, repeat: int) -> dict:
         anchors = np.random.default_rng(SEED).random((WINDOWS, 2))
         record("window_counts", n,
                lambda: window_counts(cluster, anchors, WINDOW_SIDE, WINDOW_SIDE, 2))
+    for k in AGGREGATE_K:
+        rng = np.random.default_rng(SEED)
+        pop = np.full(k, POPULATION)
+        counts = rng.binomial(pop, SELECTED, size=(REPLICATES, k))
+        table = ClassTable.from_arrays(rng.uniform(0.5, 2.0, k), rng.uniform(0.0, 1.0, k))
+        stats = ReplicateStats.from_counts(counts, table)
+        est = inclusion_from_fractions(*pair_fractions(counts, pop))
+        record(f"inclusion_from_fractions.k{k}", REPLICATES,
+               lambda: inclusion_from_fractions(*pair_fractions(counts, pop)))
+        record(f"compare_estimators.k{k}", REPLICATES,
+               lambda: compare_estimators(stats, est, table))
     return layers
 
 

@@ -14,15 +14,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=25, help="seeds per sweep point")
     parser.add_argument("--master-seed", type=int, default=8802)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument(
         "--radii", type=float, nargs="+", default=[0.10, 0.08, 0.06, 0.045, 0.03],
     )
     args = parser.parse_args()
 
     res = monotonicity_sweep(
-        cluster_radii=args.radii, n_seeds=args.seeds,
-        master_seed=args.master_seed, threads=args.threads,
+        cluster_radii=args.radii, n_seeds=args.seeds, master_seed=args.master_seed,
     )
     print(f"{'cluster radius':>15} {'oracle C':>12} {'adjacency C':>12}")
     for r, o, a in zip(res.cluster_radii, res.oracle_series, res.adjacency_series):

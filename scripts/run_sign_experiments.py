@@ -36,14 +36,10 @@ def main():
     parser.add_argument("--seeds", type=int, default=50)
     parser.add_argument("--replicates", type=int, default=200)
     parser.add_argument("--master-seed", type=int, default=606)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
 
     table = binary_table()
-    common = dict(
-        replicates=args.replicates, n_seeds=args.seeds,
-        master_seed=args.master_seed, threads=args.threads,
-    )
+    common = dict(replicates=args.replicates, n_seeds=args.seeds, master_seed=args.master_seed)
 
     show(
         "single-class clusters (window 0.10 < cluster diameter 0.16)",
@@ -67,10 +63,7 @@ def main():
     )
     show(
         "independence null (window counts drawn from the exact Poisson law)",
-        gy_null_ensemble(
-            replicates=args.replicates, n_seeds=args.seeds,
-            master_seed=args.master_seed, threads=args.threads,
-        ),
+        gy_null_ensemble(**common),
     )
 
 

@@ -15,12 +15,10 @@ def main():
     parser.add_argument("--seeds", type=int, default=200)
     parser.add_argument("--radius-ratio", type=float, default=2.0)
     parser.add_argument("--master-seed", type=int, default=7701)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
 
     res = size_bias_experiment(
-        n_seeds=args.seeds, radius_ratio=args.radius_ratio,
-        master_seed=args.master_seed, threads=args.threads,
+        n_seeds=args.seeds, radius_ratio=args.radius_ratio, master_seed=args.master_seed,
     )
     print(f"total hits (narrow, wide): {res.total_hits}")
     print(f"raw wide:narrow ratio:       {res.raw_ratio:.4f}  "

@@ -18,7 +18,7 @@ Modules:
 * ``intercept``   line-intercept sampling and adjacency-based dependence
 * ``experiments`` reusable simulation experiments, run by the acceptance suite
 * ``scenario``    JSON scenario loading and validation
-* ``util``        seed derivation, thread pools, number formatting, CSV writer
+* ``util``        seed derivation, number formatting, CSV writer
 * ``verify``      the built-in checks of ``granvar verify``
 * ``errors``      the exception hierarchy
 * ``cli``         the ``granvar`` command-line tool

@@ -11,7 +11,8 @@ Subcommands:
 Every run is driven by a JSON scenario (except ``table1`` and ``verify``)
 and a mandatory seed; outputs are CSV files whose first line records the
 tool version, the scenario hash and the seed.  Output is byte-identical
-across reruns and across ``--threads`` settings.
+across reruns.  ``--threads`` is accepted for compatibility and ignored:
+every stage runs serially.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 runtime model error.
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__
 from . import estimators as est
 from .errors import ConfigError, GranvarError
-from .experiments import calibrate_against_oracle
+from .experiments import CalibrationReport, calibrate_against_oracle
 from .fields import class_values, generate_field, save_field_csv
 from .intercept import (
     adjacency_dependence,
@@ -263,22 +264,30 @@ def cmd_simulate(args) -> int:
 
 def cmd_intercept(args) -> int:
     config = _load(args)
-    writer = _Writer(_resolve_out_dir(args, config), config.config_hash, config.seed)
     table = config.table
     k = table.k
     if config.field is None:
         raise ConfigError("field", "intercept needs a 'field' section")
     if config.transects is None:
         raise ConfigError("transects", "intercept needs a 'transects' section")
+    if config.calibration is not None and config.field.variant != "matern_cluster":
+        raise ConfigError("calibration", "calibration sweeps need a matern_cluster field")
     field = generate_field(config.field, table, derived_seeds(config.seed, _FIELD_STREAM)[0])
     if field.n == 0:
         raise ConfigError("field", "generated field is empty; raise the intensity")
-    save_field_csv(field, writer.out_dir / "field.csv", comment=writer.provenance)
     spec = config.transects
     batch = cast_transects(
         field, spec.count, spec.orientation, spec.length,
         derived_seeds(config.seed, _TRANSECT_STREAM)[0],
     )
+    adjacency, counts, corrected_freq = adjacency_dependence(batch, k)
+    fit = markov_fit(counts)
+    raw_freq = size_corrected_frequencies(batch, k, correct=False)
+    calibration = None if config.calibration is None else _calibrate(config)
+
+    # nothing is written until every stage has succeeded
+    writer = _Writer(_resolve_out_dir(args, config), config.config_hash, config.seed)
+    save_field_csv(field, writer.out_dir / "field.csv", comment=writer.provenance)
     hits = batch.hits
     columns = [
         np.repeat(np.arange(len(batch)), hits),
@@ -296,20 +305,17 @@ def cmd_intercept(args) -> int:
         ["transect_id", "order", "particle_id", "class_id", "chord_length", "width"],
         columns, tail,
     )
-    adjacency, counts, corrected_freq = adjacency_dependence(batch, k)
     classes = np.arange(k)
     writer.write(
         "counts.csv",
         ["class_id"] + [str(u) for u in range(k)],
         [classes, *counts.n.T],
     )
-    fit = markov_fit(counts)
     writer.write(
         "markov.csv",
         ["class_id"] + [f"p_{u}" for u in range(k)] + ["stationary", "known", "irreducible"],
         [classes, *fit.transition.T, fit.stationary, fit.known, [fit.irreducible] * k],
     )
-    raw_freq = size_corrected_frequencies(batch, k, correct=False)
     writer.write(
         "frequencies.csv",
         ["class_id", "raw_frequency", "size_corrected_frequency"],
@@ -317,26 +323,30 @@ def cmd_intercept(args) -> int:
     )
     iu, ju = np.triu_indices(k)
     writer.write("adjacency.csv", ["i", "j", "c_hat"], [iu, ju, adjacency[iu, ju]])
-    if config.calibration is not None:
-        _write_calibration(writer, config, args.threads)
+    if calibration is not None:
+        _write_calibration(writer, calibration, iu, ju)
     return 0
 
 
-def _write_calibration(writer: _Writer, config: ScenarioConfig, threads: int) -> None:
+def _calibrate(config: ScenarioConfig) -> CalibrationReport:
+    """The scenario's calibration sweep: its ``cluster_radius`` values
+    applied to the scenario's matern_cluster field."""
     settings = config.calibration
-    if config.field.variant != "matern_cluster":
-        raise ConfigError("calibration", "calibration sweeps need a matern_cluster field")
     processes = [
         (f"cluster_radius={r:g}", replace(config.field, cluster_radius=r))
         for r in settings["cluster_radius"]
     ]
-    report = calibrate_against_oracle(
+    return calibrate_against_oracle(
         processes, config.table, settings["window"], settings["replicates"],
         config.transects,
         master_seed=derived_seeds(config.seed, _CALIBRATE_STREAM)[0],
-        n_seeds=settings["n_seeds"], threads=threads,
+        n_seeds=settings["n_seeds"],
     )
-    iu, ju = np.triu_indices(config.table.k)
+
+
+def _write_calibration(
+    writer: _Writer, report: CalibrationReport, iu: np.ndarray, ju: np.ndarray
+) -> None:
     cases = report.cases
     writer.write(
         "calibration_cases.csv", ["case", "i", "j", "oracle_c", "adjacency_c"],
@@ -404,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: scenario out_dir, "
                                      "then $GRANVAR_OUT, then ./granvar_out)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for ensemble stages (output-invariant)")
+                       help="kept for compatibility and ignored; must be at least 1")
 
     p_est = sub.add_parser("estimate", help="closed-form estimator report")
     common(p_est)

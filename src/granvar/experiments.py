@@ -29,7 +29,7 @@ from .selection import (
     replicate_counts,
     run_replicates,
 )
-from .util import derived_rng, derived_seeds, normal_half_width, ordered_map
+from .util import derived_rng, derived_seeds, normal_half_width
 
 def binary_table(radius: float = 0.01, radius_ratio: float = 1.0) -> ClassTable:
     """Two classes of unit mass; class 0 carries the analyte."""
@@ -80,7 +80,6 @@ def oracle_agreement_experiment(
     master_seed: int = 2024_04,
     sigma: float = 4.0,
     max_particles: int = 16,
-    threads: int = 1,
 ) -> OracleAgreement:
     """Monte Carlo inclusion estimates vs exact enumeration over random
     pairwise designs; a cell passes when the estimate falls within
@@ -113,7 +112,7 @@ def oracle_agreement_experiment(
         var_ok = int(_within(stats.v_e, exact.var_cs, stats.v_e_se, sigma, atol))
         return checked, passed, var_ok
 
-    results = ordered_map(one, list(range(n_designs)), threads)
+    results = [one(i) for i in range(n_designs)]
     checked = sum(r[0] for r in results)
     passed = sum(r[1] for r in results)
     var_passed = sum(r[2] for r in results)
@@ -230,7 +229,6 @@ def window_ensemble(
     replicates: int,
     n_seeds: int,
     master_seed: int,
-    threads: int = 1,
 ) -> WindowEnsemble:
     """Window-sample ``n_seeds`` independent fields, each from its own
     derived streams, and collect per-seed dependence estimates and
@@ -240,7 +238,7 @@ def window_ensemble(
         seeds = derived_seeds(master_seed, seed_index, count=2)
         return _window_draw(params, table, window, replicates, *seeds)[1:]
 
-    return _aggregate_seeds(ordered_map(one, list(range(n_seeds)), threads), table)
+    return _aggregate_seeds([one(s) for s in range(n_seeds)], table)
 
 
 def poisson_null_params(intensity: float = 500.0) -> ProcessParams:
@@ -318,6 +316,9 @@ def gy_null_ensemble(
     the replicates independent.  The window is checked and the (2, K) rates
     set once; each seed then makes one draw from its own derived stream,
     and the seeds are summarized together.
+
+    ``threads`` is accepted for compatibility and ignored: the seeds run
+    serially, because a thread pool made every ensemble slower.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
@@ -326,7 +327,7 @@ def gy_null_ensemble(
     def one(seed_index: int) -> tuple[np.ndarray, np.ndarray]:
         return _draw_window_counts(rates, replicates, derived_rng(master_seed, seed_index))
 
-    return _aggregate_seeds(ordered_map(one, list(range(n_seeds)), threads), binary_table())
+    return _aggregate_seeds([one(s) for s in range(n_seeds)], binary_table())
 
 
 def clustered_params(
@@ -390,7 +391,6 @@ def size_bias_experiment(
     radius_ratio: float = 2.0,
     transects: TransectSpec = TransectSpec(count=20, length=1.0),
     master_seed: int = 77_01,
-    threads: int = 1,
 ) -> SizeBiasResult:
     """Two-class Poisson fields with equal number density and a radius
     ratio; measures the width bias of raw intersection frequencies and its
@@ -408,7 +408,7 @@ def size_bias_experiment(
         corrected = class_weights(batch, 2)
         return raw[0], raw[1], corrected[0], corrected[1]
 
-    rows = np.array(ordered_map(one, list(range(n_seeds)), threads))
+    rows = np.array([one(s) for s in range(n_seeds)])
     raw_ratio, raw_ci = _ratio_ci(rows[:, 1], rows[:, 0])
     corrected_ratio, corrected_ci = _ratio_ci(rows[:, 3], rows[:, 2])
     return SizeBiasResult(
@@ -473,7 +473,6 @@ def calibrate_against_oracle(
     transects: TransectSpec,
     master_seed: int,
     n_seeds: int,
-    threads: int = 1,
 ) -> CalibrationReport:
     """Compare adjacency-based and window-oracle dependence estimates over
     an ensemble of field processes.
@@ -490,8 +489,7 @@ def calibrate_against_oracle(
         raise ValueError(f"n_seeds must be >= 2: a between-field standard error needs "
                          f"two fields, got {n_seeds}")
 
-    def one_case(item: tuple[int, tuple[str, ProcessParams]]) -> CalibrationCase:
-        case_index, (label, params) = item
+    def one_case(case_index: int, label: str, params: ProcessParams) -> CalibrationCase:
         draws, adjacency = [], []
         for s in range(n_seeds):
             field_seed, window_seed, transect_seed = derived_seeds(
@@ -506,7 +504,7 @@ def calibrate_against_oracle(
         return CalibrationCase(label, *_mean_and_se(oracle),
                                *_mean_and_se(np.stack(adjacency)))
 
-    cases = ordered_map(one_case, list(enumerate(processes)), threads)
+    cases = [one_case(i, *process) for i, process in enumerate(processes)]
 
     # every case's upper-triangle cells, case by case, where both are finite
     iu = np.triu_indices(table.k)
@@ -546,7 +544,6 @@ def monotonicity_sweep(
     window: tuple[float, float] = (0.04, 0.04),
     transects: TransectSpec = TransectSpec(count=30, length=1.0),
     master_seed: int = 88_02,
-    threads: int = 1,
 ) -> MonotonicityResult:
     """Sweep cluster tightness; compare the mean same-class dependence from
     the adjacency estimator against the window-sampling oracle.
@@ -561,7 +558,7 @@ def monotonicity_sweep(
     ]
     report = calibrate_against_oracle(
         processes, table, window, replicates, transects,
-        master_seed=master_seed, n_seeds=n_seeds, threads=threads,
+        master_seed=master_seed, n_seeds=n_seeds,
     )
     oracle_series, adjacency_series = (
         tuple(float(np.nanmean(np.diag(getattr(case, name)))) for case in report.cases)

@@ -118,9 +118,15 @@ class SelectionDesign:
 
 
 def _class_ids(class_of: Sequence[int], k: int | None = None) -> np.ndarray:
-    """A read-only int64 copy of ``class_of``, checked against ``k`` classes."""
+    """A read-only int64 copy of ``class_of``, checked against ``k`` classes;
+    ids that are not whole numbers are refused rather than truncated."""
+    ids = np.asarray(class_of)
     try:
-        ids = np.array(class_of, dtype=np.int64)
+        if ids.dtype.kind not in "biu":
+            values = ids.astype(float)
+            if not np.all(np.isfinite(values) & (values == np.floor(values))):
+                raise ValueError("class ids must be whole numbers that index into q")
+        ids = np.array(ids, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError("class ids must index into q") from exc
     if ids.ndim != 1:

@@ -3,21 +3,17 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from typing import BinaryIO, Callable, Sequence, TypeVar
+from typing import BinaryIO, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 def derived_rng(master_seed: int, *indices: int) -> np.random.Generator:
     """Generator for substream (master_seed, i0, i1, ...).
 
     Substreams are derived from the index tuple, not from draw order, so
-    results do not depend on scheduling or worker count.
+    results do not depend on the order in which items are run.
     """
     return np.random.default_rng(np.random.SeedSequence((master_seed, *indices)))
 
@@ -537,17 +533,3 @@ def sig_figure_ulp(x: float, digits: int) -> float:
         return 10.0 ** (1 - digits)
     return 10.0 ** (math.floor(math.log10(abs(x))) - digits + 1)
 
-
-def ordered_map(
-    fn: Callable[[T], U], items: Sequence[T], threads: int = 1
-) -> list[U]:
-    """Map ``fn`` over ``items`` preserving order.
-
-    With ``threads > 1`` items run on a thread pool; results are collected
-    in input order, so output is identical to the serial run as long as
-    ``fn`` draws randomness only from per-item derived streams.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

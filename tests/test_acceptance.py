@@ -31,7 +31,6 @@ from granvar.verify import (
     random_summary_scenario,
 )
 
-THREADS = 4
 ONE_SIDED_95 = 1.6448536269514722
 
 
@@ -111,7 +110,7 @@ def test_criterion_03_appendix_chain():
 def test_criterion_04_enumeration_oracle():
     start = time.perf_counter()
     result = oracle_agreement_experiment(
-        n_designs=20, replicates=100_000, master_seed=404, threads=THREADS
+        n_designs=20, replicates=100_000, master_seed=404
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -135,7 +134,7 @@ def null_ensemble():
     # per-seed dependence CIs keep their nominal width
     return gy_null_ensemble(
         intensity=500.0, window=(0.3, 0.3), replicates=200, n_seeds=50,
-        master_seed=505, threads=THREADS,
+        master_seed=505,
     )
 
 
@@ -159,7 +158,7 @@ def cluster_ensemble():
         clustered_params(cluster_radius=0.08, class_correlation=1.0,
                          parent_intensity=60.0, offspring_mean=8.0),
         binary_table(), window=(0.1, 0.1), replicates=200, n_seeds=50,
-        master_seed=606, threads=THREADS,
+        master_seed=606,
     )
 
 
@@ -168,7 +167,6 @@ def test_criterion_06_sign_laws(cluster_ensemble):
     hard = window_ensemble(
         hardcore_params(intensity=100.0, min_gap=0.02), binary_table(),
         window=(0.1, 0.1), replicates=200, n_seeds=50, master_seed=607,
-        threads=THREADS,
     )
     z_hard = [hard.cell_z(0, 0), hard.cell_z(1, 1)]
     cluster_ok = all(z < -ONE_SIDED_95 for z in z_cluster)
@@ -191,7 +189,7 @@ def test_criterion_07_generalization_beats_independence(cluster_ensemble):
 
 
 def test_criterion_08_size_bias_law():
-    res = size_bias_experiment(n_seeds=200, master_seed=77_01, threads=THREADS)
+    res = size_bias_experiment(n_seeds=200, master_seed=77_01)
     raw_ok = res.raw_ci[0] <= 2.0 <= res.raw_ci[1]
     corrected_ok = res.corrected_ci[0] <= 1.0 <= res.corrected_ci[1]
     report(8, raw_ok and corrected_ok,
@@ -203,7 +201,7 @@ def test_criterion_08_size_bias_law():
 
 
 def test_criterion_09_adjacency_oracle_monotonicity():
-    res = monotonicity_sweep(master_seed=88_02, threads=THREADS)
+    res = monotonicity_sweep(master_seed=88_02)
     ok = res.spearman > 0.8
     report(9, ok,
            f"Spearman(adjacency dependence, window-oracle dependence) = "

@@ -153,6 +153,22 @@ class TestConfigErrors:
         assert "configuration error: --threads:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, location", [
+        ({"calibration": {"n_seeds": 2}}, "calibration:"),
+        ({"transects": None}, "transects:"),
+    ], ids=["calibration_on_hardcore", "no_transects"])
+    def test_intercept_refusal_writes_nothing(self, tmp_path, capsys, edit, location):
+        """``intercept`` checks every section before it computes, and writes
+        nothing until every stage has succeeded."""
+        scenario = json.loads((golden_digests.SCENARIO_DIR / "hardcore_transect.json").read_text())
+        scenario.update(edit)
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({k: v for k, v in scenario.items() if v is not None}))
+        out = tmp_path / "out"
+        assert main(["intercept", "--config", str(config), "--out", str(out)]) == 2
+        assert f"configuration error: {location}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scenario_not_utf8_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes('{"seed": 1, "note": "caf\u00e9"}'.encode("latin-1"))

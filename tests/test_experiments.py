@@ -111,19 +111,11 @@ def assert_same_outcomes(a, b):
 
 
 def test_null_ensemble_thread_invariant():
+    """``threads`` is still accepted, because the benchmark passes it, and
+    it leaves every readout unchanged."""
     kwargs = dict(replicates=50, n_seeds=4, master_seed=12)
     serial = gy_null_ensemble(threads=1, **kwargs)
     threaded = gy_null_ensemble(threads=2, **kwargs)
-    assert_same_outcomes(serial, threaded)
-
-
-def test_window_ensemble_thread_invariant():
-    """Seeds drawn on 1 or 2 threads stack into the same rows."""
-    kwargs = dict(
-        params=clustered_params(cluster_radius=0.05, parent_intensity=30.0, offspring_mean=6.0),
-        table=binary_table(), window=(0.1, 0.1), replicates=60, n_seeds=5, master_seed=31,
-    )
-    serial, threaded = (window_ensemble(threads=t, **kwargs) for t in (1, 2))
     assert_same_outcomes(serial, threaded)
 
 
@@ -230,6 +222,6 @@ def test_experiment_script_runs(script, args, monkeypatch):
         "PYTHONPATH", os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     )
     path = Path(__file__).resolve().parents[1] / "scripts" / script
-    proc = subprocess.run([sys.executable, str(path), *args, "--threads", "1"],
+    proc = subprocess.run([sys.executable, str(path), *args],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

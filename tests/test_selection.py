@@ -156,9 +156,10 @@ class TestDesignValidation:
         with pytest.raises(ValueError, match="class-count states"):
             enumerate_design(over, ClassTable.from_arrays([1.0] * 25, [0.5] * 25))
 
-    @pytest.mark.parametrize("bad", [2, -1, 10**20, -2**70])
+    @pytest.mark.parametrize("bad", [2, -1, 10**20, -2**70, 0.7, 1.5, np.nan, np.inf])
     def test_class_ids_index_into_q(self, bad):
-        """Ids outside [0, K), also those beyond int64, raise ValueError."""
+        """Ids outside [0, K), also those beyond int64, and ids that are not
+        whole numbers raise ValueError instead of being truncated."""
         with pytest.raises(ValueError, match="index into q"):
             SelectionDesign.bernoulli([0.5, 0.5], [0, 1, bad])
         with pytest.raises(ValueError, match="index into q"):
