@@ -11,20 +11,24 @@ Times, at each particle count n, the best of ``--repeat`` timeit runs of:
 - ``window_counts`` of 500 windows of side 0.05 on the cluster field, its
   cell index already built.
 
-and, at K = 2, 10 and 40 classes, on seeded (R, K) count rows:
+at K = 2, 10, 40 and 100 classes, on R seeded (R, K) count rows, R taking
+the values of ``--sizes`` too:
 
 - ``inclusion_from_fractions(*pair_fractions(counts, pop))``;
 - ``compare_estimators`` of those rows, their summary and estimate
   already built.
 
-The aggregation layers are keyed by the replicate count R, fixed at 500,
-not by ``--sizes``: their memory grows by about 36 bytes per R * K**2, so
-R = 100,000 at K = 40 would need about 5.8 GB.
+Their memory grows as R * K (the moment matrices are K^2 per run), so
+R = 100,000 at K = 100 needs about 0.6 GB.  And once:
+
+- ``aggregate.null``: ``experiments._aggregate_seeds`` of the null
+  ensemble's stack, 50 seeds of R = 200 Poisson window counts at K = 2
+  (keyed by the seed count).
 
 Each value is seconds per call, to 3 significant digits.  Run from the
 repository root:
 
-    python3 scripts/layer_times.py                 # n = 500 ... 100,000
+    python3 scripts/layer_times.py                 # n, R = 500 ... 100,000
     python3 scripts/layer_times.py --sizes 500 --repeat 2
 
 Uses numpy and the standard library only.
@@ -43,11 +47,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from granvar.experiments import (  # noqa: E402
+    _aggregate_seeds, _draw_window_counts, _window_count_rates, binary_table, poisson_null_params,
+)
 from granvar.fields import CellStrips, ProcessParams, assign_classes, generate_field  # noqa: E402
 from granvar.model import ClassTable  # noqa: E402
 from granvar.selection import (  # noqa: E402
     ReplicateStats, compare_estimators, inclusion_from_fractions, pair_fractions, window_counts,
 )
+from granvar.util import derived_rng  # noqa: E402
 
 SIZES = (500, 5_000, 50_000, 100_000)
 SEED = 11
@@ -59,12 +67,14 @@ RADIUS = 0.002
 HARDCORE_COVER = 0.1
 WINDOWS = 500
 WINDOW_SIDE = 0.05
-#: Replicates and class counts K of the aggregation layers; every class has
-#: POPULATION members, each selected with chance SELECTED.
-REPLICATES = 500
-AGGREGATE_K = (2, 10, 40)
+#: Class counts K of the aggregation layers; every class has POPULATION
+#: members, each selected with chance SELECTED.
+AGGREGATE_K = (2, 10, 40, 100)
 POPULATION = 50
 SELECTED = 0.2
+#: The null ensemble's stack: seeds, replicates per seed, window and
+#: field intensity (as ``experiments.gy_null_ensemble``'s defaults).
+NULL_SEEDS, NULL_REPLICATES, NULL_WINDOW, NULL_INTENSITY = 50, 200, (0.3, 0.3), 500.0
 #: Calls per timeit run: enough for a run to last about this long.
 RUN_SECONDS = 0.02
 
@@ -118,24 +128,31 @@ def layer_times(sizes, repeat: int) -> dict:
         anchors = np.random.default_rng(SEED).random((WINDOWS, 2))
         record("window_counts", n,
                lambda: window_counts(cluster, anchors, WINDOW_SIDE, WINDOW_SIDE, 2))
-    for k in AGGREGATE_K:
-        rng = np.random.default_rng(SEED)
-        pop = np.full(k, POPULATION)
-        counts = rng.binomial(pop, SELECTED, size=(REPLICATES, k))
-        table = ClassTable.from_arrays(rng.uniform(0.5, 2.0, k), rng.uniform(0.0, 1.0, k))
-        stats = ReplicateStats.from_counts(counts, table)
-        est = inclusion_from_fractions(*pair_fractions(counts, pop))
-        record(f"inclusion_from_fractions.k{k}", REPLICATES,
-               lambda: inclusion_from_fractions(*pair_fractions(counts, pop)))
-        record(f"compare_estimators.k{k}", REPLICATES,
-               lambda: compare_estimators(stats, est, table))
+    for r in sizes:
+        for k in AGGREGATE_K:
+            rng = np.random.default_rng(SEED)
+            pop = np.full(k, POPULATION)
+            counts = rng.binomial(pop, SELECTED, size=(r, k))
+            table = ClassTable.from_arrays(rng.uniform(0.5, 2.0, k), rng.uniform(0.0, 1.0, k))
+            stats = ReplicateStats.from_counts(counts, table)
+            est = inclusion_from_fractions(*pair_fractions(counts, pop))
+            record(f"inclusion_from_fractions.k{k}", r,
+                   lambda: inclusion_from_fractions(*pair_fractions(counts, pop)))
+            record(f"compare_estimators.k{k}", r,
+                   lambda: compare_estimators(stats, est, table))
+    rates = _window_count_rates(poisson_null_params(NULL_INTENSITY), NULL_WINDOW)
+    draws = [_draw_window_counts(rates, NULL_REPLICATES, derived_rng(SEED, s))
+             for s in range(NULL_SEEDS)]
+    table = binary_table()
+    record("aggregate.null", NULL_SEEDS, lambda: _aggregate_seeds(draws, table))
     return layers
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
-                        help="particle counts n (default: %(default)s)")
+                        help="particle counts n and replicate counts R "
+                             "(default: %(default)s)")
     parser.add_argument("--repeat", type=int, default=5,
                         help="timeit runs per value; the best is kept (default: %(default)s)")
     args = parser.parse_args(argv)

@@ -13,12 +13,18 @@ Each formula has one kernel over (R, K) class-count rows
 (:func:`sample_totals`, :func:`sample_concentration`, :func:`moment_terms`,
 :func:`ht_terms`); the scalar estimators call them with R = 1.  The
 kernels are row-local: a row's per-class terms are added left to right
-from 0.  A matrix product or an einsum may round a row differently with
+from 0, and its quadratic form sum_ij a_i C_ij a_j is one vector-matrix
+product of that row alone, ((a @ C) * a).sum(-1), batched over the rows.
+A single matrix product over all rows may round a row differently with
 the batch it sits in, so a value evaluated once per distinct row, or as a
-scalar, would differ from the same row evaluated in another batch.
-Because the arithmetic is elementwise, the dependence and pair weights
-may also be per-row stacks, (K, K, R) with each entry an (R,) column, and
-a row then gets the same value as with its own (K, K) matrix.
+scalar, would then differ from the same row evaluated in another batch.
+The dependence and pair weights may also be per-row stacks, (R, K, K)
+with one (K, K) matrix per row (and per-row diagonal weights (R, K)), and
+a row then gets the same value as with its own matrix.
+
+Replicate means of these values need no per-row kernel: they are linear
+in the per-row moment matrices a aᵀ / M² (see
+:func:`granvar.selection.compare_estimators`).
 """
 from __future__ import annotations
 
@@ -135,14 +141,16 @@ def _row_sums(terms) -> np.ndarray:
 
 
 def _class_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_u N_u weights_u per row of (R, K) counts."""
-    return _row_sums(counts[:, u] * weights[u] for u in range(len(weights)))
+    """sum_u N_u weights_u per row of (R, K) counts, for (K,) ``weights``
+    or per-row (R, K) ones."""
+    return _row_sums(counts[:, u] * weights[..., u] for u in range(counts.shape[1]))
 
 
-def _quadratic_form(a: list[np.ndarray], p: np.ndarray) -> np.ndarray:
-    """sum_ij a_i p_ij a_j per row, for per-class columns ``a``."""
-    k = len(a)
-    return _row_sums((a[i] * p[i, j]) * a[j] for i in range(k) for j in range(k))
+def _quadratic_form(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_ij a_i p_ij a_j of each row of (R, K) ``a``, for a (K, K) ``p``
+    or a per-row (R, K, K) stack; each row is its own vector-matrix
+    product, so its value does not depend on the other rows."""
+    return (np.matmul(a[:, None, :], p)[:, 0] * a).sum(axis=-1)
 
 
 def sample_totals(counts: np.ndarray, table: ClassTable) -> tuple[np.ndarray, np.ndarray]:
@@ -152,14 +160,38 @@ def sample_totals(counts: np.ndarray, table: ClassTable) -> tuple[np.ndarray, np
     return _class_sums(counts, m), _class_sums(counts, m * table.concentrations)
 
 
-def sample_concentration(mass: np.ndarray, analyte: np.ndarray, table: ClassTable) -> np.ndarray:
+def sample_concentration(
+    mass: np.ndarray, analyte: np.ndarray, table: ClassTable, counts: np.ndarray | None = None
+) -> np.ndarray:
     """Per-row sample concentration c_s = analyte / mass of
     :func:`sample_totals`' totals; exactly the common concentration when
     every class of ``table`` has the same one, whatever the mass, where the
-    division would round it differently from row to row."""
-    if table.common_concentration is None:
+    division would round it differently from row to row.  Given the (R, K)
+    ``counts``, a row whose present classes (count > 0) share one
+    concentration gets exactly that one too; the scalar summaries of
+    :mod:`granvar.model` keep the division there."""
+    common = table.common_concentration
+    if common is not None:
+        return np.full(np.shape(mass), common)
+    if counts is None:
         return analyte / mass
-    return np.full(np.shape(mass), table.common_concentration)
+    # the concentration levels each row holds: with one, c_s is that level
+    levels = np.array(sorted(set(table.concentrations.tolist())))
+    held = (counts @ (table.concentrations[:, None] == levels).astype(float) > 0).astype(float)
+    found, level = (held @ np.column_stack([np.ones(len(levels)), levels])).T
+    return np.where(found == 1.0, level, analyte / mass)
+
+
+def moment_deviations(
+    counts: np.ndarray, cs: np.ndarray, table: ClassTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row Gy numerator sum_u N_u m_u^2 (c_u - c_s)^2 and (R, K)
+    deviations a_u = N_u m_u (c_u - c_s) of (R, K) class counts with sample
+    concentrations ``cs``."""
+    m = table.masses
+    dev = table.concentrations - cs[:, None]
+    gy = _row_sums(counts[:, u] * (m[u] * m[u]) * dev[:, u] * dev[:, u] for u in range(table.k))
+    return gy, counts * m * dev
 
 
 def moment_terms(
@@ -170,38 +202,36 @@ def moment_terms(
 
     Gy = sum_u N_u m_u^2 (c_u - c_s)^2,  correction = sum_ij a_i C_ij a_j
 
-    with a_u = N_u m_u (c_u - c_s); the variance is (Gy - correction) / M_s^2.
+    with a_u = N_u m_u (c_u - c_s) (:func:`moment_deviations`); the
+    variance is (Gy - correction) / M_s^2.
     """
-    m = table.masses
-    dev = [table.concentrations[u] - cs for u in range(table.k)]
-    gy = _row_sums(counts[:, u] * (m[u] * m[u]) * dev[u] * dev[u] for u in range(table.k))
-    a = [counts[:, u] * m[u] * dev[u] for u in range(table.k)]
+    gy, a = moment_deviations(counts, cs, table)
     return gy, _quadratic_form(a, c)
+
+
+def ht_totals(counts: np.ndarray, table: ClassTable) -> np.ndarray:
+    """(R, K) per-class analyte masses v_u = N_u m_u c_u of (R, K) counts."""
+    return counts * (table.masses * table.concentrations)
 
 
 def ht_terms(
     counts: np.ndarray, table: ClassTable, d: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sums (sum_u N_u d_u, sum_ij w_i P_ij w_j), w_u = N_u m_u c_u,
+    """Per-row sums (sum_u N_u d_u, sum_ij v_i P_ij v_j), v = :func:`ht_totals`,
     of (R, K) class counts.
 
     The Horvitz-Thompson forms differ only in the per-class diagonal
     weights ``d``, the pair weights ``p`` and the mass they divide by.
     """
-    m, conc = table.masses, table.concentrations
-    w = [counts[:, u] * (m[u] * conc[u]) for u in range(table.k)]
-    return _class_sums(counts, d), _quadratic_form(w, p)
+    return _class_sums(counts, d), _quadratic_form(ht_totals(counts, table), p)
 
 
 def infinite_batch_weights(table: ClassTable, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d, P) of the infinite-batch Horvitz-Thompson form:
     d_u = m_u^2 c_u^2 / (1 - C_uu) and P = C / (1 - C), for a (K, K) ``c``
-    or a per-row (K, K, N) stack (then d is (K, N))."""
+    or a (G, K, K) stack (then d is (G, K))."""
     m, conc = table.masses, table.concentrations
-    d = m * m * conc * conc
-    if c.ndim == 3:
-        d = d[:, None]
-    return d / (1.0 - np.diagonal(c).T), c / (1.0 - c)
+    return m * m * conc * conc / (1.0 - np.diagonal(c, axis1=-2, axis2=-1)), c / (1.0 - c)
 
 
 def _variance_result(first: np.ndarray, second: np.ndarray, mass: float) -> VarianceResult:

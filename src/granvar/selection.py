@@ -32,7 +32,13 @@ with a window's perimeter, not its area.
 
 Replicated runs report per-replicate sample summaries, the empirical
 variance of the sample concentration, and inclusion-probability estimates
-that invert to an empirical dependence matrix.
+that invert to an empirical dependence matrix.  Those estimates and the
+estimator comparison are sums over the replicates' count rows that one
+moment matrix per run holds: a run keeps (N, K) selected fractions and
+same-class pair fractions, never per-row (K, K) arrays, and the pair
+fractions of two classes and each estimator's replicate mean are read off
+products of its class columns (:func:`inclusion_from_fractions`,
+:func:`compare_estimators`).  Memory is O(N K + G K^2) for N rows in G runs.
 """
 from __future__ import annotations
 
@@ -45,7 +51,9 @@ import numpy as np
 from .errors import EmptySampleError
 from .estimators import (
     ht_terms,
+    ht_totals,
     infinite_batch_weights,
+    moment_deviations,
     moment_terms,
     sample_concentration,
     sample_totals,
@@ -212,11 +220,12 @@ class ReplicateStats:
     multiplicity 1: ``v_e``, ``v_e_se``, ``mean_cs`` and ``mass_cv`` are
     then (G,) arrays, each run's bit for bit as numpy's mean, var, std and
     :func:`variance_se` of its replicates, and ``n_empty`` counts all runs.
-    A table whose classes share one concentration is the exception: c_s
-    is exactly that concentration (see
-    :func:`~granvar.estimators.sample_concentration`), so ``mean_cs`` is
-    too and ``v_e`` and ``v_e_se`` are 0, where the sums would give
-    rounding noise; they stay NaN below 2 (4) non-empty replicates.
+    A run whose non-empty rows all have the same c_s is the exception, as
+    when their present classes share one concentration (c_s is then exactly
+    that concentration; see :func:`~granvar.estimators.sample_concentration`):
+    ``mean_cs`` is that value and ``v_e`` and ``v_e_se`` are 0, where the
+    sums would give rounding noise; they stay NaN below 2 (4) non-empty
+    replicates.
     """
 
     distinct: np.ndarray
@@ -260,8 +269,9 @@ class ReplicateStats:
         g = groups or 1
         mass, analyte = sample_totals(distinct, table)
         nonempty = mass > 0
-        cs = np.full(len(mass), np.nan)
-        cs[nonempty] = sample_concentration(mass[nonempty], analyte[nonempty], table)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cs = sample_concentration(mass, analyte, table, distinct)
+        cs[~nonempty] = np.nan
         w = multiplicity.astype(float)
         _, mean_mass, var_mass, _ = _group_reduce(
             _weighted_moments, np.full(g, len(mass) // g), mass, w)
@@ -269,13 +279,14 @@ class ReplicateStats:
             _weighted_moments, _rows_per_run(nonempty, g), cs[nonempty], w[nonempty])
         mass_cv = np.divide(np.sqrt(var_mass), mean_mass, out=np.full(g, np.nan),
                             where=mean_mass > 0)
-        common = table.common_concentration
-        if common is not None:
-            # c_s is exactly ``common`` on every non-empty row: the sums would
-            # round its mean and give its spread as noise
-            few, fewer = np.isnan(v_e), np.isnan(v_e_se)
-            mean_cs = np.where(few, np.nan, common)
-            v_e, v_e_se = np.where(few, np.nan, 0.0), np.where(fewer, np.nan, 0.0)
+        # a run whose non-empty rows all have one c_s (as when their classes
+        # share a concentration): the sums would round its mean and give its
+        # spread as noise
+        runs = cs.reshape(g, -1)
+        lo, hi = np.fmin.reduce(runs, axis=1), np.fmax.reduce(runs, axis=1)
+        flat, few, fewer = lo == hi, np.isnan(v_e), np.isnan(v_e_se)
+        mean_cs = np.where(flat & ~few, lo, mean_cs)
+        v_e, v_e_se = np.where(flat & ~few, 0.0, v_e), np.where(flat & ~fewer, 0.0, v_e_se)
         if groups is None:
             v_e, v_e_se, mean_cs, mass_cv = (float(a[0]) for a in (v_e, v_e_se, mean_cs, mass_cv))
         return cls(
@@ -538,10 +549,11 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
             w, sf = states.weights[span], s.astype(float)
             mass, analyte = sample_totals(sf.T, table)
             nonempty = mass > 0
-            cs = sample_concentration(np.where(nonempty, mass, 1.0), analyte, table)
+            cs = sample_concentration(np.where(nonempty, mass, 1.0), analyte, table, sf.T)
             yield w, sf, np.where(nonempty, w, 0.0), cs
 
     z = z_empty = z_nonempty = sum_cs = 0.0
+    lo, hi = np.inf, -np.inf
     first = np.zeros(k)
     pairs = np.zeros((k, k))
     within = np.zeros(k)
@@ -553,12 +565,14 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
         z_empty += float((w - w_nonempty).sum())
         z_nonempty += float(w_nonempty.sum())
         sum_cs += float((w_nonempty * cs).sum())
+        weighed = cs[w_nonempty > 0]
+        lo, hi = min(lo, weighed.min(initial=np.inf)), max(hi, weighed.max(initial=-np.inf))
     if z_nonempty <= 0:
         raise EmptySampleError("every selection outcome with positive weight is empty")
-    # a shared concentration is every state's c_s: its mean, which the
-    # weighted sum would round, and variance 0
-    common = table.common_concentration
-    mean_cs = sum_cs / z_nonempty if common is None else common
+    # one c_s on every state of weight (as when the classes share a
+    # concentration): its mean, which the weighted sum would round, and
+    # variance 0
+    mean_cs = float(lo) if lo == hi else sum_cs / z_nonempty
     var_cs = sum(
         float((w_nonempty * (cs - mean_cs) ** 2).sum())
         for _, _, w_nonempty, cs in weighted_states()
@@ -762,21 +776,6 @@ def variance_se(values: np.ndarray) -> float | np.ndarray:
     return float(se) if values.ndim == 1 else se
 
 
-def _weighted_mean(x: np.ndarray, w: np.ndarray, valid: np.ndarray):
-    """(weight, mean, deviations, standard error of the mean) per group of
-    C-ordered (..., G, R) ``x``, over the rows ``valid`` marks, with (G, R)
-    row weights ``w``; deviations off those rows carry no weight.  Unit
-    weights and every row valid give numpy's mean and std(ddof=1) /
-    sqrt(R) of each group's rows, bit for bit."""
-    if not valid.all():
-        w, x = np.where(valid, w, 0.0), np.where(valid, x, 0.0)
-    total = w.sum(axis=-1)
-    mean = (w * x).sum(axis=-1) / total
-    dev = x - mean[..., None]
-    se = np.sqrt((w * (dev * dev)).sum(axis=-1) / (total - 1.0)) / np.sqrt(total)
-    return total, mean, dev, se
-
-
 def inclusion_from_fractions(
     f1: np.ndarray,
     f2: np.ndarray,
@@ -785,72 +784,185 @@ def inclusion_from_fractions(
 ) -> InclusionEstimate:
     """Aggregate per-row inclusion fractions into an estimate.
 
-    ``f1`` is (N, K) selected fractions and ``f2`` (N, K, K) selected pair
-    fractions, NaN where a row had too few population members.  Row i
-    stands for ``weights[i]`` replicates (1 by default), so distinct rows
-    with their multiplicities estimate what all replicates do.  ``groups``
-    splits the rows into that many equal runs, each estimated alone.  Also
-    the entry point for populations that change per replicate.
+    ``f1`` is (N, K) selected fractions F and ``f2`` (N, K) same-class pair
+    fractions H (see :func:`pair_fractions`), NaN where a row had too few
+    population members.  Row i stands for ``weights[i]`` replicates (1 by
+    default), so distinct rows with their multiplicities estimate what all
+    replicates do.  ``groups`` splits the rows into that many equal runs,
+    each estimated alone.  Also the entry point for populations that change
+    per replicate.
 
-    All K(K+1)/2 cells take one pass of weighted sums (see
-    :func:`_weighted_mean`) over the rows where their fractions are
-    finite, and need a weight of 2 there.  ``c_hat_se`` is the standard
-    error of the mean of c_hat's linearization in (pi2, pi1_u, pi1_v).
+    A cell (u, v) of distinct classes averages the pair fraction F_u F_v
+    over the rows where both are finite; a diagonal cell averages H_u.  A
+    cell needs a weight of 2 there.  ``c_hat_se`` is the standard error of
+    the mean of c_hat's linearization in (pi2, pi1_u, pi1_v), the quadratic
+    form of the delta-method gradient in those three values' comoments.
+
+    Every sum is an entry of one moment matrix per group (see
+    :func:`_group_moments`), so no (N, K, K) array is formed: the memory is
+    O(N K + G K^2).
     """
     n, k = f1.shape
     g = groups or 1
-    size = n // g
-    w = (np.ones(n) if weights is None else np.asarray(weights, dtype=float)).reshape(g, size)
-    iu, iv = np.triu_indices(k)
-    # C order: numpy then sums each run's R values as it sums them alone
-    x1 = np.ascontiguousarray(f1.T).reshape(k, g, size)
-    x2 = np.ascontiguousarray(f2[:, iu, iv].T).reshape(len(iu), g, size)
-    valid2 = np.isfinite(x2) & np.isfinite(x1[iu]) & np.isfinite(x1[iv])
+    w = None if weights is None else np.asarray(weights, dtype=float).reshape(g, -1)
+    (s1, n1, sum1, sq1), shift, cell = _group_moments(f1, f2, w, g)
     with np.errstate(divide="ignore", invalid="ignore"):
-        n1, pi1, _, pi1_se = _weighted_mean(x1, w, np.isfinite(x1))
-        n2, pi2, dev2, pi2_se = _weighted_mean(x2, w, valid2)
-        a, b = pi1[iu], pi1[iv]
-        linear = ((-1.0 / (a * b))[..., None] * dev2
-                  + (pi2 / (a * a * b))[..., None] * _weighted_mean(x1[iu], w, valid2)[2]
-                  + (pi2 / (a * b * b))[..., None] * _weighted_mean(x1[iv], w, valid2)[2])
-        c_se = _weighted_mean(linear, w, valid2)[3]
-    pi1, pi1_se = np.where(n1 > 0, pi1, np.nan).T, np.where(n1 >= 2, pi1_se, np.nan).T
+        pi1 = s1 + sum1 / n1
+        pi1_se = np.sqrt(np.maximum(sq1 - sum1 * sum1 / n1, 0.0) / (n1 - 1.0)) / np.sqrt(n1)
+        n2 = cell["n"]
+        mean = {key: cell[key] / n2 for key in "yuv"}
+        # comoments of (pair fraction, F_u, F_v) over each cell's rows
+        cov = {a + b: cell[a + b] - cell[a] * mean[b]
+               for a, b in ("yy", "yu", "yv", "uu", "vv", "uv")}
+        # a pair fraction's variance within the rounding bound of its sums
+        # is 0, and so are its covariances: it is constant on the cell's
+        # rows (as when the pair fractions F_u F_v are one value while F_u
+        # and F_v vary), where the sums would leave rounding noise
+        rows = n // g
+        constant = cov["yy"] <= 4.0 * (rows + 6) * np.finfo(float).eps * cell["yy_terms"]
+        for key in ("yy", "yu", "yv"):
+            cov[key][constant] = 0.0
+        pi2 = shift + mean["y"]
+        a, b = pi1[:, :, None], pi1[:, None, :]
+        grad_y, grad_u, grad_v = -1.0 / (a * b), pi2 / (a * a * b), pi2 / (a * b * b)
+        linear = (grad_y * grad_y * cov["yy"] + grad_u * grad_u * cov["uu"]
+                  + grad_v * grad_v * cov["vv"]
+                  + 2.0 * (grad_y * grad_u * cov["yu"] + grad_y * grad_v * cov["yv"]
+                           + grad_u * grad_v * cov["uv"]))
+        pi2_se = np.sqrt(np.maximum(cov["yy"], 0.0) / (n2 - 1.0)) / np.sqrt(n2)
+        c_se = np.sqrt(np.maximum(linear, 0.0) / (n2 - 1.0)) / np.sqrt(n2)
+    pi1, pi1_se = np.where(n1 > 0, pi1, np.nan), np.where(n1 >= 2, pi1_se, np.nan)
+    # the upper triangle, mirrored: the sums need not be symmetric bit for bit
+    iu, iv = np.triu_indices(k)
     square = np.empty((3, g, k, k))
     square[:, :, iu, iv] = square[:, :, iv, iu] = np.where(
-        n2 >= 2, [pi2, pi2_se, c_se], np.nan).transpose(0, 2, 1)
+        n2 >= 2, [pi2, pi2_se, c_se], np.nan)[:, :, iu, iv]
     c_hat = dependence_from_inclusion(pi1, square[0])
     fields = [pi1, pi1_se, *square[:2], c_hat, np.where(np.isnan(c_hat), np.nan, square[2])]
-    replicates = w.sum(axis=1).astype(np.int64)
+    replicates = np.full(g, n // g) if w is None else w.sum(axis=1).astype(np.int64)
     if groups is None:
         fields, replicates = [f[0] for f in fields], int(replicates[0])
     return InclusionEstimate(*fields, replicates)
 
 
+def _shifted(x: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(shift, shifted values, finite mask) of (N, K) values in ``g`` equal
+    runs of rows, the last two class-major, (G, K, n): each group's class
+    shifted by its smallest finite value (0 when it has none), 0 where not
+    finite.  A constant class becomes exact zeros, and a class holding a 0
+    is not shifted, so products that vanish stay 0."""
+    x = np.ascontiguousarray(x.reshape(g, -1, x.shape[1]).transpose(0, 2, 1))
+    finite = np.isfinite(x)
+    if finite.all():
+        shift = x.min(axis=2)
+        return shift, x - shift[:, :, None], finite
+    shift = np.fmin.reduce(x, axis=2)
+    shift[np.isnan(shift)] = 0.0
+    return shift, np.where(finite, x - shift[:, :, None], 0.0), finite
+
+
+def _group_moments(f1: np.ndarray, f2: np.ndarray, w: np.ndarray | None, g: int):
+    """The weighted sums behind :func:`inclusion_from_fractions` of (N, K)
+    fractions ``f1`` (F) and ``f2`` (H) in ``g`` equal runs of rows, with
+    (G, n) row weights ``w`` (None: unit weights):
+
+    - (G, K) (shift s, weight, sum, sum of squares) of f = F - s over the
+      rows where F is finite, for pi1;
+    - the (G, K, K) shift of each cell's pair fraction, s_u s_v off the
+      diagonal and H's shift on it;
+    - a dict of (G, K, K) sums per cell over the rows where its pair
+      fraction is finite: their weight ``n``, the sums ``y``, ``u``, ``v``
+      of y = pair fraction - shift, f_u and f_v, the sums of the
+      products of two of them (``yy``, ``yu``, ``yv``, ``uu``, ``vv``,
+      ``uv``), and ``yy_terms``, a bound on the sum of the magnitudes of
+      the terms that ``yy`` adds.
+
+    Each class is first shifted by its group's smallest finite value (see
+    :func:`_shifted`), so that the sums hold spreads, not means, and
+    nothing cancels when the spread is small next to the mean.  One
+    weighted product per group, [f, f∘f, I] W [f, f∘f, I]ᵀ with I the
+    classes' finiteness indicators (one row of ones when all are finite),
+    formed as A Aᵀ with A = [f, f∘f, I] W^(1/2) so that BLAS computes one
+    triangle, holds every sum a cell (u, v), u != v, needs: its pair fraction
+    F_u F_v is s_u s_v + y with y = s_u f_v + s_v f_u + f_u f_v, whose sums
+    and products with f_u and f_v expand into entries of fWfᵀ,
+    (f∘f)Wfᵀ, (f∘f)W(f∘f)ᵀ and the indicator blocks, the last masking each
+    sum to the cell's rows.  The diagonal cells take H_u, shifted the same
+    way, and their sums are K-vectors, one weighted row sum each.  Matrix
+    products and row sums reduce each group as it is reduced alone, so a
+    group's sums do not depend on the others.
+    """
+    k = f1.shape[1]
+
+    def weighted(x):
+        return x if w is None else x * w[:, None, :]
+
+    s1, f, finite = _shifted(f1, g)
+    q = f * f
+    if finite.all():
+        ones, ind = np.ones((g, 1, f.shape[2])), np.zeros(k, dtype=np.intp)
+    else:
+        ones, ind = finite.astype(float), np.arange(k)
+    cols = np.concatenate([f, q, ones], axis=1)
+    if w is not None:
+        cols *= np.sqrt(w)[:, None, :]
+    prod = np.matmul(cols, cols.transpose(0, 2, 1))
+    del cols
+    i, fc, qc = 2 * k + ind, slice(0, k), slice(k, 2 * k)
+    ff, qf, qq = prod[:, fc, fc], prod[:, qc, fc], prod[:, qc, qc]
+    # fi[u, v]: the sum of f_u over the rows where F_v is finite; qi of f_u^2
+    fi, qi, n = prod[:, fc][:, :, i], prod[:, qc][:, :, i], prod[:, i][:, :, i]
+    diag = np.arange(k)
+    first = s1, n[:, diag, diag], fi[:, diag, diag], ff[:, diag, diag]
+
+    def t(x):
+        return np.swapaxes(x, 1, 2)
+
+    su, sv = s1[:, :, None], s1[:, None, :]
+    cell = {key: np.array(value) for key, value in dict(
+        n=n, y=su * t(fi) + sv * fi + ff,
+        u=fi, v=t(fi), uu=qi, vv=t(qi), uv=ff,
+        yy=(su * su * t(qi) + sv * sv * qi + qq
+            + 2.0 * (su * sv * ff + su * t(qf) + sv * qf)),
+        yu=su * ff + sv * qi + qf,
+        yv=su * t(qi) + sv * ff + t(qf),
+        # (a + b + c)^2 <= 3 (a^2 + b^2 + c^2): a bound on the sum of the
+        # magnitudes of the terms behind yy
+        yy_terms=3.0 * (su * su * t(qi) + sv * sv * qi + qq),
+    ).items()}
+    shift = su * sv
+
+    s2, h, pairs = _shifted(f2, g)
+    shift[:, diag, diag] = s2
+    hw, pw = weighted(h), weighted(pairs.astype(float))
+    for keys, total in (("n", pw.sum(axis=2)), ("y", hw.sum(axis=2)),
+                        ("yy yy_terms", np.einsum("gkr,gkr->gk", hw, h)),
+                        ("yu yv", np.einsum("gkr,gkr->gk", hw, f)),
+                        ("u v", np.einsum("gkr,gkr->gk", pw, f)),
+                        ("uu vv uv", np.einsum("gkr,gkr->gk", pw, q))):
+        for key in keys.split():
+            cell[key][:, diag, diag] = total
+    return first, shift, cell
+
+
 def pair_fractions(counts: np.ndarray, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate first/second-order selected fractions; unestimable
+    """Per-replicate selected fractions F = N_u / n_u and same-class pair
+    fractions H = N_u (N_u - 1) / (n_u (n_u - 1)), both (R, K); unestimable
     entries (absent or single-member classes) NaN.
 
     ``counts`` is (R, K) selected counts.  ``pop`` is the population: (K,)
     totals shared by every replicate, or (R, K) totals per replicate, in
-    which case an entry is NaN where that replicate's population is 0 (below
-    2 on the diagonal).  Pair fractions use unordered distinct pairs; the
-    diagonal counts distinct same-class pairs.
+    which case an entry of F is NaN where that replicate's population is 0
+    (of H, below 2).  The fraction of selected pairs of distinct classes u
+    and v is the product F_u F_v, so it is not stored.
     """
-    r, k = counts.shape
-    pop = np.broadcast_to(pop, (r, k))
-    f1 = np.full((r, k), np.nan)
-    f2 = np.full((r, k, k), np.nan)
-    np.divide(counts, pop, out=f1, where=pop > 0)
-    for u in range(k):
-        for v in range(u, k):
-            if u == v:
-                pairs = counts[:, u] * (counts[:, u] - 1) / 2
-                total = pop[:, u] * (pop[:, u] - 1) / 2
-            else:
-                pairs = counts[:, u] * counts[:, v]
-                total = pop[:, u] * pop[:, v]
-            np.divide(pairs, total, out=f2[:, u, v], where=total > 0)
-            f2[:, v, u] = f2[:, u, v]
+    pop = np.asarray(pop)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # N (N - 1) / (n (n - 1)) is that of the pair counts, halving being exact
+        f1, f2 = counts / pop, counts * (counts - 1) / (pop * (pop - 1))
+    for f, least in ((f1, 1), (f2, 2)):
+        if np.any(pop < least):
+            f[np.broadcast_to(pop < least, f.shape)] = np.nan
     return f1, f2
 
 
@@ -896,27 +1008,25 @@ def empirical_dependence(
     )
 
 
-def _mean_counts(distinct: np.ndarray, weights: np.ndarray, runs: np.ndarray,
-                 sizes: np.ndarray) -> np.ndarray:
-    """(G, K) mean count rows of G runs of ``sizes`` replicates: run g is
-    the next ``runs[g]`` rows of ``distinct``, each standing for
-    ``weights`` replicates.
+def _mean_counts(distinct: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(G, K) mean count rows of G equal runs of ``distinct``'s rows, each
+    row standing for its (G, n) ``weights`` replicates, ``sizes`` in all.
 
     Integer counts give each mean exactly, rounded once, which is numpy's
     mean of the replicates' float rows whenever that float sum is exact:
     every weight times count and every sum of them is an integer, exact as
-    a double while the largest magnitude times the largest run is below
-    2^53, and summed as Python integers above.  Other counts are weighted
-    and summed as floats.
+    a double in any order while the largest magnitude times the largest
+    run is below 2^53, and summed as Python integers above.  Other counts
+    are weighted and summed as floats.
     """
-    dtype = float
+    g, n = weights.shape
+    rows = distinct.reshape(g, n, -1)
     if distinct.dtype.kind in "iu" and (
         max(int(distinct.max()), -int(distinct.min())) * int(sizes.max()) >= 2**53
     ):
-        dtype, sizes = object, sizes.astype(object)
-    x = distinct.astype(dtype) * weights.astype(dtype)[:, None]
-    sums = np.add.reduceat(x, np.cumsum(runs) - runs, axis=0)
-    return (sums / sizes[:, None]).astype(float)
+        sums = (rows.astype(object) * weights.astype(object)[:, :, None]).sum(axis=1)
+        return (sums / sizes.astype(object)[:, None]).astype(float)
+    return np.matmul(weights.astype(float)[:, None, :], rows.astype(float))[:, 0] / sizes[:, None]
 
 
 def compare_estimators(
@@ -930,15 +1040,24 @@ def compare_estimators(
     with the empirical dependence matrix and with the zero matrix (the
     independence baseline), both per replicate (then averaged over
     non-empty replicates) and on the mean sample summary.  NaN dependence
-    cells (unestimable pairs) enter as zero and are counted.  The
-    per-replicate values are functions of the count row, so they are
-    evaluated once per distinct non-empty row, and the replicate means
-    and mean count rows weigh each row by its multiplicity; so
-    ``replicate_mean`` values equal the per-replicate means to rounding,
-    and the mean counts are exact (see :func:`_mean_counts`).  Grouped
-    ``stats`` and ``est`` compare each run under its own matrix, which
-    enters the kernels as per-row columns, and every value of the report
-    is then a (G,) array, each run's bit for bit as if compared alone.
+    cells (unestimable pairs) enter as zero and are counted.
+
+    The per-replicate values are linear in per-row moment matrices, so
+    their replicate mean under any C is one inner product per run:
+
+    - moment: mean(Gy / M^2) - <C, mean(a aᵀ / M^2)>, with
+      a_u = N_u m_u (c_u - c_s);
+    - Horvitz-Thompson: <d(C), mean(N / M^2)> - <C / (1 - C), mean(v vᵀ / M^2)>,
+      with d_u = m_u^2 c_u^2 / (1 - C_uu) and v_u = N_u m_u c_u, NaN where
+      C has an entry >= 1.
+
+    The means weigh each distinct row by its multiplicity, and an empty row
+    by 0, so the runs stay equal; they equal the per-replicate means to
+    rounding.  The mean count rows are exact (see :func:`_mean_counts`),
+    and the mean-summary values come from the row-local kernels.  Grouped
+    ``stats`` and ``est`` compare each run under its own matrix, and every
+    value of the report is then a (G,) array, each run's bit for bit as if
+    compared alone.
     """
     k = table.k
     g = stats.groups or 1
@@ -946,47 +1065,50 @@ def compare_estimators(
     iu, iv = np.triu_indices(k)
     nan_cells = np.isnan(c_hat[:, iu, iv]).sum(axis=1)
     ok = stats.mass > 0
-    # non-empty distinct rows per run, their multiplicities and their run
-    runs, weights = _rows_per_run(ok, g), stats.multiplicity[ok]
-    run = np.repeat(np.arange(g), runs)
-    sizes = np.bincount(run, weights, minlength=g).astype(np.int64)  # exact below 2^53
+    weights = np.where(ok, stats.multiplicity, 0).reshape(g, -1)
+    sizes = weights.sum(axis=1)
     if np.any(sizes < 2):
         raise EmptySampleError("too few non-empty replicates to compare estimators")
-    mean_counts = _mean_counts(stats.distinct[ok], weights, runs, sizes)
+    mean_counts = _mean_counts(stats.distinct, weights, sizes)
     mean_mass, mean_analyte = sample_totals(mean_counts, table)
-    rows = (stats.distinct[ok].astype(float), stats.mass[ok], stats.cs[ok], run)
-    summaries = (mean_counts, mean_mass, sample_concentration(mean_mass, mean_analyte, table),
-                 np.arange(g))
-    w = weights.astype(float)
+    mean_cs = sample_concentration(mean_mass, mean_analyte, table)
 
-    def run_mean(values):
-        return _group_reduce(lambda x, w: ((w * x).sum(axis=-1) / w.sum(axis=-1),),
-                             runs, values, w)[0]
+    # per-row moments over M^2, weighted to each run's mean; an empty row
+    # has no counts and weighs 0
+    counts = stats.distinct.astype(float)
+    mass = np.where(ok, stats.mass, 1.0)
+    gy, a = moment_deviations(counts, np.where(ok, stats.cs, 0.0), table)
+    scale = (weights / sizes[:, None] / (mass * mass).reshape(g, -1))[:, None, :]
 
-    def evaluate(estimator, c, counts, mass, cs, group):
-        """Per-row values, each row under its run's matrix of the (G, K, K)
-        stack ``c``, or under ``c`` itself when it is one (K, K) matrix."""
-        undefined = ~np.all(c < 1.0, axis=(-2, -1))  # the weights 1 / (1 - C)
-        if c.ndim == 3:
-            if estimator != "moment":
-                c = np.where(undefined[:, None, None], 0.0, c)
-            c, undefined = np.moveaxis(c, 0, -1)[..., group], undefined[group]
+    def mean_outer(x):
+        x = x.reshape(g, -1, k)
+        return np.matmul(scale * x.transpose(0, 2, 1), x)
+
+    gy_mean = np.matmul(scale, gy.reshape(g, -1, 1))[:, 0, 0]
+    n_mean = np.matmul(scale, counts.reshape(g, -1, k))[:, 0]
+    a_outer, v_outer = mean_outer(a), mean_outer(ht_totals(counts, table))
+
+    def values(estimator, c):
+        """(replicate_mean, mean_summary) of each run under its (K, K) matrix
+        of the (G, K, K) stack ``c``."""
         if estimator == "moment":
-            first, second = moment_terms(counts, cs, table, c)
-            return (first - second) / (mass * mass)
-        first, second = ht_terms(counts, table, *infinite_batch_weights(table, c))
-        return np.where(undefined, np.nan, (first - second) / (mass * mass))
+            first, second = moment_terms(mean_counts, mean_cs, table, c)
+            return (gy_mean - (c * a_outer).sum(axis=(1, 2)),
+                    (first - second) / (mean_mass * mean_mass))
+        undefined = ~np.all(c < 1.0, axis=(1, 2))  # the weights 1 / (1 - C)
+        d, p = infinite_batch_weights(table, np.where(undefined[:, None, None], 0.0, c))
+        first, second = ht_terms(mean_counts, table, d, p)
+        return tuple(np.where(undefined, np.nan, value) for value in (
+            (d * n_mean).sum(axis=1) - (p * v_outer).sum(axis=(1, 2)),
+            (first - second) / (mean_mass * mean_mass)))
 
     v_e, v_e_se = np.reshape(stats.v_e, g), np.reshape(stats.v_e_se, g)
     unbox = (lambda a: float(a[0])) if stats.groups is None else (lambda a: a)
     report = []
     for estimator in ("moment", "horvitz_thompson"):
-        for dep, c in (("zero", np.zeros((k, k))),
+        for dep, c in (("zero", np.zeros((g, k, k))),
                        ("empirical", np.where(np.isnan(c_hat), 0.0, c_hat))):
-            for mode, value in (
-                ("replicate_mean", run_mean(evaluate(estimator, c, *rows))),
-                ("mean_summary", evaluate(estimator, c, *summaries)),
-            ):
+            for mode, value in zip(("replicate_mean", "mean_summary"), values(estimator, c)):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = np.where(v_e != 0, value / v_e, np.nan)
                     z = np.where(v_e_se != 0, (value - v_e) / v_e_se, np.nan)

@@ -3,6 +3,7 @@ function name, and its traced run patches functions by name.  These tests
 fail when a rename in the program would break either."""
 import importlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -63,13 +64,45 @@ def test_cast_counter_reads_real_records(perfbench):
     assert 0.0 < counts["intercept.in_domain_length"] <= counts["intercept.length"]
 
 
-@pytest.mark.parametrize("name", ["window_cluster", "pairwise_oracle", "transect_hardcore",
-                                  "null_ensemble"])
+WORKLOADS = ["window_cluster", "pairwise_oracle", "transect_hardcore", "null_ensemble"]
+
+
+def run_operation(workload, ctx):
+    """One operation on ``ctx`` as the benchmark's worker runs it, into a
+    fresh output directory."""
+    if ctx.out_dir.exists():
+        shutil.rmtree(ctx.out_dir)
+    return workload.run(ctx)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_check_passes_on_the_program(perfbench, tmp_path, name):
     """Each workload's check reads the program's output (files, or the
-    fields of ``WindowEnsemble.outcomes``) and finds it correct, on input 0
-    of seed 10."""
+    fields of ``WindowEnsemble.outcomes``) and finds it correct, on every
+    input of seed 10."""
     _, workloads = perfbench
     workload = workloads.WORKLOADS[name]
+    for i, ctx in enumerate(workloads.load(workload, 10, tmp_path)):
+        assert workload.check(ctx, run_operation(workload, ctx)) == [], i
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_traced_operation_counts(perfbench, tmp_path, name):
+    """A traced operation passes its check, and its spans reduce to the
+    counts the traced run reports: the aggregated replicates (the rows
+    ``inclusion_from_fractions`` gets) on the workloads that aggregate."""
+    tracing, workloads = perfbench
+    workload = workloads.WORKLOADS[name]
     ctx = workloads.load(workload, 10, tmp_path)[0]
-    assert workload.check(ctx, workload.run(ctx)) == []
+    tracer = tracing.Tracer()
+    tracer.install([workloads])
+    try:
+        result = run_operation(workload, ctx)
+    finally:
+        tracer.uninstall()
+    assert workload.check(ctx, result) == []
+    self_s, counts = tracing.reduce_spans(tracer.take())
+    assert set(self_s) == set(tracing.BUCKETS)
+    if name in ("null_ensemble", "pairwise_oracle"):
+        assert counts["selection.replicates"] > 0
+        assert counts["selection.compared"] >= counts["selection.empty"] >= 0

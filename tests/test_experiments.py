@@ -25,11 +25,14 @@ from granvar.selection import (
     ReplicateStats,
     compare_estimators,
     empirical_dependence,
+    inclusion_from_fractions,
     pair_fractions,
     window_counts,
 )
 from granvar.util import derived_rng, derived_seeds
-from test_selection import reference_inclusion, same_bits
+from test_selection import (
+    assert_inclusion_close, reference_fractions, reference_inclusion, same_bits,
+)
 
 DOMAIN = (2.5, 0.7)
 PARAMS = ProcessParams(variant="poisson", width=DOMAIN[0], height=DOMAIN[1],
@@ -121,14 +124,16 @@ def test_null_ensemble_thread_invariant():
 
 def per_seed_loop(master_seed, replicates=200, n_seeds=50, window=(0.3, 0.3)):
     """Reference: the null ensemble aggregated seed by seed, as before the
-    seeds were stacked, with the per-replicate inclusion reference."""
+    seeds were stacked; each seed's estimate also agrees with the
+    per-replicate inclusion reference."""
     table = binary_table()
     rows = {name: [] for name in OUTCOMES}
     for s in range(n_seeds):
         pops, counts = poisson_window_counts(
             poisson_null_params(), window, replicates, derived_rng(master_seed, s)
         )
-        est = reference_inclusion(*pair_fractions(counts, pops))
+        est = inclusion_from_fractions(*pair_fractions(counts, pops))
+        assert_inclusion_close(est, reference_inclusion(*reference_fractions(counts, pops)))
         # a group of one: the seed's replicates with unit weights
         stats = ReplicateStats.from_counts(counts, table, groups=1)
         report = compare_estimators(stats, est, table)

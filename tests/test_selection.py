@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from granvar import fields, selection
 from granvar.cli import main as cli_main
 from granvar.errors import EmptySampleError
+from granvar.estimators import sample_concentration, sample_totals
 from granvar.fields import ProcessParams, SpatialField, generate_field
 from granvar.experiments import calibrate_against_oracle, random_pairwise_design
 from granvar.intercept import TransectSpec, intersect_segments
@@ -708,11 +709,11 @@ class TestReplicateAggregation:
         f1, f2 = pair_fractions(counts, pops)
         np.testing.assert_array_equal(np.isnan(f1), pops == 0)
         assert f1[1, 0] == 1.0 and f1[3, 1] == 1.0
-        nan_diag = np.isnan(np.diagonal(f2, axis1=1, axis2=2))
-        np.testing.assert_array_equal(nan_diag, pops < 2)
-        np.testing.assert_array_equal(np.isnan(f2[:, 0, 1]), [True, False, False, False])
-        np.testing.assert_array_equal(f2[:, 0, 1], f2[:, 1, 0])
-        assert f2[2, 0, 0] == 1.0 and f2[2, 0, 1] == 0.0 and f2[3, 0, 1] == 1.0 / 3.0
+        np.testing.assert_array_equal(np.isnan(f2), pops < 2)
+        # pairs of distinct classes: the product of the two fractions
+        cross = f1[:, 0] * f1[:, 1]
+        np.testing.assert_array_equal(np.isnan(cross), [True, False, False, False])
+        assert f2[2, 0] == 1.0 and cross[2] == 0.0 and cross[3] == 1.0 / 3.0
 
     def test_summary_guards(self, two_particle_table):
         one_nonempty = ReplicateStats.from_counts(np.array([[0, 0], [1, 0], [0, 0]]),
@@ -729,10 +730,10 @@ class TestReplicateAggregation:
 def direct_summaries(counts, table):
     """Reference: ``ReplicateStats.from_counts`` evaluated replicate by
     replicate, in Python floats, with the module's operation order (sums
-    added left to right from 0), c_s exactly the classes' concentration
-    when they share one; the aggregates as in the module."""
+    added left to right from 0), c_s exactly the concentration of the
+    row's present classes when they share one; the aggregates as in the
+    module."""
     m, conc = table.masses.tolist(), table.concentrations.tolist()
-    common = len(set(conc)) == 1
     mass, cs = [], []
     for row in counts.tolist():
         total = analyte = 0.0
@@ -740,7 +741,9 @@ def direct_summaries(counts, table):
             total = total + n_u * m_u
             analyte = analyte + n_u * (m_u * c_u)
         mass.append(total)
-        cs.append(np.nan if total <= 0 else conc[0] if common else analyte / total)
+        present = {c_u for n_u, c_u in zip(row, conc) if n_u > 0}
+        cs.append(np.nan if total <= 0 else present.pop() if len(present) == 1
+                  else analyte / total)
     mass, cs = np.array(mass), np.array(cs)
     cs_ok = cs[mass > 0]
     if len(cs_ok) >= 2:
@@ -752,39 +755,36 @@ def direct_summaries(counts, table):
 
 
 def direct_variance(estimator, row, mass, cs, table, c):
-    """Reference: one replicate's moment or Horvitz-Thompson variance."""
+    """Reference: one replicate's moment or Horvitz-Thompson variance, with
+    the sum of the magnitudes of its terms, both over M^2."""
     m, conc, k = table.masses.tolist(), table.concentrations.tolist(), table.k
     if estimator == "moment":
         dev = [c_u - cs for c_u in conc]
-        gy = 0.0
-        for u in range(k):
-            gy = gy + row[u] * (m[u] * m[u]) * dev[u] * dev[u]
+        first = [row[u] * (m[u] * m[u]) * dev[u] * dev[u] for u in range(k)]
         a = [row[u] * m[u] * dev[u] for u in range(k)]
-        corr = 0.0
-        for i in range(k):
-            for j in range(k):
-                corr = corr + (a[i] * c[i, j]) * a[j]
-        return (gy - corr) / (mass * mass)
-    if np.any(c >= 1.0):
-        return np.nan
-    first = 0.0
-    for u in range(k):
-        first = first + row[u] * (m[u] * m[u] * conc[u] * conc[u] / (1.0 - c[u, u]))
-    w = [row[u] * (m[u] * conc[u]) for u in range(k)]
-    ratio = c / (1.0 - c)
-    second = 0.0
-    for i in range(k):
-        for j in range(k):
-            second = second + (w[i] * ratio[i, j]) * w[j]
-    return (first - second) / (mass * mass)
+        second = [(a[i] * c[i, j]) * a[j] for i in range(k) for j in range(k)]
+    elif np.any(c >= 1.0):
+        return np.nan, 0.0
+    else:
+        first = [row[u] * (m[u] * m[u] * conc[u] * conc[u] / (1.0 - c[u, u])) for u in range(k)]
+        w = [row[u] * (m[u] * conc[u]) for u in range(k)]
+        ratio = c / (1.0 - c)
+        second = [(w[i] * ratio[i, j]) * w[j] for i in range(k) for j in range(k)]
+    gy = corr = magnitude = 0.0
+    for term in first:
+        gy, magnitude = gy + term, magnitude + abs(term)
+    for term in second:
+        corr, magnitude = corr + term, magnitude + abs(term)
+    return (gy - corr) / (mass * mass), magnitude / (mass * mass)
 
 
 def direct_comparison(counts, est, table):
     """Reference: ``compare_estimators`` evaluated replicate by replicate,
     the R-length means as numpy takes them and the mean count row exact,
     rounded once (Python's int division); None when it must raise.  Each
-    row comes with the largest |per-replicate value| of its mean, the
-    scale of its floor in ``SUMMARY_FLOORS``."""
+    row comes with the scale of its floor in ``SUMMARY_FLOORS``: the
+    largest sum of term magnitudes of a replicate in its mean, or of the
+    mean summary."""
     mass, cs, (v_e, v_e_se, _), _, _ = direct_summaries(counts, table)
     ok = mass > 0
     if ok.sum() < 2:
@@ -796,15 +796,16 @@ def direct_comparison(counts, est, table):
     rows = []
     for estimator in ("moment", "horvitz_thompson"):
         for dep, c in (("zero", np.zeros((table.k, table.k))), ("empirical", c_emp)):
-            per_rep = [
+            per_rep, magnitudes = zip(*(
                 direct_variance(estimator, row, m_s, c_s, table, c)
                 for row, m_s, c_s in zip(counts[ok].astype(float).tolist(), mass[ok], cs[ok])
-            ]
-            one = direct_variance(estimator, mean_counts.tolist(), exp.mass,
-                                  exp.concentration, table, c)
-            scale = float(np.max(np.abs(per_rep)))
-            for mode, value in (("replicate_mean", float(np.mean(per_rep))),
-                                ("mean_summary", float(one))):
+            ))
+            one, one_magnitude = direct_variance(estimator, mean_counts.tolist(), exp.mass,
+                                                 exp.concentration, table, c)
+            for mode, value, scale in (
+                ("replicate_mean", float(np.mean(per_rep)), max(magnitudes)),
+                ("mean_summary", float(one), one_magnitude),
+            ):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = np.float64(value) / v_e if v_e else np.nan
                     z = (np.float64(value) - v_e) / v_e_se if v_e_se else np.nan
@@ -814,20 +815,24 @@ def direct_comparison(counts, est, table):
 
 
 #: Relative tolerance of the multiplicity-weighted aggregates (``v_e``,
-#: ``v_e_se``, ``mean_cs``, ``mass_cv`` and the ``replicate_mean`` values)
-#: against the per-replicate reference.  Both sum the same terms in
-#: different orders (each distinct row's term times its multiplicity, and
-#: one term per replicate), so they agree to rounding.
+#: ``v_e_se``, ``mean_cs``, ``mass_cv`` and the estimator values) against
+#: the per-replicate reference.  Both sum the same terms in different
+#: orders (each distinct row's term times its multiplicity, and one term
+#: per replicate; an estimator's replicate mean as inner products of
+#: moment matrices, and its quadratic form as a vector-matrix product), so
+#: they agree to rounding.
 SUMMARY_RTOL = 1e-9
 #: Absolute floors, in units of each value's input scale: the largest
 #: |c_s| for ``mean_cs``, its square for ``v_e`` and ``v_e_se``, the
-#: largest mass over the mean mass for ``mass_cv``, and the largest
-#: |per-replicate value| for a replicate mean.  A variance near 0 sums
-#: squared deviations from a mean that rounding moves by about 1e-16 of
-#: the scale; a standard error of the variance is a difference of fourth
-#: moments, good only to about the square root of that.
+#: largest mass over the mean mass for ``mass_cv``, and for an estimator
+#: value the largest sum of its term magnitudes over M^2 (one replicate's,
+#: for a replicate mean).  A variance near 0 sums squared deviations from a
+#: mean that rounding moves by about 1e-16 of the scale; a standard error
+#: of the variance is a difference of fourth moments, good only to about
+#: the square root of that; an estimator value is a difference of its
+#: terms, good to their rounding.
 SUMMARY_FLOORS = {"mean_cs": 1e-12, "v_e": 1e-12, "v_e_se": 1e-7, "mass_cv": 1e-12,
-                  "replicate_mean": 1e-12}
+                  "estimator": 1e-12}
 
 
 def summary_tolerance(name, want, scale):
@@ -865,21 +870,17 @@ def assert_summaries_close(stats, counts, table):
 
 
 def assert_comparison_close(report, expected, bands):
-    """``report`` against the rows of ``direct_comparison``: mean-summary
-    values bit for bit, replicate means to SUMMARY_RTOL and their floor,
-    and the v_e, ratio and z columns within what the tolerances of the
+    """``report`` against the rows of ``direct_comparison``: the values to
+    SUMMARY_RTOL and their floor, and the v_e, ratio and z columns within
+    what the tolerances of the
     value and of v_e and v_e_se (``bands``, from
     :func:`assert_summaries_close`) allow.  A ratio or z whose
     denominator's tolerance reaches 0 is not compared."""
     (_, tol_v_e), (v_e_se, tol_se) = bands["v_e"], bands["v_e_se"]
     for got, (want, scale) in zip(report.rows, expected, strict=True):
         assert dataclasses.astuple(got)[:3] == dataclasses.astuple(want)[:3]
-        if want.mode == "mean_summary":
-            assert same_bits(got.value, want.value), (got, want)
-            tol_value = 0.0
-        else:
-            tol_value = summary_tolerance("replicate_mean", want.value, scale)
-            assert_close("value", got.value, want.value, tol_value)
+        tol_value = summary_tolerance("estimator", want.value, scale)
+        assert_close("value", got.value, want.value, tol_value)
         assert_close("v_e", got.v_e, want.v_e, tol_v_e)
         # |a'/b' - a/b| <= (|a' - a| + |a/b| |b' - b|) / (|b| - |b' - b|)
         for name, quotient, numerator_tol, den, den_tol in (
@@ -1027,6 +1028,27 @@ class TestDistinctRows:
         assert_comparison_close(report, expected, bands)
 
 
+def reference_fractions(counts, pop):
+    """Reference: per-replicate (R, K) selected fractions and (R, K, K)
+    selected pair fractions, unordered distinct pairs; NaN where the
+    population has no member (no pair)."""
+    r, k = counts.shape
+    pop = np.broadcast_to(pop, (r, k))
+    f1, f2 = np.full((r, k), np.nan), np.full((r, k, k), np.nan)
+    np.divide(counts, pop, out=f1, where=pop > 0)
+    for u in range(k):
+        for v in range(u, k):
+            if u == v:
+                pairs = counts[:, u] * (counts[:, u] - 1) / 2
+                total = pop[:, u] * (pop[:, u] - 1) / 2
+            else:
+                pairs = counts[:, u] * counts[:, v]
+                total = pop[:, u] * pop[:, v]
+            np.divide(pairs, total, out=f2[:, u, v], where=total > 0)
+            f2[:, v, u] = f2[:, u, v]
+    return f1, f2
+
+
 def reference_inclusion(f1, f2):
     """Reference: the per-replicate aggregation that ``inclusion_from_fractions``
     replaced, cell by cell, with finiteness masks and ``np.cov``."""
@@ -1112,7 +1134,7 @@ class TestRunReplicatesDistinctRows:
         except ValueError:  # unnormalizable designs
             return
         pop = np.bincount(design.class_of, minlength=table.k)
-        assert_inclusion_close(est, reference_inclusion(*pair_fractions(stats.counts, pop)))
+        assert_inclusion_close(est, reference_inclusion(*reference_fractions(stats.counts, pop)))
         assert est.replicates == r == stats.replicates
         assert np.array_equal(stats.multiplicity, np.bincount(stats.inverse))
         bands = assert_summaries_close(stats, stats.counts, table)
@@ -1349,7 +1371,8 @@ class TestPairwiseKernels:
         numpy's mean of the gathered float rows, bit for bit.  The first run
         holds ``top`` in class 0 on every row, so max x size is 2^53 - 1,
         summed as doubles, or 2^53 + 1, summed as Python integers; grouped
-        runs of equal and unequal sizes."""
+        runs of equal and unequal sizes, each padded to 3 rows by rows of
+        weight 0."""
         distinct = np.array([[top, 0, 1], [top - 1, 5, 0], [1, top, 2]], dtype=np.int64)
         rng = derived_rng(size)
         for sizes in ([size], [size, size], [size, size - 1]) if grouped else ([size],):
@@ -1357,11 +1380,9 @@ class TestPairwiseKernels:
             rows = rng.integers(0, 3, sizes.sum())
             rows[:size] = 0
             runs = np.split(rows, np.cumsum(sizes)[:-1])
-            tallies = [np.unique(run, return_counts=True) for run in runs]
-            got = selection._mean_counts(
-                np.concatenate([distinct[used] for used, _ in tallies]),
-                np.concatenate([tally for _, tally in tallies]),
-                np.array([len(used) for used, _ in tallies]), sizes)
+            tallies = [np.bincount(run, minlength=3) for run in runs]
+            got = selection._mean_counts(np.tile(distinct, (len(runs), 1)),
+                                         np.array(tallies), sizes)
             exact = [[sum(int(distinct[i, u]) for i in run.tolist()) / len(run) for u in range(3)]
                      for run in runs]
             assert same_bits(got, exact)
@@ -1445,7 +1466,7 @@ class TestGroupedAggregation:
         for g, (pops, counts) in enumerate(runs):
             got = est if groups is None else InclusionEstimate(
                 *(getattr(est, f.name)[g] for f in dataclasses.fields(est)))
-            assert_inclusion_close(got, reference_inclusion(*pair_fractions(counts, pops)))
+            assert_inclusion_close(got, reference_inclusion(*reference_fractions(counts, pops)))
             assert got.replicates == len(counts)
 
     @settings(deadline=None, max_examples=200)
@@ -1584,12 +1605,106 @@ class TestCompareEstimators:
         grouped = ReplicateStats.from_counts(np.tile(stats.counts[:50], (2, 1)), table, groups=2)
         assert np.all(grouped.v_e == 0.0) and np.all(grouped.mean_cs == 0.1)
 
+    def test_present_classes_sharing_a_concentration_give_exact_cs(self):
+        """Only class 0 has particles, so every non-empty replicate holds one
+        concentration, 0.1, though the table has two: c_s is 0.1 itself,
+        v_e and the exact variance are 0, and every ratio and z is NaN."""
+        table = ClassTable.from_arrays([0.3, 0.5], [0.1, 0.7])
+        design = SelectionDesign.bernoulli([0.5, 0.5], [0] * 40)
+        stats, est = run_replicates(design, table, 2000, 3)
+        assert np.all(stats.cs[stats.mass > 0] == 0.1) and stats.mean_cs == 0.1
+        assert stats.v_e == 0.0 and stats.v_e_se == 0.0
+        for row in compare_estimators(stats, est, table).rows:
+            assert row.v_e == 0.0 and np.isnan(row.ratio) and np.isnan(row.z)
+        exact = enumerate_design(design, table)
+        assert exact.mean_cs == 0.1 and exact.var_cs == 0.0
+
+    def test_cs_is_exact_row_by_row(self):
+        """A row whose present classes share a concentration gets it
+        exactly; other rows divide their totals, and so does every row
+        without the counts."""
+        table = ClassTable.from_arrays([0.3, 0.5, 0.9], [0.1, 0.7, 0.1])
+        counts = np.array([[1, 0, 3], [0, 7, 0], [1, 1, 0], [0, 3, 1]])
+        mass, analyte = sample_totals(counts, table)
+        assert (analyte / mass)[0] != 0.1
+        np.testing.assert_array_equal(sample_concentration(mass, analyte, table, counts),
+                                      [0.1, 0.7, analyte[2] / mass[2], analyte[3] / mass[3]])
+        np.testing.assert_array_equal(sample_concentration(mass, analyte, table), analyte / mass)
+
     def test_rows_cover_grid(self, two_particle_table):
         design = SelectionDesign.bernoulli([0.5, 0.5], [0, 0, 1, 1])
         stats, est = run_replicates(design, two_particle_table, r=2000, seed=93)
         report = compare_estimators(stats, est, two_particle_table)
         combos = {(r.estimator, r.dependence, r.mode) for r in report.rows}
         assert len(combos) == 8
+
+
+class TestMomentPathGuards:
+    """The moment-matrix inclusion estimate against the per-replicate
+    two-pass reference, where sums of shifted moments could lose digits."""
+
+    @pytest.mark.parametrize("q, n", [(0.999, 5000), (0.9999, 50_000)])
+    def test_small_spread_next_to_the_mean(self, two_particle_table, q, n):
+        """Two classes of n particles, each selected with chance q: each
+        fraction spreads by sqrt(q (1 - q) / n), 4e-4 and 4.5e-5, around q.
+        Unshifted moments lose about q^2 n / (q (1 - q)) ulps of the
+        variance, which the second case shows."""
+        design = SelectionDesign.bernoulli([q, q], [0] * n + [1] * n)
+        stats, est = run_replicates(design, two_particle_table, r=400, seed=5)
+        pop = np.array([n, n])
+        want = reference_inclusion(*reference_fractions(stats.counts, pop))
+        assert_inclusion_close(est, want)
+        # the floors above are far wider than these standard errors (2e-6)
+        for name in ("pi1_se", "pi2_se"):
+            np.testing.assert_allclose(getattr(est, name), getattr(want, name), rtol=1e-9)
+
+    def test_multiplicities_up_to_ten_thousand(self):
+        """A pairwise design of 6 states drawn 60,000 times: each distinct
+        row weighs thousands of replicates."""
+        design = SelectionDesign.pairwise_pmf([0.6, 0.3], [[1.5, 0.7], [0.7, 1.0]], [0, 0, 1])
+        table = ClassTable.from_arrays([1.0, 2.0], [1.0, 0.2])
+        stats, est = run_replicates(design, table, r=60_000, seed=6)
+        assert len(stats.distinct) == 6 and stats.multiplicity.max() > 10_000
+        pop = np.bincount(design.class_of, minlength=2)
+        assert_inclusion_close(est, reference_inclusion(*reference_fractions(stats.counts, pop)))
+
+    def test_per_row_populations_with_absent_and_single_members(self):
+        """Populations of 0 and 1 leave NaN fractions on their rows, so each
+        cell has its own rows; some cells keep fewer than 2."""
+        rng = derived_rng(7)
+        pops = rng.integers(0, 4, size=(60, 3))
+        pops[:, 2] = rng.choice([0, 1], size=60)
+        counts = rng.integers(0, pops + 1)
+        est = inclusion_from_fractions(*pair_fractions(counts, pops))
+        want = reference_inclusion(*reference_fractions(counts, pops))
+        assert np.isnan(want.pi2[2, 2]) and np.isnan(want.pi1).sum() == 0
+        assert_inclusion_close(est, want)
+
+    @pytest.mark.parametrize("counts, pops, weights", [
+        ([[3, 2, 2], [2, 2, 3]], [3, 2, 4], None),
+        ([[1, 0, 1], [1, 1, 0]], [[3, 0, 1], [2, 3, 0]], [3, 3]),
+    ], ids=["product_constant", "one_row"])
+    def test_constant_pair_fraction(self, counts, pops, weights):
+        """F_0 F_2 is 1/2 on both rows while F_0 and F_2 vary, and the
+        (0, 1) cell of the second case has one row of weight 3: the pair
+        fraction's variance is 0, where its shifted sums leave rounding
+        noise of about 1e-18 (a standard error of 1e-9)."""
+        counts, pops = np.array(counts), np.array(pops)
+        est = inclusion_from_fractions(*pair_fractions(counts, pops), weights)
+        rows = np.repeat(np.arange(len(counts)), weights or 1)
+        want = reference_inclusion(*reference_fractions(counts[rows],
+                                                        np.broadcast_to(pops, counts.shape)[rows]))
+        assert np.nansum(want.pi2_se == 0.0) >= 1
+        assert_inclusion_close(est, want)
+
+    def test_forty_classes(self):
+        rng = derived_rng(8)
+        k = 40
+        design = SelectionDesign.bernoulli(rng.uniform(0.05, 0.95, k), np.arange(400) % k)
+        table = ClassTable.from_arrays(rng.uniform(0.5, 2.0, k), rng.uniform(0.0, 1.0, k))
+        stats, est = run_replicates(design, table, r=300, seed=9)
+        pop = np.full(k, 10)
+        assert_inclusion_close(est, reference_inclusion(*reference_fractions(stats.counts, pop)))
 
 
 class TestClusterSigns:
