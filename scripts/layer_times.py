@@ -9,7 +9,12 @@ Times, at each particle count n, the best of ``--repeat`` timeit runs of:
 - ``generate_field`` of each variant on the unit square, n particles
   expected;
 - ``window_counts`` of 500 windows of side 0.05 on the cluster field, its
-  cell index already built.
+  cell index already built;
+- ``window_dependence``, the exact window C of side 0.05, on the Poisson
+  field, its column strips already built.  Its candidate pairs grow as
+  n * lambda * 4wh, quadratic in n on the unit square, so it is timed only
+  up to n = 50,000 (about 2 s a call); the output names that cap as
+  ``window_dependence_max_n``.
 
 at K = 2, 10, 40 and 100 classes, on R seeded (R, K) count rows, R taking
 the values of ``--sizes`` too:
@@ -54,6 +59,7 @@ from granvar.fields import CellStrips, ProcessParams, assign_classes, generate_f
 from granvar.model import ClassTable  # noqa: E402
 from granvar.selection import (  # noqa: E402
     ReplicateStats, compare_estimators, inclusion_from_fractions, pair_fractions, window_counts,
+    window_dependence,
 )
 from granvar.util import derived_rng  # noqa: E402
 
@@ -67,6 +73,8 @@ RADIUS = 0.002
 HARDCORE_COVER = 0.1
 WINDOWS = 500
 WINDOW_SIDE = 0.05
+#: Largest n at which ``window_dependence``, quadratic in n, is timed.
+WINDOW_DEPENDENCE_MAX_N = 50_000
 #: Class counts K of the aggregation layers; every class has POPULATION
 #: members, each selected with chance SELECTED.
 AGGREGATE_K = (2, 10, 40, 100)
@@ -128,6 +136,9 @@ def layer_times(sizes, repeat: int) -> dict:
         anchors = np.random.default_rng(SEED).random((WINDOWS, 2))
         record("window_counts", n,
                lambda: window_counts(cluster, anchors, WINDOW_SIDE, WINDOW_SIDE, 2))
+        if n <= WINDOW_DEPENDENCE_MAX_N:
+            record("window_dependence", n,
+                   lambda: window_dependence(poisson, WINDOW_SIDE, WINDOW_SIDE, 2))
     for r in sizes:
         for k in AGGREGATE_K:
             rng = np.random.default_rng(SEED)
@@ -163,6 +174,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "window_dependence_max_n": WINDOW_DEPENDENCE_MAX_N,
         "layers": layer_times(args.sizes, args.repeat),
     }
     print(json.dumps(result, indent=1))

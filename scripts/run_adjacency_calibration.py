@@ -3,7 +3,9 @@
 
 Sweeps cluster tightness and prints both dependence series side by side
 with the rank correlation, quantifying how faithfully adjacency statistics
-track the oracle.
+track the oracle.  The oracle is each field's exact window C, from its
+pair overlaps (``selection.window_dependence``), averaged over the seeds'
+fields; no windows are drawn.
 """
 import argparse
 

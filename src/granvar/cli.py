@@ -337,8 +337,7 @@ def _calibrate(config: ScenarioConfig) -> CalibrationReport:
         for r in settings["cluster_radius"]
     ]
     return calibrate_against_oracle(
-        processes, config.table, settings["window"], settings["replicates"],
-        config.transects,
+        processes, config.table, settings["window"], config.transects,
         master_seed=derived_seeds(config.seed, _CALIBRATE_STREAM)[0],
         n_seeds=settings["n_seeds"],
     )

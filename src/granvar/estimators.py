@@ -161,20 +161,15 @@ def sample_totals(counts: np.ndarray, table: ClassTable) -> tuple[np.ndarray, np
 
 
 def sample_concentration(
-    mass: np.ndarray, analyte: np.ndarray, table: ClassTable, counts: np.ndarray | None = None
+    mass: np.ndarray, analyte: np.ndarray, table: ClassTable, counts: np.ndarray
 ) -> np.ndarray:
     """Per-row sample concentration c_s = analyte / mass of
-    :func:`sample_totals`' totals; exactly the common concentration when
-    every class of ``table`` has the same one, whatever the mass, where the
-    division would round it differently from row to row.  Given the (R, K)
-    ``counts``, a row whose present classes (count > 0) share one
-    concentration gets exactly that one too; the scalar summaries of
-    :mod:`granvar.model` keep the division there."""
+    :func:`sample_totals`' totals of the (R, K) ``counts``; exactly the
+    concentration its present classes (count > 0) share, where a row has
+    one, since the division would round it differently from row to row."""
     common = table.common_concentration
     if common is not None:
         return np.full(np.shape(mass), common)
-    if counts is None:
-        return analyte / mass
     # the concentration levels each row holds: with one, c_s is that level
     levels = np.array(sorted(set(table.concentrations.tolist())))
     held = (counts @ (table.concentrations[:, None] == levels).astype(float) > 0).astype(float)

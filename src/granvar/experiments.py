@@ -12,13 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ProcessParams, SpatialField, generate_field
+from .fields import ProcessParams, generate_field
 from .intercept import (
     TransectSpec, adjacency_dependence_for_field, cast_transects, class_weights,
 )
 from .model import ClassTable
 from .selection import (
-    InclusionEstimate,
     ReplicateStats,
     SelectionDesign,
     compare_estimators,
@@ -28,6 +27,7 @@ from .selection import (
     pair_fractions,
     replicate_counts,
     run_replicates,
+    window_dependence,
 )
 from .util import derived_rng, derived_seeds, normal_half_width
 
@@ -177,40 +177,15 @@ def _mean_z(values: np.ndarray) -> float:
     return float(values.mean() / (values.std(ddof=1) / np.sqrt(len(values))))
 
 
-def _window_draw(
-    params: ProcessParams,
-    table: ClassTable,
-    window: tuple[float, float],
-    replicates: int,
-    field_seed: int,
-    window_seed: int,
-) -> tuple[SpatialField, np.ndarray, np.ndarray]:
-    """One field from ``field_seed`` and ``replicates`` windows on it from
-    ``window_seed``: (field, (R, K) populations, (R, K) window counts)."""
-    field = generate_field(params, table, field_seed)
-    design = SelectionDesign.window(field, window[0], window[1])
-    counts = replicate_counts(design, table, replicates, window_seed)
-    pop = np.bincount(design.class_of, minlength=table.k)
-    return field, np.broadcast_to(pop, counts.shape), counts
-
-
-def _grouped_inclusion(
-    draws: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, InclusionEstimate]:
-    """Every seed's (R, K) (populations, window counts) stacked: the counts,
-    and their inclusion estimate in one grouped pass, each seed a group."""
-    if not draws:
-        raise ValueError("need at least one seed")
-    pops, counts = (np.concatenate(parts) for parts in zip(*draws))
-    return counts, inclusion_from_fractions(*pair_fractions(counts, pops), groups=len(draws))
-
-
 def _aggregate_seeds(
     draws: Sequence[tuple[np.ndarray, np.ndarray]], table: ClassTable
 ) -> WindowEnsemble:
     """The ensemble of every seed's (R, K) (populations, window counts),
-    summarized in one pass with each seed a group."""
-    counts, est = _grouped_inclusion(draws)
+    stacked and summarized in one pass with each seed a group."""
+    if not draws:
+        raise ValueError("need at least one seed")
+    pops, counts = (np.concatenate(parts) for parts in zip(*draws))
+    est = inclusion_from_fractions(*pair_fractions(counts, pops), groups=len(draws))
     stats = ReplicateStats.from_counts(counts, table, groups=len(draws))
     report = compare_estimators(stats, est, table)
     k = table.k
@@ -235,8 +210,11 @@ def window_ensemble(
     estimator comparisons."""
 
     def one(seed_index: int) -> tuple[np.ndarray, np.ndarray]:
-        seeds = derived_seeds(master_seed, seed_index, count=2)
-        return _window_draw(params, table, window, replicates, *seeds)[1:]
+        field_seed, window_seed = derived_seeds(master_seed, seed_index, count=2)
+        design = SelectionDesign.window(generate_field(params, table, field_seed), *window)
+        counts = replicate_counts(design, table, replicates, window_seed)
+        pop = np.bincount(design.class_of, minlength=table.k)
+        return np.broadcast_to(pop, counts.shape), counts
 
     return _aggregate_seeds([one(s) for s in range(n_seeds)], table)
 
@@ -434,6 +412,10 @@ class CalibrationCase:
 class CalibrationReport:
     """Agreement between the adjacency estimator and the window oracle.
 
+    Each case holds per-process means over fields with their standard
+    errors between fields.  The oracle is exact on each field (its window
+    C from pair overlaps), so ``oracle_se`` is the field-to-field spread
+    alone; ``adjacency_se`` holds that spread and the transects' noise.
     ``spearman`` is the rank correlation across ensemble cases of the two
     dependence series; ``sign_agreement`` the fraction of informative
     cells with matching sign.  ``null_regime`` flags ensembles whose
@@ -469,7 +451,6 @@ def calibrate_against_oracle(
     processes: Sequence[tuple[str, ProcessParams]],
     table: ClassTable,
     window: tuple[float, float],
-    replicates: int,
     transects: TransectSpec,
     master_seed: int,
     n_seeds: int,
@@ -478,30 +459,30 @@ def calibrate_against_oracle(
     an ensemble of field processes.
 
     For every process and seed a field is generated and measured both
-    ways, from the field's one cell index, which is sorted once;
-    per-process means are compared by Spearman rank correlation and
-    sign agreement.  When the oracle means are all within two standard
-    errors of zero the ensemble is flagged as a null regime where sign
-    agreement is not meaningful.  The standard errors are taken between
-    fields, so ``n_seeds`` must be at least 2.
+    ways, from the field's one cell index, which is sorted once: the
+    oracle is the field's exact window C (:func:`window_dependence`), the
+    adjacency estimate comes from transects cast on it.  Per-process means
+    are compared by Spearman rank correlation and sign agreement.  When the
+    oracle means are all within two standard errors of zero the ensemble
+    is flagged as a null regime where sign agreement is not meaningful.
+    The standard errors are taken between fields, so ``n_seeds`` must be at
+    least 2; the oracle's is then the field-to-field spread alone.  Each
+    field keeps its three derived seeds (field, an unused window stream,
+    transects), so the adjacency estimates do not depend on the oracle.
     """
     if n_seeds < 2:
         raise ValueError(f"n_seeds must be >= 2: a between-field standard error needs "
                          f"two fields, got {n_seeds}")
 
     def one_case(case_index: int, label: str, params: ProcessParams) -> CalibrationCase:
-        draws, adjacency = [], []
+        oracle, adjacency = [], []
         for s in range(n_seeds):
-            field_seed, window_seed, transect_seed = derived_seeds(
-                master_seed, case_index, s, count=3
-            )
-            field, *draw = _window_draw(params, table, window, replicates,
-                                        field_seed, window_seed)
-            draws.append(draw)
+            field_seed, _, transect_seed = derived_seeds(master_seed, case_index, s, count=3)
+            field = generate_field(params, table, field_seed)
+            oracle.append(window_dependence(field, *window, table.k).c_exact)
             adjacency.append(
                 adjacency_dependence_for_field(field, table, transects, transect_seed)[0])
-        oracle = _grouped_inclusion(draws)[1].c_hat
-        return CalibrationCase(label, *_mean_and_se(oracle),
+        return CalibrationCase(label, *_mean_and_se(np.stack(oracle)),
                                *_mean_and_se(np.stack(adjacency)))
 
     cases = [one_case(i, *process) for i, process in enumerate(processes)]
@@ -540,13 +521,12 @@ class MonotonicityResult:
 def monotonicity_sweep(
     cluster_radii: Sequence[float] = (0.10, 0.08, 0.06, 0.045, 0.03),
     n_seeds: int = 25,
-    replicates: int = 200,
     window: tuple[float, float] = (0.04, 0.04),
     transects: TransectSpec = TransectSpec(count=30, length=1.0),
     master_seed: int = 88_02,
 ) -> MonotonicityResult:
     """Sweep cluster tightness; compare the mean same-class dependence from
-    the adjacency estimator against the window-sampling oracle.
+    the adjacency estimator against the exact window oracle.
 
     Tightness grows as the cluster radius shrinks; both estimators should
     move together (strongly negative same-class dependence for tight
@@ -557,8 +537,7 @@ def monotonicity_sweep(
         for r in cluster_radii
     ]
     report = calibrate_against_oracle(
-        processes, table, window, replicates, transects,
-        master_seed=master_seed, n_seeds=n_seeds,
+        processes, table, window, transects, master_seed=master_seed, n_seeds=n_seeds,
     )
     oracle_series, adjacency_series = (
         tuple(float(np.nanmean(np.diag(getattr(case, name)))) for case in report.cases)

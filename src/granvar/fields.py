@@ -248,6 +248,20 @@ def concat_ranges(begin: np.ndarray, count: np.ndarray) -> np.ndarray:
     return skip + np.arange(len(skip))
 
 
+def near_pairs(strips: CellStrips, x: np.ndarray, y: np.ndarray, reach_x: float,
+               reach_y: float, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (i, j), first <= i < stop and j < i, i ascending:
+    every j in the cells that the rectangle [x_i - reach_x, x_i + reach_x)
+    x [y_i - reach_y, y_i + reach_y) meets, wrapping, each pair once;
+    ``strips`` indexes the points (x, y) along x."""
+    query, begin, count = strips.rectangles(
+        x[first:stop] - reach_x, 2.0 * reach_x, y[first:stop] - reach_y, 2.0 * reach_y)
+    j = strips.take(begin, count)
+    i = first + np.repeat(query, count)
+    earlier = j < i
+    return i[earlier], j[earlier]
+
+
 def _close_pairs(strips: CellStrips, x: np.ndarray, y: np.ndarray, radius: np.ndarray,
                  gap: float, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (i, j), first <= i < stop and j < i, that :func:`_too_close`
@@ -258,12 +272,7 @@ def _close_pairs(strips: CellStrips, x: np.ndarray, y: np.ndarray, radius: np.nd
     is at least r_i + r_j + gap, so the square holds every j too close to i.
     """
     reach = 2.0 * float(radius.max()) + gap
-    query, begin, count = strips.rectangles(
-        x[first:stop] - reach, 2.0 * reach, y[first:stop] - reach, 2.0 * reach)
-    j = strips.take(begin, count)
-    i = first + np.repeat(query, count)
-    earlier = j < i
-    i, j = i[earlier], j[earlier]
+    i, j = near_pairs(strips, x, y, reach, reach, first, stop)
     close = _too_close(x[i], y[i], radius[i], x[j], y[j], radius[j], gap,
                        strips.length_a, strips.length_b)
     return i[close], j[close]

@@ -36,7 +36,7 @@ wrapping of transects is pending).
 
 The mapping from transition counts to a dependence matrix implemented in
 :func:`c_from_adjacency` is a design choice of this package, validated
-only by sign and rank agreement against the window-sampling oracle; see
+only by sign and rank agreement against the exact window oracle; see
 :func:`granvar.experiments.calibrate_against_oracle`.
 """
 from __future__ import annotations

@@ -216,10 +216,10 @@ def _summary_identities(counts: np.ndarray, table: ClassTable) -> tuple[float, f
     # imported here: the estimators module imports this one
     from .estimators import sample_concentration, sample_totals
 
-    mass, analyte = (float(v[0]) for v in sample_totals(counts[None, :], table))
-    if mass <= 0:
+    mass, analyte = sample_totals(counts[None, :], table)
+    if mass[0] <= 0:
         raise EmptySampleError("sample has zero total mass")
-    return mass, float(sample_concentration(mass, analyte, table))
+    return float(mass[0]), float(sample_concentration(mass, analyte, table, counts[None, :])[0])
 
 
 class _Summary:

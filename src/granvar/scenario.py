@@ -188,7 +188,8 @@ def _parse_transects(raw: Any) -> TransectSpec:
 
 
 def _parse_calibration(raw: Any, field: ProcessParams | None) -> dict:
-    """The calibration sweep settings, defaults filled in."""
+    """The calibration sweep settings, defaults filled in; ``replicates``,
+    which sized the former Monte Carlo oracle, is accepted and ignored."""
     if not isinstance(raw, dict):
         raise ConfigError("calibration", "expected an object")
     radii = _number_list(
@@ -200,9 +201,6 @@ def _parse_calibration(raw: Any, field: ProcessParams | None) -> dict:
     if n_seeds < 2:
         raise ConfigError("calibration.n_seeds",
                           f"must be >= 2: a between-field SE needs two fields, got {n_seeds}")
-    replicates = _integer(raw.get("replicates", 100), "calibration.replicates")
-    if replicates < 2:
-        raise ConfigError("calibration.replicates", "must be >= 2")
     window = _number_list(raw.get("window", [0.05, 0.05]), "calibration.window")
     if len(window) != 2:
         raise ConfigError("calibration.window", f"expected [width, height], got {window}")
@@ -213,7 +211,6 @@ def _parse_calibration(raw: Any, field: ProcessParams | None) -> dict:
     return {
         "cluster_radius": tuple(radii),
         "n_seeds": n_seeds,
-        "replicates": replicates,
         "window": (window[0], window[1]),
     }
 

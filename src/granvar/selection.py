@@ -58,7 +58,7 @@ from .estimators import (
     sample_concentration,
     sample_totals,
 )
-from .fields import SpatialField
+from .fields import SpatialField, near_pairs
 from .model import ClassTable, dependence_from_inclusion, first_order_probabilities
 from .util import derived_rng, normal_half_width, wrap_periodic
 
@@ -166,23 +166,28 @@ def _class_populations(design: SelectionDesign, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EnumerationResult:
-    """Exact inclusion probabilities and concentration moments of a design.
-
-    The designs are class-exchangeable, so every particle of class u has the
-    inclusion probability ``pi1[u]`` and every distinct pair of classes
-    (u, v) the pair probability ``pi2[u, v]``; both come from moments of the
-    class counts s, as E[s_u]/n_u, E[s_u (s_u - 1)]/(n_u (n_u - 1)) and
-    E[s_u s_v]/(n_u n_v).  Absent classes, and the diagonal of single-member
-    classes, are NaN.  ``c_exact`` inverts the pair probabilities into
-    dependence values.  Concentration moments are conditional on a
-    non-empty selection, and ``p_empty`` reports how much mass that
-    conditioning removed.
-    """
+class ExactInclusion:
+    """Exact inclusion probabilities of a class-exchangeable design: every
+    particle of class u has the inclusion probability ``pi1[u]`` and every
+    distinct pair of classes (u, v) the pair probability ``pi2[u, v]``.
+    Absent classes, and the diagonal of single-member classes, are NaN.
+    ``c_exact`` inverts the pair probabilities into dependence values."""
 
     pi1: np.ndarray
     pi2: np.ndarray
     c_exact: np.ndarray
+
+
+@dataclass(frozen=True)
+class EnumerationResult(ExactInclusion):
+    """Exact inclusion probabilities and concentration moments of a design.
+
+    ``pi1`` and ``pi2`` come from moments of the class counts s, as
+    E[s_u]/n_u, E[s_u (s_u - 1)]/(n_u (n_u - 1)) and E[s_u s_v]/(n_u n_v).
+    Concentration moments are conditional on a non-empty selection, and
+    ``p_empty`` reports how much mass that conditioning removed.
+    """
+
     mean_cs: float
     var_cs: float
     p_empty: float
@@ -579,21 +584,29 @@ def enumerate_design(design: SelectionDesign, table: ClassTable) -> EnumerationR
     ) / z_nonempty
     p_empty = z_empty / z
 
-    pop = states.pop.astype(float)
-    pair_pop = np.outer(pop, pop)
-    np.fill_diagonal(pair_pop, pop * (pop - 1.0))
     np.fill_diagonal(pairs, within)
+    pi1, pi2, c_exact = _exact_inclusion(states.pop.astype(float), first, pairs, z)
     if design.variant == "bernoulli":
         # independent coin flips: inclusion probabilities are exact products
         q = np.asarray(design.q)
-        pi1 = np.where(pop > 0, q, np.nan)
-        pi2 = np.where(pair_pop > 0, np.outer(q, q), np.nan)
+        pi1 = np.where(np.isnan(pi1), np.nan, q)
+        pi2 = np.where(np.isnan(pi2), np.nan, np.outer(q, q))
         c_exact = np.where(np.isnan(pi2), np.nan, 0.0)
-    else:
-        pi1 = np.where(pop > 0, first / (z * np.maximum(pop, 1.0)), np.nan)
-        pi2 = np.where(pair_pop > 0, pairs / (z * np.maximum(pair_pop, 1.0)), np.nan)
-        c_exact = dependence_from_inclusion(pi1, pi2)
     return EnumerationResult(pi1, pi2, c_exact, mean_cs, var_cs, p_empty)
+
+
+def _exact_inclusion(pop: np.ndarray, first: np.ndarray, pairs: np.ndarray,
+                     total: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pi1, pi2 and C of a design from per-class sums over outcomes of
+    weight ``total``: ``first`` (K,), the members' weighted inclusions, and
+    ``pairs`` (K, K), those of the ordered pairs of distinct members, over
+    (K,) populations ``pop``.  NaN for a class without members and for a
+    cell without pairs."""
+    pair_pop = np.outer(pop, pop)
+    np.fill_diagonal(pair_pop, pop * (pop - 1.0))
+    pi1 = np.where(pop > 0, first / (total * np.maximum(pop, 1.0)), np.nan)
+    pi2 = np.where(pair_pop > 0, pairs / (total * np.maximum(pair_pop, 1.0)), np.nan)
+    return pi1, pi2, dependence_from_inclusion(pi1, pi2)
 
 
 def _window_membership(
@@ -680,6 +693,56 @@ def _ring_counts(field: SpatialField, ring: tuple[np.ndarray, ...], anchors: np.
         ).reshape(a1 - a0, k)
         a0 = a1
     return counts
+
+
+#: Candidate pairs :func:`window_dependence` forms per chunk of queries,
+#: unless one query alone has more: about 100 bytes each, so about 26 MB.
+_PAIR_CHUNK = 1 << 18
+
+
+def _arc_overlap(d: np.ndarray, side: float, length: float) -> np.ndarray:
+    """Length of the intersection of two arcs of length ``side`` <= ``length``
+    on a circle of circumference ``length`` whose starts lie ``d`` apart."""
+    d = wrap_periodic(d, length)
+    return np.maximum(side - d, 0.0) + np.maximum(side - (length - d), 0.0)
+
+
+def window_dependence(field: SpatialField, width: float, height: float, k: int) -> ExactInclusion:
+    """Exact pi1, pi2 and C of the ``width`` x ``height`` window design on
+    ``field`` over classes [0, K), from the field's pair overlaps; the
+    fields of :class:`EnumerationResult` that a design on a fixed field has.
+
+    A uniformly anchored toroidal window holds a particle with chance
+    wh / (WH) and two particles whose centres lie (dx, dy) apart with
+    chance o_W(dx; w) o_H(dy; h) / (WH), where o_L(d; w) = max(0, w - d) +
+    max(0, w - (L - d)) with d taken mod L.  ``pi2[u, v]`` is the sum of
+    that chance over the ordered pairs of distinct particles of classes
+    (u, v), over their number; an absent class, and the diagonal of a
+    one-member class, are NaN.  Only pairs nearer than w along x and h along
+    y overlap, so the candidates are the pairs of :func:`near_pairs` on the
+    field's column strips, summed per class pair with one ``bincount`` per
+    chunk of queries.  The work is about n * lambda * 4wh candidate pairs.
+    A chunk takes as many queries as the densest cells the query rectangle
+    covers allow within ``_PAIR_CHUNK`` candidates, so a chunk holds at
+    most max(``_PAIR_CHUNK``, n) of them.
+    """
+    if not (0 < width <= field.width and 0 < height <= field.height):
+        raise ValueError("window must be positive and fit inside the domain")
+    label = np.where((field.class_id >= 0) & (field.class_id < k), field.class_id, k)
+    strips = field.column_strips
+    cells = (min(strips.na, int(2.0 * width * strips.scale_a) + 3)
+             * min(strips.nb, int(2.0 * height * strips.scale_b) + 3))
+    step = max(1, _PAIR_CHUNK // max(1, min(field.n, cells * int(np.diff(strips.offsets).max()))))
+    sums = np.zeros((k + 1) * (k + 1))
+    for first in range(0, field.n, step):
+        i, j = near_pairs(strips, field.x, field.y, width, height, first, min(first + step, field.n))
+        overlap = (_arc_overlap(field.x[j] - field.x[i], width, field.width)
+                   * _arc_overlap(field.y[j] - field.y[i], height, field.height))
+        sums += np.bincount(label[i] * (k + 1) + label[j], overlap, (k + 1) * (k + 1))
+    sums = sums.reshape(k + 1, k + 1)[:k, :k]
+    pop = np.bincount(label, minlength=k + 1)[:k].astype(float)
+    return ExactInclusion(*_exact_inclusion(pop, pop * (width * height), sums + sums.T,
+                                            field.width * field.height))
 
 
 def _replicate_rng(design: SelectionDesign, r: int, seed: int) -> np.random.Generator:
@@ -1070,7 +1133,7 @@ def compare_estimators(
         raise EmptySampleError("too few non-empty replicates to compare estimators")
     mean_counts = _mean_counts(stats.distinct, weights, sizes)
     mean_mass, mean_analyte = sample_totals(mean_counts, table)
-    mean_cs = sample_concentration(mean_mass, mean_analyte, table)
+    mean_cs = sample_concentration(mean_mass, mean_analyte, table, mean_counts)
 
     # per-row moments over M^2, weighted to each run's mean; an empty row
     # has no counts and weighs 0

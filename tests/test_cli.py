@@ -228,7 +228,7 @@ class TestConfigErrors:
             ({"window": 5}, "calibration.window"),
             ({"n_seeds": "abc"}, "calibration.n_seeds"),
             ({"window": [0.05]}, "calibration.window"),
-            ({"replicates": 1}, "calibration.replicates"),
+            ({"window": [0.05, 0.0]}, "calibration.window"),
             ({"cluster_radius": [0.05, -0.01]}, "calibration.cluster_radius"),
             ({"n_seeds": 1}, "calibration.n_seeds"),
         ],
@@ -245,6 +245,29 @@ class TestConfigErrors:
         )
         assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {location}:" in capsys.readouterr().err
+
+    def test_calibration_replicates_is_ignored(self, tmp_path):
+        """The exact oracle draws no windows: a scenario that still carries
+        ``calibration.replicates``, even one below 2, runs and writes what
+        it writes without the key."""
+        written = []
+        for name, extra in (("with", {"replicates": 1}), ("without", {})):
+            run = tmp_path / name
+            run.mkdir()
+            config = write_scenario(
+                run, sample_counts=None, dependence=None,
+                field={"variant": "matern_cluster", "mixing": [0.5, 0.5],
+                       "parent_intensity": 40, "offspring_mean": 10, "cluster_radius": 0.05},
+                transects={"count": 5, "length": 1.0},
+                calibration={"cluster_radius": [0.05], "n_seeds": 2, **extra},
+            )
+            assert main(["intercept", "--config", str(config), "--out", str(run / "o")]) == 0
+            written.append({f.name: f.read_bytes() for f in (run / "o").iterdir()})
+        assert "calibration_cases.csv" in written[0]
+        assert written[0].keys() == written[1].keys()
+        for name, data in written[0].items():
+            if name.endswith(".csv"):  # the header names the config's digest
+                assert data.split(b"\n", 1)[1] == written[1][name].split(b"\n", 1)[1], name
 
 
     @pytest.mark.parametrize(
@@ -321,6 +344,29 @@ class TestConfigErrors:
         config = write_scenario(tmp_path, sample_counts=None, dependence=None, **sections)
         assert main(["intercept", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"configuration error: {location}:" in capsys.readouterr().err
+
+    def test_calibration_replicates_is_ignored(self, tmp_path):
+        """The exact oracle draws no windows: a scenario that still carries
+        ``calibration.replicates``, even one below 2, runs and writes what
+        it writes without the key."""
+        written = []
+        for name, extra in (("with", {"replicates": 1}), ("without", {})):
+            run = tmp_path / name
+            run.mkdir()
+            config = write_scenario(
+                run, sample_counts=None, dependence=None,
+                field={"variant": "matern_cluster", "mixing": [0.5, 0.5],
+                       "parent_intensity": 40, "offspring_mean": 10, "cluster_radius": 0.05},
+                transects={"count": 5, "length": 1.0},
+                calibration={"cluster_radius": [0.05], "n_seeds": 2, **extra},
+            )
+            assert main(["intercept", "--config", str(config), "--out", str(run / "o")]) == 0
+            written.append({f.name: f.read_bytes() for f in (run / "o").iterdir()})
+        assert "calibration_cases.csv" in written[0]
+        assert written[0].keys() == written[1].keys()
+        for name, data in written[0].items():
+            if name.endswith(".csv"):  # the header names the config's digest
+                assert data.split(b"\n", 1)[1] == written[1][name].split(b"\n", 1)[1], name
 
     @pytest.mark.parametrize(
         "design",

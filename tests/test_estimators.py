@@ -530,9 +530,10 @@ class TestKernelsAgainstCompensatedSums:
         mass_ref, analyte_ref = reference_totals(counts, table)
         assert close(mass[0], mass_ref) and close(analyte[0], analyte_ref)
         conc = table.concentrations
-        common = np.all(conc == conc[0])  # then c_s is that concentration, unrounded
+        present = conc[counts > 0]
+        shared = np.all(present == present[0])  # then c_s is that concentration, unrounded
         assert s.mass == mass[0]
-        assert s.concentration == (conc[0] if common else analyte[0] / mass[0])
+        assert s.concentration == (present[0] if shared else analyte[0] / mass[0])
 
         dev = table.concentrations - s.concentration
         abs_dev = float(np.sum(counts * table.masses * np.abs(dev))) / s.mass
@@ -556,6 +557,13 @@ class TestKernelsAgainstCompensatedSums:
         weights = table.masses * table.concentrations / (batch.batch_mass * batch.q)
         assert close(est.pi_expanded_concentration(s, table, batch),
                      fsum_scaled(counts * weights))
+
+    def test_one_present_concentration_is_not_divided(self):
+        """Counts whose present classes share a concentration read it
+        exactly in a summary, as a replicate row with those counts does."""
+        table = ClassTable.from_arrays([1.0, 1.0, 1.3118656651085367], [0.0, 0.0, 0.875])
+        assert derive_summary((0, 0, 3), table).concentration == 0.875
+        assert derive_expectation(np.array([0.0, 0.0, 2.5]), table).concentration == 0.875
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data(), k=st.integers(1, 4), r=st.integers(2, 30))

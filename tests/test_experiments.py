@@ -175,7 +175,7 @@ CLUSTER = clustered_params(cluster_radius=0.05, parent_intensity=30.0, offspring
     lambda: window_ensemble(CLUSTER, binary_table(), (0.1, 0.1), replicates=10, n_seeds=0,
                             master_seed=1),
     lambda: gy_null_ensemble(replicates=10, n_seeds=0),
-    lambda: calibrate_against_oracle([("cluster", CLUSTER)], binary_table(), (0.1, 0.1), 10,
+    lambda: calibrate_against_oracle([("cluster", CLUSTER)], binary_table(), (0.1, 0.1),
                                      TransectSpec(count=5, length=0.5), master_seed=1,
                                      n_seeds=0),
 ], ids=["window_ensemble", "gy_null_ensemble", "calibrate_against_oracle"])
@@ -188,7 +188,7 @@ def test_calibration_needs_two_fields():
     """A between-field standard error needs two fields; one field would
     leave every oracle SE NaN and call the regime null on no evidence."""
     with pytest.raises(ValueError, match="n_seeds"):
-        calibrate_against_oracle([("cluster", CLUSTER)], binary_table(), (0.1, 0.1), 10,
+        calibrate_against_oracle([("cluster", CLUSTER)], binary_table(), (0.1, 0.1),
                                  TransectSpec(count=5, length=0.5), master_seed=1, n_seeds=1)
 
 

@@ -649,7 +649,7 @@ class TestCalibration:
                                       mixing=(0.5, 0.5), intensity=500.0)),
         ]
         report = calibrate_against_oracle(
-            processes, table, window=(0.1, 0.1), replicates=100,
+            processes, table, window=(0.1, 0.1),
             transects=TransectSpec(count=20, length=1.0),
             master_seed=9, n_seeds=6,
         )
