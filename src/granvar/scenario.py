@@ -188,8 +188,8 @@ def _parse_transects(raw: Any) -> TransectSpec:
 
 
 def _parse_calibration(raw: Any, field: ProcessParams | None) -> dict:
-    """The calibration sweep settings, defaults filled in; ``replicates``,
-    which sized the former Monte Carlo oracle, is accepted and ignored."""
+    """The calibration sweep settings, defaults filled in; ``replicates`` is
+    accepted and ignored, since the window oracle is exact."""
     if not isinstance(raw, dict):
         raise ConfigError("calibration", "expected an object")
     radii = _number_list(
