@@ -1165,6 +1165,13 @@ def reference_fractions(counts, pop):
     return f1, f2
 
 
+def reference_se(vals):
+    """Standard error of the mean of ``vals``, from their spread about the
+    first value: the same number as ``vals.std(ddof=1)``, but exactly 0 on a
+    constant column, where ``std``'s rounded mean leaves about 1e-17."""
+    return (vals - vals[0]).std(ddof=1) / np.sqrt(len(vals))
+
+
 def reference_inclusion(f1, f2):
     """Reference: the per-replicate aggregation that ``inclusion_from_fractions``
     replaced, cell by cell, with finiteness masks and ``np.cov``."""
@@ -1181,7 +1188,7 @@ def reference_inclusion(f1, f2):
                 continue
             vals = vals[np.isfinite(vals)]
             pi1[u] = vals.mean()
-            pi1_se[u] = vals.std(ddof=1) / np.sqrt(len(vals))
+            pi1_se[u] = reference_se(vals)
     for u in range(k):
         for v in range(u, k):
             pair = f2[:, u, v]
@@ -1191,7 +1198,7 @@ def reference_inclusion(f1, f2):
             pair = pair[mask]
             n_used = len(pair)
             pi2[u, v] = pi2[v, u] = pair.mean()
-            pi2_se[u, v] = pi2_se[v, u] = pair.std(ddof=1) / np.sqrt(n_used)
+            pi2_se[u, v] = pi2_se[v, u] = reference_se(pair)
             if np.isnan(pi1[u]) or np.isnan(pi1[v]) or pi1[u] == 0 or pi1[v] == 0:
                 continue
             a, b, c = pi2[u, v], pi1[u], pi1[v]
@@ -1220,7 +1227,8 @@ INCLUSION_FLOORS = {"pi1": 1e-12, "pi2": 1e-12, "c_hat": 1e-12, "c_hat_se": 1e-7
 #: Tolerance of ``pi1_se`` and ``pi2_se``, relative to the standard error
 #: itself, in place of INCLUSION_RTOL and a floor: both passes take the
 #: fractions' spread about a shift, so they agree to 7e-14 over these
-#: tests, exactly where the SE is 0.  An absolute floor was wider than the
+#: tests, exactly where the SE is 0 (the reference takes its spread about
+#: the first value for that, see reference_se).  An absolute floor was wider than the
 #: SEs near q = 1 (2e-5 at q = 0.999), where unshifted moments lose 1.4e-10.
 SE_RTOL = 1e-11
 
@@ -1247,6 +1255,8 @@ def assert_inclusion_close(got, want):
 class TestRunReplicatesDistinctRows:
     @settings(deadline=None, max_examples=60)
     @given(case=pairwise_cases(), seed=st.integers(0, 2**31), r=st.integers(2, 300))
+    @example(case=(SelectionDesign.pairwise_pmf([0.75], [[0.0]], [0] * 10),
+                   ClassTable.from_arrays([1.0], [0.0])), seed=0, r=3)
     def test_matches_direct_evaluation(self, case, seed, r):
         """The estimate over distinct rows, weighted by multiplicity, is the
         per-replicate reference's to INCLUSION_RTOL; the summaries are the
