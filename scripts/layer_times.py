@@ -1,5 +1,5 @@
-"""Layer timings of field generation, window counting and replicate
-aggregation, as one JSON object.
+"""Layer timings of field generation, window counting, replicate
+aggregation and CSV writing, as one JSON object.
 
 Times, at each particle count n, the best of ``--repeat`` timeit runs of:
 
@@ -14,14 +14,19 @@ Times, at each particle count n, the best of ``--repeat`` timeit runs of:
   field, its column strips already built.  Its candidate pairs grow as
   n * lambda * 4wh, quadratic in n on the unit square, so it is timed only
   up to n = 50,000 (about 2 s a call); the output names that cap as
-  ``window_dependence_max_n``.
+  ``window_dependence_max_n``;
+- ``save_field_csv`` of the Poisson field, to a file in a temporary
+  directory (rewritten in place);
 
 at K = 2, 10, 40 and 100 classes, on R seeded (R, K) count rows, R taking
 the values of ``--sizes`` too:
 
 - ``inclusion_from_fractions(*pair_fractions(counts, pop))``;
 - ``compare_estimators`` of those rows, their summary and estimate
-  already built.
+  already built;
+- ``write_numbered_rows`` of their ``replicates.csv`` rows (index, M_s,
+  c_s and counts, as ``simulate`` writes them) to memory, at K = 2 and 40
+  only.
 
 Their memory grows as R * K (the moment matrices are K^2 per run), so
 R = 100,000 at K = 100 needs about 0.6 GB.  And once:
@@ -30,8 +35,10 @@ R = 100,000 at K = 100 needs about 0.6 GB.  And once:
   ensemble's stack, 50 seeds of R = 200 Poisson window counts at K = 2
   (keyed by the seed count).
 
-Each value is seconds per call, to 3 significant digits.  Run from the
-repository root:
+Each value is seconds per call, to 3 significant digits.  glibc's malloc
+thresholds are pinned first, as ``granvar.cli.main`` pins them, so a
+layer's time does not depend on which layers freed memory before it.  Run
+from the repository root:
 
     python3 scripts/layer_times.py                 # n, R = 500 ... 100,000
     python3 scripts/layer_times.py --sizes 500 --repeat 2
@@ -41,10 +48,12 @@ Uses numpy and the standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import platform
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -55,13 +64,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from granvar.experiments import (  # noqa: E402
     _aggregate_seeds, _draw_window_counts, _window_count_rates, binary_table, poisson_null_params,
 )
-from granvar.fields import CellStrips, ProcessParams, assign_classes, generate_field  # noqa: E402
+from granvar.cli import _keep_freed_memory  # noqa: E402
+from granvar.fields import (  # noqa: E402
+    CellStrips, ProcessParams, assign_classes, generate_field, save_field_csv,
+)
 from granvar.model import ClassTable  # noqa: E402
 from granvar.selection import (  # noqa: E402
     ReplicateStats, compare_estimators, inclusion_from_fractions, pair_fractions, window_counts,
     window_dependence,
 )
-from granvar.util import derived_rng  # noqa: E402
+from granvar.util import derived_rng, write_numbered_rows  # noqa: E402
 
 SIZES = (500, 5_000, 50_000, 100_000)
 SEED = 11
@@ -78,6 +90,8 @@ WINDOW_DEPENDENCE_MAX_N = 50_000
 #: Class counts K of the aggregation layers; every class has POPULATION
 #: members, each selected with chance SELECTED.
 AGGREGATE_K = (2, 10, 40, 100)
+#: Class counts K at which the replicate rows are written.
+WRITE_K = (2, 40)
 POPULATION = 50
 SELECTED = 0.2
 #: The null ensemble's stack: seeds, replicates per seed, window and
@@ -111,7 +125,7 @@ def field_table(variant: str, n: int) -> ClassTable:
     return ClassTable.from_arrays([1.0, 2.0], [1.0, 0.0], [radius, radius])
 
 
-def layer_times(sizes, repeat: int) -> dict:
+def layer_times(sizes, repeat: int, out_dir: Path) -> dict:
     layers: dict[str, dict[str, float]] = {}
 
     def record(name, n, call):
@@ -139,6 +153,7 @@ def layer_times(sizes, repeat: int) -> dict:
         if n <= WINDOW_DEPENDENCE_MAX_N:
             record("window_dependence", n,
                    lambda: window_dependence(poisson, WINDOW_SIDE, WINDOW_SIDE, 2))
+        record("save_field_csv", n, lambda: save_field_csv(poisson, out_dir / "field.csv"))
     for r in sizes:
         for k in AGGREGATE_K:
             rng = np.random.default_rng(SEED)
@@ -151,6 +166,9 @@ def layer_times(sizes, repeat: int) -> dict:
                    lambda: inclusion_from_fractions(*pair_fractions(counts, pop)))
             record(f"compare_estimators.k{k}", r,
                    lambda: compare_estimators(stats, est, table))
+            if k in WRITE_K:
+                record(f"write_numbered_rows.k{k}", r, lambda: write_numbered_rows(
+                    io.BytesIO(), [stats.mass, stats.cs, *stats.distinct.T], stats.inverse))
     rates = _window_count_rates(poisson_null_params(NULL_INTENSITY), NULL_WINDOW)
     draws = [_draw_window_counts(rates, NULL_REPLICATES, derived_rng(SEED, s))
              for s in range(NULL_SEEDS)]
@@ -167,6 +185,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=5,
                         help="timeit runs per value; the best is kept (default: %(default)s)")
     args = parser.parse_args(argv)
+    _keep_freed_memory()
+    with tempfile.TemporaryDirectory() as out_dir:
+        layers = layer_times(args.sizes, args.repeat, Path(out_dir))
     result = {
         "unit": "s per call",
         "repeat": args.repeat,
@@ -175,7 +196,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "window_dependence_max_n": WINDOW_DEPENDENCE_MAX_N,
-        "layers": layer_times(args.sizes, args.repeat),
+        "layers": layers,
     }
     print(json.dumps(result, indent=1))
     return 0

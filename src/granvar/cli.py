@@ -45,7 +45,9 @@ from .intercept import (
 from .model import derive_expectation, derive_summary
 from .scenario import ScenarioConfig, build_design, load_scenario
 from .selection import compare_estimators, empirical_dependence, run_replicates
-from .util import derived_seeds, format_sig, round_sig, write_csv_columns
+from .util import (
+    derived_seeds, format_sig, round_sig, write_csv_columns, write_numbered_rows,
+)
 from .verify import DEFAULT_VERIFY_SEED, run_checks
 
 #: Stream indices for deriving per-stage seeds from the scenario seed.
@@ -108,10 +110,20 @@ class _Writer:
     ) -> Path:
         """Write one CSV file from its columns, which must be of equal length;
         ``tail`` as in :func:`write_csv_columns`."""
+        return self._write(name, header, write_csv_columns, columns, tail)
+
+    def write_numbered(self, name: str, header: Sequence[str], columns: Sequence[Sequence],
+                       rows: np.ndarray) -> Path:
+        """Write one CSV file whose row i is i, then row ``rows[i]`` of
+        ``columns`` (:func:`write_numbered_rows`)."""
+        return self._write(name, header, write_numbered_rows, columns, rows)
+
+    def _write(self, name: str, header: Sequence[str], body, *args) -> Path:
+        """Write the stamp and ``header`` lines, then ``body(f, *args)``."""
         path = self.out_dir / name
         with path.open("wb") as f:
             f.write(f"# {self.provenance}\n{','.join(header)}\n".encode())
-            write_csv_columns(f, columns, tail)
+            body(f, *args)
         return path
 
 
@@ -223,11 +235,10 @@ def cmd_simulate(args) -> int:
         save_field_csv(field, writer.out_dir / "field.csv", comment=writer.provenance)
     # a replicate row after its index is a function of the count row:
     # format each distinct row once
-    writer.write(
+    writer.write_numbered(
         "replicates.csv",
         ["replicate", "M_s", "c_s"] + [f"N_{u}" for u in range(k)],
-        [np.arange(len(stats.inverse))],
-        ([stats.mass, stats.cs, *stats.distinct.T], stats.inverse),
+        [stats.mass, stats.cs, *stats.distinct.T], stats.inverse,
     )
     writer.write(
         "first_order.csv", ["i", "pi_i", "se"], [np.arange(k), estimate.pi1, estimate.pi1_se]
@@ -406,6 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"granvar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command is looked up when it runs, not when the parser is built,
+    # so the parser :func:`main` keeps dispatches to what the module holds
+    # then (a test's or a tracer's wrapper included)
 
     def common(p):
         p.add_argument("--config", help="scenario JSON file")
@@ -417,31 +431,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="closed-form estimator report")
     common(p_est)
-    p_est.set_defaults(fn=cmd_estimate)
+    p_est.set_defaults(fn=lambda args: cmd_estimate(args))
 
     p_sim = sub.add_parser("simulate", help="replicate a selection design")
     common(p_sim)
-    p_sim.set_defaults(fn=cmd_simulate)
+    p_sim.set_defaults(fn=lambda args: cmd_simulate(args))
 
     p_int = sub.add_parser("intercept", help="line-intercept sampling run")
     common(p_int)
-    p_int.set_defaults(fn=cmd_intercept)
+    p_int.set_defaults(fn=lambda args: cmd_intercept(args))
 
     p_tab = sub.add_parser("table1", help="single-class dependence solution grid")
     common(p_tab)
-    p_tab.set_defaults(fn=cmd_table1)
+    p_tab.set_defaults(fn=lambda args: cmd_table1(args))
 
     p_ver = sub.add_parser("verify", help="run built-in consistency checks")
     common(p_ver)
     p_ver.add_argument("--quick", action="store_true", help="fewer draws per check")
-    p_ver.set_defaults(fn=cmd_verify)
+    p_ver.set_defaults(fn=lambda args: cmd_verify(args))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use (about 1 ms) and then
+    kept for the process; parsing does not change it."""
+    return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed", f"seed must be a non-negative integer, got {args.seed}")

@@ -670,6 +670,51 @@ class TestDeterminism:
         assert "seed=2020" in first
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls parse with
+    the same parser and behave as fresh ones."""
+
+    @staticmethod
+    def run_three(config: Path, out: Path, capsys, fresh: bool) -> list:
+        """estimate with a ``--seed``, simulate without, then a refused
+        ``--threads 0``, each with a parser of its own when ``fresh``:
+        exit codes, stderr and the written tree."""
+        results = []
+        for argv in (["estimate", "--seed", "5"], ["simulate"], ["estimate", "--threads", "0"]):
+            if fresh:
+                cli._parser.cache_clear()
+            code = main([*argv, "--config", str(config), "--out", str(out / argv[0])])
+            results.append((code, capsys.readouterr().err))
+        return results + [TestDeterminism.tree_bytes(out)]
+
+    def test_consecutive_calls_behave_as_fresh_ones(self, tmp_path, monkeypatch, capsys):
+        config = TestDeterminism().scenario(tmp_path)
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        reused = self.run_three(config, tmp_path / "reused", capsys, fresh=False)
+        assert len(built) == 1
+        fresh = self.run_three(config, tmp_path / "fresh", capsys, fresh=True)
+        assert len(built) == 4
+        assert reused == fresh
+        assert [code for code, _ in fresh[:3]] == [0, 0, 2]
+        assert "need at least one thread, got 0" in fresh[2][1]
+        tree = fresh[3]
+        assert "seed=5" in tree["estimate/estimate.csv"].decode().splitlines()[0]
+        # the simulate call after it does not keep the earlier --seed
+        assert "seed=2020" in tree["simulate/replicates.csv"].decode().splitlines()[0]
+
+    def test_dispatch_follows_the_module(self, monkeypatch, capsys):
+        """A command replaced after the parser was built (as a test or a
+        tracer does) is the one that runs."""
+        assert main(["table1"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_table1", lambda args: calls.append(args.command) or 7)
+        assert main(["table1"]) == 7
+        assert calls == ["table1"]
+
+
 def assert_golden_digests(out: Path, prefix: str) -> None:
     """Every file under ``out`` has the recorded digest, and no recorded
     file under ``prefix`` is missing.  The digests hold for the numpy and

@@ -59,6 +59,26 @@ def indexed(columns, rows):
 
 SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-320, 1.7976931348623157e308,
            0.1, 1.0 / 3.0, 1e16, 1e17, 123456789012345678.0, -2.5e-7]
+COLUMN_KINDS = st.sampled_from(["float", "int", "uint", "text", "bool"])
+
+
+def random_column(rng: np.random.Generator, kind: str, length: int):
+    """A column of ``length`` random cells of one kind of
+    ``COLUMN_KINDS``: floats of every exponent (the ``SPECIAL`` values,
+    nan and inf among them, first), integers over the whole int64 or
+    uint64 range, bools, or text with two-byte characters."""
+    if kind == "float":
+        v = rng.integers(0, 2**64, length, dtype=np.uint64).view(np.float64)
+        v[:len(SPECIAL)] = SPECIAL[:length]
+        return v
+    if kind == "int":
+        return rng.integers(-(2**63), 2**63, length, dtype=np.int64)
+    if kind == "uint":
+        return rng.integers(0, 2**64, length, dtype=np.uint64)
+    if kind == "bool":
+        return rng.random(length) < 0.5
+    return [chr(0x41 + i % 60) * (i % 5) + "é" * (i % 3) for i in
+            rng.integers(0, 10**6, length).tolist()]
 
 
 class TestWriteCsvColumns:
@@ -161,28 +181,12 @@ class TestWriteCsvColumns:
     def test_tail_matches_gathered_cell_formatting(self, n, data):
         """Row i is head row i then tail row rows[i], for head and tail
         columns of every cell type, tail rows repeated and unused."""
-        kinds = st.sampled_from(["float", "int", "uint", "text", "bool"])
-        head_kinds = data.draw(st.lists(kinds, max_size=3))
-        tail_kinds = data.draw(st.lists(kinds, min_size=1, max_size=3))
+        head_kinds = data.draw(st.lists(COLUMN_KINDS, max_size=3))
+        tail_kinds = data.draw(st.lists(COLUMN_KINDS, min_size=1, max_size=3))
         k = data.draw(st.integers(1, 40))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-
-        def column(kind, length):
-            if kind == "float":  # every exponent, nan and inf among them
-                v = rng.integers(0, 2**64, length, dtype=np.uint64).view(np.float64)
-                v[:len(SPECIAL)] = SPECIAL[:length]
-                return v
-            if kind == "int":
-                return rng.integers(-(2**63), 2**63, length, dtype=np.int64)
-            if kind == "uint":
-                return rng.integers(0, 2**64, length, dtype=np.uint64)
-            if kind == "bool":
-                return rng.random(length) < 0.5
-            return [chr(0x41 + i % 60) * (i % 5) + "é" * (i % 3) for i in
-                    rng.integers(0, 10**6, length).tolist()]
-
-        head = [column(kind, n) for kind in head_kinds]
-        tail = [column(kind, k) for kind in tail_kinds]
+        head = [random_column(rng, kind, n) for kind in head_kinds]
+        tail = [random_column(rng, kind, k) for kind in tail_kinds]
         used = rng.choice(k, rng.integers(1, k + 1), replace=False)
         rows = used[rng.integers(0, len(used), n)]
         gathered = head + [[c[i] for i in rows] for c in tail]
@@ -355,6 +359,77 @@ class TestWriteCsvColumns:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
             written([np.zeros(2), np.zeros(3)])
+
+
+def numbered(columns, rows) -> str:
+    """The text :func:`util.write_numbered_rows` writes."""
+    f = io.BytesIO()
+    util.write_numbered_rows(f, columns, rows)
+    return f.getvalue().decode()
+
+
+def tail_reference(columns, rows) -> str:
+    """The same rows through the tail path of :func:`write_csv_columns`."""
+    f = io.BytesIO()
+    write_csv_columns(f, *indexed(columns, rows))
+    return f.getvalue().decode()
+
+
+class TestWriteNumberedRows:
+    """``write_numbered_rows`` writes the bytes of the tail path after an
+    index, with the same refusals."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(r=st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 101, 8191, 8192, 8193,
+                              10_000, 10_001, 20_001]),
+           kinds=st.lists(COLUMN_KINDS, min_size=1, max_size=4),
+           k=st.sampled_from([1, 2, 3, 40, 300]), seed=st.integers(0, 2**32))
+    def test_equals_the_tail_path(self, r, kinds, k, seed):
+        """R across every digit-count and block edge up to 20,001 (and a
+        multiple of 10**4 that is no power of ten), on tables of one to
+        300 rows of every cell type, negative numbers, nan and two-byte
+        text among them, some rows unused."""
+        rng = np.random.default_rng(seed)
+        table = [random_column(rng, kind, k) for kind in kinds]
+        used = rng.choice(k, rng.integers(1, k + 1), replace=False)
+        rows = used[rng.integers(0, len(used), r)]
+        assert_same_csv(numbered(table, rows), tail_reference(table, rows))
+
+    def test_line_lengths_are_bytes(self):
+        """Lines of one character count and different byte counts (and the
+        reverse) fall in different length groups."""
+        table = [["ab", "é€", "€€", "abc", "𝄞", "x"], np.array([1.5, -2.0, np.nan, 0.0, 3, 4])]
+        rows = np.arange(20_000) % 6
+        assert_same_csv(numbered(table, rows), tail_reference(table, rows))
+        text = numbered(table, rows).split("\n")
+        assert text[1] == "1,é€,-2" and text[4] == "4,𝄞,3"
+
+    def test_one_table_row(self):
+        rows = np.zeros(10_001, dtype=np.int64)
+        assert numbered([[True], np.array([-7])], rows) == "".join(
+            f"{i},true,-7\n" for i in range(10_001))
+
+    def test_refuses_nul_and_newlines(self):
+        with pytest.raises(ValueError, match="CSV column 0 holds a NUL"):
+            numbered([["x\0"]], np.array([0]))
+        with pytest.raises(ValueError, match="newline"):
+            numbered([["a\nb"]], np.zeros(600, dtype=int))
+
+
+@pytest.mark.parametrize("n", [3, 300], ids=["scalar", "vector"])
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_rows_outside_the_table_are_refused(n, bad):
+    """Negative rows do not wrap around and rows past the end raise a
+    ``ValueError`` naming the first, on both call sizes of the tail path
+    and in ``write_numbered_rows``."""
+    table = [np.array([1.0, 2.0])]
+    rows = np.zeros(n, dtype=np.int64)
+    rows[n - 2:] = bad
+    message = rf"table row {bad} \(output row {n - 2}\) is outside the table's 2 rows"
+    with pytest.raises(ValueError, match=message):
+        write_csv_columns(io.BytesIO(), *indexed(table, rows))
+    with pytest.raises(ValueError, match=message):
+        numbered(table, rows)
 
 
 def test_normal_half_width_matches_norm_ppf():
