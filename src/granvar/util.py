@@ -88,7 +88,7 @@ def write_csv_columns(
     if tail is not None:
         tail_columns, rows = tail
         lengths.add(len(rows))
-        lines = _tail_lines(tail_columns)
+        lines = _table_text(tail_columns).decode().split("\n")[:-1]
         _check_rows(rows, len(lines))
     if len(lengths) > 1:
         raise ValueError("CSV columns differ in length")
@@ -109,11 +109,6 @@ def write_csv_columns(
         # each row's tail is one item of the table
         np.take(table, index, out=words[:, -width:].view(table.dtype)[:, 0])
         f.write(_packed(words))
-
-
-def _tail_lines(columns: Sequence[Sequence]) -> list[str]:
-    """The CSV rows of ``columns`` as lines without their newlines."""
-    return _table_text(columns).decode().split("\n")[:-1]
 
 
 def _table_text(columns: Sequence[Sequence]) -> bytes:
